@@ -19,7 +19,6 @@ from .family import (
     FamilySubgraph,
     extract_subgraph,
     find_family_subgraph,
-    non_cut_v_vertices,
     subgraph_from_trails,
     trails_from_subgraph,
 )
@@ -36,11 +35,9 @@ from .hypergraph import (
     verify_euler_object,
 )
 from .incidence import (
-    BlockDecomposition,
     Component,
     IncidenceGraph,
     articulation_points,
-    block_decomposition,
     build_incidence,
     components,
 )
@@ -56,12 +53,11 @@ from .interchange import (
 )
 from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
 from .oracle import SearchBudget, brute_family_exists, brute_max_matching, brute_tour
-from .solver import ReductionStep, SolveResult, lift_tour, reduce_order, solve
+from .solver import SolveResult, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
     "CertificateViolation",
     "Component",
     "CoveringReport",
@@ -79,14 +75,12 @@ __all__ = [
     "Matching",
     "MergeExhaustedError",
     "MergeStats",
-    "ReductionStep",
     "SearchBudget",
     "SolveResult",
     "VerifyReport",
     "Walk",
     "apply_interchange",
     "articulation_points",
-    "block_decomposition",
     "brute_family_exists",
     "brute_max_matching",
     "brute_tour",
@@ -100,11 +94,8 @@ __all__ = [
     "find_family_subgraph",
     "find_linking_cycle",
     "is_interchanging",
-    "lift_tour",
     "max_matching",
     "merge_to_tour",
-    "non_cut_v_vertices",
-    "reduce_order",
     "reduce_to_matching",
     "solve",
     "subgraph_from_trails",

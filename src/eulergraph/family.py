@@ -96,10 +96,6 @@ class FamilySubgraph:
         return out
 
 
-def non_cut_v_vertices(fsub: FamilySubgraph, component: Component) -> tuple[int, ...]:
-    return fsub.non_cut_v_vertices(component)
-
-
 def extract_subgraph(g: IncidenceGraph, gg: GadgetGraph, m: Matching) -> FamilySubgraph | None:
     """Read a family subgraph out of a gadget matching, or None if it is not perfect."""
     if 2 * m.size != gg.node_count:

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,10 @@ def validate_covering(h: Hypergraph, k: int) -> CoveringReport:
     """Check whether ``h`` is a covering k-hypergraph.
 
     Covering means: non-empty, k-uniform, and every (k-1)-subset of the
-    vertex set lies inside at least one edge.  When coverage fails, the
-    witness is the first missing subset in lexicographic label order.
+    vertex set lies inside at least one edge.  One pass collects the
+    (k-1)-subsets of the edges and compares their count with C(n, k-1).  When
+    coverage fails, the witness is the first missing subset in lexicographic
+    label order.
     """
     if k < 3:
         raise ValueError(f"covering hypergraphs are defined for k >= 3, got k={k}")
@@ -107,12 +110,13 @@ def validate_covering(h: Hypergraph, k: int) -> CoveringReport:
     if not uniform or not h.edges:
         return CoveringReport(uniform, False, None)
     labels = sorted(h.vertices)
-    edge_sets = [frozenset(h.vertices[i] for i in e) for e in h.edges]
-    for combo in combinations(labels, k - 1):
-        s = set(combo)
-        if not any(s <= es for es in edge_sets):
-            return CoveringReport(True, False, tuple(combo))
-    return CoveringReport(True, True, None)
+    rank = {h.vertex_index(lab): r for r, lab in enumerate(labels)}
+    covered = {
+        sub for e in h.edges for sub in combinations(sorted(rank[v] for v in e), k - 1)}
+    if len(covered) == comb(len(labels), k - 1):
+        return CoveringReport(True, True, None)
+    missing = next(c for c in combinations(range(len(labels)), k - 1) if c not in covered)
+    return CoveringReport(True, False, tuple(labels[r] for r in missing))
 
 
 @dataclass(frozen=True)

@@ -86,37 +86,16 @@ def components(adj: Sequence[Sequence[int]]) -> tuple[Component, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Biconnected decomposition: blocks, cut vertices, and the block tree.
-
-    ``tree_edges`` pairs a block index with each cut vertex it contains;
-    together with ``blocks`` this describes the bipartite block tree.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    tree_edges: frozenset[tuple[int, int]]
-
-
-def block_decomposition(adj: Sequence[Sequence[int]]) -> BlockDecomposition:
-    """Blocks and articulation points via one depth-first traversal per component.
-
-    Isolated nodes form singleton blocks.
-    """
+def articulation_points(adj: Sequence[Sequence[int]]) -> frozenset[int]:
+    """Cut vertices via one depth-first traversal per component (Hopcroft-Tarjan low points)."""
     n = len(adj)
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     cut: set[int] = set()
-    blocks: list[frozenset[int]] = []
-    estack: list[tuple[int, int]] = []
     time = 0
     for root in range(n):
         if disc[root] != -1:
-            continue
-        if not adj[root]:
-            blocks.append(frozenset((root,)))
             continue
         root_children = 0
         disc[root] = low[root] = time
@@ -130,39 +109,21 @@ def block_decomposition(adj: Sequence[Sequence[int]]) -> BlockDecomposition:
                     parent[w] = u
                     if u == root:
                         root_children += 1
-                    estack.append((u, w))
                     disc[w] = low[w] = time
                     time += 1
                     stack.append((w, iter(adj[w])))
                     advanced = True
                     break
-                elif w != parent[u] and disc[w] < disc[u]:
-                    estack.append((u, w))
-                    if disc[w] < low[u]:
-                        low[u] = disc[w]
+                elif w != parent[u] and disc[w] < low[u]:
+                    low[u] = disc[w]
             if not advanced:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     if low[u] < low[p]:
                         low[p] = low[u]
-                    if low[u] >= disc[p]:
-                        members: set[int] = set()
-                        while estack:
-                            a, b = estack.pop()
-                            members.add(a)
-                            members.add(b)
-                            if (a, b) == (p, u):
-                                break
-                        blocks.append(frozenset(members))
-                        if p != root:
-                            cut.add(p)
+                    if low[u] >= disc[p] and p != root:
+                        cut.add(p)
         if root_children >= 2:
             cut.add(root)
-    tree = frozenset(
-        (bi, v) for bi, b in enumerate(blocks) for v in sorted(b) if v in cut)
-    return BlockDecomposition(tuple(blocks), frozenset(cut), tree)
-
-
-def articulation_points(adj: Sequence[Sequence[int]]) -> frozenset[int]:
-    return block_decomposition(adj).cut_vertices
+    return frozenset(cut)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import InfeasibleDegreeError
@@ -156,28 +155,18 @@ class GadgetGraph:
 
     ``incidences[t]`` is the t-th incidence (vertex index, edge id) and
     ``incidence_edge[t]`` the gadget edge realizing it.  All other gadget
-    edges are internal (stub-core, stub-stub, stub-dummy).
+    edges are internal (stub-core, stub-stub, stub-dummy).  Node layout:
+    v-stubs ``[0, T)``, e-stubs ``[T, 2T)`` for ``T`` incidences, then the
+    cores in edge order, then the parity dummies in vertex order.
     """
 
     adj: tuple[tuple[int, ...], ...]
-    tags: tuple[str, ...]
     incidences: tuple[tuple[int, int], ...]
     incidence_edge: tuple[tuple[int, int], ...]
 
     @property
     def node_count(self) -> int:
         return len(self.adj)
-
-    @cached_property
-    def _by_edge(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {
-            tuple(sorted(pair)): inc
-            for pair, inc in zip(self.incidence_edge, self.incidences)
-        }
-
-    def back_map(self, a: int, b: int) -> tuple[int, int] | None:
-        """The incidence realized by gadget edge (a, b), or None if internal."""
-        return self._by_edge.get(tuple(sorted((a, b))))
 
 
 def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
@@ -195,11 +184,9 @@ def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
     t_count = len(incidences)
     # Node layout: v-stubs [0, T), e-stubs [T, 2T), then cores, then dummies.
     adj: list[list[int]] = [[] for _ in range(2 * t_count)]
-    tags: list[str] = ["v-stub"] * t_count + ["e-stub"] * t_count
 
-    def new_node(tag: str) -> int:
+    def new_node() -> int:
         adj.append([])
-        tags.append(tag)
         return len(adj) - 1
 
     def link(a: int, b: int) -> None:
@@ -217,7 +204,7 @@ def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
         d = len(g.adj[g.n_v + j])
         stubs = [t_count + (pos + i) for i in range(d)]
         for _ in range(d - 2):
-            core = new_node("core")
+            core = new_node()
             for s in stubs:
                 link(core, s)
         pos += d
@@ -232,13 +219,12 @@ def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
             for jj in range(i + 1, len(stubs)):
                 link(stubs[i], stubs[jj])
         if len(stubs) % 2 == 1:
-            dummy = new_node("dummy")
+            dummy = new_node()
             for s in stubs:
                 link(dummy, s)
 
     gg = GadgetGraph(
         tuple(tuple(sorted(row)) for row in adj),
-        tuple(tags),
         incidences,
         tuple(incidence_edge),
     )

@@ -1,11 +1,13 @@
-"""End-to-end pipeline: validate, reduce arity down to 3, certify a family, merge, lift back.
+"""End-to-end pipeline: validate, reduce arity down to 3, certify a family, merge.
 
 A covering (k+1)-hypergraph reduces to a covering k-hypergraph by deleting a
 fixed vertex from the vertex set and shrinking every edge by one vertex: the
-chosen vertex where present, an arbitrary (here: lexicographically smallest)
-vertex elsewhere.  Edge ids survive the reduction unchanged, so a tour of the
-reduced hypergraph lifts by re-labelling its edges alone; anchors remain
-valid because every reduced edge is a subset of its original.
+chosen vertex where present, the lexicographically smallest vertex elsewhere.
+Deleting the smallest label at every layer makes that rule "drop the edge's
+smallest label", so the k-3 layers down to arity 3 run as one pass that drops
+the k-3 smallest labels of every edge.  Edge ids survive and every reduced
+edge is a subset of its original, so a tour of the reduced hypergraph is
+already a tour of the original.
 """
 
 from __future__ import annotations
@@ -26,61 +28,19 @@ from .incidence import build_incidence
 from .interchange import MergeStats, direct_order3_tour, merge_to_tour
 
 VERDICT_EULERIAN = "eulerian"
-VERDICT_QUASI_ONLY = "quasi-eulerian-only"
 VERDICT_NEITHER = "neither"
 VERDICT_BEST_EFFORT = "not-covering-best-effort"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """Record of one arity-reduction layer.
+def _reduce_to_order3(h: Hypergraph, k: int) -> tuple[Hypergraph, tuple[str, ...]]:
+    """The k-3 reduction layers of a covering k-hypergraph in one pass.
 
-    ``edge_map[i]`` is the original edge id behind reduced edge ``i`` (the
-    construction keeps edge order, so the map is the identity, stored
-    explicitly for lifting).  ``dropped_by_edge`` lists, for each edge that
-    avoided the deleted vertex, which vertex was removed instead.
+    Returns the covering 3-hypergraph and the deleted labels, one per layer.
     """
-
-    deleted_vertex: str
-    edge_map: tuple[int, ...]
-    dropped_by_edge: tuple[tuple[int, str], ...]
-
-
-def reduce_order(h: Hypergraph, deleted: str) -> tuple[Hypergraph, ReductionStep]:
-    """One reduction layer: (k+1)-uniform covering input, k-uniform covering output."""
-    k1 = h.uniformity()
-    if k1 is None or k1 < 4:
-        raise ValueError("reduction needs a uniform hypergraph of arity at least 4")
-    h.vertex_index(deleted)  # raises on unknown vertex
-    if not validate_covering(h, k1).is_covering:
-        raise ValueError("reduction is defined for covering hypergraphs")
-    new_vertices = tuple(lab for lab in h.vertices if lab != deleted)
-    new_edges: list[tuple[str, ...]] = []
-    dropped: list[tuple[int, str]] = []
-    for j in range(len(h.edges)):
-        labels = set(h.edge_labels(j))
-        if deleted in labels:
-            labels.discard(deleted)
-        else:
-            out = min(labels)
-            labels.discard(out)
-            dropped.append((j, out))
-        new_edges.append(tuple(sorted(labels)))
-    reduced = Hypergraph.from_labels(new_vertices, new_edges)
-    if not validate_covering(reduced, k1 - 1).is_covering:
-        raise CertificateViolation("reduced hypergraph lost the covering property")
-    step = ReductionStep(deleted, tuple(range(len(h.edges))), tuple(dropped))
-    return reduced, step
-
-
-def lift_tour(t: Walk, step: ReductionStep, h: Hypergraph) -> Walk:
-    """Re-label a reduced tour's edges back to the original hypergraph and verify."""
-    lifted = Walk(t.anchors, tuple(step.edge_map[e] for e in t.edges))
-    report = verify_euler_object(h, EulerFamily((lifted,)))
-    if not report.valid:
-        raise CertificateViolation(
-            "lifted tour failed verification: " + "; ".join(report.violations[:3]))
-    return lifted
+    deleted = tuple(sorted(h.vertices)[:k - 3])
+    vertices = tuple(lab for lab in h.vertices if lab not in deleted)
+    edges = [h.edge_labels(j)[k - 3:] for j in range(len(h.edges))]
+    return Hypergraph.from_labels(vertices, edges), deleted
 
 
 @dataclass(frozen=True)
@@ -89,8 +49,9 @@ class SolveResult:
 
     The verdict never claims more than the certificate shows: ``eulerian``
     comes with a verified tour (or an empty hypergraph, eulerian by
-    convention), ``neither`` only when no Euler family exists, and the two
-    family-only verdicts carry a verified family without a tour.
+    convention), ``neither`` only when no Euler family exists, and
+    ``not-covering-best-effort`` carries a verified family without a tour.
+    ``reductions`` lists the label deleted by each arity-reduction layer.
     """
 
     verdict: str
@@ -98,7 +59,7 @@ class SolveResult:
     family: EulerFamily | None
     certificate: VerifyReport | None
     steps: int = 0
-    reductions: tuple[ReductionStep, ...] = ()
+    reductions: tuple[str, ...] = ()
 
 
 def solve(
@@ -111,12 +72,17 @@ def solve(
     """Decide eulerian properties and construct certificates.
 
     Covering k-hypergraphs with at least two edges always end eulerian, via
-    recursive arity reduction to 3 followed by family construction and
-    merging.  A single edge can never form a closed trail.  Non-covering
-    inputs get an exact quasi-eulerian decision and a best-effort merge.
+    arity reduction to 3 followed by family construction and merging.  A
+    single edge can never form a closed trail.  Non-covering inputs get an
+    exact Euler-family decision and a best-effort merge.
+
+    ``pivot`` must be a vertex of ``h`` (else :class:`KeyError`) and must
+    survive the arity reduction (else :class:`ValueError`).
     """
     if k < 3:
         raise ValueError(f"arity parameter must be at least 3, got {k}")
+    if pivot is not None:
+        h.vertex_index(pivot)  # raises on unknown vertex
     if stats is None:
         stats = MergeStats()
     m = len(h.edges)
@@ -127,12 +93,9 @@ def solve(
         return SolveResult(VERDICT_NEITHER, None, None, None)
 
     if validate_covering(h, k).is_covering:
-        chain: list[tuple[Hypergraph, ReductionStep]] = []
-        cur = h
-        while cur.uniformity() > 3:
-            before = cur
-            cur, step = reduce_order(cur, min(cur.vertices))
-            chain.append((before, step))
+        cur, deleted = _reduce_to_order3(h, k)
+        if pivot in deleted:
+            raise ValueError(f"pivot {pivot!r} is deleted by the arity reduction")
         if cur.order == 3:
             tour = direct_order3_tour(cur)
         else:
@@ -142,16 +105,12 @@ def solve(
                 raise CertificateViolation(
                     "covering 3-hypergraph with >= 2 edges has no family certificate")
             fam0 = trails_from_subgraph(fsub)
-            use_pivot = pivot if pivot is not None and pivot in cur._index else None
-            tour = merge_to_tour(cur, fam0, pivot=use_pivot, budget=budget, stats=stats)
-        for before, step in reversed(chain):
-            tour = lift_tour(tour, step, before)
+            tour = merge_to_tour(cur, fam0, pivot=pivot, budget=budget, stats=stats)
         cert = verify_euler_object(h, EulerFamily((tour,)))
         if not cert.valid:
             raise CertificateViolation("final tour failed verification")
         return SolveResult(
-            VERDICT_EULERIAN, tour, EulerFamily((tour,)), cert,
-            stats.steps, tuple(step for _, step in chain))
+            VERDICT_EULERIAN, tour, EulerFamily((tour,)), cert, stats.steps, deleted)
 
     # Best effort for non-covering inputs.
     g = build_incidence(h)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 from eulergraph import FamilySubgraph, Hypergraph, InterchangeCycle, build_incidence
 from eulergraph.genio import Lcg
 from eulergraph.interchange import _alternating_cycles
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FANO_TRIPLES = ["123", "145", "167", "246", "257", "347", "356"]
 
 
@@ -158,3 +161,29 @@ def all_pairs_covered(h: Hypergraph, k: int) -> tuple[bool, tuple | None]:
         if not any(set(combo) <= es for es in edge_sets):
             return False, combo
     return True, None
+
+
+def reduction_layers(h: Hypergraph) -> list[tuple[str, Hypergraph]]:
+    """The paper's arity reduction one layer at a time, as a reference for the one-pass code.
+
+    Each layer deletes the smallest remaining label and shrinks every edge by
+    that vertex where present, else by the edge's smallest label.  Returns
+    ``(deleted label, reduced hypergraph)`` per layer, down to arity 3.
+    """
+    layers = []
+    while h.uniformity() > 3:
+        deleted = min(h.vertices)
+        edges = []
+        for j in range(len(h.edges)):
+            labels = set(h.edge_labels(j))
+            labels.discard(deleted if deleted in labels else min(labels))
+            edges.append(labels)
+        h = Hypergraph.from_labels([v for v in h.vertices if v != deleted], edges)
+        layers.append((deleted, h))
+    return layers
+
+
+def src_env() -> dict[str, str]:
+    """The environment with ``src`` first on PYTHONPATH, for ``python -m eulergraph`` runs."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))))

@@ -27,7 +27,6 @@ from eulergraph import (
     find_family_subgraph,
     find_linking_cycle,
     max_matching,
-    reduce_order,
     solve,
     validate_covering,
     verify_euler_object,
@@ -40,13 +39,16 @@ from eulergraph.genio import (
     gen_random_covering,
     gen_sts,
 )
+from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
     complete_graph,
     grouped_family,
     petersen,
     random_graph,
+    reduction_layers,
     sample_interchanging_cycles,
+    src_env,
 )
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
@@ -135,16 +137,20 @@ def test_c03_higher_arity_reduction():
                 h, EulerFamily((res.tour,))).valid:
             failures.append((h.order, k))
             continue
-        # every reduction layer keeps the covering property and edge count
+        # every reference layer keeps the covering property and edge count, and
+        # the one-pass reduction equals the last layer edge for edge
+        layers = reduction_layers(h)
+        if tuple(deleted for deleted, _ in layers) != res.reductions:
+            failures.append(("deleted-labels", h.order, k))
         cur = h
-        for step in res.reductions:
-            arity = cur.uniformity()
-            reduced, again = reduce_order(cur, step.deleted_vertex)
-            if not validate_covering(reduced, arity - 1).is_covering:
+        for _, reduced in layers:
+            if not validate_covering(reduced, cur.uniformity() - 1).is_covering:
                 failures.append(("layer", h.order, k))
             if len(reduced.edges) != len(cur.edges):
                 failures.append(("edge-count", h.order, k))
             cur = reduced
+        if _reduce_to_order3(h, k)[0] != cur:
+            failures.append(("one-pass", h.order, k))
     elapsed = time.time() - t0
     passed = not failures and elapsed < 60
     _report("C03 arity reduction", passed,
@@ -321,7 +327,7 @@ def test_c09_sweep_is_deterministic(sweep):
         outs = [
             subprocess.run(
                 [sys.executable, "-m", "eulergraph", "tour", str(path)],
-                capture_output=True, text=True, check=True).stdout
+                capture_output=True, text=True, check=True, env=src_env()).stdout
             for _ in range(2)
         ]
     cross_process = outs[0] == outs[1]

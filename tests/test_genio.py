@@ -23,6 +23,8 @@ from eulergraph.genio import (
     parse_walk_line,
 )
 
+from helpers import src_env
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -233,6 +235,23 @@ class TestCli:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["tour", str(tmp_path / "absent.hg")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "hg 3 3 2\nv a\nv b\nv c\ne a b c\ne a b c\n",
+        "hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n",
+    ], ids=["covering", "non-covering"])
+    def test_unknown_pivot_exit_two(self, tmp_path, capsys, text):
+        hg = tmp_path / "p.hg"
+        hg.write_text(text)
+        assert main(["tour", str(hg), "--pivot", "zz"]) == 2
+        assert "'zz'" in capsys.readouterr().err
+
+    def test_pivot_deleted_by_reduction_exit_two(self, tmp_path, capsys):
+        hg = tmp_path / "c64.hg"
+        assert main(["gen", "complete", "6", "4", "--out", str(hg)]) == 0
+        assert main(["tour", str(hg), "--pivot", "v1"]) == 2
+        assert "'v1'" in capsys.readouterr().err
+        assert main(["tour", str(hg), "--pivot", "v2"]) == 0
+
     def test_sts_inadmissible_exit_two(self, capsys):
         assert main(["gen", "sts", "6"]) == 2
 
@@ -270,7 +289,7 @@ class TestCli:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "eulergraph", "tour", str(hg)],
-                capture_output=True, text=True, check=True)
+                capture_output=True, text=True, check=True, env=src_env())
             for _ in range(2)
         ]
         assert runs[0].stdout == runs[1].stdout and runs[0].stdout.strip()

@@ -105,6 +105,18 @@ class TestValidateCovering:
         # every vertex has positive degree once |V| >= k
         assert all(h.degree(lab) >= 1 for lab in h.vertices)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_oracle_with_edges_removed(self, k):
+        # dropping edges from a covering input uncovers subsets; the first
+        # missing one in label order must match the direct scan
+        for seed in range(1, 16):
+            h = gen_random_covering(6 + seed % 3, k, seed)
+            for keep in range(len(h.edges) + 1):
+                sub = Hypergraph(h.vertices, h.edges[:keep])
+                report = validate_covering(sub, k)
+                ok, witness = all_pairs_covered(sub, k) if keep else (False, None)
+                assert (report.is_covering, report.witness_uncovered) == (ok, witness)
+
 
 class TestWalkFlags:
     def test_flags(self):

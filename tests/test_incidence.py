@@ -1,10 +1,10 @@
-"""Incidence graph construction, components, blocks, cut vertices."""
+"""Incidence graph construction, components, cut vertices."""
 
 import pytest
 
 from eulergraph import (
     Hypergraph,
-    block_decomposition,
+    articulation_points,
     build_incidence,
     components,
 )
@@ -69,77 +69,24 @@ class TestComponents:
 
 
 class TestBlocks:
+    """Cut vertices: the nodes shared by two blocks."""
+
     def test_path(self):
-        bd = block_decomposition(((1,), (0, 2), (1,)))
-        assert sorted(tuple(sorted(b)) for b in bd.blocks) == [(0, 1), (1, 2)]
-        assert bd.cut_vertices == {1}
+        assert articulation_points(((1,), (0, 2), (1,))) == {1}
 
     def test_four_cycle(self):
-        bd = block_decomposition(((1, 3), (0, 2), (1, 3), (0, 2)))
-        assert len(bd.blocks) == 1 and not bd.cut_vertices
+        assert not articulation_points(((1, 3), (0, 2), (1, 3), (0, 2)))
 
     def test_two_squares_sharing_a_vertex(self):
         adj = ((1, 3, 4, 6), (0, 2), (1, 3), (0, 2), (0, 5), (4, 6), (0, 5))
-        bd = block_decomposition(adj)
-        assert sorted(tuple(sorted(b)) for b in bd.blocks) == [(0, 1, 2, 3), (0, 4, 5, 6)]
-        assert bd.cut_vertices == {0}
-        assert bd.tree_edges == {(0, 0), (1, 0)}
-
-    def test_isolated_vertex_is_singleton_block(self):
-        bd = block_decomposition(((), (2,), (1,)))
-        assert frozenset((0,)) in bd.blocks
+        assert articulation_points(adj) == {0}
 
     def test_random_graphs_match_brute_force(self):
-        # Two blocks share at most one vertex, so an edge lies in exactly one
-        # block iff exactly one block contains both its endpoints.
         rng = Lcg(11)
         for trial in range(60):
             n = 4 + rng.below(6)
             adj = random_graph(rng, n, 20 + rng.below(40))
-            bd = block_decomposition(adj)
-            assert set(bd.cut_vertices) == brute_cut_vertices(adj)
-            edges = {(a, b) for a in range(n) for b in adj[a] if a < b}
-            for a, b in edges:
-                owners = [blk for blk in bd.blocks if a in blk and b in blk]
-                assert len(owners) == 1
-
-    def test_blocks_partition_edges_exactly(self):
-        # A bowtie: two triangles sharing node 0.
-        adj = ((1, 2, 3, 4), (0, 2), (0, 1), (0, 4), (0, 3))
-        bd = block_decomposition(adj)
-        assert sorted(tuple(sorted(b)) for b in bd.blocks) == [(0, 1, 2), (0, 3, 4)]
-        assert bd.cut_vertices == {0}
-
-    def test_block_tree_acyclic_connected(self):
-        rng = Lcg(13)
-        for _ in range(30):
-            n = 5 + rng.below(5)
-            adj = random_graph(rng, n, 35)
-            bd = block_decomposition(adj)
-            # per graph component, the block-cut tree has (#blocks + #cuts - 1) edges
-            comp_nodes = components(adj)
-            for comp in comp_nodes:
-                blocks_in = [i for i, b in enumerate(bd.blocks) if b <= comp.nodes]
-                cuts_in = [v for v in bd.cut_vertices if v in comp.nodes]
-                tree_edges_in = [e for e in bd.tree_edges
-                                 if e[0] in blocks_in and e[1] in comp.nodes]
-                assert len(tree_edges_in) == len(blocks_in) + len(cuts_in) - 1
-
-    def test_min_noncut_count_meets_block_order(self):
-        # a connected graph with a block of order k has at least k non-cut vertices
-        rng = Lcg(17)
-        done = 0
-        while done < 40:
-            n = 4 + rng.below(7)
-            adj = random_graph(rng, n, 40)
-            if len(components(adj)) != 1:
-                continue
-            done += 1
-            bd = block_decomposition(adj)
-            biggest = max((len(b) for b in bd.blocks), default=0)
-            if biggest >= 2:
-                non_cut = n - len(bd.cut_vertices)
-                assert non_cut >= biggest
+            assert set(articulation_points(adj)) == brute_cut_vertices(adj)
 
 
 class TestNonCutVVertices:

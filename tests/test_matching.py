@@ -1,5 +1,6 @@
 """Blossom matching kernel and the degree-prescription gadget."""
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -81,19 +82,28 @@ class TestBruteMatchingOracle:
             brute_max_matching(complete_graph(17), SearchBudget(max_nodes=16))
 
 
+def _layout(gg):
+    """Node ranges of a gadget: stubs [0, 2T), then cores [2T, 2T+C), then dummies."""
+    t_count = len(gg.incidences)
+    edge_degree = Counter(e for _, e in gg.incidences)
+    cores = range(2 * t_count, 2 * t_count + sum(d - 2 for d in edge_degree.values()))
+    return range(t_count), range(t_count, 2 * t_count), cores, range(cores.stop, gg.node_count)
+
+
 class TestGadget:
     def test_edge_node_degree_three_has_one_core(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
         gg = reduce_to_matching(build_incidence(h))
-        assert gg.tags.count("core") == 1
-        core = gg.tags.index("core")
+        _, e_stubs, cores, _ = _layout(gg)
+        assert len(cores) == 1
+        core = cores[0]
         assert len(gg.adj[core]) == 3
-        assert all(gg.tags[s] == "e-stub" for s in gg.adj[core])
+        assert all(s in e_stubs for s in gg.adj[core])
 
     def test_even_vertex_degree_no_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = reduce_to_matching(build_incidence(h))
-        assert gg.tags.count("dummy") == 0
+        assert len(_layout(gg)[3]) == 0
         # each v-node of degree 2 contributes two mutually adjacent stubs
         a_stubs = [t for t, (v, e) in enumerate(gg.incidences) if v == 0]
         assert len(a_stubs) == 2
@@ -102,9 +112,9 @@ class TestGadget:
     def test_odd_vertex_degree_gets_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 3)
         gg = reduce_to_matching(build_incidence(h))
-        assert gg.tags.count("dummy") == 3
-        dummy = gg.tags.index("dummy")
-        assert len(gg.adj[dummy]) == 3
+        dummies = _layout(gg)[3]
+        assert len(dummies) == 3
+        assert len(gg.adj[dummies[0]]) == 3
 
     def test_node_count_formula(self):
         for h in (
@@ -132,10 +142,12 @@ class TestGadget:
     def test_back_map(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = reduce_to_matching(build_incidence(h))
-        for t, (a, b) in enumerate(gg.incidence_edge):
-            assert gg.back_map(a, b) == gg.incidences[t]
-        core = gg.tags.index("core")
-        assert gg.back_map(core, gg.adj[core][0]) is None
+        v_stubs, e_stubs, cores, _ = _layout(gg)
+        # incidence t is realized by the gadget edge from v-stub t to e-stub T+t
+        assert gg.incidence_edge == tuple(zip(v_stubs, e_stubs))
+        assert all(b in gg.adj[a] for a, b in gg.incidence_edge)
+        core = cores[0]
+        assert (core, gg.adj[core][0]) not in gg.incidence_edge
 
     def test_perfect_matching_by_exhaustion(self):
         # two copies of a triple: the 14-node gadget has a perfect matching;

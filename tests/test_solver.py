@@ -1,21 +1,18 @@
-"""Arity reduction, tour lifting, and the end-to-end solve pipeline."""
+"""Arity reduction and the end-to-end solve pipeline."""
 
 import pytest
 
 from eulergraph import (
-    CertificateViolation,
     EulerFamily,
     Hypergraph,
     MergeExhaustedError,
     MergeStats,
-    ReductionStep,
-    lift_tour,
-    reduce_order,
     solve,
     validate_covering,
     verify_euler_object,
 )
 from eulergraph.genio import format_walk_line, gen_complete, gen_random_covering
+from eulergraph.solver import _reduce_to_order3
 
 from helpers import fano
 
@@ -23,11 +20,10 @@ from helpers import fano
 class TestReduceOrder:
     def test_complete_6_4(self):
         h = gen_complete(6, 4)
-        reduced, step = reduce_order(h, "v1")
+        reduced, deleted = _reduce_to_order3(h, 4)
         assert reduced.order == 5 and len(reduced.edges) == 15
         assert validate_covering(reduced, 3).is_covering
-        assert step.deleted_vertex == "v1"
-        assert step.edge_map == tuple(range(15))
+        assert deleted == ("v1",)
 
     def test_every_edge_contains_deleted_vertex(self):
         h = Hypergraph.from_labels(
@@ -35,55 +31,51 @@ class TestReduceOrder:
             [("a", "b", "c", "d"), ("a", "b", "c", "e"),
              ("a", "b", "d", "e"), ("a", "c", "d", "e")])
         assert validate_covering(h, 4).is_covering
-        reduced, step = reduce_order(h, "a")
-        assert step.dropped_by_edge == ()
-        assert all("a" not in reduced.edge_labels(j) for j in range(4))
+        reduced, deleted = _reduce_to_order3(h, 4)
+        assert deleted == ("a",)
+        assert all(reduced.edge_labels(j) == h.edge_labels(j)[1:] for j in range(4))
 
     def test_dropped_vertices_lexicographic(self):
-        h = gen_complete(6, 4)
-        _, step = reduce_order(h, "v6")
-        for eid, dropped in step.dropped_by_edge:
-            assert dropped == min(h.edge_labels(eid))
-            assert "v6" not in h.edge_labels(eid)
+        # v1 then v2 are deleted; an edge missing one loses its smallest label instead
+        h = gen_complete(7, 5)
+        reduced, deleted = _reduce_to_order3(h, 5)
+        assert deleted == ("v1", "v2")
+        for j in range(len(h.edges)):
+            assert reduced.edge_labels(j) == h.edge_labels(j)[2:]
 
     def test_edge_map_is_bijection(self):
+        # edge ids survive: reduced edge j is a proper subset of original edge j
         h = gen_complete(7, 4)
-        _, step = reduce_order(h, "v3")
-        assert sorted(step.edge_map) == list(range(len(h.edges)))
+        reduced, _ = _reduce_to_order3(h, 4)
+        assert len(reduced.edges) == len(h.edges)
+        assert all(set(reduced.edge_labels(j)) < set(h.edge_labels(j))
+                   for j in range(len(h.edges)))
 
-    def test_rejects_low_arity(self):
-        with pytest.raises(ValueError):
-            reduce_order(fano(), "1")
+    def test_no_layer_at_arity_three(self):
+        assert solve(fano(), 3).reductions == ()
 
     def test_rejects_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            reduce_order(gen_complete(6, 4), "zz")
+        with pytest.raises(KeyError, match="zz"):
+            solve(gen_complete(6, 4), 4, pivot="zz")
 
-    def test_rejects_non_covering(self):
+    def test_rejects_pivot_deleted_by_reduction(self):
+        with pytest.raises(ValueError, match="'v2'"):
+            solve(gen_complete(7, 5), 5, pivot="v2")
+
+    def test_non_covering_input_not_reduced(self):
         h = Hypergraph.from_labels("abcde", [("a", "b", "c", "d")] * 2)
-        with pytest.raises(ValueError):
-            reduce_order(h, "a")
+        res = solve(h, 4, pivot="a")
+        assert res.verdict == "eulerian" and res.reductions == ()
 
 
 class TestLiftTour:
     def test_edge_relabel_round_trip(self):
+        # the lift is the identity: a tour of the reduced hypergraph is a tour of h
         h = gen_complete(6, 4)
-        reduced, step = reduce_order(h, "v1")
-        res = solve(reduced, 3)
-        lifted = lift_tour(res.tour, step, h)
-        assert lifted.anchors == res.tour.anchors
-        assert lifted.edges == tuple(step.edge_map[e] for e in res.tour.edges)
-        assert verify_euler_object(h, EulerFamily((lifted,))).valid
-
-    def test_bad_map_detected(self):
-        h = gen_complete(6, 4)
-        reduced, step = reduce_order(h, "v1")
-        res = solve(reduced, 3)
-        scrambled = ReductionStep(step.deleted_vertex,
-                                  (step.edge_map[1], step.edge_map[0]) + step.edge_map[2:],
-                                  step.dropped_by_edge)
-        with pytest.raises(CertificateViolation):
-            lift_tour(res.tour, scrambled, h)
+        reduced, _ = _reduce_to_order3(h, 4)
+        tour = solve(reduced, 3).tour
+        assert verify_euler_object(h, EulerFamily((tour,))).valid
+        assert solve(h, 4).tour == tour
 
 
 class TestSolve:
@@ -163,6 +155,12 @@ class TestSolve:
     def test_pivot_passthrough(self):
         res = solve(fano(), 3, pivot="4")
         assert res.verdict == "eulerian" and res.certificate.valid
+
+    def test_unknown_pivot_rejected_on_non_covering_input(self):
+        # one-component family: the merge never runs, the pivot is still checked
+        h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+        with pytest.raises(KeyError, match="zz"):
+            solve(h, 3, pivot="zz")
 
     def test_deterministic_certificates(self):
         for n, k, seed in ((6, 3, 9), (7, 3, 2), (6, 4, 5)):

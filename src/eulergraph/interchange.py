@@ -9,21 +9,22 @@ interchanging cycle whose application strictly reduces the number of
 non-trivial components; applying diminishing cycles repeatedly drives a
 family towards a single closed trail, an Euler tour.
 
-The search for a productive cycle runs as a ladder:
+The search for a productive cycle runs in three stages:
 
 * S1: with three or more components, pick one non-cut vertex-node per
   component and link consecutive picks through edge-nodes that contain both;
   on covering 3-hypergraphs this always yields a cycle whose application
   leaves a single non-trivial component.
-* S2: four-cycles through two edge-nodes in distinct components.
-* S3: bounded enumeration of interchanging cycles, shortest first, keeping
-  the first whose application diminishes.
+* Search: bounded enumeration of interchanging cycles through 2 to 6
+  edge-nodes, shortest first, keeping the first whose application
+  diminishes.
 * Pivot stage (merging only): when no diminishing cycle is found, apply
   interchanging cycles through a fixed pivot vertex that strictly reduce its
   selected degree, then neutral ones that open such a reduction one step
-  later, then any move reaching an unseen certificate.  A step budget guards
-  the loop; exceeding it signals an implementation bug, not a mathematical
-  obstruction.
+  later, then any move.  Every one of these moves must reach a certificate
+  the merge has not seen, so the loop ends; a step budget also guards it.
+  On covering 3-hypergraphs, exceeding the budget signals an implementation
+  bug, not a mathematical obstruction.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .hypergraph import (
 )
 from .incidence import IncidenceGraph, build_incidence
 
-DEFAULT_CYCLE_EDGES = 12
-DEFAULT_EXPANSIONS = 250_000
+MAX_EDGE_NODES = 6
+MAX_EXPANSIONS = 250_000
 _LOOKAHEAD_CAP = 64
 
 
@@ -231,42 +232,27 @@ def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCy
     return cycle
 
 
-def _cross_component_square(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
-    """Strategy S2: 4-cycles through two edge-nodes living in distinct components."""
-    h = g.host
-    comp_of = fsub.node_component
-    base = len(fsub.nontrivial_components)
-    m = g.n_e
-    for j1 in range(m):
-        for j2 in range(j1 + 1, m):
-            if comp_of[g.e_node(j1)] == comp_of[g.e_node(j2)]:
-                continue
-            common = sorted(h.edges[j1] & h.edges[j2])
-            if len(common) < 2:
-                continue
-            for a in range(len(common)):
-                for b in range(a + 1, len(common)):
-                    nodes = (common[a], g.e_node(j1), common[b], g.e_node(j2))
-                    cycle = InterchangeCycle.from_nodes(fsub, nodes)
-                    if not cycle.interchanging():
-                        continue
-                    if _nontrivial_count_after(fsub, cycle) < base:
-                        return cycle
-    return None
+def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
+    """A component-diminishing interchanging cycle: S1, then the shortest-first search.
 
-
-def _bounded_search(g, fsub, max_e, max_expansions) -> InterchangeCycle | None:
-    """Strategy S3: shortest-first enumeration, keeping the first diminishing cycle.
-
-    A cycle confined to one component can never diminish, so single-component
-    candidates are skipped without applying them.
+    S1 (:func:`find_linking_cycle`) needs three or more components.  The
+    search tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
+    edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
+    keeps the first whose application diminishes.
     """
     base = len(fsub.nontrivial_components)
+    if base < 2:
+        raise ValueError("nothing to diminish: fewer than two non-trivial components")
+    cycle = find_linking_cycle(g, fsub)
+    if cycle is not None:
+        return cycle
     comp_of = fsub.node_component
-    counter = [max_expansions]
-    for t in range(3, max_e + 1):
+    counter = [MAX_EXPANSIONS]
+    for t in range(2, MAX_EDGE_NODES + 1):
         for s in range(g.n_v):
             for nodes in _alternating_cycles(fsub, s, t, "any", counter, canonical=True):
+                # A cycle confined to one component can never diminish, so it
+                # is skipped without being applied.
                 if len({comp_of[x] for x in nodes}) < 2:
                     continue
                 cycle = InterchangeCycle.from_nodes(fsub, nodes)
@@ -275,44 +261,32 @@ def _bounded_search(g, fsub, max_e, max_expansions) -> InterchangeCycle | None:
     return None
 
 
-def find_diminishing_cycle(
-    g: IncidenceGraph,
-    fsub: FamilySubgraph,
-    max_cycle_edges: int = DEFAULT_CYCLE_EDGES,
-    max_expansions: int = DEFAULT_EXPANSIONS,
-) -> InterchangeCycle | None:
-    """Search the S1/S2/S3 ladder for a component-diminishing interchanging cycle."""
-    if len(fsub.nontrivial_components) < 2:
-        raise ValueError("nothing to diminish: fewer than two non-trivial components")
-    cycle = find_linking_cycle(g, fsub)
-    if cycle is not None:
-        return cycle
-    cycle = _cross_component_square(g, fsub)
-    if cycle is not None:
-        return cycle
-    return _bounded_search(g, fsub, max_cycle_edges // 2, max_expansions)
+def _reducing_pivot_cycle(g, fsub, v0, seen):
+    """First cycle through v0 with both v0 edges selected reaching an unseen certificate.
 
-
-def _reducing_pivot_cycle(g, fsub, v0, max_cycle_edges, max_expansions=DEFAULT_EXPANSIONS):
-    """First interchanging cycle through v0 with both v0 edges selected (shortest first)."""
-    counter = [max_expansions]
-    for t in range(2, max_cycle_edges // 2 + 1):
+    Shortest first.  Skipping seen certificates keeps a reducing move from
+    undoing a diminishing one, which would repeat until the budget ran out.
+    """
+    counter = [MAX_EXPANSIONS]
+    for t in range(2, MAX_EDGE_NODES + 1):
         for nodes in _alternating_cycles(fsub, v0, t, "reduce", counter):
-            return InterchangeCycle.from_nodes(fsub, nodes)
+            cycle = InterchangeCycle.from_nodes(fsub, nodes)
+            if apply_interchange(fsub, cycle).selected not in seen:
+                return cycle
     return None
 
 
-def _neutral_pivot_cycle(g, fsub, v0, max_cycle_edges, seen, max_expansions=DEFAULT_EXPANSIONS):
+def _neutral_pivot_cycle(g, fsub, v0, seen):
     """A neutral cycle through v0 whose application opens a reduction or changes shape.
 
     Falls back to the first neutral move reaching an unseen certificate when
     no candidate shows immediate progress within the lookahead cap.
     """
-    counter = [max_expansions]
+    counter = [MAX_EXPANSIONS]
     base = len(fsub.nontrivial_components)
     fallback = None
     tried = 0
-    for t in range(2, max_cycle_edges // 2 + 1):
+    for t in range(2, MAX_EDGE_NODES + 1):
         for nodes in _alternating_cycles(fsub, v0, t, "neutral", counter):
             cycle = InterchangeCycle.from_nodes(fsub, nodes)
             nxt = apply_interchange(fsub, cycle)
@@ -323,19 +297,19 @@ def _neutral_pivot_cycle(g, fsub, v0, max_cycle_edges, seen, max_expansions=DEFA
             tried += 1
             if len(nxt.nontrivial_components) != base:
                 return cycle
-            if _reducing_pivot_cycle(g, nxt, v0, max_cycle_edges) is not None:
-                return cycle
-            if _cross_component_square(g, nxt) is not None:
+            # Any reducing cycle counts here, seen or not: the lookahead only
+            # asks whether the neutral move opens one.
+            if _reducing_pivot_cycle(g, nxt, v0, frozenset()) is not None:
                 return cycle
             if tried >= _LOOKAHEAD_CAP:
                 return fallback
     return fallback
 
 
-def _any_unseen_move(g, fsub, max_cycle_edges, seen, max_expansions=DEFAULT_EXPANSIONS):
+def _any_unseen_move(g, fsub, seen):
     """Last resort: any interchanging cycle whose application reaches an unseen certificate."""
-    counter = [max_expansions]
-    for t in range(2, max_cycle_edges // 2 + 1):
+    counter = [MAX_EXPANSIONS]
+    for t in range(2, MAX_EDGE_NODES + 1):
         for s in range(g.n_v):
             for nodes in _alternating_cycles(fsub, s, t, "any", counter, canonical=True):
                 cycle = InterchangeCycle.from_nodes(fsub, nodes)
@@ -383,7 +357,6 @@ def merge_to_tour(
     f: EulerFamily,
     pivot: str | None = None,
     budget: int | None = None,
-    max_cycle_edges: int = DEFAULT_CYCLE_EDGES,
     stats: MergeStats | None = None,
 ) -> Walk:
     """Merge an Euler family into an Euler tour by interchanging-cycle moves.
@@ -421,7 +394,7 @@ def merge_to_tour(
             break
         if stats.steps >= budget:
             raise MergeExhaustedError("budget", stats.steps, fsub.selected)
-        move = find_diminishing_cycle(g, fsub, max_cycle_edges)
+        move = find_diminishing_cycle(g, fsub)
         if move is not None:
             stats.diminishing += 1
         else:
@@ -432,15 +405,15 @@ def merge_to_tour(
                         f"stuck with {len(comps)} components on a covering 3-hypergraph; "
                         "expected exactly two, both non-trivial")
                 stats.min_shape_checks += 1
-            move = _reducing_pivot_cycle(g, fsub, v0, max_cycle_edges)
+            move = _reducing_pivot_cycle(g, fsub, v0, seen)
             if move is not None:
                 stats.pivot_reduce += 1
         if move is None:
-            move = _neutral_pivot_cycle(g, fsub, v0, max_cycle_edges, seen)
+            move = _neutral_pivot_cycle(g, fsub, v0, seen)
             if move is not None:
                 stats.pivot_neutral += 1
         if move is None:
-            move = _any_unseen_move(g, fsub, max_cycle_edges, seen)
+            move = _any_unseen_move(g, fsub, seen)
             if move is not None:
                 stats.escapes += 1
         if move is None:

@@ -77,12 +77,15 @@ def solve(
     exact Euler-family decision and a best-effort merge.
 
     ``pivot`` must be a vertex of ``h`` (else :class:`KeyError`) and must
-    survive the arity reduction (else :class:`ValueError`).
+    survive the arity reduction (else :class:`ValueError`).  A negative
+    ``budget`` raises :class:`ValueError`.
     """
     if k < 3:
         raise ValueError(f"arity parameter must be at least 3, got {k}")
     if pivot is not None:
         h.vertex_index(pivot)  # raises on unknown vertex
+    if budget is not None and budget < 0:
+        raise ValueError(f"step budget must be non-negative, got {budget}")
     if stats is None:
         stats = MergeStats()
     m = len(h.edges)

@@ -130,6 +130,14 @@ def grouped_family(groups) -> tuple[Hypergraph, object, FamilySubgraph]:
     return h, g, FamilySubgraph(g, frozenset(selected))
 
 
+def roadmap_item3() -> Hypergraph:
+    """Two repeated triples meeting in v1: it has a tour, which needs a 4-cycle whose
+    two edge-nodes lie in one family component."""
+    return Hypergraph.from_labels(
+        ["v0", "v1", "v2", "v3", "v4"],
+        [("v1", "v2", "v3"), ("v0", "v1", "v4"), ("v1", "v2", "v3"), ("v0", "v1", "v4")])
+
+
 def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
                                 tries: int = 40, max_e: int = 5) -> list[InterchangeCycle]:
     """Collect interchanging cycles of fsub at seeded-random starts and lengths."""

@@ -283,6 +283,12 @@ class TestCli:
         assert main(["tour", str(hg)]) == 0
         assert main(["tour", str(hg), "--budget", "0"]) == 3
 
+    def test_negative_budget_exit_two(self, tmp_path, capsys):
+        hg = tmp_path / "needs_merge.hg"
+        assert main(["gen", "random", "5", "3", "17", "--out", str(hg)]) == 0
+        assert main(["tour", str(hg), "--budget", "-5"]) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_module_entry_point_deterministic(self, tmp_path):
         hg = tmp_path / "r.hg"
         main(["gen", "random", "6", "3", "11", "--out", str(hg)])

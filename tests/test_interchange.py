@@ -25,7 +25,7 @@ from eulergraph import (
 )
 from eulergraph.genio import Lcg, gen_complete, gen_sts
 
-from helpers import fano, grouped_family, sample_interchanging_cycles
+from helpers import fano, grouped_family, roadmap_item3, sample_interchanging_cycles
 
 
 def three_component_instance():
@@ -141,10 +141,22 @@ class TestFindLinkingCycle:
 
 
 class TestFindDiminishingCycle:
-    def test_two_components_cross_square(self):
+    def test_two_components_four_cycle(self):
         _, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         cycle = find_diminishing_cycle(g, fsub)
         assert cycle is not None
+        after = apply_interchange(fsub, cycle)
+        assert len(after.nontrivial_components) == 1
+
+    def test_four_cycle_with_both_edge_nodes_in_one_component(self):
+        # the diminishing 4-cycle has both edge-nodes in one component and
+        # its second vertex-node in the other
+        h = roadmap_item3()
+        g = build_incidence(h)
+        fsub = find_family_subgraph(g)
+        assert len(fsub.nontrivial_components) == 2
+        cycle = find_diminishing_cycle(g, fsub)
+        assert cycle is not None and len(cycle.nodes) == 4
         after = apply_interchange(fsub, cycle)
         assert len(after.nontrivial_components) == 1
 
@@ -156,8 +168,8 @@ class TestFindDiminishingCycle:
             find_diminishing_cycle(g, fsub)
 
     def test_steiner_families_need_longer_cycles(self):
-        # no two triples of a Steiner system share a pair, so the 4-cycle
-        # strategy can never fire; scrambled families still diminish
+        # no two triples of a Steiner system share a pair, so the incidence
+        # graph has no 4-cycle; scrambled families still diminish
         rng = Lcg(59)
         h = gen_sts(9)
         g = build_incidence(h)
@@ -300,18 +312,30 @@ class TestPivotStage:
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
         v0 = 0
-        cycle = _reducing_pivot_cycle(g, fsub, v0, 12)
+        cycle = _reducing_pivot_cycle(g, fsub, v0, {fsub.selected})
         assert cycle is not None and cycle.nodes[0] == v0
         before = len(fsub.subgraph_adj[v0])
         after = apply_interchange(fsub, cycle)
         assert len(after.subgraph_adj[v0]) == before - 2
+
+    def test_reducing_cycle_skips_seen_certificates(self):
+        from eulergraph.genio import gen_random_covering
+        from eulergraph.interchange import _reducing_pivot_cycle
+
+        h = gen_random_covering(6, 3, 1)
+        fsub = find_family_subgraph(build_incidence(h))
+        first = _reducing_pivot_cycle(fsub.host, fsub, 0, {fsub.selected})
+        seen = {fsub.selected, apply_interchange(fsub, first).selected}
+        second = _reducing_pivot_cycle(fsub.host, fsub, 0, seen)
+        assert second is not None and second.nodes[0] == 0
+        assert apply_interchange(fsub, second).selected not in seen
 
     def test_neutral_cycle_keeps_pivot_degree(self):
         from eulergraph.interchange import _neutral_pivot_cycle
 
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         seen = {fsub.selected}
-        cycle = _neutral_pivot_cycle(g, fsub, 0, 12, seen)
+        cycle = _neutral_pivot_cycle(g, fsub, 0, seen)
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert len(after.subgraph_adj[0]) == len(fsub.subgraph_adj[0])
@@ -322,12 +346,12 @@ class TestPivotStage:
 
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         seen = {fsub.selected}
-        move = _any_unseen_move(g, fsub, 12, seen)
+        move = _any_unseen_move(g, fsub, seen)
         assert move is not None
         first = apply_interchange(fsub, move)
         assert first.selected not in seen
         seen.add(first.selected)
-        move2 = _any_unseen_move(g, fsub, 12, seen)
+        move2 = _any_unseen_move(g, fsub, seen)
         assert move2 is not None
         assert apply_interchange(fsub, move2).selected not in seen
 

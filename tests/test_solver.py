@@ -11,10 +11,36 @@ from eulergraph import (
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import format_walk_line, gen_complete, gen_random_covering
+from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering, parse_hg
+from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
 
-from helpers import fano
+from helpers import fano, roadmap_item3
+
+# A non-covering input with a family and no tour.  Unless the merge skips
+# moves back to certificates it has seen, a reducing pivot move here undoes
+# each diminishing move until the step budget runs out.
+NO_TOUR_PIVOT_LOOP = (
+    "hg 0 10 7\n"
+    + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+    + "e v10 v5 v9\ne v10 v2 v8\ne v3 v4 v5\ne v3 v8\n"
+    + "e v5 v6 v9\ne v1 v4 v7 v8\ne v10 v2 v8\n")
+
+
+def small_multiset(rng: Lcg) -> Hypergraph:
+    """A 3-uniform multiset on 4..7 vertices with 2..8 edges, about one edge in four a repeat."""
+    n = 4 + rng.below(4)
+    m = 2 + rng.below(7)
+    labels = [f"v{i}" for i in range(n)]
+    edges = []
+    for _ in range(m):
+        if edges and rng.below(4) == 0:
+            edges.append(edges[rng.below(len(edges))])
+        else:
+            order = list(range(n))
+            rng.shuffle(order)
+            edges.append(tuple(labels[i] for i in sorted(order[:3])))
+    return Hypergraph.from_labels(labels, edges)
 
 
 class TestReduceOrder:
@@ -147,6 +173,40 @@ class TestSolve:
         assert stats.steps >= 1
         with pytest.raises(MergeExhaustedError):
             solve(h, 3, budget=0)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            solve(gen_random_covering(5, 3, 17), 3, budget=-1)
+
+    def test_four_cycle_inside_one_component_merges(self):
+        h = roadmap_item3()
+        res = solve(h, 3)
+        assert res.verdict == "eulerian"
+        assert verify_euler_object(h, EulerFamily((res.tour,))).valid
+
+    def test_no_tour_pivot_moves_never_revisit(self):
+        h, _ = parse_hg(NO_TOUR_PIVOT_LOOP)
+        stats = MergeStats()
+        res = solve(h, 3, stats=stats)
+        assert res.verdict == "not-covering-best-effort"
+        assert res.family is not None and res.certificate.valid
+        assert stats.steps < 10
+
+    def test_tour_found_iff_brute_force_finds_one(self):
+        rng = Lcg(3)
+        missed, overclaimed = [], []
+        for i in range(2000):
+            h = small_multiset(rng)
+            has_tour = brute_tour(h) is not None
+            res = solve(h, 3)
+            found = res.verdict == "eulerian"
+            if found:
+                assert verify_euler_object(h, EulerFamily((res.tour,))).valid
+            if has_tour and not found:
+                missed.append(i)
+            if found and not has_tour:
+                overclaimed.append(i)
+        assert missed == [] and overclaimed == []
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@
 The package decides whether a hypergraph admits an Euler family (exactly, via
 a matching reduction on its incidence graph), constructs Euler tours of
 covering k-hypergraphs by merging family components with interchanging
-cycles, and reduces higher arities to 3 before solving.  Every produced
-object is re-checked by an independent verifier before it is returned.
+cycles, and reduces higher arities to 3 before solving.  Every certificate
+``solve`` returns is checked once, by an independent verifier, at that
+boundary.
 """
 
 from .errors import (

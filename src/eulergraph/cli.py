@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import genio
-from .errors import FormatError, InadmissibleOrderError, MergeExhaustedError
+from .errors import CertificateViolation, FormatError, InadmissibleOrderError, MergeExhaustedError
 from .family import find_family_subgraph, trails_from_subgraph
 from .hypergraph import verify_euler_object
 from .incidence import build_incidence
@@ -44,9 +44,9 @@ def _cmd_tour(args) -> int:
         print("verified: no Euler family, hence no Euler tour", file=sys.stderr)
         return EXIT_NEGATIVE
     # Family-only best effort: search stopped without a tour.
-    for w in result.family.components:
-        print(genio.format_walk_line(w))
-    print(f"tour search exhausted ({result.verdict}); family certificate above",
+    _write_out("".join(genio.format_walk_line(w) + "\n" for w in result.family.components),
+               args.out)
+    print(f"tour search exhausted ({result.verdict}); wrote the family certificate instead",
           file=sys.stderr)
     return EXIT_EXHAUSTED
 
@@ -58,6 +58,10 @@ def _cmd_family(args) -> int:
         print("verified: no Euler family exists", file=sys.stderr)
         return EXIT_NEGATIVE
     fam = trails_from_subgraph(fsub)
+    report = verify_euler_object(h, fam)
+    if not report.valid:
+        raise CertificateViolation(
+            "trail extraction produced an invalid family: " + "; ".join(report.violations[:3]))
     lines = "".join(genio.format_walk_line(w) + "\n" for w in fam.components)
     _write_out(lines if lines else "# empty hypergraph: empty Euler family\n", args.out)
     return EXIT_OK

@@ -5,6 +5,10 @@ every edge-node has degree exactly 2 and every vertex-node has even degree.
 Its non-trivial connected components correspond one-to-one to the closed
 trails of an Euler family, so existence reduces to a perfect-matching search
 and trail extraction is an Euler-circuit traversal per component.
+
+The constructor enforces the degree discipline, so the merge rewrites this
+certificate directly and trail extraction is not re-verified; trails are
+verified once, where they leave the package.
 """
 
 from __future__ import annotations
@@ -75,9 +79,6 @@ class FamilySubgraph:
     def cut_vertices(self) -> frozenset[int]:
         return articulation_points(self.subgraph_adj)
 
-    def v_degree(self, v: int) -> int:
-        return len(self.subgraph_adj[v])
-
     def non_cut_v_vertices(self, component: Component) -> tuple[int, ...]:
         """Vertex-nodes of a non-trivial component that are not cut vertices.
 
@@ -146,7 +147,10 @@ def _walk_key(w: Walk):
 
 
 def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
-    """One canonical closed trail per non-trivial component of the certificate."""
+    """One canonical closed trail per non-trivial component of the certificate.
+
+    Not re-verified here; callers verify what they return.
+    """
     g = fsub.host
     h = g.host
     walks: list[Walk] = []
@@ -159,12 +163,7 @@ def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
         edges = tuple(g.edge_id(seq[i]) for i in range(1, len(seq), 2))
         walks.append(canonical_closed_trail(Walk(anchors, edges)))
     walks.sort(key=_walk_key)
-    family = EulerFamily(tuple(walks))
-    report = verify_euler_object(h, family)
-    if not report.valid:
-        raise CertificateViolation(
-            "trail extraction produced an invalid family: " + "; ".join(report.violations[:3]))
-    return family
+    return EulerFamily(tuple(walks))
 
 
 def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:

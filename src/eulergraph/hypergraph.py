@@ -230,38 +230,25 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> VerifyReport:
     return VerifyReport(not bad, tuple(bad))
 
 
-def _interleave(anchors, edges):
-    out = []
-    for a, e in zip(anchors, edges):
-        out.append(a)
-        out.append(e)
-    return tuple(out)
-
-
 def canonical_closed_trail(w: Walk) -> Walk:
     """Rotate/reflect a closed trail into a canonical form.
 
     Among all rotations and both directions, picks the lexicographically
-    smallest interleaved (anchor, edge, anchor, ...) sequence.  Canonical
-    forms make certificates comparable as values.
+    smallest interleaved (anchor, edge, anchor, ...) sequence.  The edges of a
+    closed trail are distinct and consecutive anchors differ, so no two starts
+    share their first (anchor, edge) pair and the smallest pair picks the
+    walk in one pass.  Canonical forms make certificates comparable as values.
     """
     if len(w.anchors) != len(w.edges) + 1 or not w.is_closed or not w.is_trail:
         raise ValueError("canonical form is defined for closed trails only")
-    k = len(w.edges)
-    anchors = w.anchors[:-1]
-    edges = w.edges
-    best_key = None
-    best = None
-    for r in range(k):
-        fwd_a = anchors[r:] + anchors[:r]
-        fwd_e = edges[r:] + edges[:r]
-        key = _interleave(fwd_a, fwd_e)
-        if best_key is None or key < best_key:
-            best_key, best = key, (fwd_a, fwd_e)
-        rev_a = (anchors[r],) + tuple(anchors[(r - i) % k] for i in range(1, k))
-        rev_e = tuple(edges[(r - 1 - i) % k] for i in range(k))
-        key = _interleave(rev_a, rev_e)
-        if key < best_key:
-            best_key, best = key, (rev_a, rev_e)
-    a, e = best
-    return Walk(a + (a[0],), e)
+    a, e = w.anchors, w.edges
+    k = len(e)
+    if any(a[i] == a[i + 1] for i in range(k)):
+        raise ValueError("closed trail with equal consecutive anchors")
+    # Forward start r reads (a[r], e[r]); reverse start r reads (a[r], e[r-1]).
+    _, _, r, forward = min(
+        min((a[r], e[r], r, True), (a[r], e[r - 1], r, False)) for r in range(k))
+    if forward:
+        return Walk(a[r:k] + a[:r + 1], e[r:] + e[:r])
+    return Walk(tuple(a[(r - i) % k] for i in range(k + 1)),
+                tuple(e[(r - 1 - i) % k] for i in range(k)))

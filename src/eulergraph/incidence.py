@@ -50,9 +50,7 @@ def build_incidence(h: Hypergraph) -> IncidenceGraph:
         for v in sorted(e):
             adj[v].append(n + j)
             adj[n + j].append(v)
-    g = IncidenceGraph(h, n, m, tuple(tuple(sorted(row)) for row in adj))
-    assert sum(len(row) for row in g.adj) == 2 * sum(len(e) for e in h.edges)
-    return g
+    return IncidenceGraph(h, n, m, tuple(tuple(sorted(row)) for row in adj))
 
 
 class Component(NamedTuple):

@@ -7,7 +7,9 @@ degree discipline (each touched node gains and loses edges in equal parity),
 so it rewrites one Euler family into another.  A *diminishing* cycle is an
 interchanging cycle whose application strictly reduces the number of
 non-trivial components; applying diminishing cycles repeatedly drives a
-family towards a single closed trail, an Euler tour.
+family towards a single closed trail, an Euler tour.  The merge rewrites the
+certificate the matching produced and reads the tour out of it once at the
+end; verifying that tour is left to the caller at the API boundary.
 
 The search for a productive cycle runs in three stages:
 
@@ -32,16 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateViolation, MergeExhaustedError
-from .family import FamilySubgraph, subgraph_from_trails, trails_from_subgraph
-from .hypergraph import (
-    EulerFamily,
-    Hypergraph,
-    Walk,
-    canonical_closed_trail,
-    validate_covering,
-    verify_euler_object,
-)
-from .incidence import IncidenceGraph, build_incidence
+from .family import FamilySubgraph, trails_from_subgraph
+from .hypergraph import Hypergraph, Walk, canonical_closed_trail, validate_covering
+from .incidence import IncidenceGraph
 
 MAX_EDGE_NODES = 6
 MAX_EXPANSIONS = 250_000
@@ -345,53 +340,44 @@ def direct_order3_tour(h: Hypergraph) -> Walk:
     if m % 2 == 1:
         anchors[m - 1] = labels[2]
     anchors.append(anchors[0])
-    tour = canonical_closed_trail(Walk(tuple(anchors), tuple(range(m))))
-    report = verify_euler_object(h, EulerFamily((tour,)))
-    if not report.valid:
-        raise CertificateViolation("direct order-3 tour failed verification")
-    return tour
+    return canonical_closed_trail(Walk(tuple(anchors), tuple(range(m))))
 
 
 def merge_to_tour(
-    h: Hypergraph,
-    f: EulerFamily,
+    fsub: FamilySubgraph,
     pivot: str | None = None,
     budget: int | None = None,
     stats: MergeStats | None = None,
 ) -> Walk:
-    """Merge an Euler family into an Euler tour by interchanging-cycle moves.
+    """Merge a family certificate into an Euler tour by interchanging-cycle moves.
 
-    On covering 3-hypergraphs a productive move always exists, so the loop
+    The moves rewrite ``fsub`` itself; the tour is read out of the final
+    certificate and not re-verified, so callers verify what they return.  On
+    covering 3-hypergraphs a productive move always exists, so the loop
     terminates well inside the default budget of ``10 * |E|**2`` steps;
     :class:`MergeExhaustedError` past that point indicates a bug.  On other
     inputs the same ladder runs best-effort and may exhaust honestly.
     """
     if stats is None:
         stats = MergeStats()
-    report = verify_euler_object(h, f)
-    if not report.valid:
-        raise ValueError("input family failed verification: " + "; ".join(report.violations[:3]))
-    if len(f.components) == 1:
-        return f.components[0]
-    m = len(h.edges)
-    if m < 2 or not f.components:
+    g = fsub.host
+    h = g.host
+    m = g.n_e
+    if m < 2:
         raise ValueError("an Euler tour needs at least two edges")
+    if len(fsub.nontrivial_components) == 1:
+        return trails_from_subgraph(fsub).components[0]
 
-    g = build_incidence(h)
-    fsub = subgraph_from_trails(g, f)
     if budget is None:
         budget = 10 * m * m
     covering3 = h.uniformity() == 3 and validate_covering(h, 3).is_covering
     if pivot is None:
-        degs = [h.degree(lab) for lab in h.vertices]
-        v0 = max(range(len(degs)), key=lambda i: (degs[i], -i))
+        v0 = max(range(g.n_v), key=lambda i: (len(g.adj[i]), -i))
     else:
         v0 = h.vertex_index(pivot)
 
     seen = {fsub.selected}
-    while True:
-        if len(fsub.nontrivial_components) <= 1:
-            break
+    while len(fsub.nontrivial_components) > 1:
         if stats.steps >= budget:
             raise MergeExhaustedError("budget", stats.steps, fsub.selected)
         move = find_diminishing_cycle(g, fsub)
@@ -422,9 +408,4 @@ def merge_to_tour(
         stats.steps += 1
         seen.add(fsub.selected)
 
-    out = trails_from_subgraph(fsub)
-    tour = out.components[0]
-    final = verify_euler_object(h, EulerFamily((tour,)))
-    if not final.valid:
-        raise CertificateViolation("merged tour failed verification")
-    return tour
+    return trails_from_subgraph(fsub).components[0]

@@ -78,7 +78,9 @@ def solve(
 
     ``pivot`` must be a vertex of ``h`` (else :class:`KeyError`) and must
     survive the arity reduction (else :class:`ValueError`).  A negative
-    ``budget`` raises :class:`ValueError`.
+    ``budget`` raises :class:`ValueError`.  Every certificate is verified
+    once, here, before it is returned; a failed check raises
+    :class:`CertificateViolation`.
     """
     if k < 3:
         raise ValueError(f"arity parameter must be at least 3, got {k}")
@@ -102,13 +104,11 @@ def solve(
         if cur.order == 3:
             tour = direct_order3_tour(cur)
         else:
-            g = build_incidence(cur)
-            fsub = find_family_subgraph(g)
+            fsub = find_family_subgraph(build_incidence(cur))
             if fsub is None:
                 raise CertificateViolation(
                     "covering 3-hypergraph with >= 2 edges has no family certificate")
-            fam0 = trails_from_subgraph(fsub)
-            tour = merge_to_tour(cur, fam0, pivot=pivot, budget=budget, stats=stats)
+            tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats)
         cert = verify_euler_object(h, EulerFamily((tour,)))
         if not cert.valid:
             raise CertificateViolation("final tour failed verification")
@@ -122,11 +122,16 @@ def solve(
         return SolveResult(VERDICT_NEITHER, None, None, None)
     fam = trails_from_subgraph(fsub)
     fam_cert = verify_euler_object(h, fam)
+    if not fam_cert.valid:
+        raise CertificateViolation(
+            "family failed verification: " + "; ".join(fam_cert.violations[:3]))
     if len(fam.components) == 1:
         return SolveResult(VERDICT_EULERIAN, fam.components[0], fam, fam_cert)
     try:
-        tour = merge_to_tour(h, fam, pivot=pivot, budget=budget, stats=stats)
+        tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats)
     except MergeExhaustedError:
         return SolveResult(VERDICT_BEST_EFFORT, None, fam, fam_cert, stats.steps)
     cert = verify_euler_object(h, EulerFamily((tour,)))
+    if not cert.valid:
+        raise CertificateViolation("merged tour failed verification")
     return SolveResult(VERDICT_EULERIAN, tour, EulerFamily((tour,)), cert, stats.steps)

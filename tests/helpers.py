@@ -7,7 +7,7 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path
 
-from eulergraph import FamilySubgraph, Hypergraph, InterchangeCycle, build_incidence
+from eulergraph import FamilySubgraph, Hypergraph, InterchangeCycle, Walk, build_incidence
 from eulergraph.genio import Lcg
 from eulergraph.interchange import _alternating_cycles
 
@@ -189,6 +189,52 @@ def reduction_layers(h: Hypergraph) -> list[tuple[str, Hypergraph]]:
         h = Hypergraph.from_labels([v for v in h.vertices if v != deleted], edges)
         layers.append((deleted, h))
     return layers
+
+
+def reference_canonical_closed_trail(w: Walk) -> Walk:
+    """Canonical form by direct search: the smallest interleaved sequence of all 2m starts.
+
+    The O(m^2) reference for :func:`eulergraph.canonical_closed_trail`.
+    """
+    k = len(w.edges)
+    anchors = w.anchors[:-1]
+    edges = w.edges
+
+    def interleave(a, e):
+        return tuple(x for pair in zip(a, e) for x in pair)
+
+    starts = []
+    for r in range(k):
+        starts.append((anchors[r:] + anchors[:r], edges[r:] + edges[:r]))
+        starts.append(((anchors[r],) + tuple(anchors[(r - i) % k] for i in range(1, k)),
+                       tuple(edges[(r - 1 - i) % k] for i in range(k))))
+    a, e = min(starts, key=lambda s: interleave(*s))
+    return Walk(a + (a[0],), e)
+
+
+def random_closed_trail(rng: Lcg, k: int, n_labels: int) -> Walk:
+    """A closed walk of k distinct shuffled edge ids whose consecutive anchors differ."""
+    labels = [f"v{i}" for i in range(n_labels)]
+    while True:
+        anchors = [labels[rng.below(n_labels)] for _ in range(k)]
+        if all(anchors[i] != anchors[(i + 1) % k] for i in range(k)):
+            break
+    edges = list(range(k))
+    rng.shuffle(edges)
+    return Walk(tuple(anchors) + (anchors[0],), tuple(edges))
+
+
+def rotations_and_reflections(w: Walk) -> list[Walk]:
+    """Every rotation of the closed walk, in both directions."""
+    k = len(w.edges)
+    a, e = w.anchors[:-1], w.edges
+    out = []
+    for r in range(k):
+        fa, fe = a[r:] + a[:r], e[r:] + e[:r]
+        out.append(Walk(fa + (fa[0],), fe))
+        ra = (fa[0],) + tuple(reversed(fa[1:]))
+        out.append(Walk(ra + (ra[0],), tuple(reversed(fe))))
+    return out
 
 
 def src_env() -> dict[str, str]:

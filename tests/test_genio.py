@@ -275,6 +275,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert len([l for l in out.splitlines() if l.strip()]) == 2
 
+    def test_family_only_written_to_out_file(self, tmp_path, capsys):
+        hg = tmp_path / "split.hg"
+        hg.write_text(
+            "hg 3 6 4\nv a\nv b\nv c\nv d\nv e\nv f\n"
+            "e a b c\ne a b c\ne d e f\ne d e f\n")
+        cert = tmp_path / "family.cert"
+        assert main(["tour", str(hg), "--out", str(cert)]) == 3
+        assert cert.read_text() == "b e1 c e2 b\ne e3 f e4 e\n"
+        assert capsys.readouterr().out == ""
+        assert main(["verify", str(hg), "--cert", str(cert)]) == 0
+
     def test_budget_exhausted_exit_three(self, tmp_path):
         # random covering instance whose matching-produced family starts with
         # two components, so a zero budget bites immediately

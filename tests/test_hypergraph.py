@@ -9,12 +9,19 @@ from eulergraph import (
     Hypergraph,
     Walk,
     canonical_closed_trail,
+    solve,
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import gen_random_covering
+from eulergraph.genio import Lcg, gen_complete, gen_random_covering
 
-from helpers import all_pairs_covered, fano
+from helpers import (
+    all_pairs_covered,
+    fano,
+    random_closed_trail,
+    reference_canonical_closed_trail,
+    rotations_and_reflections,
+)
 
 
 class TestConstruction:
@@ -201,6 +208,25 @@ class TestCanonicalClosedTrail:
         w = Walk(("b", "a", "c", "a", "b"), (2, 0, 1, 3))
         c = canonical_closed_trail(w)
         assert canonical_closed_trail(c) == c
+
+    @pytest.mark.parametrize("anchors", [("a", "a", "b", "a"), ("a", "b", "a", "a")],
+                             ids=["inside", "at-closure"])
+    def test_equal_consecutive_anchors_rejected(self, anchors):
+        with pytest.raises(ValueError):
+            canonical_closed_trail(Walk(anchors, (0, 1, 2)))
+
+    def test_matches_reference_on_random_trails(self):
+        rng = Lcg(5)
+        for _ in range(2000):
+            w = random_closed_trail(rng, 2 + rng.below(11), 3 + rng.below(4))
+            assert canonical_closed_trail(w) == reference_canonical_closed_trail(w)
+
+    def test_matches_reference_on_every_start_of_solved_tours(self):
+        for h, k in ((fano(), 3), (gen_complete(6, 3), 3), (gen_random_covering(5, 3, 17), 3),
+                     (gen_random_covering(6, 4, 5), 4)):
+            tour = solve(h, k).tour
+            for w in rotations_and_reflections(tour):
+                assert canonical_closed_trail(w) == reference_canonical_closed_trail(w) == tour
 
     @given(st.integers(0, 7), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -13,12 +13,14 @@ from eulergraph import (
     Walk,
     apply_interchange,
     build_incidence,
+    canonical_closed_trail,
     direct_order3_tour,
     find_diminishing_cycle,
     find_family_subgraph,
     find_linking_cycle,
     is_interchanging,
     merge_to_tour,
+    subgraph_from_trails,
     trails_from_subgraph,
     validate_covering,
     verify_euler_object,
@@ -194,14 +196,13 @@ class TestMergeToTour:
     def test_tour_returned_unchanged(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         tour = Walk(("b", "a", "b"), (1, 0))
-        fam = EulerFamily((tour,))
-        assert merge_to_tour(h, fam) is tour
+        fsub = subgraph_from_trails(build_incidence(h), EulerFamily((tour,)))
+        assert merge_to_tour(fsub) == canonical_closed_trail(tour)
 
     def test_grouped_three_components(self):
         h, g, fsub = three_component_instance()
-        fam = trails_from_subgraph(fsub)
         stats = MergeStats()
-        tour = merge_to_tour(h, fam, stats=stats)
+        tour = merge_to_tour(fsub, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert stats.steps >= 1
 
@@ -226,7 +227,7 @@ class TestMergeToTour:
             fsub = FamilySubgraph(g, sel)
             families += 1
             comp_counts.add(len(fsub.nontrivial_components))
-            tour = merge_to_tour(h, trails_from_subgraph(fsub))
+            tour = merge_to_tour(fsub)
             assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert families == 24
         assert comp_counts == {1}
@@ -253,10 +254,9 @@ class TestMergeToTour:
                 target = fsub
                 break
         assert target is not None
-        fam = trails_from_subgraph(target)
-        assert len(fam.components) == 2
+        assert len(trails_from_subgraph(target).components) == 2
         stats = MergeStats()
-        tour = merge_to_tour(h, fam, stats=stats)
+        tour = merge_to_tour(target, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert len(tour.edges) == 12 and stats.steps >= 1
 
@@ -270,29 +270,20 @@ class TestMergeToTour:
             if not cycles:
                 break
             fsub = apply_interchange(fsub, cycles[rng.below(len(cycles))])
-        fam = trails_from_subgraph(fsub)
-        tour = merge_to_tour(h, fam)
+        tour = merge_to_tour(fsub)
         report = verify_euler_object(h, EulerFamily((tour,)))
         assert report.valid and len(tour.edges) == 10
 
     def test_budget_zero_raises(self):
         h, g, fsub = three_component_instance()
-        fam = trails_from_subgraph(fsub)
         with pytest.raises(MergeExhaustedError) as exc:
-            merge_to_tour(h, fam, budget=0)
+            merge_to_tour(fsub, budget=0)
         assert exc.value.reason == "budget"
         assert exc.value.selected is not None
 
-    def test_invalid_family_rejected(self):
-        h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
-        bad = EulerFamily((Walk(("a", "b", "a"), (0, 0)),))
-        with pytest.raises(ValueError):
-            merge_to_tour(h, bad)
-
     def test_pivot_override_accepted(self):
         h, _, fsub = three_component_instance()
-        fam = trails_from_subgraph(fsub)
-        tour = merge_to_tour(h, fam, pivot="c")
+        tour = merge_to_tour(fsub, pivot="c")
         assert verify_euler_object(h, EulerFamily((tour,))).valid
 
 

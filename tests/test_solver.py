@@ -1,16 +1,21 @@
 """Arity reduction and the end-to-end solve pipeline."""
 
+import sys
+
 import pytest
 
 from eulergraph import (
+    CertificateViolation,
     EulerFamily,
     Hypergraph,
     MergeExhaustedError,
     MergeStats,
+    Walk,
     solve,
     validate_covering,
     verify_euler_object,
 )
+from eulergraph import interchange, solver
 from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering, parse_hg
 from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
@@ -245,3 +250,54 @@ class TestSolve:
             res = solve(h, 3)
             assert res.verdict == "eulerian"
             assert verify_euler_object(h, EulerFamily((res.tour,))).valid
+
+
+def swap_one_anchor(h: Hypergraph, fam: EulerFamily) -> EulerFamily:
+    """The family with the second anchor of its first trail swapped for a vertex outside
+    that trail's first edge, so the result fails verification."""
+    w = fam.components[0]
+    outside = next(lab for i, lab in enumerate(h.vertices) if i not in h.edges[w.edges[0]])
+    bad = Walk(w.anchors[:1] + (outside,) + w.anchors[2:], w.edges)
+    return EulerFamily((bad,) + fam.components[1:])
+
+
+class TestBoundaryVerify:
+    """Interior steps are not re-verified; the check where solve returns catches their faults."""
+
+    def corrupt(self, monkeypatch, module, h):
+        real = module.trails_from_subgraph
+        monkeypatch.setattr(module, "trails_from_subgraph",
+                            lambda fsub: swap_one_anchor(h, real(fsub)))
+
+    def test_corrupt_family_on_non_covering_input_raises(self, monkeypatch):
+        h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+        assert len(solve(h, 3).family.components) == 1
+        self.corrupt(monkeypatch, solver, h)
+        with pytest.raises(CertificateViolation):
+            solve(h, 3)
+
+    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 17)],
+                             ids=["tour-at-once", "merged"])
+    def test_corrupt_merge_output_on_covering_input_raises(self, monkeypatch, make):
+        h = make()
+        self.corrupt(monkeypatch, interchange, h)
+        with pytest.raises(CertificateViolation):
+            solve(h, 3)
+
+    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 17)],
+                             ids=["tour-at-once", "merged"])
+    def test_covering_solve_verifies_once(self, monkeypatch, make):
+        h = make()
+        calls = []
+        real = verify_euler_object
+
+        def counting(host, fam):
+            calls.append(fam)
+            return real(host, fam)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("eulergraph") and hasattr(mod, "verify_euler_object"):
+                monkeypatch.setattr(mod, "verify_euler_object", counting)
+        res = solve(h, 3)
+        assert res.verdict == "eulerian" and res.certificate.valid
+        assert calls == [EulerFamily((res.tour,))]

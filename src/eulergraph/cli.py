@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success (tour/family found, certificate valid), 1 verified
-negative, 2 input error, 3 search or budget exhausted.
+negative, 2 input error, 3 search or budget exhausted, 4 internal error (a
+constructed certificate failed the boundary check).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -164,6 +166,9 @@ def main(argv=None) -> int:
     except MergeExhaustedError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except CertificateViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InadmissibleOrderError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,10 +1,15 @@
 """Maximum matching on general graphs, and the degree-prescription gadget.
 
-The matching kernel is the classical blossom-contraction search: repeatedly
-grow an alternating BFS forest from an exposed node, shrinking odd cycles
-(blossoms) to their base, until an augmenting path is found or proven absent.
-A greedy maximal matching seeds the search, so only a handful of augmentation
-phases run on the near-perfect gadget graphs this package produces.
+The matching kernel is the classical blossom-contraction search (Edmonds,
+"Paths, trees, and flowers", 1965): repeatedly grow an alternating BFS forest
+from an exposed node, shrinking odd cycles (blossoms) to their base, until an
+augmenting path is found or proven absent.  Blossom bases are kept in a
+union-find array with path compression, so a contraction relabels only the
+bases on its two paths and costs time proportional to the blossom, not to the
+graph.  A greedy maximal matching in node order seeds the search.  On a
+gadget it pairs the v-stubs inside their own vertex cliques and leaves two
+e-stubs exposed per hyperedge, so about one augmentation runs per hyperedge
+(330 on ``sts(45)``).
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
@@ -69,25 +74,40 @@ def _greedy_seed(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
                 break
 
 
+def _find(base, x):
+    """Base of the blossom holding ``x``; compresses the path it walked."""
+    root = x
+    while base[root] != root:
+        root = base[root]
+    while base[x] != root:
+        base[x], x = root, base[x]
+    return root
+
+
 def _lca(mate, base, parent, a, b):
     marked = set()
     while True:
-        a = base[a]
+        a = _find(base, a)
         marked.add(a)
         if mate[a] == -1:
             break
         a = parent[mate[a]]
     while True:
-        b = base[b]
+        b = _find(base, b)
         if b in marked:
             return b
         b = parent[mate[b]]
 
 
-def _mark_path(mate, base, blossom, parent, v, b, child):
-    while base[v] != b:
-        blossom[base[v]] = True
-        blossom[base[mate[v]]] = True
+def _mark_path(mate, base, parent, v, b, child, members):
+    """Walk from ``v`` up to base ``b``, re-pointing ``parent`` and collecting the bases passed.
+
+    The caller relabels the bases only after both walks: a base merged early
+    would stop a walk inside a blossom it has not finished crossing.
+    """
+    while (bv := _find(base, v)) != b:
+        members.append(bv)
+        members.append(_find(base, mate[v]))
         parent[v] = child
         child = mate[v]
         v = parent[mate[v]]
@@ -103,21 +123,25 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> b
     q: deque[int] = deque([root])
     while q:
         v = q.popleft()
+        bv = _find(base, v)
         for to in adj[v]:
-            if base[v] == base[to] or mate[v] == to:
+            if bv == _find(base, to) or mate[v] == to:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                 # Even-even edge inside the forest: contract the blossom.
-                cur = _lca(mate, base, parent, v, to)
-                blossom = [False] * n
-                _mark_path(mate, base, blossom, parent, v, cur, to)
-                _mark_path(mate, base, blossom, parent, to, cur, v)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            q.append(i)
+                bv = _lca(mate, base, parent, v, to)
+                members: list[int] = []
+                _mark_path(mate, base, parent, v, bv, to, members)
+                _mark_path(mate, base, parent, to, bv, v, members)
+                for b in members:
+                    base[b] = bv
+                # A node not yet even was never contracted, so it is its own
+                # base: the newly even nodes are the odd bases passed.  Queue
+                # them in index order; that order fixes the matching returned.
+                for i in sorted(members):
+                    if not used[i]:
+                        used[i] = True
+                        q.append(i)
             elif parent[to] == -1:
                 parent[to] = v
                 if mate[to] == -1:
@@ -182,49 +206,43 @@ def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
 
     incidences = g.incidences
     t_count = len(incidences)
+    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
+    for t, (v, _) in enumerate(incidences):
+        stubs_of[v].append(t)
+    degrees = [len(g.adj[g.n_v + j]) for j in range(g.n_e)]
     # Node layout: v-stubs [0, T), e-stubs [T, 2T), then cores, then dummies.
-    adj: list[list[int]] = [[] for _ in range(2 * t_count)]
-
-    def new_node() -> int:
-        adj.append([])
-        return len(adj) - 1
-
-    def link(a: int, b: int) -> None:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    incidence_edge = []
-    for t in range(t_count):
-        link(t, t_count + t)
-        incidence_edge.append((t, t_count + t))
-
-    # Edge-node gadgets: d-2 cores, each adjacent to all d of the edge's stubs.
-    pos = 0
-    for j in range(g.n_e):
-        d = len(g.adj[g.n_v + j])
-        stubs = [t_count + (pos + i) for i in range(d)]
-        for _ in range(d - 2):
-            core = new_node()
-            for s in stubs:
-                link(core, s)
-        pos += d
+    # Every row is built once, already sorted: the layout orders its parts.
+    dummy = 2 * t_count + sum(d - 2 for d in degrees)
+    adj: list[tuple[int, ...]] = [()] * (dummy + sum(len(s) % 2 for s in stubs_of))
 
     # Vertex-node gadgets: stub clique plus a parity dummy for odd degree.
-    stubs_of: dict[int, list[int]] = {}
-    for t, (v, _) in enumerate(incidences):
-        stubs_of.setdefault(v, []).append(t)
-    for v in sorted(stubs_of):
-        stubs = stubs_of[v]
-        for i in range(len(stubs)):
-            for jj in range(i + 1, len(stubs)):
-                link(stubs[i], stubs[jj])
-        if len(stubs) % 2 == 1:
-            dummy = new_node()
-            for s in stubs:
-                link(dummy, s)
+    # A v-stub's row: the other stubs of its vertex, its e-stub, its dummy.
+    for stubs in stubs_of:
+        clique = tuple(stubs)
+        tail: tuple[int, ...] = ()
+        if len(clique) % 2 == 1:
+            adj[dummy] = clique
+            tail = (dummy,)
+            dummy += 1
+        for i, t in enumerate(clique):
+            adj[t] = (*clique[:i], *clique[i + 1:], t_count + t, *tail)
+
+    # Edge-node gadgets: d-2 cores, each adjacent to all d of the edge's stubs.
+    # An e-stub's row: its v-stub, then its edge's cores.
+    stub = t_count
+    core = 2 * t_count
+    for d in degrees:
+        stubs = tuple(range(stub, stub + d))
+        cores = tuple(range(core, core + d - 2))
+        for s in stubs:
+            adj[s] = (s - t_count, *cores)
+        for c in cores:
+            adj[c] = stubs
+        stub += d
+        core += d - 2
 
     return GadgetGraph(
-        tuple(tuple(sorted(row)) for row in adj),
+        tuple(adj),
         incidences,
-        tuple(incidence_edge),
+        tuple((t, t_count + t) for t in range(t_count)),
     )

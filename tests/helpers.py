@@ -7,7 +7,15 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path
 
-from eulergraph import FamilySubgraph, Hypergraph, InterchangeCycle, Walk, build_incidence
+from eulergraph import (
+    EulerFamily,
+    FamilySubgraph,
+    Hypergraph,
+    InterchangeCycle,
+    Matching,
+    Walk,
+    build_incidence,
+)
 from eulergraph.genio import Lcg
 from eulergraph.interchange import _alternating_cycles
 
@@ -237,7 +245,140 @@ def rotations_and_reflections(w: Walk) -> list[Walk]:
     return out
 
 
+def swap_one_anchor(h: Hypergraph, fam: EulerFamily) -> EulerFamily:
+    """The family with the second anchor of its first trail swapped for a vertex outside
+    that trail's first edge, so the result fails verification."""
+    w = fam.components[0]
+    outside = next(lab for i, lab in enumerate(h.vertices) if i not in h.edges[w.edges[0]])
+    bad = Walk(w.anchors[:1] + (outside,) + w.anchors[2:], w.edges)
+    return EulerFamily((bad,) + fam.components[1:])
+
+
 def src_env() -> dict[str, str]:
     """The environment with ``src`` first on PYTHONPATH, for ``python -m eulergraph`` runs."""
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))))
+
+
+def reference_max_matching(adj) -> Matching:
+    """Blossom matching that rescans all n nodes at every contraction.
+
+    The reference for :func:`eulergraph.max_matching`: same seed, same root
+    order and same queue discipline, with a flat ``base`` array rebuilt by a
+    full scan, so both must return the same pairs.
+    """
+    n = len(adj)
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] != -1:
+            continue
+        for u in adj[v]:
+            if mate[u] == -1:
+                mate[v] = u
+                mate[u] = v
+                break
+
+    def lca(base, parent, a, b):
+        marked = set()
+        while True:
+            a = base[a]
+            marked.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in marked:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(base, blossom, parent, v, b, child):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def augment_from(root):
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    cur = lca(base, parent, v, to)
+                    blossom = [False] * n
+                    mark_path(base, blossom, parent, v, cur, to)
+                    mark_path(base, blossom, parent, to, cur, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if mate[to] == -1:
+                        while to != -1:
+                            pv = parent[to]
+                            ppv = mate[pv]
+                            mate[to] = pv
+                            mate[pv] = to
+                            to = ppv
+                        return
+                    used[mate[to]] = True
+                    q.append(mate[to])
+
+    for root in range(n):
+        if mate[root] == -1:
+            augment_from(root)
+    return Matching(frozenset((v, mate[v]) for v in range(n) if mate[v] > v))
+
+
+def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:
+    """The gadget's rows built link by link into lists, then sorted.
+
+    The reference for the rows of :func:`eulergraph.reduce_to_matching`.
+    """
+    incidences = g.incidences
+    t_count = len(incidences)
+    adj: list[list[int]] = [[] for _ in range(2 * t_count)]
+
+    def new_node() -> int:
+        adj.append([])
+        return len(adj) - 1
+
+    def link(a: int, b: int) -> None:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    for t in range(t_count):
+        link(t, t_count + t)
+    pos = 0
+    for j in range(g.n_e):
+        d = len(g.adj[g.n_v + j])
+        stubs = [t_count + (pos + i) for i in range(d)]
+        for _ in range(d - 2):
+            core = new_node()
+            for s in stubs:
+                link(core, s)
+        pos += d
+    stubs_of: dict[int, list[int]] = {}
+    for t, (v, _) in enumerate(incidences):
+        stubs_of.setdefault(v, []).append(t)
+    for v in sorted(stubs_of):
+        stubs = stubs_of[v]
+        for i in range(len(stubs)):
+            for jj in range(i + 1, len(stubs)):
+                link(stubs[i], stubs[jj])
+        if len(stubs) % 2 == 1:
+            dummy = new_node()
+            for s in stubs:
+                link(dummy, s)
+    return tuple(tuple(sorted(row)) for row in adj)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergraph import FormatError, Hypergraph, InadmissibleOrderError, Walk, validate_covering
-from eulergraph.cli import main
+from eulergraph import cli, solver
+from eulergraph.cli import EXIT_INTERNAL, main
 from eulergraph.genio import (
     Lcg,
     emit_hg,
@@ -23,7 +24,7 @@ from eulergraph.genio import (
     parse_walk_line,
 )
 
-from helpers import src_env
+from helpers import src_env, swap_one_anchor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -299,6 +300,20 @@ class TestCli:
         assert main(["gen", "random", "5", "3", "17", "--out", str(hg)]) == 0
         assert main(["tour", str(hg), "--budget", "-5"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, module", [("tour", solver), ("family", cli)])
+    def test_boundary_check_failure_exit_four(self, tmp_path, capsys, monkeypatch, command, module):
+        hg = tmp_path / "abcd.hg"
+        hg.write_text("hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n")
+        h, _ = parse_hg(hg.read_text())
+        real = module.trails_from_subgraph
+        monkeypatch.setattr(module, "trails_from_subgraph",
+                            lambda fsub: swap_one_anchor(h, real(fsub)))
+        assert main([command, str(hg)]) == EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert "Traceback" not in captured.err
 
     def test_module_entry_point_deterministic(self, tmp_path):
         hg = tmp_path / "r.hg"

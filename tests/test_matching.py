@@ -16,9 +16,17 @@ from eulergraph import (
     max_matching,
     reduce_to_matching,
 )
-from eulergraph.genio import Lcg
+from eulergraph.genio import Lcg, gen_random_covering, gen_sts
 
-from helpers import complete_graph, fano, petersen, random_graph, tutte_berge_max_matching
+from helpers import (
+    complete_graph,
+    fano,
+    petersen,
+    random_graph,
+    reference_gadget_adj,
+    reference_max_matching,
+    tutte_berge_max_matching,
+)
 
 
 class TestMaxMatching:
@@ -56,6 +64,21 @@ class TestMaxMatching:
         rng = Lcg(31)
         adj = random_graph(rng, 12, 40)
         assert max_matching(adj).pairs == max_matching(adj).pairs
+
+    def test_same_pairs_as_full_rescan_kernel_on_random_graphs(self):
+        rng = Lcg(43)
+        for n in range(20, 121, 20):
+            for density_pct in (4, 10, 25, 60):
+                adj = random_graph(rng, n, density_pct)
+                assert max_matching(adj).pairs == reference_max_matching(adj).pairs
+
+    def test_same_pairs_as_full_rescan_kernel_on_gadgets(self):
+        # gadgets are near-perfect and their clique rows nest blossoms deeply
+        hs = [gen_sts(27), gen_sts(31)]
+        hs += [gen_random_covering(n, 3, seed) for n in range(14, 23) for seed in range(1, 7)]
+        for h in hs:
+            adj = reduce_to_matching(build_incidence(h)).adj
+            assert max_matching(adj).pairs == reference_max_matching(adj).pairs
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +156,33 @@ class TestGadget:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = reduce_to_matching(build_incidence(h))
         assert gg.node_count == 14
+
+    def test_rows_equal_reference_builder(self):
+        rng = Lcg(47)
+        labels = "abcdefghi"
+        kinds = Counter()
+        for _ in range(150):
+            n = 5 + rng.below(5)
+            edges = []
+            for _ in range(1 + rng.below(12)):
+                if edges and rng.below(4) == 0:
+                    edges.append(edges[rng.below(len(edges))])
+                    kinds["repeat"] += 1
+                    continue
+                e = set()
+                while len(e) < 2 + rng.below(4):
+                    e.add(labels[rng.below(n)])
+                edges.append(tuple(sorted(e)))
+                kinds[len(e)] += 1
+            g = build_incidence(Hypergraph.from_labels(labels[:n], edges))
+            gg = reduce_to_matching(g)
+            assert gg.adj == reference_gadget_adj(g)
+            assert all(a < b for row in gg.adj for a, b in zip(row, row[1:]))
+            kinds["dummies"] += len(_layout(gg)[3])
+            g1 = build_incidence(Hypergraph.from_labels(labels[:n], edges + [("a",)]))
+            with pytest.raises(InfeasibleDegreeError):
+                reduce_to_matching(g1)
+        assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
 
     def test_infeasible_degree(self):
         h = Hypergraph.from_labels("ab", [("a",)])

@@ -1,5 +1,6 @@
 """Arity reduction and the end-to-end solve pipeline."""
 
+import hashlib
 import sys
 
 import pytest
@@ -10,17 +11,23 @@ from eulergraph import (
     Hypergraph,
     MergeExhaustedError,
     MergeStats,
-    Walk,
     solve,
     validate_covering,
     verify_euler_object,
 )
 from eulergraph import interchange, solver
-from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering, parse_hg
+from eulergraph.genio import (
+    Lcg,
+    format_walk_line,
+    gen_complete,
+    gen_random_covering,
+    gen_sts,
+    parse_hg,
+)
 from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
 
-from helpers import fano, roadmap_item3
+from helpers import fano, roadmap_item3, swap_one_anchor
 
 # A non-covering input with a family and no tour.  Unless the merge skips
 # moves back to certificates it has seen, a reducing pivot move here undoes
@@ -252,15 +259,6 @@ class TestSolve:
             assert verify_euler_object(h, EulerFamily((res.tour,))).valid
 
 
-def swap_one_anchor(h: Hypergraph, fam: EulerFamily) -> EulerFamily:
-    """The family with the second anchor of its first trail swapped for a vertex outside
-    that trail's first edge, so the result fails verification."""
-    w = fam.components[0]
-    outside = next(lab for i, lab in enumerate(h.vertices) if i not in h.edges[w.edges[0]])
-    bad = Walk(w.anchors[:1] + (outside,) + w.anchors[2:], w.edges)
-    return EulerFamily((bad,) + fam.components[1:])
-
-
 class TestBoundaryVerify:
     """Interior steps are not re-verified; the check where solve returns catches their faults."""
 
@@ -301,3 +299,27 @@ class TestBoundaryVerify:
         res = solve(h, 3)
         assert res.verdict == "eulerian" and res.certificate.valid
         assert calls == [EulerFamily((res.tour,))]
+
+
+class TestGoldenCertificates:
+    """``solve``'s certificates are pinned byte for byte; a change to them is deliberate."""
+
+    @pytest.mark.parametrize("make, k, digest", [
+        (lambda: gen_sts(19), 3,
+         "878e86e6efc32fb34e3dddacbcdaf0ef460dd029ed59b50ec365ba26a5fcec7c"),
+        (lambda: gen_sts(45), 3,
+         "80d5e366917bf3b9113aeb11bf99ca839d634f8a4723b4b0f7aaa0ec894fa0eb"),
+        (lambda: gen_complete(13, 3), 3,
+         "3dbf2f0aeacf96c6b4207692b810074bf4fe1aba93cce602e5f0e2ff7d7a22ac"),
+        (lambda: gen_complete(10, 5), 5,
+         "28412a2331f345dd77ffb56d8f433ce5a04f4f6210391704825003ed1f76116d"),
+        (lambda: gen_random_covering(22, 3, 1), 3,
+         "24eed3d7f364515436d798afdf9afb89e787744d6b924cda40d5663d3e75904f"),
+        (roadmap_item3, 3,
+         "7f57701c7c87780416e566506039af868183c2d2d53141d04f6b213931bf01c0"),
+    ], ids=["sts19", "sts45", "complete13-3", "complete10-5", "random22-3-1", "roadmap-item3"])
+    def test_tour_digest(self, make, k, digest):
+        res = solve(make(), k)
+        assert res.verdict == "eulerian"
+        line = format_walk_line(res.tour) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == digest

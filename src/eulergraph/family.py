@@ -101,11 +101,11 @@ def extract_subgraph(g: IncidenceGraph, gg: GadgetGraph, m: Matching) -> FamilyS
     """Read a family subgraph out of a gadget matching, or None if it is not perfect."""
     if 2 * m.size != gg.node_count:
         return None
-    mate = m.mate_map()
+    # Pairs are stored as (a, b) with a < b, and so is incidence_edge[t].
     selected = frozenset(
         gg.incidences[t]
-        for t, (a, b) in enumerate(gg.incidence_edge)
-        if mate.get(a) == b)
+        for t, ab in enumerate(gg.incidence_edge)
+        if ab in m.pairs)
     return FamilySubgraph(g, selected)
 
 

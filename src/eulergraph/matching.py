@@ -6,10 +6,13 @@ from an exposed node, shrinking odd cycles (blossoms) to their base, until an
 augmenting path is found or proven absent.  Blossom bases are kept in a
 union-find array with path compression, so a contraction relabels only the
 bases on its two paths and costs time proportional to the blossom, not to the
+graph.  The search state (``used``, ``parent``, ``base``) is allocated once
+per :func:`max_matching`, and each search resets only the nodes it touched,
+so a search that stays small costs time proportional to its tree, not to the
 graph.  A greedy maximal matching in node order seeds the search.  On a
 gadget it pairs the v-stubs inside their own vertex cliques and leaves two
-e-stubs exposed per hyperedge, so about one augmentation runs per hyperedge
-(330 on ``sts(45)``).
+e-stubs exposed per hyperedge, so about one augmentation still runs per
+hyperedge (330 on ``sts(45)``).
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
@@ -54,13 +57,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def mate_map(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
 
 
 def _greedy_seed(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
@@ -113,19 +109,29 @@ def _mark_path(mate, base, parent, v, b, child, members):
         v = parent[mate[v]]
 
 
-def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> bool:
-    """BFS for an augmenting path from ``root``; flips it and reports success."""
-    n = len(adj)
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
+def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
+                  used: list[bool], parent: list[int], base: list[int]) -> bool:
+    """BFS for an augmenting path from ``root``; flips it and reports success.
+
+    ``used``, ``parent`` and ``base`` must arrive reset (``False``, ``-1``,
+    identity) and are left reset: the search records the root, every node it
+    gives a parent and every node it queues as even, and resets exactly
+    those.  Path compression and blossom relabelling only touch nodes already
+    in the tree, so these cover every entry the search changed.
+    """
+    touched = [root]
     used[root] = True
     q: deque[int] = deque([root])
-    while q:
+    found = False
+    while q and not found:
         v = q.popleft()
+        mv = mate[v]
         bv = _find(base, v)
         for to in adj[v]:
-            if bv == _find(base, to) or mate[v] == to:
+            bt = base[to]
+            if base[bt] != bt:
+                bt = _find(base, to)
+            if bv == bt or mv == to:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                 # Even-even edge inside the forest: contract the blossom.
@@ -144,6 +150,7 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> b
                         q.append(i)
             elif parent[to] == -1:
                 parent[to] = v
+                touched.append(to)
                 if mate[to] == -1:
                     while to != -1:
                         pv = parent[to]
@@ -151,10 +158,16 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> b
                         mate[to] = pv
                         mate[pv] = to
                         to = ppv
-                    return True
+                    found = True
+                    break
                 used[mate[to]] = True
+                touched.append(mate[to])
                 q.append(mate[to])
-    return False
+    for x in touched:
+        used[x] = False
+        parent[x] = -1
+        base[x] = x
+    return found
 
 
 def max_matching(adj: Sequence[Sequence[int]]) -> Matching:
@@ -166,9 +179,12 @@ def max_matching(adj: Sequence[Sequence[int]]) -> Matching:
     n = len(adj)
     mate = [-1] * n
     _greedy_seed(adj, mate)
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
     for root in range(n):
         if mate[root] == -1:
-            _augment_from(adj, mate, root)
+            _augment_from(adj, mate, root, used, parent, base)
     pairs = frozenset((v, mate[v]) for v in range(n) if mate[v] > v)
     return Matching(pairs)
 

@@ -33,9 +33,10 @@ VERDICT_BEST_EFFORT = "not-covering-best-effort"
 
 
 def _reduce_to_order3(h: Hypergraph, k: int) -> tuple[Hypergraph, tuple[str, ...]]:
-    """The k-3 reduction layers of a covering k-hypergraph in one pass.
+    """The k-3 reduction layers of a covering k-hypergraph, k > 3, in one pass.
 
     Returns the covering 3-hypergraph and the deleted labels, one per layer.
+    At k = 3 there is no layer; :func:`solve` uses the input as it is.
     """
     deleted = tuple(sorted(h.vertices)[:k - 3])
     vertices = tuple(lab for lab in h.vertices if lab not in deleted)
@@ -98,7 +99,7 @@ def solve(
         return SolveResult(VERDICT_NEITHER, None, None, None)
 
     if validate_covering(h, k).is_covering:
-        cur, deleted = _reduce_to_order3(h, k)
+        cur, deleted = (h, ()) if k == 3 else _reduce_to_order3(h, k)
         if pivot in deleted:
             raise ValueError(f"pivot {pivot!r} is deleted by the arity reduction")
         if cur.order == 3:

@@ -17,6 +17,7 @@ from eulergraph import (
     reduce_to_matching,
 )
 from eulergraph.genio import Lcg, gen_random_covering, gen_sts
+from eulergraph.matching import _augment_from
 
 from helpers import (
     complete_graph,
@@ -79,6 +80,22 @@ class TestMaxMatching:
         for h in hs:
             adj = reduce_to_matching(build_incidence(h)).adj
             assert max_matching(adj).pairs == reference_max_matching(adj).pairs
+
+    def test_search_leaves_its_state_reset(self):
+        # Triangle 0-1-2 (1-2 matched) with pendant 3, and triangle 4-5-6
+        # (5-6 matched).  The search from 0 contracts {0, 1, 2} and augments
+        # to 3; the search from 4 contracts {4, 5, 6} and finds no path.
+        adj = ((1, 2), (0, 2), (0, 1, 3), (2,), (5, 6), (4, 6), (4, 5))
+        n = len(adj)
+        mate = [-1, 2, 1, -1, -1, 6, 5]
+        used, parent, base = [False] * n, [-1] * n, list(range(n))
+        for root, found, after in ((0, True, [1, 0, 3, 2, -1, 6, 5]),
+                                   (4, False, [1, 0, 3, 2, -1, 6, 5])):
+            assert _augment_from(adj, mate, root, used, parent, base) is found
+            assert mate == after
+            assert used == [False] * n
+            assert parent == [-1] * n
+            assert base == list(range(n))
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):

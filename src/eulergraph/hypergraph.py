@@ -213,12 +213,15 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> VerifyReport:
                 bad.append(f"component {ci}: anchor {a!r} not in {edge_name(eid)} at step {j}")
             if ib not in h.edges[eid]:
                 bad.append(f"component {ci}: anchor {b!r} not in {edge_name(eid)} at step {j}")
-        for lab in set(w.anchors):
-            if lab in anchor_owner and anchor_owner[lab] != ci:
-                bad.append(
-                    f"components {anchor_owner[lab]} and {ci} share anchor {lab!r}")
-            else:
-                anchor_owner.setdefault(lab, ci)
+        labels = dict.fromkeys(w.anchors)
+        shared = labels.keys() & anchor_owner.keys()
+        if shared:
+            # anchor_owner holds labels in order of first appearance, so the
+            # report does not depend on string hashing.
+            for lab in [x for x in anchor_owner if x in shared]:
+                bad.append(f"components {anchor_owner[lab]} and {ci} share anchor {lab!r}")
+        for lab in labels:
+            anchor_owner.setdefault(lab, ci)
 
     for eid in sorted(usage):
         if usage[eid] > 1:

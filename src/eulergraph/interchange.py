@@ -27,6 +27,15 @@ The search for a productive cycle runs in three stages:
   the merge has not seen, so the loop ends; a step budget also guards it.
   On covering 3-hypergraphs, exceeding the budget signals an implementation
   bug, not a mathematical obstruction.
+
+Every stage scores a candidate on its toggled selection, the certificate's
+incidences XOR the cycle's: a union-find over that set counts its non-trivial
+components, and the set itself is what the merge compares with the
+certificates it has seen.  Only the chosen move becomes an
+:class:`InterchangeCycle`, and only the applied move builds and checks a new
+:class:`FamilySubgraph`.  The neutral stage's lookahead facts (the component
+count, and whether a reducing cycle through the pivot exists) depend on the
+selection alone, so one merge memoises them by selection.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateViolation, MergeExhaustedError
 from .family import FamilySubgraph, trails_from_subgraph
-from .hypergraph import Hypergraph, Walk, canonical_closed_trail, validate_covering
+from .hypergraph import Hypergraph, Walk, canonical_closed_trail
 from .incidence import IncidenceGraph
 
 MAX_EDGE_NODES = 6
@@ -75,13 +84,7 @@ class InterchangeCycle:
         return cls(nodes, tuple(flags))
 
     def incidences(self, g: IncidenceGraph) -> frozenset[tuple[int, int]]:
-        out = set()
-        L = len(self.nodes)
-        for i, a in enumerate(self.nodes):
-            b = self.nodes[(i + 1) % L]
-            v, e = (a, b) if g.is_v_node(a) else (b, a)
-            out.add((v, g.edge_id(e)))
-        return frozenset(out)
+        return _cycle_incidences(g, self.nodes)
 
     def interchanging(self) -> bool:
         """True iff every edge-node on the cycle meets exactly one selected cycle edge."""
@@ -112,18 +115,17 @@ def apply_interchange(fsub: FamilySubgraph, cycle: InterchangeCycle) -> FamilySu
     return FamilySubgraph(fsub.host, new_selected)
 
 
-def _alternating_cycles(fsub, start, exact_e, mode, counter, canonical=False):
+def _alternating_cycles(g, rows, start, exact_e, mode, counter, canonical=False):
     """DFS over interchanging cycles through ``start`` with exactly ``exact_e`` edge-nodes.
 
-    ``mode`` gates the two cycle edges at ``start``: 'reduce' requires both to
-    be selected, 'neutral' exactly one, 'any' neither.  With ``canonical``
-    only cycles whose smallest vertex-node equals ``start`` are produced.
-    ``counter`` is a one-cell expansion budget shared across calls.
+    ``rows`` is the certificate's selected adjacency (``subgraph_adj``); an
+    edge-node's row holds its two selected vertex-nodes.  ``mode`` gates the
+    two cycle edges at ``start``: 'reduce' requires both to be selected,
+    'neutral' exactly one, 'any' neither.  With ``canonical`` only cycles
+    whose smallest vertex-node equals ``start`` are produced.  ``counter`` is
+    a one-cell expansion budget shared across calls.
     """
-    g = fsub.host
     adj = g.adj
-    sel = fsub.selected
-    n_v = g.n_v
     used = {start}
     path = [start]
 
@@ -136,8 +138,8 @@ def _alternating_cycles(fsub, start, exact_e, mode, counter, canonical=False):
                 return
             if en in used:
                 continue
-            eid = en - n_v
-            f_in = (u, eid) in sel
+            pair = rows[en]
+            f_in = u in pair
             if depth == 0:
                 if mode == "reduce" and not f_in:
                     continue
@@ -147,7 +149,7 @@ def _alternating_cycles(fsub, start, exact_e, mode, counter, canonical=False):
             for w in adj[en]:
                 if w == u:
                     continue
-                f_out = (w, eid) in sel
+                f_out = w in pair
                 if f_out == f_in:
                     continue
                 if w == start:
@@ -175,8 +177,60 @@ def _alternating_cycles(fsub, start, exact_e, mode, counter, canonical=False):
     yield from walk(start, False, 0)
 
 
-def _nontrivial_count_after(fsub: FamilySubgraph, cycle: InterchangeCycle) -> int:
-    return len(apply_interchange(fsub, cycle).nontrivial_components)
+def _candidates(g, rows, starts, mode, canonical=False):
+    """Interchanging cycles through ``starts``, shortest first, in one expansion budget."""
+    counter = [MAX_EXPANSIONS]
+    for t in range(2, MAX_EDGE_NODES + 1):
+        for s in starts:
+            yield from _alternating_cycles(g, rows, s, t, mode, counter, canonical)
+
+
+def _cycle_incidences(g: IncidenceGraph, nodes) -> frozenset[tuple[int, int]]:
+    """The (vertex index, edge id) incidences along the cycle ``nodes``."""
+    L = len(nodes)
+    out = []
+    for i in range(1, L, 2):
+        eid = g.edge_id(nodes[i])
+        out.append((nodes[i - 1], eid))
+        out.append((nodes[(i + 1) % L], eid))
+    return frozenset(out)
+
+
+def _nontrivial_count(g: IncidenceGraph, selected) -> int:
+    """Non-trivial components of the subgraph a selection spans, by union-find.
+
+    A node lies in a non-trivial component exactly when it has a selected
+    incidence, so the count is the touched nodes minus the joining unions.
+    """
+    parent = list(range(g.n_v + g.n_e))
+    touched = [False] * len(parent)
+    count = 0
+    for a, e in selected:
+        b = g.e_node(e)
+        for x in (a, b):
+            if not touched[x]:
+                touched[x] = True
+                count += 1
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+def _toggled_rows(rows, nodes) -> list[tuple[int, ...]]:
+    """Selected adjacency after interchanging along ``nodes``; only the cycle's rows change."""
+    out = list(rows)
+    L = len(nodes)
+    for i, a in enumerate(nodes):
+        b = nodes[(i + 1) % L]
+        for x, y in ((a, b), (b, a)):
+            row = out[x]
+            out[x] = tuple(z for z in row if z != y) if y in row else tuple(sorted(row + (y,)))
+    return out
 
 
 def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
@@ -222,7 +276,8 @@ def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCy
         return None
     if not cycle.interchanging():
         return None
-    if _nontrivial_count_after(fsub, cycle) >= len(fsub.nontrivial_components):
+    after = _nontrivial_count(g, fsub.selected ^ cycle.incidences(g))
+    if after >= len(fsub.nontrivial_components):
         return None
     return cycle
 
@@ -233,7 +288,7 @@ def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> Interchan
     S1 (:func:`find_linking_cycle`) needs three or more components.  The
     search tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
     edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
-    keeps the first whose application diminishes.
+    keeps the first whose toggled selection has fewer non-trivial components.
     """
     base = len(fsub.nontrivial_components)
     if base < 2:
@@ -242,17 +297,21 @@ def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> Interchan
     if cycle is not None:
         return cycle
     comp_of = fsub.node_component
-    counter = [MAX_EXPANSIONS]
-    for t in range(2, MAX_EDGE_NODES + 1):
-        for s in range(g.n_v):
-            for nodes in _alternating_cycles(fsub, s, t, "any", counter, canonical=True):
-                # A cycle confined to one component can never diminish, so it
-                # is skipped without being applied.
-                if len({comp_of[x] for x in nodes}) < 2:
-                    continue
-                cycle = InterchangeCycle.from_nodes(fsub, nodes)
-                if _nontrivial_count_after(fsub, cycle) < base:
-                    return cycle
+    for nodes in _candidates(g, fsub.subgraph_adj, range(g.n_v), "any", canonical=True):
+        # A cycle confined to one component can never diminish, so it is
+        # skipped without being scored.
+        if len({comp_of[x] for x in nodes}) < 2:
+            continue
+        if _nontrivial_count(g, fsub.selected ^ _cycle_incidences(g, nodes)) < base:
+            return InterchangeCycle.from_nodes(fsub, nodes)
+    return None
+
+
+def _first_unseen(fsub, candidates, seen):
+    """The first candidate cycle whose toggled selection is not in ``seen``."""
+    for nodes in candidates:
+        if fsub.selected ^ _cycle_incidences(fsub.host, nodes) not in seen:
+            return InterchangeCycle.from_nodes(fsub, nodes)
     return None
 
 
@@ -262,55 +321,50 @@ def _reducing_pivot_cycle(g, fsub, v0, seen):
     Shortest first.  Skipping seen certificates keeps a reducing move from
     undoing a diminishing one, which would repeat until the budget ran out.
     """
-    counter = [MAX_EXPANSIONS]
-    for t in range(2, MAX_EDGE_NODES + 1):
-        for nodes in _alternating_cycles(fsub, v0, t, "reduce", counter):
-            cycle = InterchangeCycle.from_nodes(fsub, nodes)
-            if apply_interchange(fsub, cycle).selected not in seen:
-                return cycle
-    return None
+    return _first_unseen(fsub, _candidates(g, fsub.subgraph_adj, (v0,), "reduce"), seen)
 
 
-def _neutral_pivot_cycle(g, fsub, v0, seen):
+def _neutral_pivot_cycle(g, fsub, v0, seen, memo):
     """A neutral cycle through v0 whose application opens a reduction or changes shape.
 
     Falls back to the first neutral move reaching an unseen certificate when
-    no candidate shows immediate progress within the lookahead cap.
+    no candidate shows immediate progress within the lookahead cap.  ``memo``
+    maps a toggled selection to ``[non-trivial count, opens a reduction]``;
+    both are facts of the selection alone (the lookahead gets a fresh budget
+    and v0 is fixed per merge), so one merge shares one memo across steps.
     """
-    counter = [MAX_EXPANSIONS]
     base = len(fsub.nontrivial_components)
+    rows = fsub.subgraph_adj
     fallback = None
     tried = 0
-    for t in range(2, MAX_EDGE_NODES + 1):
-        for nodes in _alternating_cycles(fsub, v0, t, "neutral", counter):
-            cycle = InterchangeCycle.from_nodes(fsub, nodes)
-            nxt = apply_interchange(fsub, cycle)
-            if nxt.selected in seen:
-                continue
-            if fallback is None:
-                fallback = cycle
-            tried += 1
-            if len(nxt.nontrivial_components) != base:
-                return cycle
+    for nodes in _candidates(g, rows, (v0,), "neutral"):
+        nxt = fsub.selected ^ _cycle_incidences(g, nodes)
+        if nxt in seen:
+            continue
+        if fallback is None:
+            fallback = nodes
+        tried += 1
+        facts = memo.get(nxt)
+        if facts is None:
+            facts = memo[nxt] = [_nontrivial_count(g, nxt), None]
+        if facts[0] != base:
+            return InterchangeCycle.from_nodes(fsub, nodes)
+        if facts[1] is None:
             # Any reducing cycle counts here, seen or not: the lookahead only
             # asks whether the neutral move opens one.
-            if _reducing_pivot_cycle(g, nxt, v0, frozenset()) is not None:
-                return cycle
-            if tried >= _LOOKAHEAD_CAP:
-                return fallback
-    return fallback
+            reducing = _candidates(g, _toggled_rows(rows, nodes), (v0,), "reduce")
+            facts[1] = next(reducing, None) is not None
+        if facts[1]:
+            return InterchangeCycle.from_nodes(fsub, nodes)
+        if tried >= _LOOKAHEAD_CAP:
+            break
+    return None if fallback is None else InterchangeCycle.from_nodes(fsub, fallback)
 
 
 def _any_unseen_move(g, fsub, seen):
     """Last resort: any interchanging cycle whose application reaches an unseen certificate."""
-    counter = [MAX_EXPANSIONS]
-    for t in range(2, MAX_EDGE_NODES + 1):
-        for s in range(g.n_v):
-            for nodes in _alternating_cycles(fsub, s, t, "any", counter, canonical=True):
-                cycle = InterchangeCycle.from_nodes(fsub, nodes)
-                if apply_interchange(fsub, cycle).selected not in seen:
-                    return cycle
-    return None
+    candidates = _candidates(g, fsub.subgraph_adj, range(g.n_v), "any", canonical=True)
+    return _first_unseen(fsub, candidates, seen)
 
 
 @dataclass
@@ -348,6 +402,8 @@ def merge_to_tour(
     pivot: str | None = None,
     budget: int | None = None,
     stats: MergeStats | None = None,
+    *,
+    covering: bool = False,
 ) -> Walk:
     """Merge a family certificate into an Euler tour by interchanging-cycle moves.
 
@@ -357,6 +413,8 @@ def merge_to_tour(
     terminates well inside the default budget of ``10 * |E|**2`` steps;
     :class:`MergeExhaustedError` past that point indicates a bug.  On other
     inputs the same ladder runs best-effort and may exhaust honestly.
+    ``covering`` says the host is a covering 3-hypergraph, which turns on the
+    check that a stuck certificate has exactly two non-trivial components.
     """
     if stats is None:
         stats = MergeStats()
@@ -370,13 +428,13 @@ def merge_to_tour(
 
     if budget is None:
         budget = 10 * m * m
-    covering3 = h.uniformity() == 3 and validate_covering(h, 3).is_covering
     if pivot is None:
         v0 = max(range(g.n_v), key=lambda i: (len(g.adj[i]), -i))
     else:
         v0 = h.vertex_index(pivot)
 
     seen = {fsub.selected}
+    memo: dict = {}
     while len(fsub.nontrivial_components) > 1:
         if stats.steps >= budget:
             raise MergeExhaustedError("budget", stats.steps, fsub.selected)
@@ -384,7 +442,7 @@ def merge_to_tour(
         if move is not None:
             stats.diminishing += 1
         else:
-            if covering3:
+            if covering:
                 comps = fsub.components
                 if len(comps) != 2 or any(c.trivial for c in comps):
                     raise CertificateViolation(
@@ -395,7 +453,7 @@ def merge_to_tour(
             if move is not None:
                 stats.pivot_reduce += 1
         if move is None:
-            move = _neutral_pivot_cycle(g, fsub, v0, seen)
+            move = _neutral_pivot_cycle(g, fsub, v0, seen, memo)
             if move is not None:
                 stats.pivot_neutral += 1
         if move is None:

@@ -109,7 +109,8 @@ def solve(
             if fsub is None:
                 raise CertificateViolation(
                     "covering 3-hypergraph with >= 2 edges has no family certificate")
-            tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats)
+            tour = merge_to_tour(
+                fsub, pivot=pivot, budget=budget, stats=stats, covering=True)
         cert = verify_euler_object(h, EulerFamily((tour,)))
         if not cert.valid:
             raise CertificateViolation("final tour failed verification")

@@ -146,6 +146,32 @@ def roadmap_item3() -> Hypergraph:
         [("v1", "v2", "v3"), ("v0", "v1", "v4"), ("v1", "v2", "v3"), ("v0", "v1", "v4")])
 
 
+def disjoint_union(*parts: Hypergraph) -> Hypergraph:
+    """The parts side by side, each part's labels prefixed with a, b, c, ... in turn."""
+    verts: list[str] = []
+    edges: list[tuple[str, ...]] = []
+    for tag, h in zip("abcdefgh", parts):
+        verts += [tag + lab for lab in h.vertices]
+        edges += [tuple(tag + lab for lab in h.edge_labels(j)) for j in range(len(h.edges))]
+    return Hypergraph.from_labels(verts, edges)
+
+
+def random_noncovering(rng: Lcg) -> Hypergraph:
+    """n in 8..12, m in 6..10, edge arity 2..4, about one edge in 8 a repeat."""
+    n = 8 + rng.below(5)
+    m = 6 + rng.below(5)
+    verts = [f"v{i}" for i in range(1, n + 1)]
+    edges: list[tuple[str, ...]] = []
+    while len(edges) < m:
+        if edges and rng.below(8) == 0:
+            edges.append(edges[rng.below(len(edges))])
+            continue
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges.append(tuple(verts[i] for i in sorted(pool[:2 + rng.below(3)])))
+    return Hypergraph.from_labels(verts, edges)
+
+
 def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
                                 tries: int = 40, max_e: int = 5) -> list[InterchangeCycle]:
     """Collect interchanging cycles of fsub at seeded-random starts and lengths."""
@@ -160,7 +186,7 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
         skip = rng.below(4)
         counter = [4000]
         i = 0
-        for nodes in _alternating_cycles(fsub, s, t, "any", counter):
+        for nodes in _alternating_cycles(fsub.host, fsub.subgraph_adj, s, t, "any", counter):
             if i == skip:
                 if nodes not in seen:
                     seen.add(nodes)

@@ -315,6 +315,24 @@ class TestCli:
         assert captured.err.startswith("internal error: ")
         assert "Traceback" not in captured.err
 
+    def test_verify_report_independent_of_hash_seed(self, tmp_path):
+        # two trails sharing anchors a and b; the report lists them in the
+        # order they first appear in the family, under every string hash seed
+        hg = tmp_path / "shared.hg"
+        hg.write_text("hg 3 6 4\n" + "".join(f"v {x}\n" for x in "abcdef")
+                      + "e a b c\ne a b d\ne a b e\ne a b f\n")
+        cert = tmp_path / "shared.cert"
+        cert.write_text("a e1 b e2 a\nb e3 a e4 b\n")
+        errs = set()
+        for seed in range(6):
+            run = subprocess.run(
+                [sys.executable, "-m", "eulergraph", "verify", str(hg), "--cert", str(cert)],
+                capture_output=True, text=True, env=dict(src_env(), PYTHONHASHSEED=str(seed)))
+            assert run.returncode == 1
+            errs.add(run.stderr)
+        assert errs == {"components 0 and 1 share anchor 'a'\n"
+                        "components 0 and 1 share anchor 'b'\n"}
+
     def test_module_entry_point_deterministic(self, tmp_path):
         hg = tmp_path / "r.hg"
         main(["gen", "random", "6", "3", "11", "--out", str(hg)])

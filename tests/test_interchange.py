@@ -1,5 +1,7 @@
 """Interchanging cycles, diminishing-cycle strategies, and the merge loop."""
 
+import hashlib
+
 import pytest
 
 from eulergraph import (
@@ -25,9 +27,22 @@ from eulergraph import (
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import Lcg, gen_complete, gen_sts
+from eulergraph import interchange
+from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts
+from eulergraph.interchange import (
+    _cycle_incidences,
+    _nontrivial_count,
+    _toggled_rows,
+)
 
-from helpers import fano, grouped_family, roadmap_item3, sample_interchanging_cycles
+from helpers import (
+    disjoint_union,
+    fano,
+    grouped_family,
+    random_noncovering,
+    roadmap_item3,
+    sample_interchanging_cycles,
+)
 
 
 def three_component_instance():
@@ -98,6 +113,36 @@ class TestApplyInterchange:
                 assert isinstance(after, FamilySubgraph)
                 count += 1
         assert count >= 40
+
+
+class TestCandidateScoring:
+    """Candidates are judged on the toggled selection, never on a rebuilt certificate."""
+
+    @staticmethod
+    def seeded_families():
+        for seed in range(1, 8):
+            yield find_family_subgraph(build_incidence(gen_random_covering(7, 3, seed)))
+        rng = Lcg(17)
+        for _ in range(60):
+            fsub = find_family_subgraph(build_incidence(random_noncovering(rng)))
+            if fsub is not None:
+                yield fsub
+
+    def test_toggled_selection_scores_like_the_applied_certificate(self):
+        rng = Lcg(71)
+        cycles = with_isolated = 0
+        for fsub in self.seeded_families():
+            g = fsub.host
+            with_isolated += any(c.trivial and g.is_v_node(min(c.nodes)) for c in fsub.components)
+            for cyc in sample_interchanging_cycles(fsub, rng, want=6):
+                after = apply_interchange(fsub, cyc)
+                toggled = fsub.selected ^ _cycle_incidences(g, cyc.nodes)
+                assert toggled == after.selected
+                assert _nontrivial_count(g, toggled) == len(after.nontrivial_components)
+                assert tuple(_toggled_rows(fsub.subgraph_adj, cyc.nodes)) == after.subgraph_adj
+                cycles += 1
+        assert cycles >= 150
+        assert with_isolated >= 10
 
 
 class TestFindLinkingCycle:
@@ -287,6 +332,82 @@ class TestMergeToTour:
         assert verify_euler_object(h, EulerFamily((tour,))).valid
 
 
+def _stream_draw(i):
+    rng = Lcg(0)
+    for _ in range(i):
+        random_noncovering(rng)
+    return random_noncovering(rng)
+
+
+def _two_complete_four_three():
+    return disjoint_union(gen_complete(4, 3), gen_complete(4, 3))
+
+
+def _covering_plus_complete_four_three():
+    return disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))
+
+
+class TestLadderTrajectories:
+    """Rung counts and final certificates of merges without a tour, pinned.
+
+    The values come from the certificate-rebuilding scorer; scoring on the
+    toggled selection must take the same moves in the same order.  Every
+    rung fires across these inputs.  The digest is the SHA-256 of
+    ``repr(sorted(MergeExhaustedError.selected))``.
+    """
+
+    @pytest.mark.parametrize("make, budget, counts, reason, digest", [
+        (_two_complete_four_three, None, (70, 27, 0, 30, 13), "no-move",
+         "53b8225dab5bf37798679aec363d5d8caf3de16121a27e21f783d5d93296c52f"),
+        (_two_complete_four_three, 40, (40, 16, 0, 17, 7), "budget",
+         "cbaa5fc8d7ae189d8ddeaf20e0d44c1deb2bbce759b4e0ed074e26a15ee8f3ab"),
+        (lambda: _stream_draw(20), None, (25, 0, 3, 14, 8), "no-move",
+         "2922e4a624c84cbaad29ecd9f39794044021ddae3d147ae1cbc5e85cab19e537"),
+        (lambda: _stream_draw(43), None, (3, 1, 1, 0, 1), "no-move",
+         "4a153a187db63bb2b49b0b0aa093e0466c51b8fbc7f5f205e143e59c0edf7b22"),
+        (_covering_plus_complete_four_three, None, (265, 25, 6, 212, 22), "no-move",
+         "e77b6f8dc607f7b1391d61053f085cc78550d020b1d41192c4cd07af197ae1da"),
+    ], ids=["complete43x2", "complete43x2-budget40", "draw20", "draw43", "covering531+complete43"])
+    def test_pinned_trajectory(self, make, budget, counts, reason, digest):
+        fsub = find_family_subgraph(build_incidence(make()))
+        stats = MergeStats()
+        with pytest.raises(MergeExhaustedError) as exc:
+            merge_to_tour(fsub, budget=budget, stats=stats)
+        assert (stats.steps, stats.diminishing, stats.pivot_reduce, stats.pivot_neutral,
+                stats.escapes) == counts
+        assert exc.value.reason == reason
+        assert hashlib.sha256(repr(sorted(exc.value.selected)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "make", [_two_complete_four_three, _covering_plus_complete_four_three],
+        ids=["complete43x2", "covering531+complete43"])
+    def test_memoised_lookahead_facts_belong_to_the_selection(self, monkeypatch, make):
+        # every memo entry the merge leaves must equal the facts recomputed
+        # from a certificate built on that selection
+        calls = []
+        real = interchange._neutral_pivot_cycle
+
+        def spy(g, fsub, v0, seen, memo):
+            calls.append((g, v0, memo))
+            return real(g, fsub, v0, seen, memo)
+
+        monkeypatch.setattr(interchange, "_neutral_pivot_cycle", spy)
+        fsub = find_family_subgraph(build_incidence(make()))
+        with pytest.raises(MergeExhaustedError):
+            merge_to_tour(fsub)
+        g, v0, memo = calls[0]
+        assert all(c[2] is memo for c in calls)
+        looked_ahead = 0
+        for sel, (count, opens) in memo.items():
+            nxt = FamilySubgraph(g, sel)
+            assert count == len(nxt.nontrivial_components)
+            if opens is not None:
+                looked_ahead += 1
+                assert opens == (
+                    interchange._reducing_pivot_cycle(g, nxt, v0, frozenset()) is not None)
+        assert looked_ahead >= 5
+
+
 class TestPivotStage:
     """The merge loop's fallback searches, exercised directly.
 
@@ -326,11 +447,28 @@ class TestPivotStage:
 
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         seen = {fsub.selected}
-        cycle = _neutral_pivot_cycle(g, fsub, 0, seen)
+        cycle = _neutral_pivot_cycle(g, fsub, 0, seen, {})
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert len(after.subgraph_adj[0]) == len(fsub.subgraph_adj[0])
         assert after.selected not in seen
+
+    @pytest.mark.parametrize("v0", [4, 6])
+    def test_neutral_lookahead_reads_the_toggled_selection(self, v0):
+        # on this draw the lookahead's answer after the neutral move differs
+        # from the answer on the certificate before it
+        from eulergraph.interchange import _neutral_pivot_cycle, _reducing_pivot_cycle
+
+        fsub = find_family_subgraph(build_incidence(_stream_draw(270)))
+        g = fsub.host
+        memo = {}
+        _neutral_pivot_cycle(g, fsub, v0, {fsub.selected}, memo)
+        before = _reducing_pivot_cycle(g, fsub, v0, frozenset()) is not None
+        looked_ahead = [(sel, opens) for sel, (_, opens) in memo.items() if opens is not None]
+        assert any(opens != before for _, opens in looked_ahead)
+        for sel, opens in looked_ahead:
+            nxt = FamilySubgraph(g, sel)
+            assert opens == (_reducing_pivot_cycle(g, nxt, v0, frozenset()) is not None)
 
     def test_any_unseen_move_respects_seen_set(self):
         from eulergraph.interchange import _any_unseen_move

@@ -301,6 +301,26 @@ class TestBoundaryVerify:
         assert calls == [EulerFamily((res.tour,))]
 
 
+    def test_covering_decided_once(self, monkeypatch):
+        # solve tells the merge that the input is covering; the merge does not
+        # check again
+        h = gen_random_covering(5, 3, 17)
+        calls = []
+        real = validate_covering
+
+        def counting(host, kk):
+            calls.append(kk)
+            return real(host, kk)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("eulergraph") and hasattr(mod, "validate_covering"):
+                monkeypatch.setattr(mod, "validate_covering", counting)
+        stats = MergeStats()
+        res = solve(h, 3, stats=stats)
+        assert res.verdict == "eulerian" and stats.steps >= 1
+        assert calls == [3]
+
+
 class TestGoldenCertificates:
     """``solve``'s certificates are pinned byte for byte; a change to them is deliberate."""
 

@@ -97,6 +97,9 @@ def _cmd_oracle(args) -> int:
     h, _ = genio.load_hg(args.file)
     budget = SearchBudget(max_edges=args.max_edges)
     if args.what == "tour":
+        if not h.edges:
+            print("# empty hypergraph: vacuously eulerian")
+            return EXIT_OK
         tour = brute_tour(h, budget)
         if tour is None:
             print("verified: no Euler tour exists", file=sys.stderr)

@@ -2,7 +2,18 @@
 
 Everything here takes an independent code path from the main engine (only the
 data types are shared), so the two sides can check each other.  All searches
-are exact within their size budgets.
+are exact within their size budgets, and they search states, not paths:
+
+* ``brute_family_exists`` sweeps the edges in order over the set of reachable
+  vertex-parity bitmasks, at most 2^(open vertices) of them, where a vertex
+  is open while some but not all of its edges are swept;
+* ``brute_tour`` is a depth-first trail search that remembers failed
+  (start vertex, used-edge mask, current vertex) states, at most
+  2^(m-1) * n per start vertex, in the style of Held and Karp (1962);
+* ``brute_max_matching`` memoises the best matching of each live node set.
+
+Euler-tour existence is NP-complete (Lonc and Naroski, 2010), so the tour
+search stays exponential in the number of edges.
 """
 
 from __future__ import annotations
@@ -31,61 +42,71 @@ DEFAULT_BUDGET = SearchBudget()
 def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> bool:
     """Exhaustively decide Euler-family existence.
 
-    Enumerates one anchor pair per edge and checks that every vertex ends up
-    with even parity; that is exactly the existence of a family certificate.
+    A family certificate is one anchor pair per edge with every vertex at even
+    parity.  The sweep takes the edges in order and keeps the set of vertex
+    parity bitmasks that some choice of pairs so far reaches; each pair flips
+    two bits.  Once a vertex's last edge is swept, only states with its bit
+    clear can still end at zero, so only the bits of open vertices (met by a
+    swept edge and by an edge still to come) are ever set, and the set holds
+    at most 2^(open vertices) states.
     """
     m = len(h.edges)
     if m > budget.max_edges:
         raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
-    choices = [list(combinations(sorted(e), 2)) for e in h.edges]
-    if any(not c for c in choices):
-        return False
-    parity = [0] * h.order
-
-    def walk(i: int) -> bool:
-        if i == m:
-            return not any(parity)
-        for a, b in choices[i]:
-            parity[a] ^= 1
-            parity[b] ^= 1
-            if walk(i + 1):
-                return True
-            parity[a] ^= 1
-            parity[b] ^= 1
-        return False
-
-    return walk(0)
+    last = {v: j for j, e in enumerate(h.edges) for v in e}
+    states = {0}
+    for j, e in enumerate(h.edges):
+        flips = [(1 << a) | (1 << b) for a, b in combinations(e, 2)]
+        closed = sum(1 << v for v in e if last[v] == j)
+        states = {s ^ f for s in states for f in flips}
+        states = {s for s in states if not s & closed}
+        if not states:
+            return False
+    return True
 
 
 def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | None:
-    """Backtracking search for an Euler tour; returns a canonical verified tour or None."""
+    """Depth-first search for an Euler tour; returns a canonical verified tour or None.
+
+    The search starts from each ordered anchor pair of edge 0, then extends
+    the trail by the lowest unused edge id through the current vertex, and
+    within an edge by the lowest next anchor.  Whether a partial trail
+    completes depends only on its start vertex, its used-edge mask and its
+    current vertex, so each such state that failed once is remembered and
+    never expanded again: at most 2^(m-1) * n states per start vertex.  The
+    memo cuts only subtrees that hold no tour, so the first tour found is the
+    one plain backtracking in the same order would find.
+    """
     m = len(h.edges)
     if m > budget.max_edges:
         raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
     if m < 2:
         return None
     members = [sorted(e) for e in h.edges]
-    used = [False] * m
+    through = [[j for j in range(m) if v in h.edges[j]] for v in range(h.order)]
+    full = (1 << m) - 1
     anchors: list[int] = []
     eseq: list[int] = []
+    failed: set[tuple[int, int, int]] = set()
 
-    def extend(cur: int, start: int, count: int) -> bool:
-        if count == m:
+    def extend(cur: int, start: int, used: int) -> bool:
+        if used == full:
             return cur == start
-        for eid in range(m):
-            if used[eid] or cur not in h.edges[eid]:
+        if (start, used, cur) in failed:
+            return False
+        for eid in through[cur]:
+            if used >> eid & 1:
                 continue
-            used[eid] = True
             eseq.append(eid)
             for nxt in members[eid]:
                 if nxt == cur:
                     continue
                 anchors.append(nxt)
-                if extend(nxt, start, count + 1):
+                if extend(nxt, start, used | 1 << eid):
                     return True
                 anchors.pop()
             eseq.pop()
-            used[eid] = False
+        failed.add((start, used, cur))
         return False
 
     first = members[0]
@@ -93,7 +114,6 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
         for b in first:
             if a == b:
                 continue
-            used[0] = True
             anchors[:] = [a, b]
             eseq[:] = [0]
             if extend(b, a, 1):
@@ -102,7 +122,6 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
                 report = verify_euler_object(h, EulerFamily((tour,)))
                 assert report.valid
                 return tour
-            used[0] = False
     return None
 
 

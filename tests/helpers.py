@@ -15,6 +15,8 @@ from eulergraph import (
     Matching,
     Walk,
     build_incidence,
+    canonical_closed_trail,
+    verify_euler_object,
 )
 from eulergraph.genio import Lcg
 from eulergraph.interchange import _alternating_cycles
@@ -408,3 +410,80 @@ def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:
             for s in stubs:
                 link(dummy, s)
     return tuple(tuple(sorted(row)) for row in adj)
+
+
+def reference_brute_family_exists(h: Hypergraph) -> bool:
+    """Family existence by backtracking over one anchor pair per edge.
+
+    The reference for :func:`eulergraph.brute_family_exists`: it walks all
+    prod C(|e|, 2) choices when no family exists.
+    """
+    m = len(h.edges)
+    choices = [list(combinations(sorted(e), 2)) for e in h.edges]
+    if any(not c for c in choices):
+        return False
+    parity = [0] * h.order
+
+    def walk(i: int) -> bool:
+        if i == m:
+            return not any(parity)
+        for a, b in choices[i]:
+            parity[a] ^= 1
+            parity[b] ^= 1
+            if walk(i + 1):
+                return True
+            parity[a] ^= 1
+            parity[b] ^= 1
+        return False
+
+    return walk(0)
+
+
+def reference_brute_tour(h: Hypergraph) -> Walk | None:
+    """Euler tour by plain path backtracking, without a memo; canonical or None.
+
+    The reference for :func:`eulergraph.brute_tour`: same start pairs, same
+    edge and anchor order, so both must return the same tour.
+    """
+    m = len(h.edges)
+    if m < 2:
+        return None
+    members = [sorted(e) for e in h.edges]
+    used = [False] * m
+    anchors: list[int] = []
+    eseq: list[int] = []
+
+    def extend(cur: int, start: int, count: int) -> bool:
+        if count == m:
+            return cur == start
+        for eid in range(m):
+            if used[eid] or cur not in h.edges[eid]:
+                continue
+            used[eid] = True
+            eseq.append(eid)
+            for nxt in members[eid]:
+                if nxt == cur:
+                    continue
+                anchors.append(nxt)
+                if extend(nxt, start, count + 1):
+                    return True
+                anchors.pop()
+            eseq.pop()
+            used[eid] = False
+        return False
+
+    first = members[0]
+    for a in first:
+        for b in first:
+            if a == b:
+                continue
+            used[0] = True
+            anchors[:] = [a, b]
+            eseq[:] = [0]
+            if extend(b, a, 1):
+                walk = Walk(tuple(h.vertices[i] for i in anchors), tuple(eseq))
+                tour = canonical_closed_trail(walk)
+                assert verify_euler_object(h, EulerFamily((tour,))).valid
+                return tour
+            used[0] = False
+    return None

@@ -267,6 +267,17 @@ class TestCli:
         assert main(["oracle", "tour", str(one)]) == 1
         assert main(["oracle", "family", str(one)]) == 1
 
+    def test_edgeless_input_all_commands_agree(self, tmp_path, capsys):
+        hg = tmp_path / "empty.hg"
+        hg.write_text("hg 3 3 0\nv a\nv b\nv c\n")
+        assert main(["tour", str(hg)]) == 0
+        tour_out = capsys.readouterr().out
+        assert tour_out == "# empty hypergraph: vacuously eulerian\n"
+        assert main(["oracle", "tour", str(hg)]) == 0
+        assert capsys.readouterr().out == tour_out
+        assert main(["family", str(hg)]) == 0
+        assert main(["oracle", "family", str(hg)]) == 0
+
     def test_family_only_exit_three(self, tmp_path, capsys):
         hg = tmp_path / "split.hg"
         hg.write_text(

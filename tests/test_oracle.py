@@ -1,5 +1,9 @@
 """The brute-force oracles themselves, cross-checked by independent routes."""
 
+import ast
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from eulergraph import (
@@ -14,7 +18,15 @@ from eulergraph import (
 )
 from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering
 
-from helpers import complete_graph, fano, petersen, random_graph, tutte_berge_max_matching
+from helpers import (
+    complete_graph,
+    fano,
+    petersen,
+    random_graph,
+    reference_brute_family_exists,
+    reference_brute_tour,
+    tutte_berge_max_matching,
+)
 
 
 class TestBruteFamilyExists:
@@ -88,6 +100,83 @@ class TestBruteTour:
             h = Hypergraph.from_labels(labels[:n], edges)
             assert brute_family_exists(h) == (
                 find_family_subgraph(build_incidence(h)) is not None)
+
+
+def _mixed_draw(rng: Lcg) -> Hypergraph:
+    """n in 1..12, m in 0..10, edge sizes 2..5 with one edge in ten of size 1 (capped at n),
+    and about one edge in six a repeat of an earlier one."""
+    n = 1 + rng.below(12)
+    m = rng.below(11)
+    verts = [f"v{i}" for i in range(1, n + 1)]
+    edges: list[tuple[str, ...]] = []
+    while len(edges) < m:
+        if edges and rng.below(6) == 0:
+            edges.append(edges[rng.below(len(edges))])
+            continue
+        size = 1 if rng.below(10) == 0 else 2 + rng.below(4)
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges.append(tuple(verts[i] for i in sorted(pool[:size])))
+    return Hypergraph.from_labels(verts, edges)
+
+
+def _four_uniform_no_family() -> Hypergraph:
+    """Nine 4-subsets of six vertices plus an edge with three vertices of degree one.
+
+    Every anchor pair of the last edge holds one of its degree-one vertices,
+    so no family exists; a backtracking search walks all 6^10 pair choices
+    before it can say so.
+    """
+    verts = [f"v{i}" for i in range(1, 7)] + ["x", "y", "z"]
+    edges = list(combinations(verts[:6], 4))[:9] + [("v1", "x", "y", "z")]
+    return Hypergraph.from_labels(verts, edges)
+
+
+class TestStateSpaceSearch:
+    """The parity-state sweep and the memoised tour search against the plain
+    backtracking references in ``helpers``."""
+
+    def test_equal_to_references_on_seeded_draws(self):
+        rng = Lcg(1)
+        seen = {"family": 0, "tour": 0, "family without tour": 0}
+        for _ in range(300):
+            h = _mixed_draw(rng)
+            family = brute_family_exists(h)
+            assert family == reference_brute_family_exists(h)
+            tour = brute_tour(h)
+            if family:
+                assert tour == reference_brute_tour(h)
+                seen["family"] += 1
+                seen["tour" if tour else "family without tour"] += 1
+            else:
+                # A tour is a one-trail family; the reference would walk
+                # every trail to show the same.
+                assert tour is None
+        assert min(seen.values()) >= 10
+
+    @pytest.mark.parametrize("edges", [[], [("a", "b", "c")], [("a",)], [("a", "b")]],
+                             ids=["edgeless", "one-triple", "one-singleton", "one-pair"])
+    def test_edgeless_and_single_edge(self, edges):
+        h = Hypergraph.from_labels("abc", edges)
+        assert brute_family_exists(h) == reference_brute_family_exists(h) == (not edges)
+        assert brute_tour(h) is None
+        assert reference_brute_tour(h) is None
+
+    def test_four_uniform_no_family(self):
+        h = _four_uniform_no_family()
+        assert len(h.edges) == 10 and h.uniformity() == 4
+        assert not brute_family_exists(h)
+        assert brute_tour(h) is None
+
+    def test_imports_only_the_data_model(self):
+        src = Path(brute_tour.__code__.co_filename).read_text(encoding="utf-8")
+        modules = set()
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(f"eulergraph.{node.module}" if node.level else node.module)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+        assert {m for m in modules if m.startswith("eulergraph")} == {"eulergraph.hypergraph"}
 
 
 class TestBruteMaxMatching:

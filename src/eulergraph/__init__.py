@@ -26,7 +26,6 @@ from .family import (
 from .hypergraph import (
     CoveringReport,
     EulerFamily,
-    EulerTour,
     Hypergraph,
     VerifyReport,
     Walk,
@@ -46,7 +45,6 @@ from .interchange import (
     InterchangeCycle,
     MergeStats,
     apply_interchange,
-    direct_order3_tour,
     find_diminishing_cycle,
     find_linking_cycle,
     is_interchanging,
@@ -64,7 +62,6 @@ __all__ = [
     "CoveringReport",
     "EulerFamily",
     "EulerGraphError",
-    "EulerTour",
     "FamilySubgraph",
     "FormatError",
     "GadgetGraph",
@@ -88,7 +85,6 @@ __all__ = [
     "build_incidence",
     "canonical_closed_trail",
     "components",
-    "direct_order3_tour",
     "edge_name",
     "extract_subgraph",
     "find_diminishing_cycle",

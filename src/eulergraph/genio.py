@@ -169,13 +169,14 @@ def parse_hg(text: str) -> tuple[Hypergraph, int]:
         raise FormatError(
             f"expected {n} vertex lines and {m} edge lines, found {len(rows) - 1}", head_ln)
     labels: list[str] = []
+    known: set[str] = set()
     for ln, row in rows[1:1 + n]:
         if row[0] != "v" or len(row) != 2:
             raise FormatError("expected 'v <label>'", ln)
-        if row[1] in labels:
+        if row[1] in known:
             raise FormatError(f"duplicate vertex label {row[1]!r}", ln)
         labels.append(row[1])
-    known = set(labels)
+        known.add(row[1])
     edges: list[tuple[str, ...]] = []
     for ln, row in rows[1 + n:]:
         if row[0] != "e" or len(row) < 2:

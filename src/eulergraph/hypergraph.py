@@ -132,10 +132,6 @@ class Walk:
     edges: tuple[int, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
     def is_closed(self) -> bool:
         return len(self.edges) >= 2 and bool(self.anchors) and self.anchors[0] == self.anchors[-1]
 
@@ -159,10 +155,6 @@ class EulerFamily:
     """
 
     components: tuple[Walk, ...]
-
-
-# An Euler tour is represented as a single closed trail.
-EulerTour = Walk
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateViolation, MergeExhaustedError
 from .family import FamilySubgraph, trails_from_subgraph
-from .hypergraph import Hypergraph, Walk, canonical_closed_trail
+from .hypergraph import Walk
 from .incidence import IncidenceGraph
 
 MAX_EDGE_NODES = 6
@@ -377,24 +377,6 @@ class MergeStats:
     pivot_neutral: int = 0
     escapes: int = 0
     min_shape_checks: int = 0
-
-
-def direct_order3_tour(h: Hypergraph) -> Walk:
-    """Closed-form tour for 3-uniform hypergraphs on exactly three vertices.
-
-    Every edge equals the full vertex set, so anchors can simply alternate
-    between two vertices, with the third patched in once when the edge count
-    is odd.
-    """
-    m = len(h.edges)
-    if h.order != 3 or h.uniformity() != 3 or m < 2:
-        raise ValueError("closed-form tour needs a 3-uniform hypergraph of order 3 with >= 2 edges")
-    labels = sorted(h.vertices)
-    anchors = [labels[i % 2] for i in range(m)]
-    if m % 2 == 1:
-        anchors[m - 1] = labels[2]
-    anchors.append(anchors[0])
-    return canonical_closed_trail(Walk(tuple(anchors), tuple(range(m))))
 
 
 def merge_to_tour(

@@ -1,4 +1,12 @@
-"""End-to-end pipeline: validate, reduce arity down to 3, certify a family, merge.
+"""End-to-end pipeline: validate, reduce arity to 3, certify a family, merge, verify.
+
+Every input with two or more edges takes the same path.  A covering
+k-hypergraph with k > 3 is first reduced to arity 3; any other input is used
+as it is.  The exact family search then runs once on the incidence graph, the
+interchanging-cycle merge runs once on its certificate, and what comes out,
+a tour or, when a best-effort merge stops, the family, is verified once.
+Order 3 needs no special case: on three vertices a family has at most one
+non-trivial component, so the merge returns it at once.
 
 A covering (k+1)-hypergraph reduces to a covering k-hypergraph by deleting a
 fixed vertex from the vertex set and shrinking every edge by one vertex: the
@@ -9,7 +17,6 @@ the k-3 smallest labels of every edge.  Edge ids survive and every reduced
 edge is a subset of its original, so a tour of the reduced hypergraph is
 already a tour of the original.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from .hypergraph import (
     verify_euler_object,
 )
 from .incidence import build_incidence
-from .interchange import MergeStats, direct_order3_tour, merge_to_tour
+from .interchange import MergeStats, merge_to_tour
 
 VERDICT_EULERIAN = "eulerian"
 VERDICT_NEITHER = "neither"
@@ -49,10 +56,13 @@ class SolveResult:
     """Outcome of :func:`solve`.
 
     The verdict never claims more than the certificate shows: ``eulerian``
-    comes with a verified tour (or an empty hypergraph, eulerian by
-    convention), ``neither`` only when no Euler family exists, and
-    ``not-covering-best-effort`` carries a verified family without a tour.
-    ``reductions`` lists the label deleted by each arity-reduction layer.
+    comes with a verified tour and ``family`` holds that tour alone (or, for
+    an empty hypergraph, eulerian by convention, no tour and the empty
+    family); ``neither`` only when no Euler family exists; and
+    ``not-covering-best-effort`` carries a verified family without a tour,
+    when the merge of a non-covering input stops.  ``certificate`` is the
+    verifier's report on ``family``, ``steps`` the merge steps taken, and
+    ``reductions`` the label deleted by each arity-reduction layer.
     """
 
     verdict: str
@@ -72,10 +82,12 @@ def solve(
 ) -> SolveResult:
     """Decide eulerian properties and construct certificates.
 
-    Covering k-hypergraphs with at least two edges always end eulerian, via
-    arity reduction to 3 followed by family construction and merging.  A
-    single edge can never form a closed trail.  Non-covering inputs get an
-    exact Euler-family decision and a best-effort merge.
+    A single edge can never form a closed trail.  Every other input runs one
+    path: covering k-hypergraphs with k > 3 are reduced to arity 3, then the
+    family search, the merge and the verifier each run once.  Covering
+    inputs always end eulerian; a missing family or an exhausted merge there
+    is a bug and raises.  Non-covering inputs get an exact Euler-family
+    decision and a best-effort merge, which falls back to the family.
 
     ``pivot`` must be a vertex of ``h`` (else :class:`KeyError`) and must
     survive the arity reduction (else :class:`ValueError`).  A negative
@@ -98,42 +110,26 @@ def solve(
     if m == 1:
         return SolveResult(VERDICT_NEITHER, None, None, None)
 
-    if validate_covering(h, k).is_covering:
-        cur, deleted = (h, ()) if k == 3 else _reduce_to_order3(h, k)
-        if pivot in deleted:
-            raise ValueError(f"pivot {pivot!r} is deleted by the arity reduction")
-        if cur.order == 3:
-            tour = direct_order3_tour(cur)
-        else:
-            fsub = find_family_subgraph(build_incidence(cur))
-            if fsub is None:
-                raise CertificateViolation(
-                    "covering 3-hypergraph with >= 2 edges has no family certificate")
-            tour = merge_to_tour(
-                fsub, pivot=pivot, budget=budget, stats=stats, covering=True)
-        cert = verify_euler_object(h, EulerFamily((tour,)))
-        if not cert.valid:
-            raise CertificateViolation("final tour failed verification")
-        return SolveResult(
-            VERDICT_EULERIAN, tour, EulerFamily((tour,)), cert, stats.steps, deleted)
-
-    # Best effort for non-covering inputs.
-    g = build_incidence(h)
-    fsub = find_family_subgraph(g)
+    covering = validate_covering(h, k).is_covering
+    cur, deleted = _reduce_to_order3(h, k) if covering and k > 3 else (h, ())
+    if pivot in deleted:
+        raise ValueError(f"pivot {pivot!r} is deleted by the arity reduction")
+    fsub = find_family_subgraph(build_incidence(cur))
     if fsub is None:
+        if covering:
+            raise CertificateViolation(
+                "covering 3-hypergraph with >= 2 edges has no family certificate")
         return SolveResult(VERDICT_NEITHER, None, None, None)
-    fam = trails_from_subgraph(fsub)
-    fam_cert = verify_euler_object(h, fam)
-    if not fam_cert.valid:
-        raise CertificateViolation(
-            "family failed verification: " + "; ".join(fam_cert.violations[:3]))
-    if len(fam.components) == 1:
-        return SolveResult(VERDICT_EULERIAN, fam.components[0], fam, fam_cert)
     try:
-        tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats)
+        tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats, covering=covering)
     except MergeExhaustedError:
-        return SolveResult(VERDICT_BEST_EFFORT, None, fam, fam_cert, stats.steps)
-    cert = verify_euler_object(h, EulerFamily((tour,)))
+        if covering:
+            raise
+        tour, fam, verdict = None, trails_from_subgraph(fsub), VERDICT_BEST_EFFORT
+    else:
+        fam, verdict = EulerFamily((tour,)), VERDICT_EULERIAN
+    cert = verify_euler_object(h, fam)
     if not cert.valid:
-        raise CertificateViolation("merged tour failed verification")
-    return SolveResult(VERDICT_EULERIAN, tour, EulerFamily((tour,)), cert, stats.steps)
+        raise CertificateViolation(
+            f"{verdict} certificate failed verification: " + "; ".join(cert.violations[:3]))
+    return SolveResult(verdict, tour, fam, cert, stats.steps, deleted)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergraph import FormatError, Hypergraph, InadmissibleOrderError, Walk, validate_covering
-from eulergraph import cli, solver
+from eulergraph import cli, interchange, solver
 from eulergraph.cli import EXIT_INTERNAL, main
 from eulergraph.genio import (
     Lcg,
@@ -126,6 +127,16 @@ class TestHgFormat:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(FormatError):
             parse_hg("hg 3 2 0\nv a\nv a\n")
+
+    def test_duplicate_vertex_found_in_linear_time(self):
+        # the last of 50,000 vertex lines repeats the first; a scan of the
+        # labels read so far makes this quadratic
+        n = 50_000
+        text = f"hg 3 {n} 0\n" + "".join(f"v v{i}\n" for i in range(n - 1)) + "v v0\n"
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=f"line {n + 1}: duplicate vertex label 'v0'"):
+            parse_hg(text)
+        assert time.perf_counter() - start < 5
 
     def test_duplicate_edge_lines_allowed(self):
         text = "hg 3 3 2\nv a\nv b\nv c\ne a b c\ne a b c\n"
@@ -312,11 +323,10 @@ class TestCli:
         assert main(["tour", str(hg), "--budget", "-5"]) == 2
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, module", [("tour", solver), ("family", cli)])
-    def test_boundary_check_failure_exit_four(self, tmp_path, capsys, monkeypatch, command, module):
-        hg = tmp_path / "abcd.hg"
-        hg.write_text("hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n")
-        h, _ = parse_hg(hg.read_text())
+    def assert_boundary_failure(self, tmp_path, capsys, monkeypatch, text, command, module):
+        hg = tmp_path / "input.hg"
+        hg.write_text(text)
+        h, _ = parse_hg(text)
         real = module.trails_from_subgraph
         monkeypatch.setattr(module, "trails_from_subgraph",
                             lambda fsub: swap_one_anchor(h, real(fsub)))
@@ -325,6 +335,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("internal error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, module", [("tour", interchange), ("family", cli)])
+    def test_boundary_check_failure_exit_four(self, tmp_path, capsys, monkeypatch, command, module):
+        # the one-component tour is read out by the merge's own exit
+        text = "hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n"
+        self.assert_boundary_failure(tmp_path, capsys, monkeypatch, text, command, module)
+
+    def test_boundary_check_failure_family_only_exit_four(self, tmp_path, capsys, monkeypatch):
+        text = ("hg 3 6 4\nv a\nv b\nv p\nv c\nv d\nv q\n"
+                "e a b p\ne a b p\ne c d q\ne c d q\n")
+        assert solver.solve(parse_hg(text)[0], 3).verdict == "not-covering-best-effort"
+        self.assert_boundary_failure(tmp_path, capsys, monkeypatch, text, "tour", solver)
 
     def test_verify_report_independent_of_hash_seed(self, tmp_path):
         # two trails sharing anchors a and b; the report lists them in the

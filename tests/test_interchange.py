@@ -16,7 +16,6 @@ from eulergraph import (
     apply_interchange,
     build_incidence,
     canonical_closed_trail,
-    direct_order3_tour,
     find_diminishing_cycle,
     find_family_subgraph,
     find_linking_cycle,
@@ -24,7 +23,6 @@ from eulergraph import (
     merge_to_tour,
     subgraph_from_trails,
     trails_from_subgraph,
-    validate_covering,
     verify_euler_object,
 )
 from eulergraph import interchange
@@ -483,19 +481,3 @@ class TestPivotStage:
         move2 = _any_unseen_move(g, fsub, seen)
         assert move2 is not None
         assert apply_interchange(fsub, move2).selected not in seen
-
-
-class TestDirectOrderThree:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
-    def test_all_edge_counts(self, m):
-        h = Hypergraph.from_labels("abc", [("a", "b", "c")] * m)
-        assert validate_covering(h, 3).is_covering
-        tour = direct_order3_tour(h)
-        assert verify_euler_object(h, EulerFamily((tour,))).valid
-        assert len(tour.edges) == m
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            direct_order3_tour(Hypergraph.from_labels("abc", [("a", "b", "c")]))
-        with pytest.raises(ValueError):
-            direct_order3_tour(gen_complete(4, 3))

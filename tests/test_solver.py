@@ -39,6 +39,17 @@ NO_TOUR_PIVOT_LOOP = (
     + "e v5 v6 v9\ne v1 v4 v7 v8\ne v10 v2 v8\n")
 
 
+def family_only() -> Hypergraph:
+    """Two disjoint repeated triples: a two-trail family and no tour."""
+    return Hypergraph.from_labels(
+        "abpcdq", [("a", "b", "p"), ("a", "b", "p"), ("c", "d", "q"), ("c", "d", "q")])
+
+
+def one_component() -> Hypergraph:
+    """Two triples sharing a and b: the family is already a tour."""
+    return Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+
+
 def small_multiset(rng: Lcg) -> Hypergraph:
     """A 3-uniform multiset on 4..7 vertices with 2..8 edges, about one edge in four a repeat."""
     n = 4 + rng.below(4)
@@ -148,10 +159,16 @@ class TestSolve:
         assert len(res.reductions) == 2
         assert len(res.tour.edges) == 21
 
-    def test_order3_direct(self):
-        h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 5)
-        res = solve(h, 3)
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (3, 4, 5) for m in range(2, 8)])
+    def test_order3_direct(self, k, m):
+        # One k-vertex edge repeated m times reduces to order 3, where a family
+        # has at most one non-trivial component: the merge returns at once.
+        labels = "abcde"[:k]
+        h = Hypergraph.from_labels(labels, [tuple(labels)] * m)
+        res = solve(h, k)
         assert res.verdict == "eulerian" and res.certificate.valid
+        assert len(res.tour.edges) == m
+        assert verify_euler_object(h, EulerFamily((res.tour,))).valid
         assert res.steps == 0
 
     def test_non_covering_quasi_exact_negative(self):
@@ -162,14 +179,12 @@ class TestSolve:
         assert res.tour is None and res.family is None
 
     def test_non_covering_tour_found(self):
-        h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+        h = one_component()
         res = solve(h, 3)
         assert res.verdict == "eulerian" and res.certificate.valid
 
     def test_non_covering_disconnected_family_only(self):
-        h = Hypergraph.from_labels(
-            "abpcdq",
-            [("a", "b", "p"), ("a", "b", "p"), ("c", "d", "q"), ("c", "d", "q")])
+        h = family_only()
         res = solve(h, 3)
         assert res.verdict == "not-covering-best-effort"
         assert res.tour is None
@@ -229,8 +244,9 @@ class TestSolve:
         assert res.verdict == "eulerian" and res.certificate.valid
 
     def test_unknown_pivot_rejected_on_non_covering_input(self):
-        # one-component family: the merge never runs, the pivot is still checked
-        h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+        # one-component family: the merge exits before the pivot is read, so
+        # solve checks it up front
+        h = one_component()
         with pytest.raises(KeyError, match="zz"):
             solve(h, 3, pivot="zz")
 
@@ -267,9 +283,31 @@ class TestBoundaryVerify:
         monkeypatch.setattr(module, "trails_from_subgraph",
                             lambda fsub: swap_one_anchor(h, real(fsub)))
 
+    def count_verifies(self, monkeypatch) -> list[EulerFamily]:
+        """Route every package call of ``verify_euler_object`` through a recorder."""
+        calls = []
+        real = verify_euler_object
+
+        def counting(host, fam):
+            calls.append(fam)
+            return real(host, fam)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("eulergraph") and hasattr(mod, "verify_euler_object"):
+                monkeypatch.setattr(mod, "verify_euler_object", counting)
+        return calls
+
     def test_corrupt_family_on_non_covering_input_raises(self, monkeypatch):
-        h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
+        # the one-component family is read out by the merge's own exit
+        h = one_component()
         assert len(solve(h, 3).family.components) == 1
+        self.corrupt(monkeypatch, interchange, h)
+        with pytest.raises(CertificateViolation):
+            solve(h, 3)
+
+    def test_corrupt_family_only_output_raises(self, monkeypatch):
+        h = family_only()
+        assert solve(h, 3).verdict == "not-covering-best-effort"
         self.corrupt(monkeypatch, solver, h)
         with pytest.raises(CertificateViolation):
             solve(h, 3)
@@ -286,20 +324,23 @@ class TestBoundaryVerify:
                              ids=["tour-at-once", "merged"])
     def test_covering_solve_verifies_once(self, monkeypatch, make):
         h = make()
-        calls = []
-        real = verify_euler_object
-
-        def counting(host, fam):
-            calls.append(fam)
-            return real(host, fam)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("eulergraph") and hasattr(mod, "verify_euler_object"):
-                monkeypatch.setattr(mod, "verify_euler_object", counting)
+        calls = self.count_verifies(monkeypatch)
         res = solve(h, 3)
         assert res.verdict == "eulerian" and res.certificate.valid
         assert calls == [EulerFamily((res.tour,))]
 
+    @pytest.mark.parametrize("make, verdict", [
+        (one_component, "eulerian"),
+        (roadmap_item3, "eulerian"),
+        (family_only, "not-covering-best-effort"),
+    ], ids=["one-component", "merged", "family-only"])
+    def test_non_covering_solve_verifies_once(self, monkeypatch, make, verdict):
+        h = make()
+        assert not validate_covering(h, 3).is_covering
+        calls = self.count_verifies(monkeypatch)
+        res = solve(h, 3)
+        assert res.verdict == verdict and res.certificate.valid
+        assert calls == [res.family]
 
     def test_covering_decided_once(self, monkeypatch):
         # solve tells the merge that the input is covering; the merge does not

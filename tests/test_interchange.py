@@ -23,6 +23,7 @@ from eulergraph import (
     merge_to_tour,
     subgraph_from_trails,
     trails_from_subgraph,
+    validate_covering,
     verify_euler_object,
 )
 from eulergraph import interchange
@@ -481,3 +482,19 @@ class TestPivotStage:
         move2 = _any_unseen_move(g, fsub, seen)
         assert move2 is not None
         assert apply_interchange(fsub, move2).selected not in seen
+
+
+class TestDirectOrderThree:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_all_edge_counts(self, m):
+        # The order-3 input needs no closed form: its family has one non-trivial
+        # component, and the merge reads the tour out of it without a move.
+        h = Hypergraph.from_labels("abc", [("a", "b", "c")] * m)
+        assert validate_covering(h, 3).is_covering
+        fsub = find_family_subgraph(build_incidence(h))
+        assert len(fsub.nontrivial_components) == 1
+        stats = MergeStats()
+        tour = merge_to_tour(fsub, stats=stats, covering=True)
+        assert verify_euler_object(h, EulerFamily((tour,))).valid
+        assert len(tour.edges) == m
+        assert stats.steps == 0

@@ -159,8 +159,14 @@ class TestSolve:
         assert len(res.reductions) == 2
         assert len(res.tour.edges) == 21
 
+    def test_order3_direct(self):
+        h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 5)
+        res = solve(h, 3)
+        assert res.verdict == "eulerian" and res.certificate.valid
+        assert res.steps == 0
+
     @pytest.mark.parametrize("k, m", [(k, m) for k in (3, 4, 5) for m in range(2, 8)])
-    def test_order3_direct(self, k, m):
+    def test_one_edge_repeated(self, k, m):
         # One k-vertex edge repeated m times reduces to order 3, where a family
         # has at most one non-trivial component: the merge returns at once.
         labels = "abcde"[:k]

@@ -35,7 +35,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_tour(args) -> int:
     h, k = genio.load_hg(args.file)
-    result = solve(h, k if k >= 3 else 3, pivot=args.pivot, budget=args.budget)
+    result = solve(h, k if k >= 3 else 3, budget=args.budget)
     if result.verdict == VERDICT_EULERIAN:
         if result.tour is None:
             _write_out("# empty hypergraph: vacuously eulerian\n", args.out)
@@ -119,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Euler tours and Euler families of hypergraphs, with certificates.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    tour = sub.add_parser("tour", help="construct a certified Euler tour")
+    tour = sub.add_parser(
+        "tour", help="construct a certified Euler tour; when a non-covering input's merge "
+                     "stops, write its certified Euler family instead (exit 3)")
     tour.add_argument("file")
-    tour.add_argument("--pivot", help="pivot vertex label for the merging stage")
-    tour.add_argument("--budget", type=int, help="interchange step budget")
+    tour.add_argument("--budget", type=int,
+                      help="interchange step budget of the merge (default 10*|E|^2)")
     tour.add_argument("--out", help="write the certificate to a file")
     tour.set_defaults(func=_cmd_tour)
 
@@ -172,7 +174,7 @@ def main(argv=None) -> int:
     except CertificateViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (InadmissibleOrderError, ValueError, KeyError) as exc:
+    except (InadmissibleOrderError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

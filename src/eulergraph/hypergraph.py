@@ -39,7 +39,11 @@ class Hypergraph:
 
     @classmethod
     def from_labels(cls, vertices, edges) -> Hypergraph:
-        """Build a hypergraph from label iterables, preserving the given orders."""
+        """Build a hypergraph from label iterables, preserving the given orders.
+
+        An edge is a set, so a label repeated within one edge is rejected
+        rather than merged.
+        """
         vs = tuple(vertices)
         index = {lab: i for i, lab in enumerate(vs)}
         es = []
@@ -48,6 +52,8 @@ class Hypergraph:
             for lab in e:
                 if lab not in index:
                     raise ValueError(f"edge {len(es)} references unknown vertex {lab!r}")
+                if index[lab] in members:
+                    raise ValueError(f"edge {len(es)} repeats vertex {lab!r}")
                 members.add(index[lab])
             es.append(frozenset(members))
         return cls(vs, tuple(es))

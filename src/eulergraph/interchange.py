@@ -11,7 +11,7 @@ family towards a single closed trail, an Euler tour.  The merge rewrites the
 certificate the matching produced and reads the tour out of it once at the
 end; verifying that tour is left to the caller at the API boundary.
 
-The search for a productive cycle runs in three stages:
+The merge takes one move per step:
 
 * S1: with three or more components, pick one non-cut vertex-node per
   component and link consecutive picks through edge-nodes that contain both;
@@ -20,12 +20,10 @@ The search for a productive cycle runs in three stages:
 * Search: bounded enumeration of interchanging cycles through 2 to 6
   edge-nodes, shortest first, keeping the first whose application
   diminishes.
-* Pivot stage (merging only): when no diminishing cycle is found, apply
-  interchanging cycles through a fixed pivot vertex that strictly reduce its
-  selected degree, then neutral ones that open such a reduction one step
-  later, then any move.  Every one of these moves must reach a certificate
-  the merge has not seen, so the loop ends; a step budget also guards it.
-  On covering 3-hypergraphs, exceeding the budget signals an implementation
+* Escape (merging only): when no diminishing cycle is found, apply the first
+  interchanging cycle, in the same order, that reaches a certificate the
+  merge has not seen, so the loop ends; a step budget also guards it.  On
+  covering 3-hypergraphs, exceeding the budget signals an implementation
   bug, not a mathematical obstruction.
 
 Every stage scores a candidate on its toggled selection, the certificate's
@@ -33,9 +31,7 @@ incidences XOR the cycle's: a union-find over that set counts its non-trivial
 components, and the set itself is what the merge compares with the
 certificates it has seen.  Only the chosen move becomes an
 :class:`InterchangeCycle`, and only the applied move builds and checks a new
-:class:`FamilySubgraph`.  The neutral stage's lookahead facts (the component
-count, and whether a reducing cycle through the pivot exists) depend on the
-selection alone, so one merge memoises them by selection.
+:class:`FamilySubgraph`.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .incidence import IncidenceGraph
 
 MAX_EDGE_NODES = 6
 MAX_EXPANSIONS = 250_000
-_LOOKAHEAD_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -115,21 +110,20 @@ def apply_interchange(fsub: FamilySubgraph, cycle: InterchangeCycle) -> FamilySu
     return FamilySubgraph(fsub.host, new_selected)
 
 
-def _alternating_cycles(g, rows, start, exact_e, mode, counter, canonical=False):
-    """DFS over interchanging cycles through ``start`` with exactly ``exact_e`` edge-nodes.
+def _alternating_cycles(g, rows, start, exact_e, counter):
+    """DFS over interchanging cycles with exactly ``exact_e`` edge-nodes.
 
-    ``rows`` is the certificate's selected adjacency (``subgraph_adj``); an
-    edge-node's row holds its two selected vertex-nodes.  ``mode`` gates the
-    two cycle edges at ``start``: 'reduce' requires both to be selected,
-    'neutral' exactly one, 'any' neither.  With ``canonical`` only cycles
-    whose smallest vertex-node equals ``start`` are produced.  ``counter`` is
-    a one-cell expansion budget shared across calls.
+    Only cycles whose smallest vertex-node is ``start`` are produced, so each
+    cycle comes from one start.  ``rows`` is the certificate's selected
+    adjacency (``subgraph_adj``); an edge-node's row holds its two selected
+    vertex-nodes.  ``counter`` is a one-cell expansion budget shared across
+    calls.
     """
     adj = g.adj
     used = {start}
     path = [start]
 
-    def walk(u, first_flag, depth):
+    def walk(u, depth):
         if counter[0] <= 0:
             return
         for en in adj[u]:
@@ -140,49 +134,34 @@ def _alternating_cycles(g, rows, start, exact_e, mode, counter, canonical=False)
                 continue
             pair = rows[en]
             f_in = u in pair
-            if depth == 0:
-                if mode == "reduce" and not f_in:
-                    continue
-                first = f_in
-            else:
-                first = first_flag
             for w in adj[en]:
-                if w == u:
-                    continue
-                f_out = w in pair
-                if f_out == f_in:
+                if w == u or (w in pair) == f_in:
                     continue
                 if w == start:
                     if depth + 1 == exact_e:
-                        if mode == "reduce" and not f_out:
-                            continue
-                        if mode == "neutral" and f_out == first:
-                            continue
                         yield tuple(path) + (en,)
                     continue
-                if depth + 1 >= exact_e or w in used:
-                    continue
-                if canonical and w < start:
+                if depth + 1 >= exact_e or w in used or w < start:
                     continue
                 used.add(en)
                 used.add(w)
                 path.append(en)
                 path.append(w)
-                yield from walk(w, first, depth + 1)
+                yield from walk(w, depth + 1)
                 path.pop()
                 path.pop()
                 used.discard(en)
                 used.discard(w)
 
-    yield from walk(start, False, 0)
+    yield from walk(start, 0)
 
 
-def _candidates(g, rows, starts, mode, canonical=False):
-    """Interchanging cycles through ``starts``, shortest first, in one expansion budget."""
+def _candidates(g, rows):
+    """Interchanging cycles of the certificate, shortest first, in one expansion budget."""
     counter = [MAX_EXPANSIONS]
     for t in range(2, MAX_EDGE_NODES + 1):
-        for s in starts:
-            yield from _alternating_cycles(g, rows, s, t, mode, counter, canonical)
+        for s in range(g.n_v):
+            yield from _alternating_cycles(g, rows, s, t, counter)
 
 
 def _cycle_incidences(g: IncidenceGraph, nodes) -> frozenset[tuple[int, int]]:
@@ -219,18 +198,6 @@ def _nontrivial_count(g: IncidenceGraph, selected) -> int:
             parent[a] = b
             count -= 1
     return count
-
-
-def _toggled_rows(rows, nodes) -> list[tuple[int, ...]]:
-    """Selected adjacency after interchanging along ``nodes``; only the cycle's rows change."""
-    out = list(rows)
-    L = len(nodes)
-    for i, a in enumerate(nodes):
-        b = nodes[(i + 1) % L]
-        for x, y in ((a, b), (b, a)):
-            row = out[x]
-            out[x] = tuple(z for z in row if z != y) if y in row else tuple(sorted(row + (y,)))
-    return out
 
 
 def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
@@ -297,7 +264,7 @@ def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> Interchan
     if cycle is not None:
         return cycle
     comp_of = fsub.node_component
-    for nodes in _candidates(g, fsub.subgraph_adj, range(g.n_v), "any", canonical=True):
+    for nodes in _candidates(g, fsub.subgraph_adj):
         # A cycle confined to one component can never diminish, so it is
         # skipped without being scored.
         if len({comp_of[x] for x in nodes}) < 2:
@@ -307,69 +274,22 @@ def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> Interchan
     return None
 
 
-def _first_unseen(fsub, candidates, seen):
-    """The first candidate cycle whose toggled selection is not in ``seen``."""
-    for nodes in candidates:
-        if fsub.selected ^ _cycle_incidences(fsub.host, nodes) not in seen:
+def _any_unseen_move(g, fsub, seen):
+    """Escape: the first interchanging cycle whose toggled selection is not in ``seen``."""
+    for nodes in _candidates(g, fsub.subgraph_adj):
+        if fsub.selected ^ _cycle_incidences(g, nodes) not in seen:
             return InterchangeCycle.from_nodes(fsub, nodes)
     return None
 
 
-def _reducing_pivot_cycle(g, fsub, v0, seen):
-    """First cycle through v0 with both v0 edges selected reaching an unseen certificate.
-
-    Shortest first.  Skipping seen certificates keeps a reducing move from
-    undoing a diminishing one, which would repeat until the budget ran out.
-    """
-    return _first_unseen(fsub, _candidates(g, fsub.subgraph_adj, (v0,), "reduce"), seen)
-
-
-def _neutral_pivot_cycle(g, fsub, v0, seen, memo):
-    """A neutral cycle through v0 whose application opens a reduction or changes shape.
-
-    Falls back to the first neutral move reaching an unseen certificate when
-    no candidate shows immediate progress within the lookahead cap.  ``memo``
-    maps a toggled selection to ``[non-trivial count, opens a reduction]``;
-    both are facts of the selection alone (the lookahead gets a fresh budget
-    and v0 is fixed per merge), so one merge shares one memo across steps.
-    """
-    base = len(fsub.nontrivial_components)
-    rows = fsub.subgraph_adj
-    fallback = None
-    tried = 0
-    for nodes in _candidates(g, rows, (v0,), "neutral"):
-        nxt = fsub.selected ^ _cycle_incidences(g, nodes)
-        if nxt in seen:
-            continue
-        if fallback is None:
-            fallback = nodes
-        tried += 1
-        facts = memo.get(nxt)
-        if facts is None:
-            facts = memo[nxt] = [_nontrivial_count(g, nxt), None]
-        if facts[0] != base:
-            return InterchangeCycle.from_nodes(fsub, nodes)
-        if facts[1] is None:
-            # Any reducing cycle counts here, seen or not: the lookahead only
-            # asks whether the neutral move opens one.
-            reducing = _candidates(g, _toggled_rows(rows, nodes), (v0,), "reduce")
-            facts[1] = next(reducing, None) is not None
-        if facts[1]:
-            return InterchangeCycle.from_nodes(fsub, nodes)
-        if tried >= _LOOKAHEAD_CAP:
-            break
-    return None if fallback is None else InterchangeCycle.from_nodes(fsub, fallback)
-
-
-def _any_unseen_move(g, fsub, seen):
-    """Last resort: any interchanging cycle whose application reaches an unseen certificate."""
-    candidates = _candidates(g, fsub.subgraph_adj, range(g.n_v), "any", canonical=True)
-    return _first_unseen(fsub, candidates, seen)
-
-
 @dataclass
 class MergeStats:
-    """Counters filled in by :func:`merge_to_tour` for budget-health reporting."""
+    """Counters filled in by :func:`merge_to_tour` for budget-health reporting.
+
+    Every step is a diminishing move or an escape.  ``pivot_reduce`` and
+    ``pivot_neutral`` always read 0; they stay because ``perfbench/run.py``
+    reads them outside a ``try``, until the harness tolerates a missing field.
+    """
 
     steps: int = 0
     diminishing: int = 0
@@ -381,7 +301,6 @@ class MergeStats:
 
 def merge_to_tour(
     fsub: FamilySubgraph,
-    pivot: str | None = None,
     budget: int | None = None,
     stats: MergeStats | None = None,
     *,
@@ -394,14 +313,16 @@ def merge_to_tour(
     covering 3-hypergraphs a productive move always exists, so the loop
     terminates well inside the default budget of ``10 * |E|**2`` steps;
     :class:`MergeExhaustedError` past that point indicates a bug.  On other
-    inputs the same ladder runs best-effort and may exhaust honestly.
-    ``covering`` says the host is a covering 3-hypergraph, which turns on the
-    check that a stuck certificate has exactly two non-trivial components.
+    inputs the same moves run best-effort and may exhaust honestly.  Each
+    step applies a diminishing cycle if one is found, and otherwise escapes
+    to the first certificate the merge has not seen; with neither, it stops
+    with reason ``"no-move"``.  ``covering`` says the host is a covering
+    3-hypergraph, which turns on the check that a stuck certificate has
+    exactly two non-trivial components.
     """
     if stats is None:
         stats = MergeStats()
     g = fsub.host
-    h = g.host
     m = g.n_e
     if m < 2:
         raise ValueError("an Euler tour needs at least two edges")
@@ -410,13 +331,8 @@ def merge_to_tour(
 
     if budget is None:
         budget = 10 * m * m
-    if pivot is None:
-        v0 = max(range(g.n_v), key=lambda i: (len(g.adj[i]), -i))
-    else:
-        v0 = h.vertex_index(pivot)
 
     seen = {fsub.selected}
-    memo: dict = {}
     while len(fsub.nontrivial_components) > 1:
         if stats.steps >= budget:
             raise MergeExhaustedError("budget", stats.steps, fsub.selected)
@@ -431,19 +347,10 @@ def merge_to_tour(
                         f"stuck with {len(comps)} components on a covering 3-hypergraph; "
                         "expected exactly two, both non-trivial")
                 stats.min_shape_checks += 1
-            move = _reducing_pivot_cycle(g, fsub, v0, seen)
-            if move is not None:
-                stats.pivot_reduce += 1
-        if move is None:
-            move = _neutral_pivot_cycle(g, fsub, v0, seen, memo)
-            if move is not None:
-                stats.pivot_neutral += 1
-        if move is None:
             move = _any_unseen_move(g, fsub, seen)
-            if move is not None:
-                stats.escapes += 1
-        if move is None:
-            raise MergeExhaustedError("no-move", stats.steps, fsub.selected)
+            if move is None:
+                raise MergeExhaustedError("no-move", stats.steps, fsub.selected)
+            stats.escapes += 1
         fsub = apply_interchange(fsub, move)
         stats.steps += 1
         seen.add(fsub.selected)

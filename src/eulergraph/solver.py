@@ -76,7 +76,6 @@ class SolveResult:
 def solve(
     h: Hypergraph,
     k: int,
-    pivot: str | None = None,
     budget: int | None = None,
     stats: MergeStats | None = None,
 ) -> SolveResult:
@@ -89,16 +88,12 @@ def solve(
     is a bug and raises.  Non-covering inputs get an exact Euler-family
     decision and a best-effort merge, which falls back to the family.
 
-    ``pivot`` must be a vertex of ``h`` (else :class:`KeyError`) and must
-    survive the arity reduction (else :class:`ValueError`).  A negative
-    ``budget`` raises :class:`ValueError`.  Every certificate is verified
-    once, here, before it is returned; a failed check raises
-    :class:`CertificateViolation`.
+    ``budget`` caps the merge steps (default ``10 * |E|**2``); a negative one
+    raises :class:`ValueError`.  Every certificate is verified once, here,
+    before it is returned; a failed check raises :class:`CertificateViolation`.
     """
     if k < 3:
         raise ValueError(f"arity parameter must be at least 3, got {k}")
-    if pivot is not None:
-        h.vertex_index(pivot)  # raises on unknown vertex
     if budget is not None and budget < 0:
         raise ValueError(f"step budget must be non-negative, got {budget}")
     if stats is None:
@@ -112,8 +107,6 @@ def solve(
 
     covering = validate_covering(h, k).is_covering
     cur, deleted = _reduce_to_order3(h, k) if covering and k > 3 else (h, ())
-    if pivot in deleted:
-        raise ValueError(f"pivot {pivot!r} is deleted by the arity reduction")
     fsub = find_family_subgraph(build_incidence(cur))
     if fsub is None:
         if covering:
@@ -121,7 +114,7 @@ def solve(
                 "covering 3-hypergraph with >= 2 edges has no family certificate")
         return SolveResult(VERDICT_NEITHER, None, None, None)
     try:
-        tour = merge_to_tour(fsub, pivot=pivot, budget=budget, stats=stats, covering=covering)
+        tour = merge_to_tour(fsub, budget=budget, stats=stats, covering=covering)
     except MergeExhaustedError:
         if covering:
             raise

@@ -188,7 +188,7 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
         skip = rng.below(4)
         counter = [4000]
         i = 0
-        for nodes in _alternating_cycles(fsub.host, fsub.subgraph_adj, s, t, "any", counter):
+        for nodes in _alternating_cycles(fsub.host, fsub.subgraph_adj, s, t, counter):
             if i == skip:
                 if nodes not in seen:
                     seen.add(nodes)

@@ -247,23 +247,6 @@ class TestCli:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["tour", str(tmp_path / "absent.hg")]) == 2
 
-    @pytest.mark.parametrize("text", [
-        "hg 3 3 2\nv a\nv b\nv c\ne a b c\ne a b c\n",
-        "hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n",
-    ], ids=["covering", "non-covering"])
-    def test_unknown_pivot_exit_two(self, tmp_path, capsys, text):
-        hg = tmp_path / "p.hg"
-        hg.write_text(text)
-        assert main(["tour", str(hg), "--pivot", "zz"]) == 2
-        assert "'zz'" in capsys.readouterr().err
-
-    def test_pivot_deleted_by_reduction_exit_two(self, tmp_path, capsys):
-        hg = tmp_path / "c64.hg"
-        assert main(["gen", "complete", "6", "4", "--out", str(hg)]) == 0
-        assert main(["tour", str(hg), "--pivot", "v1"]) == 2
-        assert "'v1'" in capsys.readouterr().err
-        assert main(["tour", str(hg), "--pivot", "v2"]) == 0
-
     def test_sts_inadmissible_exit_two(self, capsys):
         assert main(["gen", "sts", "6"]) == 2
 

@@ -37,6 +37,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph.from_labels("ab", [("a", "c")])
 
+    def test_label_repeated_within_an_edge_rejected(self):
+        # merging the repeat would shrink edge 0 to {a, b} and change the verdict
+        with pytest.raises(ValueError, match=r"edge 0 repeats vertex 'a'"):
+            Hypergraph.from_labels("abc", [("a", "a", "b"), ("a", "b", "c"), ("a", "b", "c")])
+        with pytest.raises(ValueError, match=r"edge 2 repeats vertex 'c'"):
+            Hypergraph.from_labels("abc", [("a", "b"), ("b", "c"), ("c", "a", "c")])
+
     def test_multiset_edges_keep_identity(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
         assert len(h.edges) == 2

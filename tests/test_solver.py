@@ -30,9 +30,9 @@ from eulergraph.solver import _reduce_to_order3
 from helpers import fano, roadmap_item3, swap_one_anchor
 
 # A non-covering input with a family and no tour.  Unless the merge skips
-# moves back to certificates it has seen, a reducing pivot move here undoes
-# each diminishing move until the step budget runs out.
-NO_TOUR_PIVOT_LOOP = (
+# moves back to certificates it has seen, a move here that undoes the
+# diminishing move before it repeats until the step budget runs out.
+NO_TOUR_REVISIT_LOOP = (
     "hg 0 10 7\n"
     + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
     + "e v10 v5 v9\ne v10 v2 v8\ne v3 v4 v5\ne v3 v8\n"
@@ -103,17 +103,9 @@ class TestReduceOrder:
     def test_no_layer_at_arity_three(self):
         assert solve(fano(), 3).reductions == ()
 
-    def test_rejects_unknown_vertex(self):
-        with pytest.raises(KeyError, match="zz"):
-            solve(gen_complete(6, 4), 4, pivot="zz")
-
-    def test_rejects_pivot_deleted_by_reduction(self):
-        with pytest.raises(ValueError, match="'v2'"):
-            solve(gen_complete(7, 5), 5, pivot="v2")
-
     def test_non_covering_input_not_reduced(self):
         h = Hypergraph.from_labels("abcde", [("a", "b", "c", "d")] * 2)
-        res = solve(h, 4, pivot="a")
+        res = solve(h, 4)
         assert res.verdict == "eulerian" and res.reductions == ()
 
 
@@ -218,7 +210,7 @@ class TestSolve:
         assert verify_euler_object(h, EulerFamily((res.tour,))).valid
 
     def test_no_tour_pivot_moves_never_revisit(self):
-        h, _ = parse_hg(NO_TOUR_PIVOT_LOOP)
+        h, _ = parse_hg(NO_TOUR_REVISIT_LOOP)
         stats = MergeStats()
         res = solve(h, 3, stats=stats)
         assert res.verdict == "not-covering-best-effort"
@@ -244,17 +236,6 @@ class TestSolve:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             solve(fano(), 2)
-
-    def test_pivot_passthrough(self):
-        res = solve(fano(), 3, pivot="4")
-        assert res.verdict == "eulerian" and res.certificate.valid
-
-    def test_unknown_pivot_rejected_on_non_covering_input(self):
-        # one-component family: the merge exits before the pivot is read, so
-        # solve checks it up front
-        h = one_component()
-        with pytest.raises(KeyError, match="zz"):
-            solve(h, 3, pivot="zz")
 
     def test_deterministic_certificates(self):
         for n, k, seed in ((6, 3, 9), (7, 3, 2), (6, 4, 5)):

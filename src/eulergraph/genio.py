@@ -16,7 +16,14 @@ closed trail.
 
 Randomness comes from an explicit 64-bit linear congruential generator so
 corpora regenerate identically anywhere: state' = (state * 6364136223846793005
-+ 1442695040888963407) mod 2**64, each draw returning the top 31 bits.
++ 1442695040888963407) mod 2**64, each draw returning the top 31 bits;
+``below(n)`` is one draw mod n, and ``shuffle`` makes one ``below(i + 1)``
+draw for each position i from the back.
+
+The generators work on vertex indices: vertex i is labelled ``v{i+1}`` (or
+its Steiner-system point name), edges are built as index sets, and labels
+appear only when the text form is emitted, with each edge's indices sorted
+by the rank of their labels (so ``v10`` comes before ``v2``).
 """
 
 from __future__ import annotations
@@ -45,12 +52,17 @@ class Lcg:
     def below(self, n: int) -> int:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        return self.draw() % n
+        self.state = state = (self.state * _LCG_MUL + _LCG_INC) & _LCG_MASK
+        return (state >> 33) % n
 
     def shuffle(self, items: list) -> None:
+        """Fisher-Yates from the back, one ``below(i + 1)`` draw per position."""
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            state = (state * _LCG_MUL + _LCG_INC) & _LCG_MASK
+            j = (state >> 33) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
 
 def gen_complete(n: int, k: int) -> Hypergraph:
@@ -58,8 +70,7 @@ def gen_complete(n: int, k: int) -> Hypergraph:
     if not n > k >= 3:
         raise ValueError(f"need n > k >= 3, got n={n}, k={k}")
     verts = tuple(f"v{i}" for i in range(1, n + 1))
-    edges = [tuple(verts[i] for i in combo) for combo in combinations(range(n), k)]
-    return Hypergraph.from_labels(verts, edges)
+    return Hypergraph(verts, tuple(map(frozenset, combinations(range(n), k))))
 
 
 def gen_sts(n: int) -> Hypergraph:
@@ -107,30 +118,39 @@ def gen_sts(n: int) -> Hypergraph:
                 for y in range(x + 1, q):
                     triples.append(((x, i), (y, i), (rho((x + y) % q), (i + 1) % 3)))
 
-    verts = tuple(lab(p) for p in pts)
-    return Hypergraph.from_labels(verts, [tuple(sorted(lab(p) for p in tri)) for tri in triples])
+    index = {p: i for i, p in enumerate(pts)}
+    return Hypergraph(tuple(lab(p) for p in pts),
+                      tuple(frozenset([index[p] for p in tri]) for tri in triples))
 
 
 def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
-    """Seeded greedy covering: visit (k-1)-subsets in random order, patch uncovered ones."""
+    """Seeded greedy covering: visit (k-1)-subsets in random order, patch uncovered ones.
+
+    An uncovered subset s gets one extra vertex, drawn uniformly from the
+    n-k+1 vertices outside s in increasing order.
+    """
     if not n > k >= 3:
         raise ValueError(f"need n > k >= 3, got n={n}, k={k}")
     rng = Lcg(seed)
-    verts = tuple(f"v{i}" for i in range(1, n + 1))
     subsets = list(combinations(range(n), k - 1))
     rng.shuffle(subsets)
+    outside = n - k + 1
     covered: set[tuple[int, ...]] = set()
-    edges: list[tuple[int, ...]] = []
+    edges: list[frozenset[int]] = []
     for s in subsets:
         if s in covered:
             continue
-        others = [x for x in range(n) if x not in s]
-        extra = others[rng.below(len(others))]
-        e = tuple(sorted(set(s) | {extra}))
-        edges.append(e)
-        for sub in combinations(e, k - 1):
-            covered.add(sub)
-    return Hypergraph.from_labels(verts, [tuple(verts[i] for i in e) for e in edges])
+        # The r-th vertex outside the sorted s: step over each member at or below it.
+        r = x = rng.below(outside)
+        for v in s:
+            if v > x:
+                break
+            x += 1
+        p = x - r  # members of s below x
+        e = s[:p] + (x,) + s[p:]
+        edges.append(frozenset(e))
+        covered.update(combinations(e, k - 1))
+    return Hypergraph(tuple(f"v{i}" for i in range(1, n + 1)), tuple(edges))
 
 
 def emit_hg(h: Hypergraph) -> str:
@@ -139,11 +159,14 @@ def emit_hg(h: Hypergraph) -> str:
     for lab in h.vertices:
         if not lab or re.search(r"\s|#", lab):
             raise ValueError(f"label {lab!r} cannot appear in the text format")
-    lines = [f"hg {k} {len(h.vertices)} {len(h.edges)}"]
-    for lab in sorted(h.vertices):
-        lines.append(f"v {lab}")
-    for j in range(len(h.edges)):
-        lines.append("e " + " ".join(h.edge_labels(j)))
+    labels = sorted(h.vertices)
+    rank = [0] * len(labels)  # vertex index -> position of its label in sorted order
+    for r, lab in enumerate(labels):
+        rank[h._index[lab]] = r
+    lines = [f"hg {k} {len(labels)} {len(h.edges)}"]
+    lines += [f"v {lab}" for lab in labels]
+    label_of, rank_of = labels.__getitem__, rank.__getitem__
+    lines += ["e " + " ".join(map(label_of, sorted(map(rank_of, e)))) for e in h.edges]
     return "\n".join(lines) + "\n"
 
 

@@ -31,31 +31,39 @@ class Hypergraph:
             raise ValueError("vertex set must be non-empty")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex label")
-        n = len(self.vertices)
+        valid = frozenset(range(len(self.vertices)))
         for i, e in enumerate(self.edges):
-            for v in e:
-                if not (0 <= v < n):
-                    raise ValueError(f"edge {i} references unknown vertex index {v}")
+            if not valid.issuperset(e):
+                v = next(v for v in e if v not in valid)
+                raise ValueError(f"edge {i} references unknown vertex index {v}")
 
     @classmethod
     def from_labels(cls, vertices, edges) -> Hypergraph:
         """Build a hypergraph from label iterables, preserving the given orders.
 
         An edge is a set, so a label repeated within one edge is rejected
-        rather than merged.
+        rather than merged.  Labels are checked one by one, for the error
+        message, only when an edge's index set comes out short.
         """
         vs = tuple(vertices)
         index = {lab: i for i, lab in enumerate(vs)}
+        position = index.__getitem__
         es = []
         for e in edges:
-            members = set()
-            for lab in e:
-                if lab not in index:
-                    raise ValueError(f"edge {len(es)} references unknown vertex {lab!r}")
-                if index[lab] in members:
-                    raise ValueError(f"edge {len(es)} repeats vertex {lab!r}")
-                members.add(index[lab])
-            es.append(frozenset(members))
+            labs = tuple(e)
+            try:
+                members = frozenset(map(position, labs))
+            except KeyError:
+                members = frozenset()  # short, so the scan below names the label
+            if len(members) != len(labs):
+                seen = set()
+                for lab in labs:
+                    if lab not in index:
+                        raise ValueError(f"edge {len(es)} references unknown vertex {lab!r}")
+                    if lab in seen:
+                        raise ValueError(f"edge {len(es)} repeats vertex {lab!r}")
+                    seen.add(lab)
+            es.append(members)
         return cls(vs, tuple(es))
 
     @cached_property
@@ -74,7 +82,7 @@ class Hypergraph:
 
     def edge_labels(self, edge_id: int) -> tuple[str, ...]:
         """Sorted vertex labels of one edge."""
-        return tuple(sorted(self.vertices[i] for i in self.edges[edge_id]))
+        return tuple(sorted(map(self.vertices.__getitem__, self.edges[edge_id])))
 
     def degree(self, label: str) -> int:
         """Number of edges incident with the vertex, counting multiplicity."""

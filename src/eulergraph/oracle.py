@@ -6,10 +6,12 @@ are exact within their size budgets, and they search states, not paths:
 
 * ``brute_family_exists`` sweeps the edges in order over the set of reachable
   vertex-parity bitmasks, at most 2^(open vertices) of them, where a vertex
-  is open while some but not all of its edges are swept;
-* ``brute_tour`` is a depth-first trail search that remembers failed
-  (start vertex, used-edge mask, current vertex) states, at most
-  2^(m-1) * n per start vertex, in the style of Held and Karp (1962);
+  is open while some but not all of its edges are swept; a set larger than
+  2^max_nodes raises ``ValueError``, so wide inputs fail fast;
+* ``brute_tour`` is a depth-first trail search over per-vertex edge bitmasks
+  that remembers failed (used-edge mask, current vertex) states of each
+  start vertex, at most 2^(m-1) * n of them, in the style of Held and Karp
+  (1962), and tries each unordered start pair of edge 0 once;
 * ``brute_max_matching`` memoises the best matching of each live node set.
 
 Euler-tour existence is NP-complete (Lonc and Naroski, 2010), so the tour
@@ -28,6 +30,13 @@ from .hypergraph import EulerFamily, Hypergraph, Walk, canonical_closed_trail, v
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Size limits of the exhaustive searches.
+
+    ``max_edges`` caps the edges of the family and tour searches;
+    ``max_nodes`` caps the nodes of the matching search and, as
+    2^max_nodes, the parity states of the family sweep.
+    """
+
     max_edges: int = 10
     max_nodes: int = 16
 
@@ -48,80 +57,96 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
     two bits.  Once a vertex's last edge is swept, only states with its bit
     clear can still end at zero, so only the bits of open vertices (met by a
     swept edge and by an edge still to come) are ever set, and the set holds
-    at most 2^(open vertices) states.
+    at most 2^(open vertices) states.  A set that outgrows
+    2^budget.max_nodes states raises ``ValueError``, as too many edges do.
     """
     m = len(h.edges)
     if m > budget.max_edges:
         raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
+    cap = 1 << budget.max_nodes
     last = {v: j for j, e in enumerate(h.edges) for v in e}
     states = {0}
     for j, e in enumerate(h.edges):
-        flips = [(1 << a) | (1 << b) for a, b in combinations(e, 2)]
         closed = sum(1 << v for v in e if last[v] == j)
-        states = {s ^ f for s in states for f in flips}
-        states = {s for s in states if not s & closed}
-        if not states:
+        reached: set[int] = set()
+        for a, b in combinations(e, 2):
+            # s ^ flip clears the closed bits exactly when s agrees with flip on them.
+            flip = (1 << a) | (1 << b)
+            keep = flip & closed
+            reached.update([s ^ flip for s in states if s & closed == keep])
+            if len(reached) > cap:
+                raise ValueError(
+                    f"too many parity states for exhaustive search "
+                    f"(over 2**{budget.max_nodes})")
+        if not reached:
             return False
+        states = reached
     return True
 
 
 def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | None:
     """Depth-first search for an Euler tour; returns a canonical verified tour or None.
 
-    The search starts from each ordered anchor pair of edge 0, then extends
-    the trail by the lowest unused edge id through the current vertex, and
-    within an edge by the lowest next anchor.  Whether a partial trail
-    completes depends only on its start vertex, its used-edge mask and its
-    current vertex, so each such state that failed once is remembered and
-    never expanded again: at most 2^(m-1) * n states per start vertex.  The
-    memo cuts only subtrees that hold no tour, so the first tour found is the
-    one plain backtracking in the same order would find.
+    The search starts from each anchor pair (a, b) of edge 0 with a < b, then
+    extends the trail by the lowest unused edge id through the current
+    vertex, and within an edge by the lowest next anchor.  The pair (b, a)
+    needs no search of its own: reversing a tour through a, e0, b and
+    starting it at b gives one through b, e0, a, so (b, a) has a tour only
+    when (a, b), tried first, has one.  A partial trail whose start vertex
+    has no unused edge left cannot close, so it is not extended.  Whether a
+    partial trail completes depends only on its start vertex, its used-edge
+    mask and its current vertex, so each such state that failed once is
+    remembered and never expanded again: at most 2^(m-1) * n states per start
+    vertex.  No cut removes a subtree that holds a tour, so the first tour
+    found is the one plain backtracking over all ordered pairs in the same
+    order would find.
     """
     m = len(h.edges)
     if m > budget.max_edges:
         raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
     if m < 2:
         return None
+    n = h.order
     members = [sorted(e) for e in h.edges]
-    through = [[j for j in range(m) if v in h.edges[j]] for v in range(h.order)]
+    through = [0] * n  # bit j set when edge j holds the vertex
+    for j, e in enumerate(h.edges):
+        for v in e:
+            through[v] |= 1 << j
     full = (1 << m) - 1
-    anchors: list[int] = []
-    eseq: list[int] = []
-    failed: set[tuple[int, int, int]] = set()
+    steps: list[tuple[int, int]] = []  # (edge, next anchor), last step first
+    failed: set[int] = set()  # used * n + current vertex, for the current start
 
-    def extend(cur: int, start: int, used: int) -> bool:
+    def extend(cur: int, used: int) -> bool:
         if used == full:
             return cur == start
-        if (start, used, cur) in failed:
+        key = used * n + cur
+        if key in failed or not through[start] & ~used:
             return False
-        for eid in through[cur]:
-            if used >> eid & 1:
-                continue
-            eseq.append(eid)
+        free = through[cur] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            eid = bit.bit_length() - 1
             for nxt in members[eid]:
-                if nxt == cur:
-                    continue
-                anchors.append(nxt)
-                if extend(nxt, start, used | 1 << eid):
+                if nxt != cur and extend(nxt, used | bit):
+                    steps.append((eid, nxt))
                     return True
-                anchors.pop()
-            eseq.pop()
-        failed.add((start, used, cur))
+        failed.add(key)
         return False
 
-    first = members[0]
-    for a in first:
-        for b in first:
-            if a == b:
-                continue
-            anchors[:] = [a, b]
-            eseq[:] = [0]
-            if extend(b, a, 1):
-                walk = Walk(tuple(h.vertices[i] for i in anchors), tuple(eseq))
-                tour = canonical_closed_trail(walk)
-                report = verify_euler_object(h, EulerFamily((tour,)))
-                assert report.valid
-                return tour
+    start = -1
+    for a, b in combinations(members[0], 2):
+        if a != start:
+            start = a
+            failed.clear()
+        if extend(b, 1):
+            steps.reverse()
+            anchors = [a, b] + [v for _, v in steps]
+            walk = Walk(tuple(h.vertices[i] for i in anchors), (0,) + tuple(e for e, _ in steps))
+            tour = canonical_closed_trail(walk)
+            report = verify_euler_object(h, EulerFamily((tour,)))
+            assert report.valid
+            return tour
     return None
 
 

@@ -1,5 +1,6 @@
 """Generators, the text formats, and the command line."""
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -90,6 +91,48 @@ class TestGenerators:
         h = gen_random_covering(4, 3, 1)
         assert len(h.edges) >= 2
         assert validate_covering(h, 3).is_covering
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of emit_hg output.  The seeded corpora and every bench digest rest
+# on these bytes, so any change to the generators or the emitter must keep
+# them.  Labels v10 and up sort before v2, so the n >= 10 cases also pin the
+# label order of vertex and edge lines.
+GOLDEN_HG = {
+    (gen_random_covering, (14, 3, 5)):
+        "ccae92c0023b060d3276165d36013fdb0873c3891a5f5080357f8fcce8ef20e3",
+    (gen_random_covering, (22, 3, 9)):
+        "4c9f7b7f98827b501cf792b95a0dd0ad006d12d87958db2e2e2ff3799151d921",
+    (gen_random_covering, (10, 4, 2)):
+        "425bec69c40ef273364a94a9d86101121d680750a8afc1c3d22fc1c1c092c402",
+    (gen_random_covering, (9, 5, 3)):
+        "dfb95b77f27036eab11e9fa2fd80c049a6fa2cfa24df9655c9763fe7c85e950e",
+    (gen_random_covering, (9, 6, 1)):
+        "8dc1e5cf8d4463ef9253fcc98f190b2e1ffa738ebbb94c4029d4107a838523fb",
+    (gen_sts, (19,)): "2c056b5344ec1167d1b243d88eb3453fa062ec891bc2975f9b433de183e1cb2f",
+    (gen_sts, (21,)): "06d65fefcc173d9b620090131d1601678b0360f265fa9f5ebdb3fb33143b625a",
+    (gen_complete, (9, 3)): "bc1708f84d437623b5a984d6264501a4c5029494d3b77bcb44f00e2a17ce14b6",
+    (gen_complete, (8, 5)): "9981b3f60e471463fed9cbdac6094dbbfc8d972b4dd9b23a28fd4d2cd97ab1c7",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("gen, args", list(GOLDEN_HG),
+                             ids=[f"{g.__name__}{a}" for g, a in GOLDEN_HG])
+    def test_emitted_text(self, gen, args):
+        assert _sha256(emit_hg(gen(*args))) == GOLDEN_HG[gen, args]
+
+    def test_lcg_below_and_shuffle_stream(self):
+        rng = Lcg(12345)
+        values = [rng.below(b) for b in range(1, 400)]
+        items = list(range(50))
+        rng.shuffle(items)
+        values += items + [rng.below(1 << 40)]
+        assert _sha256(" ".join(map(str, values))) == (
+            "40a1ce0c2700aa78087c6bc5f0af148f82ad4429b33ab8f2dd995c8cc40a9a7f")
 
 
 class TestHgFormat:

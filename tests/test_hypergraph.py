@@ -44,6 +44,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"edge 2 repeats vertex 'c'"):
             Hypergraph.from_labels("abc", [("a", "b"), ("b", "c"), ("c", "a", "c")])
 
+    def test_edges_given_as_generators_or_sets(self):
+        expected = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("b", "c", "d")])
+        as_generators = Hypergraph.from_labels(
+            iter("abcd"), ((lab for lab in e) for e in ["abc", "bcd"]))
+        as_sets = Hypergraph.from_labels("abcd", [{"c", "a", "b"}, frozenset("dcb")])
+        assert as_generators == as_sets == expected
+
+    def test_edge_error_messages(self):
+        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex 'z'$"):
+            Hypergraph.from_labels("abc", [("a", "b"), ("a", "z")])
+        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex 'z'$"):
+            Hypergraph.from_labels("abc", [("a", "b"), (lab for lab in "azb")])
+        # Labels are checked in order, so the first fault of an edge is the one reported.
+        with pytest.raises(ValueError, match=r"^edge 0 repeats vertex 'a'$"):
+            Hypergraph.from_labels("abc", [("a", "a", "z")])
+        with pytest.raises(ValueError, match=r"^edge 0 references unknown vertex 'z'$"):
+            Hypergraph.from_labels("abc", [("z", "a", "a")])
+        with pytest.raises(ValueError, match=r"^edge 0 repeats vertex 'b'$"):
+            Hypergraph.from_labels("abc", [iter("abcb")])
+
+    def test_unknown_vertex_index_rejected(self):
+        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex index 3$"):
+            Hypergraph(("a", "b", "c"), (frozenset({0, 1}), frozenset({2, 3})))
+
     def test_multiset_edges_keep_identity(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
         assert len(h.edges) == 2

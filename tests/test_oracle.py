@@ -1,6 +1,7 @@
 """The brute-force oracles themselves, cross-checked by independent routes."""
 
 import ast
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -16,15 +17,26 @@ from eulergraph import (
     solve,
     verify_euler_object,
 )
-from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering
+from eulergraph.cli import EXIT_INPUT, main
+from eulergraph.genio import (
+    Lcg,
+    emit_hg,
+    format_walk_line,
+    gen_complete,
+    gen_random_covering,
+    gen_sts,
+)
 
 from helpers import (
     complete_graph,
+    disjoint_union,
     fano,
     petersen,
     random_graph,
+    random_noncovering,
     reference_brute_family_exists,
     reference_brute_tour,
+    roadmap_item3,
     tutte_berge_max_matching,
 )
 
@@ -50,6 +62,27 @@ class TestBruteFamilyExists:
         with pytest.raises(ValueError):
             brute_family_exists(h)
 
+    def test_state_cap_fails_fast(self):
+        # Ten 10-vertex edges over 20 vertices: without the cap the sweep
+        # walks about 2^19 states per edge and takes seconds.
+        h = _wide_edges(20, 10)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"too many parity states .* \(over 2\*\*16\)"):
+            brute_family_exists(h)
+        assert time.perf_counter() - start < 2.0
+
+    def test_state_cap_follows_max_nodes(self):
+        h = _wide_edges(10, 5)
+        assert brute_family_exists(h) == reference_brute_family_exists(h)
+        with pytest.raises(ValueError, match=r"\(over 2\*\*4\)"):
+            brute_family_exists(h, SearchBudget(max_nodes=4))
+
+    def test_cli_exits_two_on_state_cap(self, tmp_path, capsys):
+        path = tmp_path / "wide.hg"
+        path.write_text(emit_hg(_wide_edges(20, 10)), encoding="utf-8")
+        assert main(["oracle", "family", str(path)]) == EXIT_INPUT
+        assert "too many parity states" in capsys.readouterr().err
+
 
 class TestBruteTour:
     def test_two_copies_canonical(self):
@@ -64,6 +97,36 @@ class TestBruteTour:
         tour = brute_tour(h)
         assert tour is not None
         assert verify_euler_object(h, EulerFamily((tour,))).valid
+
+    @pytest.mark.parametrize("parts", [
+        (gen_complete(4, 3), gen_complete(4, 3)),
+        (gen_complete(4, 3), gen_complete(4, 3), gen_complete(4, 3)),
+        (gen_sts(7), gen_complete(4, 3)),
+        (gen_random_covering(5, 3, 1), gen_complete(4, 3)),
+    ], ids=["complete(4,3)x2", "complete(4,3)x3", "sts(7)+complete(4,3)",
+            "random_covering(5,3,1)+complete(4,3)"])
+    def test_disjoint_unions_equal_reference(self, parts):
+        # Every start pair fails, so each pair (b, a) is skipped after (a, b).
+        h = disjoint_union(*parts)
+        assert brute_tour(h, SearchBudget(max_edges=12)) is None
+        assert reference_brute_tour(h) is None
+
+    def test_roadmap_item3_equal_reference(self):
+        h = roadmap_item3()
+        tour = brute_tour(h)
+        assert tour is not None and tour == reference_brute_tour(h)
+
+    def test_family_without_tour_equal_reference(self):
+        rng = Lcg(7)
+        found = 0
+        while found < 15:
+            h = random_noncovering(rng)
+            if not brute_family_exists(h):
+                continue
+            tour = brute_tour(h)
+            assert tour == reference_brute_tour(h)
+            found += tour is None
+        assert found == 15
 
     def test_parity_blocked_none(self):
         h = Hypergraph.from_labels("abcde", [("a", "b", "c"), ("a", "d", "e")])
@@ -100,6 +163,17 @@ class TestBruteTour:
             h = Hypergraph.from_labels(labels[:n], edges)
             assert brute_family_exists(h) == (
                 find_family_subgraph(build_incidence(h)) is not None)
+
+
+def _wide_edges(n: int, size: int) -> Hypergraph:
+    """Ten seeded edges of ``size`` vertices each over n vertices."""
+    rng = Lcg(5)
+    edges = []
+    for _ in range(10):
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges.append([f"v{i}" for i in pool[:size]])
+    return Hypergraph.from_labels([f"v{i}" for i in range(n)], edges)
 
 
 def _mixed_draw(rng: Lcg) -> Hypergraph:

@@ -42,12 +42,10 @@ from .incidence import (
     components,
 )
 from .interchange import (
-    InterchangeCycle,
     MergeStats,
     apply_interchange,
     find_diminishing_cycle,
     find_linking_cycle,
-    is_interchanging,
     merge_to_tour,
 )
 from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
@@ -69,7 +67,6 @@ __all__ = [
     "InadmissibleOrderError",
     "IncidenceGraph",
     "InfeasibleDegreeError",
-    "InterchangeCycle",
     "Matching",
     "MergeExhaustedError",
     "MergeStats",
@@ -90,7 +87,6 @@ __all__ = [
     "find_diminishing_cycle",
     "find_family_subgraph",
     "find_linking_cycle",
-    "is_interchanging",
     "max_matching",
     "merge_to_tour",
     "reduce_to_matching",

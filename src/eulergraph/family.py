@@ -36,10 +36,11 @@ class FamilySubgraph:
 
     def __post_init__(self):
         g = self.host
+        edges = g.host.edges
         e_deg = [0] * g.n_e
         v_deg = [0] * g.n_v
         for v, e in self.selected:
-            if not (0 <= e < g.n_e) or v not in g.adj_sets[g.e_node(e)]:
+            if not (0 <= e < g.n_e) or v not in edges[e]:
                 raise CertificateViolation(f"({v}, e{e + 1}) is not an incidence of the host")
             e_deg[e] += 1
             v_deg[v] += 1

@@ -33,10 +33,6 @@ class IncidenceGraph:
         return node < self.n_v
 
     @cached_property
-    def adj_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.adj)
-
-    @cached_property
     def incidences(self) -> tuple[tuple[int, int], ...]:
         """All (vertex index, edge id) incidence pairs, grouped by edge."""
         return tuple(

@@ -21,17 +21,17 @@ The merge takes one move per step:
   edge-nodes, shortest first, keeping the first whose application
   diminishes.
 * Escape (merging only): when no diminishing cycle is found, apply the first
-  interchanging cycle, in the same order, that reaches a certificate the
-  merge has not seen, so the loop ends; a step budget also guards it.  On
-  covering 3-hypergraphs, exceeding the budget signals an implementation
-  bug, not a mathematical obstruction.
+  candidate of the same scan that reaches a certificate the merge has not
+  seen, so the loop ends; a step budget also guards it.  On covering
+  3-hypergraphs, exceeding the budget signals an implementation bug, not a
+  mathematical obstruction.
 
-Every stage scores a candidate on its toggled selection, the certificate's
-incidences XOR the cycle's: a union-find over that set counts its non-trivial
-components, and the set itself is what the merge compares with the
-certificates it has seen.  Only the chosen move becomes an
-:class:`InterchangeCycle`, and only the applied move builds and checks a new
-:class:`FamilySubgraph`.
+A move is the node tuple the search yields.  Every stage scores a candidate
+on its toggled selection, the certificate's incidences XOR the cycle's: a
+union-find over that set counts its non-trivial components, and the set
+itself is what the merge compares with the certificates it has seen.  Only
+the applied move builds a new :class:`FamilySubgraph`, whose degree check
+rejects any cycle that is not interchanging.
 """
 
 from __future__ import annotations
@@ -47,67 +47,15 @@ MAX_EDGE_NODES = 6
 MAX_EXPANSIONS = 250_000
 
 
-@dataclass(frozen=True)
-class InterchangeCycle:
-    """A cycle of the incidence graph, tagged with which of its edges are selected.
+def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySubgraph:
+    """Symmetric difference of the certificate with the cycle ``nodes``.
 
     ``nodes`` alternates vertex-node, edge-node, ... starting at a
-    vertex-node; closure back to ``nodes[0]`` is implicit.  ``in_family[i]``
-    flags the cycle edge from ``nodes[i]`` to ``nodes[(i+1) % len]``.
+    vertex-node; closure back to ``nodes[0]`` is implicit.  The new
+    certificate's degree check rejects every cycle that is not interchanging:
+    an edge-node meeting 0 or 2 selected cycle edges ends at degree 4 or 0.
     """
-
-    nodes: tuple[int, ...]
-    in_family: tuple[bool, ...]
-
-    @classmethod
-    def from_nodes(cls, fsub: FamilySubgraph, nodes: tuple[int, ...]) -> InterchangeCycle:
-        g = fsub.host
-        L = len(nodes)
-        if L < 4 or L % 2 != 0:
-            raise ValueError("not a cycle: need an even node count of at least 4")
-        if len(set(nodes)) != L:
-            raise ValueError("not a cycle: repeated node")
-        flags = []
-        for i, a in enumerate(nodes):
-            if g.is_v_node(a) != (i % 2 == 0):
-                raise ValueError("not a cycle of the incidence graph: classes do not alternate")
-            b = nodes[(i + 1) % L]
-            if b not in g.adj_sets[a]:
-                raise ValueError(f"not a cycle: nodes {a} and {b} are not adjacent")
-            v, e = (a, b) if g.is_v_node(a) else (b, a)
-            flags.append((v, g.edge_id(e)) in fsub.selected)
-        return cls(nodes, tuple(flags))
-
-    def incidences(self, g: IncidenceGraph) -> frozenset[tuple[int, int]]:
-        return _cycle_incidences(g, self.nodes)
-
-    def interchanging(self) -> bool:
-        """True iff every edge-node on the cycle meets exactly one selected cycle edge."""
-        # Edge-nodes sit at odd positions; their two cycle edges carry
-        # flags in_family[i-1] and in_family[i].
-        for i in range(1, len(self.nodes), 2):
-            if self.in_family[i - 1] == self.in_family[i]:
-                return False
-        return True
-
-
-def is_interchanging(fsub: FamilySubgraph, cycle) -> bool:
-    """Check the interchanging condition; raises ValueError when the input is not a cycle.
-
-    Flags are always recomputed against ``fsub``, so a cycle built from an
-    older certificate is judged on the current one.
-    """
-    nodes = cycle.nodes if isinstance(cycle, InterchangeCycle) else tuple(cycle)
-    return InterchangeCycle.from_nodes(fsub, nodes).interchanging()
-
-
-def apply_interchange(fsub: FamilySubgraph, cycle: InterchangeCycle) -> FamilySubgraph:
-    """Symmetric difference of the certificate with an interchanging cycle."""
-    cycle = InterchangeCycle.from_nodes(fsub, cycle.nodes)
-    if not cycle.interchanging():
-        raise CertificateViolation("cycle is not interchanging for this certificate")
-    new_selected = fsub.selected.symmetric_difference(cycle.incidences(fsub.host))
-    return FamilySubgraph(fsub.host, new_selected)
+    return FamilySubgraph(fsub.host, fsub.selected ^ _cycle_incidences(fsub.host, nodes))
 
 
 def _alternating_cycles(g, rows, start, exact_e, counter):
@@ -200,7 +148,7 @@ def _nontrivial_count(g: IncidenceGraph, selected) -> int:
     return count
 
 
-def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
+def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> tuple[int, ...] | None:
     """Strategy S1: one cycle through a non-cut vertex-node of every component.
 
     Requires at least three components (trivial ones count; an isolated
@@ -221,41 +169,36 @@ def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCy
         else:
             picks.append(fsub.non_cut_v_vertices(comp)[0])
     h = g.host
+    sel = fsub.selected
     used_e: set[int] = set()
-    e_nodes: list[int] = []
+    nodes: list[int] = []
     for i, v in enumerate(picks):
         w = picks[(i + 1) % len(picks)]
         eid = next(
             (j for j, e in enumerate(h.edges)
              if j not in used_e and v in e and w in e),
             None)
-        if eid is None:
+        # Interchanging: the edge meets exactly one of its two cycle edges selected.
+        if eid is None or ((v, eid) in sel) == ((w, eid) in sel):
             return None
         used_e.add(eid)
-        e_nodes.append(g.e_node(eid))
-    nodes: list[int] = []
-    for v, en in zip(picks, e_nodes):
-        nodes.append(v)
-        nodes.append(en)
-    try:
-        cycle = InterchangeCycle.from_nodes(fsub, tuple(nodes))
-    except ValueError:
+        nodes += (v, g.e_node(eid))
+    if _nontrivial_count(g, sel ^ _cycle_incidences(g, nodes)) >= len(fsub.nontrivial_components):
         return None
-    if not cycle.interchanging():
-        return None
-    after = _nontrivial_count(g, fsub.selected ^ cycle.incidences(g))
-    if after >= len(fsub.nontrivial_components):
-        return None
-    return cycle
+    return tuple(nodes)
 
 
-def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> InterchangeCycle | None:
+def find_diminishing_cycle(
+    g: IncidenceGraph, fsub: FamilySubgraph, seen=None,
+) -> tuple[int, ...] | None:
     """A component-diminishing interchanging cycle: S1, then the shortest-first search.
 
     S1 (:func:`find_linking_cycle`) needs three or more components.  The
     search tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
     edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
     keeps the first whose toggled selection has fewer non-trivial components.
+    When none diminishes and ``seen`` is given, it returns instead the first
+    candidate of the same scan whose toggled selection is not in ``seen``.
     """
     base = len(fsub.nontrivial_components)
     if base < 2:
@@ -264,29 +207,27 @@ def find_diminishing_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> Interchan
     if cycle is not None:
         return cycle
     comp_of = fsub.node_component
+    escape = None
     for nodes in _candidates(g, fsub.subgraph_adj):
-        # A cycle confined to one component can never diminish, so it is
-        # skipped without being scored.
-        if len({comp_of[x] for x in nodes}) < 2:
+        # A cycle confined to one component can never diminish.
+        crosses = len({comp_of[x] for x in nodes}) > 1
+        want_escape = seen is not None and escape is None
+        if not (crosses or want_escape):
             continue
-        if _nontrivial_count(g, fsub.selected ^ _cycle_incidences(g, nodes)) < base:
-            return InterchangeCycle.from_nodes(fsub, nodes)
-    return None
-
-
-def _any_unseen_move(g, fsub, seen):
-    """Escape: the first interchanging cycle whose toggled selection is not in ``seen``."""
-    for nodes in _candidates(g, fsub.subgraph_adj):
-        if fsub.selected ^ _cycle_incidences(g, nodes) not in seen:
-            return InterchangeCycle.from_nodes(fsub, nodes)
-    return None
+        toggled = fsub.selected ^ _cycle_incidences(g, nodes)
+        if crosses and _nontrivial_count(g, toggled) < base:
+            return nodes
+        if want_escape and toggled not in seen:
+            escape = nodes
+    return escape
 
 
 @dataclass
 class MergeStats:
     """Counters filled in by :func:`merge_to_tour` for budget-health reporting.
 
-    Every step is a diminishing move or an escape.  ``pivot_reduce`` and
+    A step is ``diminishing`` when it lowers the count of non-trivial
+    components, and an ``escape`` otherwise.  ``pivot_reduce`` and
     ``pivot_neutral`` always read 0; they stay because ``perfbench/run.py``
     reads them outside a ``try``, until the harness tolerates a missing field.
     """
@@ -333,11 +274,12 @@ def merge_to_tour(
         budget = 10 * m * m
 
     seen = {fsub.selected}
-    while len(fsub.nontrivial_components) > 1:
+    while (base := len(fsub.nontrivial_components)) > 1:
         if stats.steps >= budget:
             raise MergeExhaustedError("budget", stats.steps, fsub.selected)
-        move = find_diminishing_cycle(g, fsub)
-        if move is not None:
+        move = find_diminishing_cycle(g, fsub, seen)
+        after = None if move is None else apply_interchange(fsub, move)
+        if after is not None and len(after.nontrivial_components) < base:
             stats.diminishing += 1
         else:
             if covering:
@@ -347,11 +289,10 @@ def merge_to_tour(
                         f"stuck with {len(comps)} components on a covering 3-hypergraph; "
                         "expected exactly two, both non-trivial")
                 stats.min_shape_checks += 1
-            move = _any_unseen_move(g, fsub, seen)
-            if move is None:
+            if after is None:
                 raise MergeExhaustedError("no-move", stats.steps, fsub.selected)
             stats.escapes += 1
-        fsub = apply_interchange(fsub, move)
+        fsub = after
         stats.steps += 1
         seen.add(fsub.selected)
 

@@ -6,8 +6,9 @@ are exact within their size budgets, and they search states, not paths:
 
 * ``brute_family_exists`` sweeps the edges in order over the set of reachable
   vertex-parity bitmasks, at most 2^(open vertices) of them, where a vertex
-  is open while some but not all of its edges are swept; a set larger than
-  2^max_nodes raises ``ValueError``, so wide inputs fail fast;
+  is open while some but not all of its edges are swept; an edge step that
+  would make more than 2^max_nodes state updates raises ``ValueError``, so
+  wide inputs fail fast in time and in memory;
 * ``brute_tour`` is a depth-first trail search over per-vertex edge bitmasks
   that remembers failed (used-edge mask, current vertex) states of each
   start vertex, at most 2^(m-1) * n of them, in the style of Held and Karp
@@ -34,7 +35,7 @@ class SearchBudget:
 
     ``max_edges`` caps the edges of the family and tour searches;
     ``max_nodes`` caps the nodes of the matching search and, as
-    2^max_nodes, the parity states of the family sweep.
+    2^max_nodes, the state updates of one edge step of the family sweep.
     """
 
     max_edges: int = 10
@@ -57,8 +58,10 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
     two bits.  Once a vertex's last edge is swept, only states with its bit
     clear can still end at zero, so only the bits of open vertices (met by a
     swept edge and by an edge still to come) are ever set, and the set holds
-    at most 2^(open vertices) states.  A set that outgrows
-    2^budget.max_nodes states raises ``ValueError``, as too many edges do.
+    at most 2^(open vertices) states.  An edge step costs one update per
+    state and anchor pair; a step that would cost more than
+    2^budget.max_nodes updates raises ``ValueError``, as too many edges do.
+    That bounds the time of every step, and the states it reaches.
     """
     m = len(h.edges)
     if m > budget.max_edges:
@@ -67,6 +70,11 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
     last = {v: j for j, e in enumerate(h.edges) for v in e}
     states = {0}
     for j, e in enumerate(h.edges):
+        pairs = len(e) * (len(e) - 1) // 2
+        if len(states) * pairs > cap:
+            raise ValueError(
+                f"too many parity states for exhaustive search: {len(states)} states x "
+                f"{pairs} anchor pairs at e{j + 1} (over 2**{budget.max_nodes})")
         closed = sum(1 << v for v in e if last[v] == j)
         reached: set[int] = set()
         for a, b in combinations(e, 2):
@@ -74,10 +82,6 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
             flip = (1 << a) | (1 << b)
             keep = flip & closed
             reached.update([s ^ flip for s in states if s & closed == keep])
-            if len(reached) > cap:
-                raise ValueError(
-                    f"too many parity states for exhaustive search "
-                    f"(over 2**{budget.max_nodes})")
         if not reached:
             return False
         states = reached

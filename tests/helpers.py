@@ -11,7 +11,6 @@ from eulergraph import (
     EulerFamily,
     FamilySubgraph,
     Hypergraph,
-    InterchangeCycle,
     Matching,
     Walk,
     build_incidence,
@@ -175,8 +174,8 @@ def random_noncovering(rng: Lcg) -> Hypergraph:
 
 
 def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
-                                tries: int = 40, max_e: int = 5) -> list[InterchangeCycle]:
-    """Collect interchanging cycles of fsub at seeded-random starts and lengths."""
+                                tries: int = 40, max_e: int = 5) -> list[tuple[int, ...]]:
+    """Collect interchanging cycles of fsub, as node tuples, at seeded-random starts and lengths."""
     out = []
     seen = set()
     n_v = fsub.host.n_v
@@ -192,7 +191,7 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
             if i == skip:
                 if nodes not in seen:
                     seen.add(nodes)
-                    out.append(InterchangeCycle.from_nodes(fsub, nodes))
+                    out.append(nodes)
                 break
             i += 1
     return out

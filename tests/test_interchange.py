@@ -12,7 +12,6 @@ from eulergraph import (
     EulerFamily,
     FamilySubgraph,
     Hypergraph,
-    InterchangeCycle,
     MergeExhaustedError,
     MergeStats,
     Walk,
@@ -22,7 +21,6 @@ from eulergraph import (
     find_diminishing_cycle,
     find_family_subgraph,
     find_linking_cycle,
-    is_interchanging,
     merge_to_tour,
     solve,
     subgraph_from_trails,
@@ -31,7 +29,7 @@ from eulergraph import (
     verify_euler_object,
 )
 from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts
-from eulergraph.interchange import _cycle_incidences, _nontrivial_count
+from eulergraph.interchange import _candidates, _cycle_incidences, _nontrivial_count
 
 from helpers import (
     disjoint_union,
@@ -47,55 +45,55 @@ def three_component_instance():
     return grouped_family([("a", "b"), ("c", "d"), ("e", "f")])
 
 
-class TestIsInterchanging:
-    def test_true_when_each_e_node_has_one_selected_edge(self):
+class TestApplyInterchange:
+    """Moves are node tuples; the new certificate's degree check is the interchanging test."""
+
+    def test_interchanging_cycle_accepted(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # edges: e1={a,b,c} e2={a,b,d} anchored (a,b); e3={c,d,a} e4={c,d,b} anchored (c,d)
         a, c = h.vertex_index("a"), h.vertex_index("c")
         cycle = (a, g.e_node(0), c, g.e_node(2))
-        assert is_interchanging(fsub, cycle)
+        after = apply_interchange(fsub, cycle)
+        assert after.selected == fsub.selected ^ {(a, 0), (c, 0), (a, 2), (c, 2)}
 
-    def test_false_when_an_e_node_has_two(self):
-        h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        a, b = h.vertex_index("a"), h.vertex_index("b")
-        cycle = (a, g.e_node(0), b, g.e_node(1))
-        assert not is_interchanging(fsub, cycle)
-
-    def test_not_a_cycle_raises(self):
-        h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        with pytest.raises(ValueError):
-            is_interchanging(fsub, (0, g.e_node(0)))
-        with pytest.raises(ValueError):
-            is_interchanging(fsub, (0, g.e_node(0), 0, g.e_node(1)))
-        with pytest.raises(ValueError):
-            is_interchanging(fsub, (0, 1, 2, 3))
-
-
-class TestApplyInterchange:
     def test_involution(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = InterchangeCycle.from_nodes(
-            fsub, (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2)))
+        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
         once = apply_interchange(fsub, cycle)
-        again = apply_interchange(once, InterchangeCycle.from_nodes(once, cycle.nodes))
+        again = apply_interchange(once, cycle)
         assert again.selected == fsub.selected
 
     def test_crossing_cycle_merges_two_four_cycles(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         assert len(fsub.nontrivial_components) == 2
-        cycle = InterchangeCycle.from_nodes(
-            fsub, (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2)))
+        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
         after = apply_interchange(fsub, cycle)
         nontrivial = after.nontrivial_components
         assert len(nontrivial) == 1
         assert len(nontrivial[0].nodes) == 8  # one 8-cycle component
 
     def test_non_interchanging_rejected(self):
+        # both cycle edges at e1 and at e2 are selected: the edge-nodes would end at degree 0
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = InterchangeCycle.from_nodes(
-            fsub, (h.vertex_index("a"), g.e_node(0), h.vertex_index("b"), g.e_node(1)))
-        with pytest.raises(CertificateViolation):
+        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("b"), g.e_node(1))
+        with pytest.raises(CertificateViolation, match="degree 0"):
             apply_interchange(fsub, cycle)
+
+    def test_e_node_meeting_no_selected_edge_rejected(self):
+        # two copies of {a,b,c,d} anchored (a,b); the cycle through c and d
+        # meets no selected edge, so both edge-nodes would end at degree 4
+        h = Hypergraph.from_labels("abcd", ["abcd", "abcd"])
+        g = build_incidence(h)
+        a, b, c, d = range(4)
+        fsub = FamilySubgraph(g, frozenset({(a, 0), (b, 0), (a, 1), (b, 1)}))
+        with pytest.raises(CertificateViolation, match="degree 4"):
+            apply_interchange(fsub, (c, g.e_node(0), d, g.e_node(1)))
+
+    def test_not_a_cycle_rejected(self):
+        h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
+        for nodes in [(0, g.e_node(0)), (0, g.e_node(0), 0, g.e_node(1)), (0, 1, 2, 3)]:
+            with pytest.raises(CertificateViolation):
+                apply_interchange(fsub, nodes)
 
     def test_preserves_certificate_on_random_cycles(self):
         # constructor revalidates: e-degrees 2, v-degrees even
@@ -134,7 +132,7 @@ class TestCandidateScoring:
             with_isolated += any(c.trivial and g.is_v_node(min(c.nodes)) for c in fsub.components)
             for cyc in sample_interchanging_cycles(fsub, rng, want=6):
                 after = apply_interchange(fsub, cyc)
-                toggled = fsub.selected ^ _cycle_incidences(g, cyc.nodes)
+                toggled = fsub.selected ^ _cycle_incidences(g, cyc)
                 assert toggled == after.selected
                 assert _nontrivial_count(g, toggled) == len(after.nontrivial_components)
                 cycles += 1
@@ -147,7 +145,7 @@ class TestFindLinkingCycle:
         h, g, fsub = three_component_instance()
         assert len(fsub.nontrivial_components) == 3
         cycle = find_linking_cycle(g, fsub)
-        assert cycle is not None and cycle.interchanging()
+        assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert len(after.nontrivial_components) == 1
 
@@ -179,7 +177,7 @@ class TestFindLinkingCycle:
         assert sum(1 for c in comps if c.trivial) == 1
         cycle = find_linking_cycle(g, fsub)
         assert cycle is not None
-        assert h.vertex_index("z") in cycle.nodes
+        assert h.vertex_index("z") in cycle
         after = apply_interchange(fsub, cycle)
         assert len(after.nontrivial_components) == 1
 
@@ -200,7 +198,7 @@ class TestFindDiminishingCycle:
         fsub = find_family_subgraph(g)
         assert len(fsub.nontrivial_components) == 2
         cycle = find_diminishing_cycle(g, fsub)
-        assert cycle is not None and len(cycle.nodes) == 4
+        assert cycle is not None and len(cycle) == 4
         after = apply_interchange(fsub, cycle)
         assert len(after.nontrivial_components) == 1
 
@@ -401,22 +399,66 @@ class TestLadderTrajectories:
         assert set(read) <= {f.name for f in dataclasses.fields(MergeStats)}
 
 
+def _two_scans(g, fsub, seen):
+    """Reference: S1 or the first diminishing candidate, then a fresh scan for the first unseen.
+
+    Every candidate is scored, even one confined to a single component.
+    """
+    base = len(fsub.nontrivial_components)
+    diminishing = find_linking_cycle(g, fsub) or next(
+        (nodes for nodes in _candidates(g, fsub.subgraph_adj)
+         if _nontrivial_count(g, fsub.selected ^ _cycle_incidences(g, nodes)) < base),
+        None)
+    unseen = next(
+        (nodes for nodes in _candidates(g, fsub.subgraph_adj)
+         if fsub.selected ^ _cycle_incidences(g, nodes) not in seen),
+        None)
+    return diminishing, unseen
+
+
 class TestEscapeMove:
     """The merge's move when no diminishing cycle is found, exercised directly."""
 
-    def test_any_unseen_move_respects_seen_set(self):
-        from eulergraph.interchange import _any_unseen_move
-
+    def test_first_unseen_candidate_respects_seen_set(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
+        # a crossing 4-cycle diminishes, and the escape never replaces it
+        assert find_diminishing_cycle(g, fsub, {fsub.selected}) == find_diminishing_cycle(g, fsub)
+        # every candidate confined to one component: none diminishes
+        fsub = find_family_subgraph(build_incidence(_two_complete_four_three()))
+        assert len(fsub.nontrivial_components) == 2
+        g = fsub.host
+        assert find_diminishing_cycle(g, fsub) is None
         seen = {fsub.selected}
-        move = _any_unseen_move(g, fsub, seen)
+        move = find_diminishing_cycle(g, fsub, seen)
         assert move is not None
         first = apply_interchange(fsub, move)
         assert first.selected not in seen
         seen.add(first.selected)
-        move2 = _any_unseen_move(g, fsub, seen)
-        assert move2 is not None
+        move2 = find_diminishing_cycle(g, fsub, seen)
+        assert move2 is not None and move2 != move
         assert apply_interchange(fsub, move2).selected not in seen
+        seen |= {apply_interchange(fsub, nodes).selected
+                 for nodes in _candidates(g, fsub.subgraph_adj)}
+        assert find_diminishing_cycle(g, fsub, seen) is None
+
+    @pytest.mark.parametrize("make, budget", _TRAJECTORY_INPUTS, ids=_TRAJECTORY_IDS)
+    def test_one_scan_matches_two_scans_step_by_step(self, make, budget):
+        fsub = find_family_subgraph(build_incidence(make()))
+        g = fsub.host
+        seen = {fsub.selected}
+        limit = budget if budget is not None else 10 * g.n_e ** 2
+        steps = 0
+        while len(fsub.nontrivial_components) > 1 and steps < limit:
+            diminishing, unseen = _two_scans(g, fsub, seen)
+            assert find_diminishing_cycle(g, fsub) == diminishing
+            move = find_diminishing_cycle(g, fsub, seen)
+            assert move == (diminishing or unseen)
+            if move is None:
+                break
+            fsub = apply_interchange(fsub, move)
+            seen.add(fsub.selected)
+            steps += 1
+        assert steps > 0
 
 
 class TestDirectOrderThree:

@@ -77,6 +77,20 @@ class TestBruteFamilyExists:
         with pytest.raises(ValueError, match=r"\(over 2\*\*4\)"):
             brute_family_exists(h, SearchBudget(max_nodes=4))
 
+    def test_update_cap_bounds_time(self, tmp_path, capsys):
+        # Ten 12-vertex edges over 18 vertices keep under 2^16 states, yet a
+        # sweep without the cap on states x pairs per step answers True after
+        # about 2 s; with it, the third edge step raises.
+        h = _wide_edges(18, 12)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"too many parity states .* at e3 \(over 2\*\*16\)"):
+            brute_family_exists(h)
+        assert time.perf_counter() - start < 0.1
+        path = tmp_path / "wide12.hg"
+        path.write_text(emit_hg(h), encoding="utf-8")
+        assert main(["oracle", "family", str(path)]) == EXIT_INPUT
+        assert "too many parity states" in capsys.readouterr().err
+
     def test_cli_exits_two_on_state_cap(self, tmp_path, capsys):
         path = tmp_path / "wide.hg"
         path.write_text(emit_hg(_wide_edges(20, 10)), encoding="utf-8")

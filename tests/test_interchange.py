@@ -45,6 +45,20 @@ def three_component_instance():
     return grouped_family([("a", "b"), ("c", "d"), ("e", "f")])
 
 
+class TestIsInterchanging:
+    """A cycle is interchanging when each of its edge-nodes meets exactly one selected cycle edge."""
+
+    def test_false_when_an_e_node_has_two(self):
+        h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
+        a, b = h.vertex_index("a"), h.vertex_index("b")
+        cycle = (a, g.e_node(0), b, g.e_node(1))
+        incidences = _cycle_incidences(g, cycle)
+        for e in (0, 1):
+            assert {(a, e), (b, e)} <= incidences & fsub.selected
+        with pytest.raises(CertificateViolation):
+            apply_interchange(fsub, cycle)
+
+
 class TestApplyInterchange:
     """Moves are node tuples; the new certificate's degree check is the interchanging test."""
 

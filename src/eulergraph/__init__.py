@@ -37,7 +37,6 @@ from .hypergraph import (
 from .incidence import (
     Component,
     IncidenceGraph,
-    articulation_points,
     build_incidence,
     components,
 )
@@ -45,7 +44,6 @@ from .interchange import (
     MergeStats,
     apply_interchange,
     find_diminishing_cycle,
-    find_linking_cycle,
     merge_to_tour,
 )
 from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
@@ -75,7 +73,6 @@ __all__ = [
     "VerifyReport",
     "Walk",
     "apply_interchange",
-    "articulation_points",
     "brute_family_exists",
     "brute_max_matching",
     "brute_tour",
@@ -86,7 +83,6 @@ __all__ = [
     "extract_subgraph",
     "find_diminishing_cycle",
     "find_family_subgraph",
-    "find_linking_cycle",
     "max_matching",
     "merge_to_tour",
     "reduce_to_matching",

@@ -23,7 +23,7 @@ from .hypergraph import (
     canonical_closed_trail,
     verify_euler_object,
 )
-from .incidence import Component, IncidenceGraph, articulation_points, components
+from .incidence import Component, IncidenceGraph, components
 from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
 
 
@@ -74,27 +74,6 @@ class FamilySubgraph:
         for i, c in enumerate(self.components):
             for node in c.nodes:
                 out[node] = i
-        return out
-
-    @cached_property
-    def cut_vertices(self) -> frozenset[int]:
-        return articulation_points(self.subgraph_adj)
-
-    def non_cut_v_vertices(self, component: Component) -> tuple[int, ...]:
-        """Vertex-nodes of a non-trivial component that are not cut vertices.
-
-        Cycles guarantee at least two such vertices in every non-trivial
-        component of a valid certificate; fewer means the certificate is
-        corrupt.
-        """
-        if component.trivial:
-            raise ValueError("component must be non-trivial")
-        out = tuple(
-            node for node in sorted(component.nodes)
-            if self.host.is_v_node(node) and node not in self.cut_vertices)
-        if len(out) < 2:
-            raise CertificateViolation(
-                "non-trivial component with fewer than two non-cut vertex-nodes")
         return out
 
 

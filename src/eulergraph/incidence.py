@@ -1,4 +1,4 @@
-"""Bipartite incidence graphs and the structural queries the merging engine relies on.
+"""Bipartite incidence graphs and their connected components.
 
 Nodes ``0 .. n_v-1`` are vertex-nodes (one per hypergraph vertex, same index);
 nodes ``n_v .. n_v+n_e-1`` are edge-nodes, in edge order.
@@ -78,46 +78,3 @@ def components(adj: Sequence[Sequence[int]]) -> tuple[Component, ...]:
                     q.append(w)
         out.append(Component(frozenset(nodes), len(nodes) == 1))
     return tuple(out)
-
-
-def articulation_points(adj: Sequence[Sequence[int]]) -> frozenset[int]:
-    """Cut vertices via one depth-first traversal per component (Hopcroft-Tarjan low points)."""
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cut: set[int] = set()
-    time = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        disc[root] = low[root] = time
-        time += 1
-        stack: list[tuple[int, object]] = [(root, iter(adj[root]))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = u
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = time
-                    time += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[u] and disc[w] < low[u]:
-                    low[u] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] >= disc[p] and p != root:
-                        cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-    return frozenset(cut)

@@ -11,23 +11,22 @@ family towards a single closed trail, an Euler tour.  The merge rewrites the
 certificate the matching produced and reads the tour out of it once at the
 end; verifying that tour is left to the caller at the API boundary.
 
-The merge takes one move per step:
+The merge takes one move per step, from one scan:
 
-* S1: with three or more components, pick one non-cut vertex-node per
-  component and link consecutive picks through edge-nodes that contain both;
-  on covering 3-hypergraphs this always yields a cycle whose application
-  leaves a single non-trivial component.
 * Search: bounded enumeration of interchanging cycles through 2 to 6
   edge-nodes, shortest first, keeping the first whose application
-  diminishes.
+  diminishes.  The paper links c components of a covering 3-hypergraph by
+  one cycle through a non-cut vertex of each and c edge-nodes; for c <= 6
+  that cycle is itself a candidate within the expansion budget, so the
+  search finds it or a diminishing cycle scanned before it.
 * Escape (merging only): when no diminishing cycle is found, apply the first
   candidate of the same scan that reaches a certificate the merge has not
-  seen, so the loop ends; a step budget also guards it.  On covering
-  3-hypergraphs, exceeding the budget signals an implementation bug, not a
-  mathematical obstruction.
+  seen, so the loop ends; a per-call step budget also guards it.  On
+  covering 3-hypergraphs, exceeding the budget signals an implementation
+  bug, not a mathematical obstruction.
 
-A move is the node tuple the search yields.  Every stage scores a candidate
-on its toggled selection, the certificate's incidences XOR the cycle's: a
+A move is the node tuple the search yields.  Each candidate is scored on
+its toggled selection, the certificate's incidences XOR the cycle's: a
 union-find over that set counts its non-trivial components, and the set
 itself is what the merge compares with the certificates it has seen.  Only
 the applied move builds a new :class:`FamilySubgraph`, whose degree check
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateViolation, MergeExhaustedError
+from .errors import MergeExhaustedError
 from .family import FamilySubgraph, trails_from_subgraph
 from .hypergraph import Walk
 from .incidence import IncidenceGraph
@@ -148,64 +147,23 @@ def _nontrivial_count(g: IncidenceGraph, selected) -> int:
     return count
 
 
-def find_linking_cycle(g: IncidenceGraph, fsub: FamilySubgraph) -> tuple[int, ...] | None:
-    """Strategy S1: one cycle through a non-cut vertex-node of every component.
-
-    Requires at least three components (trivial ones count; an isolated
-    vertex-node is never a cut vertex).  Returns None when some consecutive
-    pair of picks shares no hyperedge, which cannot happen on covering
-    3-hypergraphs.
-    """
-    comps = fsub.components
-    if len(comps) < 3:
-        return None
-    picks: list[int] = []
-    for comp in comps:
-        if comp.trivial:
-            node = next(iter(comp.nodes))
-            if not g.is_v_node(node):
-                return None
-            picks.append(node)
-        else:
-            picks.append(fsub.non_cut_v_vertices(comp)[0])
-    h = g.host
-    sel = fsub.selected
-    used_e: set[int] = set()
-    nodes: list[int] = []
-    for i, v in enumerate(picks):
-        w = picks[(i + 1) % len(picks)]
-        eid = next(
-            (j for j, e in enumerate(h.edges)
-             if j not in used_e and v in e and w in e),
-            None)
-        # Interchanging: the edge meets exactly one of its two cycle edges selected.
-        if eid is None or ((v, eid) in sel) == ((w, eid) in sel):
-            return None
-        used_e.add(eid)
-        nodes += (v, g.e_node(eid))
-    if _nontrivial_count(g, sel ^ _cycle_incidences(g, nodes)) >= len(fsub.nontrivial_components):
-        return None
-    return tuple(nodes)
-
-
 def find_diminishing_cycle(
     g: IncidenceGraph, fsub: FamilySubgraph, seen=None,
 ) -> tuple[int, ...] | None:
-    """A component-diminishing interchanging cycle: S1, then the shortest-first search.
+    """A component-diminishing interchanging cycle, by one shortest-first scan.
 
-    S1 (:func:`find_linking_cycle`) needs three or more components.  The
-    search tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
+    The scan tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
     edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
     keeps the first whose toggled selection has fewer non-trivial components.
+    A cycle linking c <= ``MAX_EDGE_NODES`` components through one vertex of
+    each and c edge-nodes, the paper's move on covering 3-hypergraphs, is one
+    of the candidates, so the scan returns it or an earlier diminishing one.
     When none diminishes and ``seen`` is given, it returns instead the first
     candidate of the same scan whose toggled selection is not in ``seen``.
     """
     base = len(fsub.nontrivial_components)
     if base < 2:
         raise ValueError("nothing to diminish: fewer than two non-trivial components")
-    cycle = find_linking_cycle(g, fsub)
-    if cycle is not None:
-        return cycle
     comp_of = fsub.node_component
     escape = None
     for nodes in _candidates(g, fsub.subgraph_adj):
@@ -227,9 +185,11 @@ class MergeStats:
     """Counters filled in by :func:`merge_to_tour` for budget-health reporting.
 
     A step is ``diminishing`` when it lowers the count of non-trivial
-    components, and an ``escape`` otherwise.  ``pivot_reduce`` and
-    ``pivot_neutral`` always read 0; they stay because ``perfbench/run.py``
-    reads them outside a ``try``, until the harness tolerates a missing field.
+    components, and an ``escape`` otherwise.  The fields accumulate over
+    every merge that is given the same object; each merge's budget counts
+    only its own steps.  ``pivot_reduce`` and ``pivot_neutral`` always read
+    0; they stay because ``perfbench/run.py`` reads them outside a ``try``,
+    until the harness tolerates a missing field.
     """
 
     steps: int = 0
@@ -237,29 +197,27 @@ class MergeStats:
     pivot_reduce: int = 0
     pivot_neutral: int = 0
     escapes: int = 0
-    min_shape_checks: int = 0
 
 
 def merge_to_tour(
     fsub: FamilySubgraph,
     budget: int | None = None,
     stats: MergeStats | None = None,
-    *,
-    covering: bool = False,
 ) -> Walk:
     """Merge a family certificate into an Euler tour by interchanging-cycle moves.
 
     The moves rewrite ``fsub`` itself; the tour is read out of the final
-    certificate and not re-verified, so callers verify what they return.  On
-    covering 3-hypergraphs a productive move always exists, so the loop
-    terminates well inside the default budget of ``10 * |E|**2`` steps;
-    :class:`MergeExhaustedError` past that point indicates a bug.  On other
-    inputs the same moves run best-effort and may exhaust honestly.  Each
-    step applies a diminishing cycle if one is found, and otherwise escapes
-    to the first certificate the merge has not seen; with neither, it stops
-    with reason ``"no-move"``.  ``covering`` says the host is a covering
-    3-hypergraph, which turns on the check that a stuck certificate has
-    exactly two non-trivial components.
+    certificate and not re-verified, so callers verify what they return.
+    Each step applies the diminishing cycle :func:`find_diminishing_cycle`
+    finds, and otherwise escapes to the first certificate the merge has not
+    seen; with neither, it stops with reason ``"no-move"``.  On covering
+    3-hypergraphs a productive move always exists (the paper's linking cycle
+    is among the search's candidates, see :func:`find_diminishing_cycle`),
+    so the loop terminates well inside the default budget of ``10 * |E|**2``
+    steps; :class:`MergeExhaustedError` past that point indicates a bug.  On
+    other inputs the same moves run best-effort and may exhaust honestly.
+    ``budget`` caps the steps of this call, whatever ``stats.steps`` held on
+    entry, and :class:`MergeExhaustedError` reports this call's steps.
     """
     if stats is None:
         stats = MergeStats()
@@ -273,26 +231,20 @@ def merge_to_tour(
     if budget is None:
         budget = 10 * m * m
 
+    steps = 0
     seen = {fsub.selected}
     while (base := len(fsub.nontrivial_components)) > 1:
-        if stats.steps >= budget:
-            raise MergeExhaustedError("budget", stats.steps, fsub.selected)
+        if steps >= budget:
+            raise MergeExhaustedError("budget", steps, fsub.selected)
         move = find_diminishing_cycle(g, fsub, seen)
-        after = None if move is None else apply_interchange(fsub, move)
-        if after is not None and len(after.nontrivial_components) < base:
+        if move is None:
+            raise MergeExhaustedError("no-move", steps, fsub.selected)
+        fsub = apply_interchange(fsub, move)
+        if len(fsub.nontrivial_components) < base:
             stats.diminishing += 1
         else:
-            if covering:
-                comps = fsub.components
-                if len(comps) != 2 or any(c.trivial for c in comps):
-                    raise CertificateViolation(
-                        f"stuck with {len(comps)} components on a covering 3-hypergraph; "
-                        "expected exactly two, both non-trivial")
-                stats.min_shape_checks += 1
-            if after is None:
-                raise MergeExhaustedError("no-move", stats.steps, fsub.selected)
             stats.escapes += 1
-        fsub = after
+        steps += 1
         stats.steps += 1
         seen.add(fsub.selected)
 

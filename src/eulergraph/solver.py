@@ -61,8 +61,8 @@ class SolveResult:
     family); ``neither`` only when no Euler family exists; and
     ``not-covering-best-effort`` carries a verified family without a tour,
     when the merge of a non-covering input stops.  ``certificate`` is the
-    verifier's report on ``family``, ``steps`` the merge steps taken, and
-    ``reductions`` the label deleted by each arity-reduction layer.
+    verifier's report on ``family``, ``steps`` the merge steps this call
+    took, and ``reductions`` the label deleted by each arity-reduction layer.
     """
 
     verdict: str
@@ -88,8 +88,9 @@ def solve(
     is a bug and raises.  Non-covering inputs get an exact Euler-family
     decision and a best-effort merge, which falls back to the family.
 
-    ``budget`` caps the merge steps (default ``10 * |E|**2``); a negative one
-    raises :class:`ValueError`.  Every certificate is verified once, here,
+    ``budget`` caps the merge steps of this call (default ``10 * |E|**2``); a
+    negative one raises :class:`ValueError`.  ``stats`` accumulates over
+    every call that is given it.  Every certificate is verified once, here,
     before it is returned; a failed check raises :class:`CertificateViolation`.
     """
     if k < 3:
@@ -113,8 +114,9 @@ def solve(
             raise CertificateViolation(
                 "covering 3-hypergraph with >= 2 edges has no family certificate")
         return SolveResult(VERDICT_NEITHER, None, None, None)
+    start = stats.steps
     try:
-        tour = merge_to_tour(fsub, budget=budget, stats=stats, covering=covering)
+        tour = merge_to_tour(fsub, budget=budget, stats=stats)
     except MergeExhaustedError:
         if covering:
             raise
@@ -125,4 +127,4 @@ def solve(
     if not cert.valid:
         raise CertificateViolation(
             f"{verdict} certificate failed verification: " + "; ".join(cert.violations[:3]))
-    return SolveResult(verdict, tour, fam, cert, stats.steps, deleted)
+    return SolveResult(verdict, tour, fam, cert, stats.steps - start, deleted)

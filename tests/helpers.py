@@ -51,33 +51,6 @@ def random_graph(rng: Lcg, n: int, density_pct: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(r) for r in adj)
 
 
-def brute_cut_vertices(adj) -> set[int]:
-    """Articulation points by node deletion and component recount."""
-
-    def ncomp(rows, skip):
-        n = len(rows)
-        seen = [False] * n
-        if skip is not None:
-            seen[skip] = True
-        count = 0
-        for s in range(n):
-            if seen[s]:
-                continue
-            count += 1
-            seen[s] = True
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for w in rows[u]:
-                    if w != skip and not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-        return count
-
-    base = ncomp(adj, None)
-    return {v for v in range(len(adj)) if ncomp(adj, v) > base}
-
-
 def tutte_berge_max_matching(adj) -> int:
     """Independent maximum-matching size via the deficiency formula."""
     n = len(adj)

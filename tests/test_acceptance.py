@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The main sweep (criterion 1) is shared by criteria 7, 9 and 10, so it runs
+The main sweep (criterion 1) is shared by criteria 9 and 10, so it runs
 once per pass as a module fixture and twice overall for the determinism
 check.  Criterion 10 writes the step-count distribution to
 ``reports/step_counts.json``.
@@ -24,8 +24,8 @@ from eulergraph import (
     brute_max_matching,
     build_incidence,
     find_family_subgraph,
-    find_linking_cycle,
     max_matching,
+    merge_to_tour,
     solve,
     validate_covering,
     verify_euler_object,
@@ -85,7 +85,6 @@ def run_sweep():
             "ok": ok,
             "steps": stats.steps,
             "budget": 10 * len(h.edges) ** 2,
-            "min_shape_checks": stats.min_shape_checks,
             "cert": format_walk_line(res.tour) if res.tour else "",
         })
     return records
@@ -257,37 +256,34 @@ def _group_corpus():
     return out
 
 
+def _large_grouped_certificates():
+    """Grouped certificates of 5 to 20 components, 264 to 1,188 edges."""
+    out = []
+    for count, size in ((12, 2), (9, 3), (5, 5), (12, 3), (20, 2)):
+        labels = [f"u{i}" for i in range(1, count * size + 1)]
+        out.append(grouped_family(
+            [tuple(labels[i:i + size]) for i in range(0, len(labels), size)]))
+    return out
+
+
 def test_c06_linking_strategy_reaches_one_component():
+    # the search alone merges every grouped certificate, one diminishing
+    # step per component joined, without an escape
     failures = 0
-    corpus = _group_corpus()
+    corpus = _group_corpus() + _large_grouped_certificates()
     for h, g, fsub in corpus:
-        if not validate_covering(h, 3).is_covering:
+        c = len(fsub.nontrivial_components)
+        if not validate_covering(h, 3).is_covering or c < 3:
             failures += 1
             continue
-        if len(fsub.nontrivial_components) < 3:
-            failures += 1
-            continue
-        cycle = find_linking_cycle(g, fsub)
-        if cycle is None:
-            failures += 1
-            continue
-        after = apply_interchange(fsub, cycle)
-        if len(after.nontrivial_components) != 1:
+        stats = MergeStats()
+        tour = merge_to_tour(fsub, stats=stats)
+        if (not verify_euler_object(h, EulerFamily((tour,))).valid
+                or stats.escapes != 0 or stats.diminishing != c - 1):
             failures += 1
     passed = failures == 0
-    _report("C06 linking strategy", passed, f"{len(corpus)} certificates, {failures} failures")
-    assert passed
-
-
-def test_c07_minimum_family_shape_never_violated(sweep):
-    records, _ = sweep
-    # the merge loop asserts the two-non-trivial-components shape whenever it
-    # runs out of diminishing cycles on covering inputs; a violation raises
-    # and would already have failed criterion 1
-    checks = sum(r["min_shape_checks"] for r in records)
-    passed = all(r["ok"] for r in records)
-    _report("C07 minimum-family shape", passed,
-            f"{checks} shape checks across the sweep, 0 false alarms")
+    _report("C06 search merges grouped certificates", passed,
+            f"{len(corpus)} certificates, {failures} failures")
     assert passed
 
 

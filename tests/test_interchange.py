@@ -1,4 +1,4 @@
-"""Interchanging cycles, diminishing-cycle strategies, and the merge loop."""
+"""Interchanging cycles, the diminishing-cycle search, and the merge loop."""
 
 import ast
 import dataclasses
@@ -20,7 +20,6 @@ from eulergraph import (
     canonical_closed_trail,
     find_diminishing_cycle,
     find_family_subgraph,
-    find_linking_cycle,
     merge_to_tour,
     solve,
     subgraph_from_trails,
@@ -154,46 +153,19 @@ class TestCandidateScoring:
         assert with_isolated >= 10
 
 
-class TestFindLinkingCycle:
-    def test_three_components_one_shot(self):
-        h, g, fsub = three_component_instance()
-        assert len(fsub.nontrivial_components) == 3
-        cycle = find_linking_cycle(g, fsub)
-        assert cycle is not None
-        after = apply_interchange(fsub, cycle)
-        assert len(after.nontrivial_components) == 1
-
-    def test_four_components_one_shot(self):
-        h, g, fsub = grouped_family([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")])
-        cycle = find_linking_cycle(g, fsub)
-        after = apply_interchange(fsub, cycle)
-        assert len(after.nontrivial_components) == 1
-
-    def test_requires_three_components(self):
-        _, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        assert find_linking_cycle(g, fsub) is None
-
-    def test_isolated_vertex_qualifies_as_pick(self):
-        # two non-trivial components plus an isolated vertex-node z:
-        # three components total, so the linking strategy applies and routes
-        # the cycle through z
-        h = Hypergraph.from_labels(
-            "abcdz",
-            [("a", "b", "c"), ("a", "b", "z"), ("a", "c", "d"), ("c", "d", "z")])
-        g = build_incidence(h)
-        sel = set()
-        for eid, pair in enumerate([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")]):
-            sel.add((h.vertex_index(pair[0]), eid))
-            sel.add((h.vertex_index(pair[1]), eid))
-        fsub = FamilySubgraph(g, frozenset(sel))
-        comps = fsub.components
-        assert len(comps) == 3
-        assert sum(1 for c in comps if c.trivial) == 1
-        cycle = find_linking_cycle(g, fsub)
-        assert cycle is not None
-        assert h.vertex_index("z") in cycle
-        after = apply_interchange(fsub, cycle)
-        assert len(after.nontrivial_components) == 1
+def isolated_vertex_instance():
+    """Two non-trivial components plus an isolated vertex-node z."""
+    h = Hypergraph.from_labels(
+        "abcdz",
+        [("a", "b", "c"), ("a", "b", "z"), ("a", "c", "d"), ("c", "d", "z")])
+    g = build_incidence(h)
+    sel = set()
+    for eid, pair in enumerate([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")]):
+        sel.add((h.vertex_index(pair[0]), eid))
+        sel.add((h.vertex_index(pair[1]), eid))
+    fsub = FamilySubgraph(g, frozenset(sel))
+    assert sum(1 for c in fsub.components if c.trivial) == 1
+    return h, g, fsub
 
 
 class TestFindDiminishingCycle:
@@ -203,6 +175,22 @@ class TestFindDiminishingCycle:
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert len(after.nontrivial_components) == 1
+
+    @pytest.mark.parametrize("make, count", [
+        (three_component_instance, 3),
+        (lambda: grouped_family([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")]), 4),
+        (isolated_vertex_instance, 2),
+    ], ids=["three-groups", "four-groups", "isolated-vertex"])
+    def test_every_move_diminishes(self, make, count):
+        # the inputs a linking cycle through every component merges at once;
+        # the search merges them one diminishing move at a time
+        h, g, fsub = make()
+        assert len(fsub.nontrivial_components) == count
+        while count > 1:
+            fsub = apply_interchange(fsub, find_diminishing_cycle(g, fsub))
+            assert len(fsub.nontrivial_components) < count
+            count = len(fsub.nontrivial_components)
+        assert verify_euler_object(h, trails_from_subgraph(fsub)).valid
 
     def test_four_cycle_with_both_edge_nodes_in_one_component(self):
         # the diminishing 4-cycle has both edge-nodes in one component and
@@ -414,12 +402,12 @@ class TestLadderTrajectories:
 
 
 def _two_scans(g, fsub, seen):
-    """Reference: S1 or the first diminishing candidate, then a fresh scan for the first unseen.
+    """Reference: the first diminishing candidate, then a fresh scan for the first unseen.
 
     Every candidate is scored, even one confined to a single component.
     """
     base = len(fsub.nontrivial_components)
-    diminishing = find_linking_cycle(g, fsub) or next(
+    diminishing = next(
         (nodes for nodes in _candidates(g, fsub.subgraph_adj)
          if _nontrivial_count(g, fsub.selected ^ _cycle_incidences(g, nodes)) < base),
         None)
@@ -485,7 +473,7 @@ class TestDirectOrderThree:
         fsub = find_family_subgraph(build_incidence(h))
         assert len(fsub.nontrivial_components) == 1
         stats = MergeStats()
-        tour = merge_to_tour(fsub, stats=stats, covering=True)
+        tour = merge_to_tour(fsub, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert len(tour.edges) == m
         assert stats.steps == 0

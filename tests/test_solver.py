@@ -11,6 +11,9 @@ from eulergraph import (
     Hypergraph,
     MergeExhaustedError,
     MergeStats,
+    build_incidence,
+    find_family_subgraph,
+    merge_to_tour,
     solve,
     validate_covering,
     verify_euler_object,
@@ -27,7 +30,7 @@ from eulergraph.genio import (
 from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
 
-from helpers import fano, roadmap_item3, swap_one_anchor
+from helpers import disjoint_union, fano, roadmap_item3, swap_one_anchor
 
 # A non-covering input with a family and no tour.  Unless the merge skips
 # moves back to certificates it has seen, a move here that undoes the
@@ -198,6 +201,23 @@ class TestSolve:
         assert stats.steps >= 1
         with pytest.raises(MergeExhaustedError):
             solve(h, 3, budget=0)
+
+    def test_shared_stats_budget_counts_each_call(self):
+        # the fields accumulate across calls, but each merge's budget and its
+        # reported steps start from what stats.steps held on entry
+        union = disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))
+        stats = MergeStats()
+        for total in (240, 480):
+            res = solve(union, 3, stats=stats)
+            assert res.verdict == "not-covering-best-effort"
+            assert (res.steps, stats.steps) == (240, total)
+        res = solve(gen_random_covering(5, 3, 17), 3, stats=stats)
+        assert res.verdict == "eulerian"
+        assert (res.steps, stats.steps) == (1, 481)
+        fsub = find_family_subgraph(build_incidence(union))
+        with pytest.raises(MergeExhaustedError) as exc:
+            merge_to_tour(fsub, budget=40, stats=stats)
+        assert (exc.value.reason, exc.value.steps, stats.steps) == ("budget", 40, 521)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):

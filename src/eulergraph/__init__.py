@@ -18,7 +18,6 @@ from .errors import (
 )
 from .family import (
     FamilySubgraph,
-    extract_subgraph,
     find_family_subgraph,
     subgraph_from_trails,
     trails_from_subgraph,
@@ -34,12 +33,7 @@ from .hypergraph import (
     validate_covering,
     verify_euler_object,
 )
-from .incidence import (
-    Component,
-    IncidenceGraph,
-    build_incidence,
-    components,
-)
+from .incidence import IncidenceGraph, build_incidence
 from .interchange import (
     MergeStats,
     apply_interchange,
@@ -54,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateViolation",
-    "Component",
     "CoveringReport",
     "EulerFamily",
     "EulerGraphError",
@@ -78,9 +71,7 @@ __all__ = [
     "brute_tour",
     "build_incidence",
     "canonical_closed_trail",
-    "components",
     "edge_name",
-    "extract_subgraph",
     "find_diminishing_cycle",
     "find_family_subgraph",
     "max_matching",

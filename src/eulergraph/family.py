@@ -6,8 +6,11 @@ Its non-trivial connected components correspond one-to-one to the closed
 trails of an Euler family, so existence reduces to a perfect-matching search
 and trail extraction is an Euler-circuit traversal per component.
 
-The constructor enforces the degree discipline, so the merge rewrites this
-certificate directly and trail extraction is not re-verified; trails are
+One union-find over a selection's incidences is the package's only
+component routine: it gives a certificate's components, and it scores the
+merge's candidate cycles on their toggled selections.  Certificates are
+frozen: the constructor enforces the degree discipline, every merge move
+builds a new one, and trail extraction is not re-verified; trails are
 verified once, where they leave the package.
 """
 
@@ -23,8 +26,38 @@ from .hypergraph import (
     canonical_closed_trail,
     verify_euler_object,
 )
-from .incidence import Component, IncidenceGraph, components
-from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
+from .incidence import IncidenceGraph
+from .matching import max_matching, reduce_to_matching
+
+
+def _union_find(g: IncidenceGraph, selected) -> tuple[list[int], int]:
+    """Union-find over the subgraph a selection of incidences spans.
+
+    Returns the parent array and the number of non-trivial components.  A
+    union hangs the larger root under the smaller, so every parent is at
+    most its node and a component's root is its smallest node.  A node lies
+    in a non-trivial component exactly when it has a selected incidence, so
+    the count is the touched nodes minus the joining unions.
+    """
+    parent = list(range(g.n_v + g.n_e))
+    touched = [False] * len(parent)
+    count = 0
+    for a, e in selected:
+        b = g.n_v + e
+        for x in (a, b):
+            if not touched[x]:
+                touched[x] = True
+                count += 1
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                a, b = b, a
+            parent[a] = b
+            count -= 1
+    return parent, count
 
 
 @dataclass(frozen=True)
@@ -61,47 +94,51 @@ class FamilySubgraph:
         return tuple(tuple(sorted(row)) for row in adj)
 
     @cached_property
-    def components(self) -> tuple[Component, ...]:
-        return components(self.subgraph_adj)
+    def _components(self) -> tuple[tuple[int, ...], int]:
+        parent, count = _union_find(self.host, self.selected)
+        # Every parent is at most its node, so one pass in index order
+        # resolves each node to its root.
+        for x, p in enumerate(parent):
+            parent[x] = parent[p]
+        return tuple(parent), count
 
-    @cached_property
-    def nontrivial_components(self) -> tuple[Component, ...]:
-        return tuple(c for c in self.components if not c.trivial)
+    @property
+    def component_of(self) -> tuple[int, ...]:
+        """Each node's component root, its smallest node; an isolated node is its own root."""
+        return self._components[0]
 
-    @cached_property
-    def node_component(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, c in enumerate(self.components):
-            for node in c.nodes:
-                out[node] = i
-        return out
-
-
-def extract_subgraph(g: IncidenceGraph, gg: GadgetGraph, m: Matching) -> FamilySubgraph | None:
-    """Read a family subgraph out of a gadget matching, or None if it is not perfect."""
-    if 2 * m.size != gg.node_count:
-        return None
-    # Pairs are stored as (a, b) with a < b, and so is incidence_edge[t].
-    selected = frozenset(
-        gg.incidences[t]
-        for t, ab in enumerate(gg.incidence_edge)
-        if ab in m.pairs)
-    return FamilySubgraph(g, selected)
+    @property
+    def nontrivial_count(self) -> int:
+        """The number of non-trivial components, one per closed trail of the family."""
+        return self._components[1]
 
 
 def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
-    """Decide Euler-family existence exactly; return a certificate when one exists."""
+    """Decide Euler-family existence exactly; return a certificate when one exists.
+
+    Incidence t is selected iff the gadget edge ``(t, T + t)`` realizing it,
+    for ``T`` incidences, is a (sorted) pair of the matching.
+    """
     try:
         gg = reduce_to_matching(g)
     except InfeasibleDegreeError:
         return None
-    return extract_subgraph(g, gg, max_matching(gg.adj))
+    m = max_matching(gg.adj)
+    if 2 * m.size != gg.node_count:
+        return None
+    incidences = g.incidences
+    t_count = len(incidences)
+    return FamilySubgraph(g, frozenset(
+        vt for t, vt in enumerate(incidences) if (t, t_count + t) in m.pairs))
 
 
-def _euler_circuit(adj, start: int) -> list[int]:
-    """Closed walk through every edge of a connected even-degree subgraph."""
-    ptr = [0] * len(adj)
-    used: set[tuple[int, int]] = set()
+def _euler_circuit(adj, start: int, ptr: list[int], used: set[tuple[int, int]]) -> list[int]:
+    """Closed walk through every edge of ``start``'s component of an even-degree subgraph.
+
+    ``ptr`` and ``used`` are shared by every circuit of one subgraph: the
+    circuit exhausts the ``ptr`` of each node it passes and marks every edge
+    of the component used, so they never touch another component's.
+    """
     stack = [start]
     out: list[int] = []
     while stack:
@@ -129,16 +166,21 @@ def _walk_key(w: Walk):
 def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
     """One canonical closed trail per non-trivial component of the certificate.
 
-    Not re-verified here; callers verify what they return.
+    One pass over the vertex-nodes in index order starts an Euler circuit at
+    each node that still has an untraversed edge, which is the smallest
+    vertex-node of its component.  Not re-verified here; callers verify what
+    they return.
     """
     g = fsub.host
     h = g.host
+    adj = fsub.subgraph_adj
+    ptr = [0] * len(adj)
+    used: set[tuple[int, int]] = set()
     walks: list[Walk] = []
-    for comp in fsub.components:
-        if comp.trivial:
+    for start in range(g.n_v):
+        if ptr[start] == len(adj[start]):
             continue
-        start = min(node for node in comp.nodes if g.is_v_node(node))
-        seq = _euler_circuit(fsub.subgraph_adj, start)
+        seq = _euler_circuit(adj, start, ptr, used)
         anchors = tuple(h.vertices[seq[i]] for i in range(0, len(seq), 2))
         edges = tuple(g.edge_id(seq[i]) for i in range(1, len(seq), 2))
         walks.append(canonical_closed_trail(Walk(anchors, edges)))

@@ -84,11 +84,6 @@ class Hypergraph:
         """Sorted vertex labels of one edge."""
         return tuple(sorted(map(self.vertices.__getitem__, self.edges[edge_id])))
 
-    def degree(self, label: str) -> int:
-        """Number of edges incident with the vertex, counting multiplicity."""
-        i = self.vertex_index(label)
-        return sum(1 for e in self.edges if i in e)
-
     def uniformity(self) -> int | None:
         """The common edge cardinality, or None if edges are absent or mixed."""
         sizes = {len(e) for e in self.edges}
@@ -152,13 +147,6 @@ class Walk:
     @property
     def is_trail(self) -> bool:
         return len(set(self.edges)) == len(self.edges)
-
-    @property
-    def is_cycle(self) -> bool:
-        if not (self.is_closed and self.is_trail):
-            return False
-        inner = self.anchors[:-1]
-        return len(set(inner)) == len(inner)
 
 
 @dataclass(frozen=True)

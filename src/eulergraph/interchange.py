@@ -7,9 +7,10 @@ degree discipline (each touched node gains and loses edges in equal parity),
 so it rewrites one Euler family into another.  A *diminishing* cycle is an
 interchanging cycle whose application strictly reduces the number of
 non-trivial components; applying diminishing cycles repeatedly drives a
-family towards a single closed trail, an Euler tour.  The merge rewrites the
-certificate the matching produced and reads the tour out of it once at the
-end; verifying that tour is left to the caller at the API boundary.
+family towards a single closed trail, an Euler tour.  Certificates are
+frozen, so the merge leaves the certificate it is given unchanged: each move
+builds a new one, and the tour is read out of the last once at the end;
+verifying that tour is left to the caller at the API boundary.
 
 The merge takes one move per step, from one scan:
 
@@ -26,11 +27,12 @@ The merge takes one move per step, from one scan:
   bug, not a mathematical obstruction.
 
 A move is the node tuple the search yields.  Each candidate is scored on
-its toggled selection, the certificate's incidences XOR the cycle's: a
-union-find over that set counts its non-trivial components, and the set
-itself is what the merge compares with the certificates it has seen.  Only
-the applied move builds a new :class:`FamilySubgraph`, whose degree check
-rejects any cycle that is not interchanging.
+its toggled selection, the certificate's incidences XOR the cycle's: the
+union-find that gives a :class:`FamilySubgraph` its components counts the
+set's non-trivial components, and the set itself is what the merge compares
+with the certificates it has seen.  Only the applied move builds a new
+:class:`FamilySubgraph`, whose degree check rejects any cycle that is not
+interchanging.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MergeExhaustedError
-from .family import FamilySubgraph, trails_from_subgraph
+from .family import FamilySubgraph, _union_find, trails_from_subgraph
 from .hypergraph import Walk
 from .incidence import IncidenceGraph
 
@@ -122,31 +124,6 @@ def _cycle_incidences(g: IncidenceGraph, nodes) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def _nontrivial_count(g: IncidenceGraph, selected) -> int:
-    """Non-trivial components of the subgraph a selection spans, by union-find.
-
-    A node lies in a non-trivial component exactly when it has a selected
-    incidence, so the count is the touched nodes minus the joining unions.
-    """
-    parent = list(range(g.n_v + g.n_e))
-    touched = [False] * len(parent)
-    count = 0
-    for a, e in selected:
-        b = g.e_node(e)
-        for x in (a, b):
-            if not touched[x]:
-                touched[x] = True
-                count += 1
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
-
-
 def find_diminishing_cycle(
     g: IncidenceGraph, fsub: FamilySubgraph, seen=None,
 ) -> tuple[int, ...] | None:
@@ -161,10 +138,10 @@ def find_diminishing_cycle(
     When none diminishes and ``seen`` is given, it returns instead the first
     candidate of the same scan whose toggled selection is not in ``seen``.
     """
-    base = len(fsub.nontrivial_components)
+    base = fsub.nontrivial_count
     if base < 2:
         raise ValueError("nothing to diminish: fewer than two non-trivial components")
-    comp_of = fsub.node_component
+    comp_of = fsub.component_of
     escape = None
     for nodes in _candidates(g, fsub.subgraph_adj):
         # A cycle confined to one component can never diminish.
@@ -173,7 +150,7 @@ def find_diminishing_cycle(
         if not (crosses or want_escape):
             continue
         toggled = fsub.selected ^ _cycle_incidences(g, nodes)
-        if crosses and _nontrivial_count(g, toggled) < base:
+        if crosses and _union_find(g, toggled)[1] < base:
             return nodes
         if want_escape and toggled not in seen:
             escape = nodes
@@ -206,8 +183,9 @@ def merge_to_tour(
 ) -> Walk:
     """Merge a family certificate into an Euler tour by interchanging-cycle moves.
 
-    The moves rewrite ``fsub`` itself; the tour is read out of the final
-    certificate and not re-verified, so callers verify what they return.
+    ``fsub`` is frozen and stays unchanged: each move builds a new
+    certificate, and the tour is read out of the last one and not
+    re-verified, so callers verify what they return.
     Each step applies the diminishing cycle :func:`find_diminishing_cycle`
     finds, and otherwise escapes to the first certificate the merge has not
     seen; with neither, it stops with reason ``"no-move"``.  On covering
@@ -225,7 +203,7 @@ def merge_to_tour(
     m = g.n_e
     if m < 2:
         raise ValueError("an Euler tour needs at least two edges")
-    if len(fsub.nontrivial_components) == 1:
+    if fsub.nontrivial_count == 1:
         return trails_from_subgraph(fsub).components[0]
 
     if budget is None:
@@ -233,14 +211,14 @@ def merge_to_tour(
 
     steps = 0
     seen = {fsub.selected}
-    while (base := len(fsub.nontrivial_components)) > 1:
+    while (base := fsub.nontrivial_count) > 1:
         if steps >= budget:
             raise MergeExhaustedError("budget", steps, fsub.selected)
         move = find_diminishing_cycle(g, fsub, seen)
         if move is None:
             raise MergeExhaustedError("no-move", steps, fsub.selected)
         fsub = apply_interchange(fsub, move)
-        if len(fsub.nontrivial_components) < base:
+        if fsub.nontrivial_count < base:
             stats.diminishing += 1
         else:
             stats.escapes += 1

@@ -27,7 +27,8 @@ perfect-matching question:
 * each incidence becomes one gadget edge between the two matching stubs.
 
 An incidence belongs to the selected subgraph iff its gadget edge is in the
-matching.
+matching.  The node layout fixes that edge, so the gadget stores only its
+adjacency rows.
 """
 
 from __future__ import annotations
@@ -191,18 +192,17 @@ def max_matching(adj: Sequence[Sequence[int]]) -> Matching:
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """The matching gadget built from an incidence graph.
+    """The matching gadget built from an incidence graph, as adjacency rows.
 
-    ``incidences[t]`` is the t-th incidence (vertex index, edge id) and
-    ``incidence_edge[t]`` the gadget edge realizing it.  All other gadget
-    edges are internal (stub-core, stub-stub, stub-dummy).  Node layout:
-    v-stubs ``[0, T)``, e-stubs ``[T, 2T)`` for ``T`` incidences, then the
-    cores in edge order, then the parity dummies in vertex order.
+    Node layout, for the ``T`` incidences of ``IncidenceGraph.incidences``:
+    v-stubs ``[0, T)``, e-stubs ``[T, 2T)``, then the cores in edge order,
+    then the parity dummies in vertex order.  The t-th incidence (vertex
+    index, edge id) is realized by the gadget edge ``(t, T + t)`` from its
+    v-stub to its e-stub; all other gadget edges are internal (stub-core,
+    stub-stub, stub-dummy).
     """
 
     adj: tuple[tuple[int, ...], ...]
-    incidences: tuple[tuple[int, int], ...]
-    incidence_edge: tuple[tuple[int, int], ...]
 
     @property
     def node_count(self) -> int:
@@ -257,8 +257,4 @@ def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
         stub += d
         core += d - 2
 
-    return GadgetGraph(
-        tuple(adj),
-        incidences,
-        tuple((t, t_count + t) for t in range(t_count)),
-    )
+    return GadgetGraph(tuple(adj))

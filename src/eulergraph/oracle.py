@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from .errors import CertificateViolation
 from .hypergraph import EulerFamily, Hypergraph, Walk, canonical_closed_trail, verify_euler_object
 
 
@@ -149,7 +150,9 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
             walk = Walk(tuple(h.vertices[i] for i in anchors), (0,) + tuple(e for e, _ in steps))
             tour = canonical_closed_trail(walk)
             report = verify_euler_object(h, EulerFamily((tour,)))
-            assert report.valid
+            if not report.valid:
+                raise CertificateViolation(
+                    "brute-force tour failed verification: " + "; ".join(report.violations[:3]))
             return tour
     return None
 

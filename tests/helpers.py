@@ -6,6 +6,7 @@ import os
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from eulergraph import (
     EulerFamily,
@@ -168,6 +169,84 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
                 break
             i += 1
     return out
+
+
+class Component(NamedTuple):
+    nodes: frozenset[int]
+    trivial: bool
+
+
+def reference_components(adj) -> tuple[Component, ...]:
+    """Connected components of a graph given as adjacency rows, by breadth-first search.
+
+    Ordered by smallest member node.  A component is trivial iff it is one
+    isolated node.  The reference for ``FamilySubgraph.component_of`` and
+    ``.nontrivial_count``.
+    """
+    n = len(adj)
+    seen = [False] * n
+    out: list[Component] = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        nodes = [s]
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    nodes.append(w)
+                    q.append(w)
+        out.append(Component(frozenset(nodes), len(nodes) == 1))
+    return tuple(out)
+
+
+def _fresh_euler_circuit(adj, start: int) -> list[int]:
+    """Closed walk through every edge of start's component, with its own traversal state."""
+    ptr = [0] * len(adj)
+    used: set[tuple[int, int]] = set()
+    stack = [start]
+    out: list[int] = []
+    while stack:
+        v = stack[-1]
+        row = adj[v]
+        while ptr[v] < len(row):
+            u = row[ptr[v]]
+            key = (v, u) if v < u else (u, v)
+            if key in used:
+                ptr[v] += 1
+            else:
+                used.add(key)
+                stack.append(u)
+                break
+        else:
+            out.append(stack.pop())
+    out.reverse()
+    return out
+
+
+def reference_trails(fsub: FamilySubgraph) -> EulerFamily:
+    """One canonical closed trail per breadth-first-search component, extracted one by one.
+
+    The reference for :func:`eulergraph.trails_from_subgraph`: each
+    non-trivial component gets a fresh Euler circuit from its smallest
+    vertex-node.
+    """
+    g = fsub.host
+    h = g.host
+    walks = []
+    for comp in reference_components(fsub.subgraph_adj):
+        if comp.trivial:
+            continue
+        start = min(node for node in comp.nodes if node < g.n_v)
+        seq = _fresh_euler_circuit(fsub.subgraph_adj, start)
+        anchors = tuple(h.vertices[seq[i]] for i in range(0, len(seq), 2))
+        edges = tuple(g.edge_id(seq[i]) for i in range(1, len(seq), 2))
+        walks.append(canonical_closed_trail(Walk(anchors, edges)))
+    walks.sort(key=lambda w: (w.anchors, w.edges))
+    return EulerFamily(tuple(walks))
 
 
 def all_pairs_covered(h: Hypergraph, k: int) -> tuple[bool, tuple | None]:

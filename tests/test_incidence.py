@@ -1,9 +1,24 @@
-"""Incidence graph construction and components."""
+"""Incidence graph construction, and the components of its certificate subgraphs."""
 
-from eulergraph import Hypergraph, build_incidence, components
-from eulergraph.genio import Lcg
+from eulergraph import (
+    FamilySubgraph,
+    Hypergraph,
+    apply_interchange,
+    build_incidence,
+    find_family_subgraph,
+    trails_from_subgraph,
+)
+from eulergraph.family import _union_find
+from eulergraph.genio import Lcg, gen_random_covering
 
-from helpers import fano, grouped_family, random_graph
+from helpers import (
+    fano,
+    grouped_family,
+    random_noncovering,
+    reference_components,
+    reference_trails,
+    sample_interchanging_cycles,
+)
 
 
 class TestBuildIncidence:
@@ -34,28 +49,89 @@ class TestBuildIncidence:
             assert frozenset(g.adj[g.e_node(j)]) == e
 
 
+def seeded_certificates():
+    """Family certificates of the shapes the component routine meets.
+
+    Seeded covering inputs; non-covering draws, many with isolated
+    vertex-nodes, each also after a sampled interchange or two; and grouped
+    certificates of 12, 20 and 24 components.
+    """
+    rng = Lcg(29)
+    for seed in range(1, 8):
+        yield find_family_subgraph(build_incidence(gen_random_covering(7, 3, seed)))
+    for _ in range(80):
+        fsub = find_family_subgraph(build_incidence(random_noncovering(rng)))
+        if fsub is None:
+            continue
+        yield fsub
+        for cyc in sample_interchanging_cycles(fsub, rng, want=2):
+            yield apply_interchange(fsub, cyc)
+    for count, size in ((12, 3), (20, 2), (24, 2)):
+        labels = [f"u{i}" for i in range(1, count * size + 1)]
+        yield grouped_family([tuple(labels[i:i + size]) for i in range(0, len(labels), size)])[2]
+
+
+def _reference_roots(adj) -> tuple[int, ...]:
+    """Each node's smallest component-mate, from the breadth-first-search reference."""
+    roots = [0] * len(adj)
+    for c in reference_components(adj):
+        for x in c.nodes:
+            roots[x] = min(c.nodes)
+    return tuple(roots)
+
+
 class TestComponents:
+    """The union-find components, against a breadth-first-search reference."""
+
     def test_edgeless(self):
-        out = components(((), (), ()))
-        assert len(out) == 3 and all(c.trivial for c in out)
+        fsub = FamilySubgraph(build_incidence(Hypergraph.from_labels("abc", [])), frozenset())
+        assert fsub.component_of == (0, 1, 2) and fsub.nontrivial_count == 0
 
     def test_star_single_component(self):
         g = build_incidence(Hypergraph.from_labels("abc", [("a", "b", "c")]))
-        out = components(g.adj)
-        assert len(out) == 1 and not out[0].trivial
+        parent, count = _union_find(g, g.incidences)
+        assert count == 1 and parent == [0, 0, 0, 0]
 
     def test_two_disjoint_four_cycles(self):
         _, _, fsub = grouped_family([("a", "b"), ("c", "d")])
-        nontrivial = [c for c in fsub.components if not c.trivial]
-        assert len(nontrivial) == 2
+        assert fsub.nontrivial_count == 2
+        a, c = fsub.component_of[0], fsub.component_of[2]
+        assert a != c and sorted(fsub.component_of[:4]) == [a, a, c, c]
 
     def test_partition_property(self):
-        rng = Lcg(5)
-        for _ in range(20):
-            adj = random_graph(rng, 9, 25)
-            out = components(adj)
-            nodes = [n for c in out for n in c.nodes]
-            assert sorted(nodes) == list(range(9))
-            for c in out:
-                for n in c.nodes:
-                    assert all(w in c.nodes for w in adj[n])
+        certificates = with_isolated = most = 0
+        for fsub in seeded_certificates():
+            adj = fsub.subgraph_adj
+            ref = reference_components(adj)
+            assert fsub.component_of == _reference_roots(adj)
+            assert fsub.nontrivial_count == sum(not c.trivial for c in ref)
+            certificates += 1
+            with_isolated += any(not adj[v] for v in range(fsub.host.n_v))
+            most = max(most, fsub.nontrivial_count)
+        assert certificates >= 120
+        assert with_isolated >= 100
+        assert most >= 20
+
+    def test_union_find_on_arbitrary_selections(self):
+        # the merge scores toggled selections, so any incidence subset must count right
+        rng = Lcg(31)
+        for _ in range(200):
+            g = build_incidence(random_noncovering(rng))
+            selected = [vt for vt in g.incidences if rng.below(2)]
+            adj = [[] for _ in range(g.n_v + g.n_e)]
+            for v, e in selected:
+                adj[v].append(g.e_node(e))
+                adj[g.e_node(e)].append(v)
+            parent, count = _union_find(g, selected)
+            roots = []
+            for x in range(len(parent)):
+                while parent[x] != x:
+                    x = parent[x]
+                roots.append(x)
+            assert tuple(roots) == _reference_roots(adj)
+            assert count == sum(not c.trivial for c in reference_components(adj))
+
+    def test_trails_equal_reference(self):
+        for fsub in seeded_certificates():
+            assert trails_from_subgraph(fsub) == reference_trails(fsub)
+

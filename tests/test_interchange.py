@@ -28,13 +28,15 @@ from eulergraph import (
     verify_euler_object,
 )
 from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts
-from eulergraph.interchange import _candidates, _cycle_incidences, _nontrivial_count
+from eulergraph.family import _union_find
+from eulergraph.interchange import _candidates, _cycle_incidences
 
 from helpers import (
     disjoint_union,
     fano,
     grouped_family,
     random_noncovering,
+    reference_components,
     roadmap_item3,
     sample_interchanging_cycles,
 )
@@ -78,12 +80,11 @@ class TestApplyInterchange:
 
     def test_crossing_cycle_merges_two_four_cycles(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        assert len(fsub.nontrivial_components) == 2
+        assert fsub.nontrivial_count == 2
         cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
         after = apply_interchange(fsub, cycle)
-        nontrivial = after.nontrivial_components
-        assert len(nontrivial) == 1
-        assert len(nontrivial[0].nodes) == 8  # one 8-cycle component
+        assert after.nontrivial_count == 1
+        assert after.component_of == (0,) * 8  # one 8-cycle component
 
     def test_non_interchanging_rejected(self):
         # both cycle edges at e1 and at e2 are selected: the edge-nodes would end at degree 0
@@ -142,12 +143,13 @@ class TestCandidateScoring:
         cycles = with_isolated = 0
         for fsub in self.seeded_families():
             g = fsub.host
-            with_isolated += any(c.trivial and g.is_v_node(min(c.nodes)) for c in fsub.components)
+            with_isolated += any(c.trivial and min(c.nodes) < g.n_v
+                                 for c in reference_components(fsub.subgraph_adj))
             for cyc in sample_interchanging_cycles(fsub, rng, want=6):
                 after = apply_interchange(fsub, cyc)
                 toggled = fsub.selected ^ _cycle_incidences(g, cyc)
                 assert toggled == after.selected
-                assert _nontrivial_count(g, toggled) == len(after.nontrivial_components)
+                assert _union_find(g, toggled)[1] == after.nontrivial_count
                 cycles += 1
         assert cycles >= 150
         assert with_isolated >= 10
@@ -164,7 +166,7 @@ def isolated_vertex_instance():
         sel.add((h.vertex_index(pair[0]), eid))
         sel.add((h.vertex_index(pair[1]), eid))
     fsub = FamilySubgraph(g, frozenset(sel))
-    assert sum(1 for c in fsub.components if c.trivial) == 1
+    assert sum(1 for c in reference_components(fsub.subgraph_adj) if c.trivial) == 1
     return h, g, fsub
 
 
@@ -174,7 +176,7 @@ class TestFindDiminishingCycle:
         cycle = find_diminishing_cycle(g, fsub)
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
-        assert len(after.nontrivial_components) == 1
+        assert after.nontrivial_count == 1
 
     @pytest.mark.parametrize("make, count", [
         (three_component_instance, 3),
@@ -185,11 +187,11 @@ class TestFindDiminishingCycle:
         # the inputs a linking cycle through every component merges at once;
         # the search merges them one diminishing move at a time
         h, g, fsub = make()
-        assert len(fsub.nontrivial_components) == count
+        assert fsub.nontrivial_count == count
         while count > 1:
             fsub = apply_interchange(fsub, find_diminishing_cycle(g, fsub))
-            assert len(fsub.nontrivial_components) < count
-            count = len(fsub.nontrivial_components)
+            assert fsub.nontrivial_count < count
+            count = fsub.nontrivial_count
         assert verify_euler_object(h, trails_from_subgraph(fsub)).valid
 
     def test_four_cycle_with_both_edge_nodes_in_one_component(self):
@@ -198,11 +200,11 @@ class TestFindDiminishingCycle:
         h = roadmap_item3()
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
-        assert len(fsub.nontrivial_components) == 2
+        assert fsub.nontrivial_count == 2
         cycle = find_diminishing_cycle(g, fsub)
         assert cycle is not None and len(cycle) == 4
         after = apply_interchange(fsub, cycle)
-        assert len(after.nontrivial_components) == 1
+        assert after.nontrivial_count == 1
 
     def test_precondition_single_component(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
@@ -224,12 +226,12 @@ class TestFindDiminishingCycle:
             if not cycles:
                 break
             fsub = apply_interchange(fsub, cycles[rng.below(len(cycles))])
-            if len(fsub.nontrivial_components) >= 2:
+            if fsub.nontrivial_count >= 2:
                 cyc = find_diminishing_cycle(g, fsub)
                 assert cyc is not None
-                before = len(fsub.nontrivial_components)
+                before = fsub.nontrivial_count
                 fsub = apply_interchange(fsub, cyc)
-                assert len(fsub.nontrivial_components) < before
+                assert fsub.nontrivial_count < before
                 diminished += 1
         assert diminished >= 1
 
@@ -268,7 +270,7 @@ class TestMergeToTour:
             sel = frozenset((v, e) for e, pair in enumerate(assign) for v in pair)
             fsub = FamilySubgraph(g, sel)
             families += 1
-            comp_counts.add(len(fsub.nontrivial_components))
+            comp_counts.add(fsub.nontrivial_count)
             tour = merge_to_tour(fsub)
             assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert families == 24
@@ -292,7 +294,7 @@ class TestMergeToTour:
                 continue
             sel = frozenset((v, e) for e, pair in enumerate(assign) for v in pair)
             fsub = FamilySubgraph(g, sel)
-            if len(fsub.nontrivial_components) == 2:
+            if fsub.nontrivial_count == 2:
                 target = fsub
                 break
         assert target is not None
@@ -406,10 +408,10 @@ def _two_scans(g, fsub, seen):
 
     Every candidate is scored, even one confined to a single component.
     """
-    base = len(fsub.nontrivial_components)
+    base = fsub.nontrivial_count
     diminishing = next(
         (nodes for nodes in _candidates(g, fsub.subgraph_adj)
-         if _nontrivial_count(g, fsub.selected ^ _cycle_incidences(g, nodes)) < base),
+         if _union_find(g, fsub.selected ^ _cycle_incidences(g, nodes))[1] < base),
         None)
     unseen = next(
         (nodes for nodes in _candidates(g, fsub.subgraph_adj)
@@ -427,7 +429,7 @@ class TestEscapeMove:
         assert find_diminishing_cycle(g, fsub, {fsub.selected}) == find_diminishing_cycle(g, fsub)
         # every candidate confined to one component: none diminishes
         fsub = find_family_subgraph(build_incidence(_two_complete_four_three()))
-        assert len(fsub.nontrivial_components) == 2
+        assert fsub.nontrivial_count == 2
         g = fsub.host
         assert find_diminishing_cycle(g, fsub) is None
         seen = {fsub.selected}
@@ -450,7 +452,7 @@ class TestEscapeMove:
         seen = {fsub.selected}
         limit = budget if budget is not None else 10 * g.n_e ** 2
         steps = 0
-        while len(fsub.nontrivial_components) > 1 and steps < limit:
+        while fsub.nontrivial_count > 1 and steps < limit:
             diminishing, unseen = _two_scans(g, fsub, seen)
             assert find_diminishing_cycle(g, fsub) == diminishing
             move = find_diminishing_cycle(g, fsub, seen)
@@ -471,7 +473,7 @@ class TestDirectOrderThree:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * m)
         assert validate_covering(h, 3).is_covering
         fsub = find_family_subgraph(build_incidence(h))
-        assert len(fsub.nontrivial_components) == 1
+        assert fsub.nontrivial_count == 1
         stats = MergeStats()
         tour = merge_to_tour(fsub, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))).valid

@@ -12,7 +12,7 @@ from eulergraph import (
     brute_family_exists,
     brute_max_matching,
     build_incidence,
-    extract_subgraph,
+    find_family_subgraph,
     max_matching,
     reduce_to_matching,
 )
@@ -122,10 +122,10 @@ class TestBruteMatchingOracle:
             brute_max_matching(complete_graph(17), SearchBudget(max_nodes=16))
 
 
-def _layout(gg):
+def _layout(g, gg):
     """Node ranges of a gadget: stubs [0, 2T), then cores [2T, 2T+C), then dummies."""
-    t_count = len(gg.incidences)
-    edge_degree = Counter(e for _, e in gg.incidences)
+    t_count = len(g.incidences)
+    edge_degree = Counter(e for _, e in g.incidences)
     cores = range(2 * t_count, 2 * t_count + sum(d - 2 for d in edge_degree.values()))
     return range(t_count), range(t_count, 2 * t_count), cores, range(cores.stop, gg.node_count)
 
@@ -133,8 +133,9 @@ def _layout(gg):
 class TestGadget:
     def test_edge_node_degree_three_has_one_core(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
-        gg = reduce_to_matching(build_incidence(h))
-        _, e_stubs, cores, _ = _layout(gg)
+        g = build_incidence(h)
+        gg = reduce_to_matching(g)
+        _, e_stubs, cores, _ = _layout(g, gg)
         assert len(cores) == 1
         core = cores[0]
         assert len(gg.adj[core]) == 3
@@ -142,17 +143,19 @@ class TestGadget:
 
     def test_even_vertex_degree_no_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
-        gg = reduce_to_matching(build_incidence(h))
-        assert len(_layout(gg)[3]) == 0
+        g = build_incidence(h)
+        gg = reduce_to_matching(g)
+        assert len(_layout(g, gg)[3]) == 0
         # each v-node of degree 2 contributes two mutually adjacent stubs
-        a_stubs = [t for t, (v, e) in enumerate(gg.incidences) if v == 0]
+        a_stubs = [t for t, (v, e) in enumerate(g.incidences) if v == 0]
         assert len(a_stubs) == 2
         assert a_stubs[1] in gg.adj[a_stubs[0]]
 
     def test_odd_vertex_degree_gets_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 3)
-        gg = reduce_to_matching(build_incidence(h))
-        dummies = _layout(gg)[3]
+        g = build_incidence(h)
+        gg = reduce_to_matching(g)
+        dummies = _layout(g, gg)[3]
         assert len(dummies) == 3
         assert len(gg.adj[dummies[0]]) == 3
 
@@ -195,7 +198,7 @@ class TestGadget:
             gg = reduce_to_matching(g)
             assert gg.adj == reference_gadget_adj(g)
             assert all(a < b for row in gg.adj for a, b in zip(row, row[1:]))
-            kinds["dummies"] += len(_layout(gg)[3])
+            kinds["dummies"] += len(_layout(g, gg)[3])
             g1 = build_incidence(Hypergraph.from_labels(labels[:n], edges + [("a",)]))
             with pytest.raises(InfeasibleDegreeError):
                 reduce_to_matching(g1)
@@ -208,13 +211,19 @@ class TestGadget:
 
     def test_back_map(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
-        gg = reduce_to_matching(build_incidence(h))
-        v_stubs, e_stubs, cores, _ = _layout(gg)
-        # incidence t is realized by the gadget edge from v-stub t to e-stub T+t
-        assert gg.incidence_edge == tuple(zip(v_stubs, e_stubs))
-        assert all(b in gg.adj[a] for a, b in gg.incidence_edge)
-        core = cores[0]
-        assert (core, gg.adj[core][0]) not in gg.incidence_edge
+        g = build_incidence(h)
+        gg = reduce_to_matching(g)
+        v_stubs, e_stubs, cores, _ = _layout(g, gg)
+        # incidence t is realized by the gadget edge from v-stub t to e-stub T+t,
+        # the only edge between the two stub ranges at either end
+        for t in v_stubs:
+            assert [s for s in gg.adj[t] if s in e_stubs] == [e_stubs[t]]
+            assert [s for s in gg.adj[e_stubs[t]] if s in v_stubs] == [t]
+        assert not any(s in v_stubs for s in gg.adj[cores[0]])
+        # a perfect matching selects exactly the incidences of its (t, T+t) pairs
+        pairs = max_matching(gg.adj).pairs
+        fsub = find_family_subgraph(g)
+        assert fsub.selected == {g.incidences[t] for t in v_stubs if (t, e_stubs[t]) in pairs}
 
     def test_perfect_matching_by_exhaustion(self):
         # two copies of a triple: the 14-node gadget has a perfect matching;
@@ -237,8 +246,9 @@ class TestRoundTrip:
             gg = reduce_to_matching(g)
         except InfeasibleDegreeError:
             return brute_family_exists(h) is False
-        fsub = extract_subgraph(g, gg, max_matching(gg.adj))
-        return (fsub is not None) == brute_family_exists(h)
+        perfect = 2 * max_matching(gg.adj).size == gg.node_count
+        assert (find_family_subgraph(g) is not None) == perfect
+        return perfect == brute_family_exists(h)
 
     def test_exhaustive_small(self):
         # all edge multisets of size <= 3 over >=2-subsets of 4 vertices,

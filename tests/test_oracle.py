@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import eulergraph.oracle
 from eulergraph import (
+    CertificateViolation,
     EulerFamily,
     Hypergraph,
     SearchBudget,
+    VerifyReport,
     brute_family_exists,
     brute_max_matching,
     brute_tour,
@@ -105,6 +108,13 @@ class TestBruteTour:
 
     def test_single_edge_none(self):
         assert brute_tour(Hypergraph.from_labels("abc", [("a", "b", "c")])) is None
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so python -O keeps the check
+        monkeypatch.setattr(eulergraph.oracle, "verify_euler_object",
+                            lambda h, f: VerifyReport(False, ("forced",)))
+        with pytest.raises(CertificateViolation, match="forced"):
+            brute_tour(Hypergraph.from_labels("abc", [("a", "b", "c")] * 2))
 
     def test_all_triples_of_four_vertices(self):
         h = gen_complete(4, 3)
@@ -264,7 +274,9 @@ class TestStateSpaceSearch:
                 modules.add(f"eulergraph.{node.module}" if node.level else node.module)
             elif isinstance(node, ast.Import):
                 modules.update(alias.name for alias in node.names)
-        assert {m for m in modules if m.startswith("eulergraph")} == {"eulergraph.hypergraph"}
+        # the data model and the exception types; no engine code
+        assert {m for m in modules if m.startswith("eulergraph")} == {
+            "eulergraph.errors", "eulergraph.hypergraph"}
 
 
 class TestBruteMaxMatching:

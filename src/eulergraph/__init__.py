@@ -23,13 +23,11 @@ from .family import (
     trails_from_subgraph,
 )
 from .hypergraph import (
-    CoveringReport,
     EulerFamily,
     Hypergraph,
     VerifyReport,
     Walk,
     canonical_closed_trail,
-    edge_name,
     validate_covering,
     verify_euler_object,
 )
@@ -40,7 +38,7 @@ from .interchange import (
     find_diminishing_cycle,
     merge_to_tour,
 )
-from .matching import GadgetGraph, Matching, max_matching, reduce_to_matching
+from .matching import max_matching, reduce_to_matching
 from .oracle import SearchBudget, brute_family_exists, brute_max_matching, brute_tour
 from .solver import SolveResult, solve
 
@@ -48,17 +46,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateViolation",
-    "CoveringReport",
     "EulerFamily",
     "EulerGraphError",
     "FamilySubgraph",
     "FormatError",
-    "GadgetGraph",
     "Hypergraph",
     "InadmissibleOrderError",
     "IncidenceGraph",
     "InfeasibleDegreeError",
-    "Matching",
     "MergeExhaustedError",
     "MergeStats",
     "SearchBudget",
@@ -71,7 +66,6 @@ __all__ = [
     "brute_tour",
     "build_incidence",
     "canonical_closed_trail",
-    "edge_name",
     "find_diminishing_cycle",
     "find_family_subgraph",
     "max_matching",

@@ -4,7 +4,9 @@ A family subgraph is a spanning subgraph of the incidence graph in which
 every edge-node has degree exactly 2 and every vertex-node has even degree.
 Its non-trivial connected components correspond one-to-one to the closed
 trails of an Euler family, so existence reduces to a perfect-matching search
-and trail extraction is an Euler-circuit traversal per component.
+and trail extraction is an Euler-circuit traversal per component.  Every
+edge-node has exactly two selected incidences, so the traversal runs on the
+vertices alone: it crosses an edge from one selected anchor to the other.
 
 One union-find over a selection's incidences is the package's only
 component routine: it gives a certificate's components, and it scores the
@@ -88,7 +90,7 @@ class FamilySubgraph:
     def subgraph_adj(self) -> tuple[tuple[int, ...], ...]:
         g = self.host
         adj: list[list[int]] = [[] for _ in range(g.n_v + g.n_e)]
-        for v, e in sorted(self.selected):
+        for v, e in self.selected:
             adj[v].append(g.e_node(e))
             adj[g.e_node(e)].append(v)
         return tuple(tuple(sorted(row)) for row in adj)
@@ -117,46 +119,19 @@ def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     """Decide Euler-family existence exactly; return a certificate when one exists.
 
     Incidence t is selected iff the gadget edge ``(t, T + t)`` realizing it,
-    for ``T`` incidences, is a (sorted) pair of the matching.
+    for ``T`` incidences, is in the matching, that is iff ``mate[t] == T + t``.
     """
     try:
         gg = reduce_to_matching(g)
     except InfeasibleDegreeError:
         return None
-    m = max_matching(gg.adj)
-    if 2 * m.size != gg.node_count:
+    mate = max_matching(gg.adj)
+    if -1 in mate:
         return None
     incidences = g.incidences
     t_count = len(incidences)
     return FamilySubgraph(g, frozenset(
-        vt for t, vt in enumerate(incidences) if (t, t_count + t) in m.pairs))
-
-
-def _euler_circuit(adj, start: int, ptr: list[int], used: set[tuple[int, int]]) -> list[int]:
-    """Closed walk through every edge of ``start``'s component of an even-degree subgraph.
-
-    ``ptr`` and ``used`` are shared by every circuit of one subgraph: the
-    circuit exhausts the ``ptr`` of each node it passes and marks every edge
-    of the component used, so they never touch another component's.
-    """
-    stack = [start]
-    out: list[int] = []
-    while stack:
-        v = stack[-1]
-        row = adj[v]
-        while ptr[v] < len(row):
-            u = row[ptr[v]]
-            key = (v, u) if v < u else (u, v)
-            if key in used:
-                ptr[v] += 1
-            else:
-                used.add(key)
-                stack.append(u)
-                break
-        else:
-            out.append(stack.pop())
-    out.reverse()
-    return out
+        vt for t, vt in enumerate(incidences) if mate[t] == t_count + t))
 
 
 def _walk_key(w: Walk):
@@ -166,24 +141,47 @@ def _walk_key(w: Walk):
 def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
     """One canonical closed trail per non-trivial component of the certificate.
 
-    One pass over the vertex-nodes in index order starts an Euler circuit at
-    each node that still has an untraversed edge, which is the smallest
-    vertex-node of its component.  Not re-verified here; callers verify what
-    they return.
+    A Hierholzer walk over the vertices: at vertex v it crosses v's lowest
+    untraversed selected edge to that edge's other selected anchor, and a
+    vertex with none left is popped together with the edge that led to it.
+    One pass over the vertices in index order starts a circuit at each vertex
+    that still has an untraversed edge, which is the smallest vertex of its
+    component.  Not re-verified here; callers verify what they return.
     """
     g = fsub.host
-    h = g.host
-    adj = fsub.subgraph_adj
-    ptr = [0] * len(adj)
-    used: set[tuple[int, int]] = set()
+    labels = g.host.vertices
+    # rows[v]: v's selected edges, largest first, so pop() yields the lowest.
+    rows: list[list[int]] = [[] for _ in range(g.n_v)]
+    ends = [0] * g.n_e  # the sum of each edge's two selected anchors
+    for v, e in fsub.selected:
+        rows[v].append(e)
+        ends[e] += v
+    for row in rows:
+        row.sort(reverse=True)
+    used = [False] * g.n_e
     walks: list[Walk] = []
     for start in range(g.n_v):
-        if ptr[start] == len(adj[start]):
+        if not rows[start]:
             continue
-        seq = _euler_circuit(adj, start, ptr, used)
-        anchors = tuple(h.vertices[seq[i]] for i in range(0, len(seq), 2))
-        edges = tuple(g.edge_id(seq[i]) for i in range(1, len(seq), 2))
-        walks.append(canonical_closed_trail(Walk(anchors, edges)))
+        stack, via = [start], []
+        anchors: list[str] = []
+        edges: list[int] = []
+        while stack:
+            v = stack[-1]
+            row = rows[v]
+            while row and used[row[-1]]:
+                row.pop()
+            if row:
+                e = row.pop()
+                used[e] = True
+                via.append(e)
+                stack.append(ends[e] - v)
+            else:
+                anchors.append(labels[stack.pop()])
+                if via:
+                    edges.append(via.pop())
+        # The circuit comes out backwards; the canonical form reads both directions.
+        walks.append(canonical_closed_trail(Walk(tuple(anchors), tuple(edges))))
     walks.sort(key=_walk_key)
     return EulerFamily(tuple(walks))
 

@@ -191,29 +191,29 @@ def parse_hg(text: str) -> tuple[Hypergraph, int]:
     if len(rows) != 1 + n + m:
         raise FormatError(
             f"expected {n} vertex lines and {m} edge lines, found {len(rows) - 1}", head_ln)
-    labels: list[str] = []
-    known: set[str] = set()
+    index: dict[str, int] = {}
     for ln, row in rows[1:1 + n]:
         if row[0] != "v" or len(row) != 2:
             raise FormatError("expected 'v <label>'", ln)
-        if row[1] in known:
+        if row[1] in index:
             raise FormatError(f"duplicate vertex label {row[1]!r}", ln)
-        labels.append(row[1])
-        known.add(row[1])
-    edges: list[tuple[str, ...]] = []
+        index[row[1]] = len(index)
+    position = index.__getitem__
+    edges: list[frozenset[int]] = []
     for ln, row in rows[1 + n:]:
         if row[0] != "e" or len(row) < 2:
             raise FormatError("expected 'e <label> ...'", ln)
         members = row[1:]
         if k > 0 and len(members) != k:
             raise FormatError(f"arity mismatch: expected {k} labels, found {len(members)}", ln)
-        for lab in members:
-            if lab not in known:
-                raise FormatError(f"unknown vertex label {lab!r}", ln)
-        if len(set(members)) != len(members):
+        try:
+            e = frozenset(map(position, members))
+        except KeyError as exc:  # the first unknown label, in line order
+            raise FormatError(f"unknown vertex label {exc.args[0]!r}", ln) from None
+        if len(e) != len(members):
             raise FormatError("repeated label within an edge", ln)
-        edges.append(tuple(members))
-    return Hypergraph.from_labels(labels, edges), k
+        edges.append(e)
+    return Hypergraph(tuple(index), tuple(edges)), k
 
 
 def load_hg(path) -> tuple[Hypergraph, int]:

@@ -35,7 +35,7 @@ class Hypergraph:
         for i, e in enumerate(self.edges):
             if not valid.issuperset(e):
                 v = next(v for v in e if v not in valid)
-                raise ValueError(f"edge {i} references unknown vertex index {v}")
+                raise ValueError(f"edge {edge_name(i)} references unknown vertex index {v}")
 
     @classmethod
     def from_labels(cls, vertices, edges) -> Hypergraph:
@@ -59,9 +59,10 @@ class Hypergraph:
                 seen = set()
                 for lab in labs:
                     if lab not in index:
-                        raise ValueError(f"edge {len(es)} references unknown vertex {lab!r}")
+                        raise ValueError(
+                            f"edge {edge_name(len(es))} references unknown vertex {lab!r}")
                     if lab in seen:
-                        raise ValueError(f"edge {len(es)} repeats vertex {lab!r}")
+                        raise ValueError(f"edge {edge_name(len(es))} repeats vertex {lab!r}")
                     seen.add(lab)
             es.append(members)
         return cls(vs, tuple(es))

@@ -3,8 +3,9 @@
 Nodes ``0 .. n_v-1`` are vertex-nodes (one per hypergraph vertex, same index);
 nodes ``n_v .. n_v+n_e-1`` are edge-nodes, in edge order.  ``incidences``
 numbers the (vertex index, edge id) pairs, and the matching gadget lays out
-its stubs in that order.  The components of a certificate subgraph are found
-by the union-find in :mod:`eulergraph.family`.
+its stubs in that order.  Every row is built once, in increasing node order,
+with no sort after the fact.  The components of a certificate subgraph are
+found by the union-find in :mod:`eulergraph.family`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,16 @@ class IncidenceGraph:
 
 
 def build_incidence(h: Hypergraph) -> IncidenceGraph:
+    """The incidence graph of ``h``, every row in increasing node order.
+
+    Edges are visited in id order, so each vertex row receives its edge-nodes
+    already sorted, and each edge row is its sorted vertex set.
+    """
     n, m = len(h.vertices), len(h.edges)
     adj: list[list[int]] = [[] for _ in range(n + m)]
     for j, e in enumerate(h.edges):
-        for v in sorted(e):
+        adj[n + j] = row = sorted(e)
+        for v in row:
             adj[v].append(n + j)
-            adj[n + j].append(v)
-    return IncidenceGraph(h, n, m, tuple(tuple(sorted(row)) for row in adj))
+    return IncidenceGraph(h, n, m, tuple(map(tuple, adj)))
 

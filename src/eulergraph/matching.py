@@ -28,7 +28,8 @@ perfect-matching question:
 
 An incidence belongs to the selected subgraph iff its gadget edge is in the
 matching.  The node layout fixes that edge, so the gadget stores only its
-adjacency rows.
+adjacency rows, and :func:`max_matching` returns the bare mate list: the
+t-th incidence is selected iff ``mate[t] == T + t``.
 """
 
 from __future__ import annotations
@@ -39,25 +40,6 @@ from typing import Sequence
 
 from .errors import InfeasibleDegreeError
 from .incidence import IncidenceGraph
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, stored as sorted node pairs."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            if a == b or a in seen or b in seen:
-                raise ValueError("not a matching: overlapping or degenerate pairs")
-            seen.add(a)
-            seen.add(b)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
 
 
 def _greedy_seed(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
@@ -171,11 +153,13 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
     return found
 
 
-def max_matching(adj: Sequence[Sequence[int]]) -> Matching:
-    """Maximum-cardinality matching of a simple undirected graph.
+def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Maximum-cardinality matching of a simple undirected graph, as a mate list.
 
-    Deterministic: nodes are processed in increasing order and neighbours in
-    adjacency order, so equal inputs give equal matchings.
+    ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
+    so the matching is perfect iff ``-1 not in mate``.  Deterministic: nodes
+    are processed in increasing order and neighbours in adjacency order, so
+    equal inputs give equal matchings.
     """
     n = len(adj)
     mate = [-1] * n
@@ -186,8 +170,7 @@ def max_matching(adj: Sequence[Sequence[int]]) -> Matching:
     for root in range(n):
         if mate[root] == -1:
             _augment_from(adj, mate, root, used, parent, base)
-    pairs = frozenset((v, mate[v]) for v in range(n) if mate[v] > v)
-    return Matching(pairs)
+    return mate
 
 
 @dataclass(frozen=True)

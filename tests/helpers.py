@@ -12,7 +12,6 @@ from eulergraph import (
     EulerFamily,
     FamilySubgraph,
     Hypergraph,
-    Matching,
     Walk,
     build_incidence,
     canonical_closed_trail,
@@ -339,12 +338,27 @@ def src_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))))
 
 
-def reference_max_matching(adj) -> Matching:
+def matching_size(adj, mate) -> int:
+    """The number of pairs of a mate list, after asserting it is a matching of ``adj``.
+
+    Every entry is ``-1`` (exposed) or a neighbour whose own entry points
+    back, so the pairs are disjoint edges of ``adj``.
+    """
+    assert len(mate) == len(adj)
+    for v, u in enumerate(mate):
+        if u != -1:
+            assert 0 <= u < len(adj) and u != v, (v, u)
+            assert mate[u] == v, (v, u, mate[u])
+            assert u in adj[v] and v in adj[u], (v, u)
+    return sum(u != -1 for u in mate) // 2
+
+
+def reference_max_matching(adj) -> list[int]:
     """Blossom matching that rescans all n nodes at every contraction.
 
     The reference for :func:`eulergraph.max_matching`: same seed, same root
     order and same queue discipline, with a flat ``base`` array rebuilt by a
-    full scan, so both must return the same pairs.
+    full scan, so both must return the same mate list.
     """
     n = len(adj)
     mate = [-1] * n
@@ -417,7 +431,7 @@ def reference_max_matching(adj) -> Matching:
     for root in range(n):
         if mate[root] == -1:
             augment_from(root)
-    return Matching(frozenset((v, mate[v]) for v in range(n) if mate[v] > v))
+    return mate
 
 
 def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:

@@ -39,9 +39,9 @@ class TestConstruction:
 
     def test_label_repeated_within_an_edge_rejected(self):
         # merging the repeat would shrink edge 0 to {a, b} and change the verdict
-        with pytest.raises(ValueError, match=r"edge 0 repeats vertex 'a'"):
+        with pytest.raises(ValueError, match=r"edge e1 repeats vertex 'a'"):
             Hypergraph.from_labels("abc", [("a", "a", "b"), ("a", "b", "c"), ("a", "b", "c")])
-        with pytest.raises(ValueError, match=r"edge 2 repeats vertex 'c'"):
+        with pytest.raises(ValueError, match=r"edge e3 repeats vertex 'c'"):
             Hypergraph.from_labels("abc", [("a", "b"), ("b", "c"), ("c", "a", "c")])
 
     def test_edges_given_as_generators_or_sets(self):
@@ -52,20 +52,20 @@ class TestConstruction:
         assert as_generators == as_sets == expected
 
     def test_edge_error_messages(self):
-        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex 'z'$"):
+        with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex 'z'$"):
             Hypergraph.from_labels("abc", [("a", "b"), ("a", "z")])
-        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex 'z'$"):
+        with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex 'z'$"):
             Hypergraph.from_labels("abc", [("a", "b"), (lab for lab in "azb")])
         # Labels are checked in order, so the first fault of an edge is the one reported.
-        with pytest.raises(ValueError, match=r"^edge 0 repeats vertex 'a'$"):
+        with pytest.raises(ValueError, match=r"^edge e1 repeats vertex 'a'$"):
             Hypergraph.from_labels("abc", [("a", "a", "z")])
-        with pytest.raises(ValueError, match=r"^edge 0 references unknown vertex 'z'$"):
+        with pytest.raises(ValueError, match=r"^edge e1 references unknown vertex 'z'$"):
             Hypergraph.from_labels("abc", [("z", "a", "a")])
-        with pytest.raises(ValueError, match=r"^edge 0 repeats vertex 'b'$"):
+        with pytest.raises(ValueError, match=r"^edge e1 repeats vertex 'b'$"):
             Hypergraph.from_labels("abc", [iter("abcb")])
 
     def test_unknown_vertex_index_rejected(self):
-        with pytest.raises(ValueError, match=r"^edge 1 references unknown vertex index 3$"):
+        with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex index 3$"):
             Hypergraph(("a", "b", "c"), (frozenset({0, 1}), frozenset({2, 3})))
 
     def test_multiset_edges_keep_identity(self):

@@ -8,7 +8,6 @@ import pytest
 from eulergraph import (
     Hypergraph,
     InfeasibleDegreeError,
-    Matching,
     brute_family_exists,
     brute_max_matching,
     build_incidence,
@@ -22,6 +21,7 @@ from eulergraph.matching import _augment_from
 from helpers import (
     complete_graph,
     fano,
+    matching_size,
     petersen,
     random_graph,
     reference_gadget_adj,
@@ -32,46 +32,50 @@ from helpers import (
 
 class TestMaxMatching:
     def test_triangle(self):
-        assert max_matching(complete_graph(3)).size == 1
+        adj = complete_graph(3)
+        assert matching_size(adj, max_matching(adj)) == 1
 
     def test_k4_perfect(self):
-        assert max_matching(complete_graph(4)).size == 2
+        adj = complete_graph(4)
+        assert max_matching(adj) == [1, 0, 3, 2]
+        assert matching_size(adj, max_matching(adj)) == 2
 
     def test_petersen_perfect(self):
-        assert max_matching(petersen()).size == 5
+        adj = petersen()
+        assert matching_size(adj, max_matching(adj)) == 5
 
     def test_empty_graph(self):
-        assert max_matching(((), (), ())).size == 0
+        assert max_matching(((), (), ())) == [-1, -1, -1]
+        assert max_matching(()) == []
 
     def test_matching_is_disjoint(self):
         rng = Lcg(23)
         for _ in range(40):
             adj = random_graph(rng, 4 + rng.below(9), 15 + rng.below(60))
-            m = max_matching(adj)
-            seen = set()
-            for a, b in m.pairs:
-                assert b in adj[a] and a in adj[b]
-                assert a not in seen and b not in seen
-                seen.update((a, b))
+            matching_size(adj, max_matching(adj))
 
     def test_against_exhaustive_on_random_graphs(self):
         rng = Lcg(29)
         for _ in range(120):
             n = 3 + rng.below(12)
             adj = random_graph(rng, n, 10 + rng.below(70))
-            assert max_matching(adj).size == brute_max_matching(adj)
+            assert matching_size(adj, max_matching(adj)) == brute_max_matching(adj)
 
     def test_deterministic(self):
         rng = Lcg(31)
         adj = random_graph(rng, 12, 40)
-        assert max_matching(adj).pairs == max_matching(adj).pairs
+        mate = max_matching(adj)
+        matching_size(adj, mate)
+        assert mate == max_matching(adj)
 
     def test_same_pairs_as_full_rescan_kernel_on_random_graphs(self):
         rng = Lcg(43)
         for n in range(20, 121, 20):
             for density_pct in (4, 10, 25, 60):
                 adj = random_graph(rng, n, density_pct)
-                assert max_matching(adj).pairs == reference_max_matching(adj).pairs
+                mate = max_matching(adj)
+                matching_size(adj, mate)
+                assert mate == reference_max_matching(adj)
 
     def test_same_pairs_as_full_rescan_kernel_on_gadgets(self):
         # gadgets are near-perfect and their clique rows nest blossoms deeply
@@ -79,7 +83,9 @@ class TestMaxMatching:
         hs += [gen_random_covering(n, 3, seed) for n in range(14, 23) for seed in range(1, 7)]
         for h in hs:
             adj = reduce_to_matching(build_incidence(h)).adj
-            assert max_matching(adj).pairs == reference_max_matching(adj).pairs
+            mate = max_matching(adj)
+            matching_size(adj, mate)
+            assert mate == reference_max_matching(adj)
 
     def test_search_leaves_its_state_reset(self):
         # Triangle 0-1-2 (1-2 matched) with pendant 3, and triangle 4-5-6
@@ -96,10 +102,6 @@ class TestMaxMatching:
             assert used == [False] * n
             assert parent == [-1] * n
             assert base == list(range(n))
-
-    def test_overlapping_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            Matching(frozenset({(0, 1), (1, 2)}))
 
 
 class TestBruteMatchingOracle:
@@ -221,9 +223,10 @@ class TestGadget:
             assert [s for s in gg.adj[e_stubs[t]] if s in v_stubs] == [t]
         assert not any(s in v_stubs for s in gg.adj[cores[0]])
         # a perfect matching selects exactly the incidences of its (t, T+t) pairs
-        pairs = max_matching(gg.adj).pairs
+        mate = max_matching(gg.adj)
+        assert 2 * matching_size(gg.adj, mate) == gg.node_count
         fsub = find_family_subgraph(g)
-        assert fsub.selected == {g.incidences[t] for t in v_stubs if (t, e_stubs[t]) in pairs}
+        assert fsub.selected == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
 
     def test_perfect_matching_by_exhaustion(self):
         # two copies of a triple: the 14-node gadget has a perfect matching;
@@ -231,7 +234,7 @@ class TestGadget:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = reduce_to_matching(build_incidence(h))
         assert 2 * brute_max_matching(gg.adj) == gg.node_count
-        assert 2 * max_matching(gg.adj).size == gg.node_count
+        assert 2 * matching_size(gg.adj, max_matching(gg.adj)) == gg.node_count
         single = Hypergraph.from_labels("abc", [("a", "b", "c")])
         gg1 = reduce_to_matching(build_incidence(single))
         assert 2 * brute_max_matching(gg1.adj) < gg1.node_count
@@ -246,7 +249,7 @@ class TestRoundTrip:
             gg = reduce_to_matching(g)
         except InfeasibleDegreeError:
             return brute_family_exists(h) is False
-        perfect = 2 * max_matching(gg.adj).size == gg.node_count
+        perfect = 2 * matching_size(gg.adj, max_matching(gg.adj)) == gg.node_count
         assert (find_family_subgraph(g) is not None) == perfect
         return perfect == brute_family_exists(h)
 

@@ -19,7 +19,6 @@ from .errors import (
 from .family import (
     FamilySubgraph,
     find_family_subgraph,
-    subgraph_from_trails,
     trails_from_subgraph,
 )
 from .hypergraph import (
@@ -72,7 +71,6 @@ __all__ = [
     "merge_to_tour",
     "reduce_to_matching",
     "solve",
-    "subgraph_from_trails",
     "trails_from_subgraph",
     "validate_covering",
     "verify_euler_object",

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (tour/family found, certificate valid), 1 verified
 negative, 2 input error, 3 search or budget exhausted, 4 internal error (a
-constructed certificate failed the boundary check).
+constructed certificate failed the boundary check, or any other unexpected
+exception).  Exit 1 therefore only ever means a verified negative.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import genio
 from .errors import CertificateViolation, FormatError, InadmissibleOrderError, MergeExhaustedError
@@ -180,6 +182,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # A bug: keep the traceback for the report, and never exit 1, which
+        # means a verified negative.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

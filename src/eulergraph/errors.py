@@ -30,11 +30,12 @@ class InadmissibleOrderError(EulerGraphError, ValueError):
 class MergeExhaustedError(EulerGraphError):
     """Tour merging gave up: step budget spent or no productive move found.
 
-    Carries the stuck certificate (the selected incidence set) for diagnosis.
+    Carries the stuck certificate for diagnosis: ``anchors[e]``, the two
+    vertex indices edge e is traversed between, as in ``FamilySubgraph``.
     """
 
-    def __init__(self, reason: str, steps: int, selected=None):
+    def __init__(self, reason: str, steps: int, anchors=None):
         self.reason = reason
         self.steps = steps
-        self.selected = selected
+        self.anchors = anchors
         super().__init__(f"merge exhausted ({reason}) after {steps} interchange steps")

@@ -1,19 +1,20 @@
-"""Euler-family certificates in spanning-subgraph form, and conversions to and from trails.
+"""Euler-family certificates as one anchor pair per edge, and conversions to and from trails.
 
-A family subgraph is a spanning subgraph of the incidence graph in which
-every edge-node has degree exactly 2 and every vertex-node has even degree.
-Its non-trivial connected components correspond one-to-one to the closed
-trails of an Euler family, so existence reduces to a perfect-matching search
-and trail extraction is an Euler-circuit traversal per component.  Every
-edge-node has exactly two selected incidences, so the traversal runs on the
-vertices alone: it crosses an edge from one selected anchor to the other.
+An Euler family is a set of anchor- and edge-disjoint closed trails covering
+every edge once, so its certificate is one pair of distinct anchors per edge,
+``anchors[e] = (a, b)`` with ``a < b``, every vertex an anchor an even number
+of times.  Joining each edge-node of the incidence graph to its two anchors
+gives a spanning subgraph whose non-trivial components are the family's
+closed trails, so existence reduces to a perfect-matching search, and each
+trail is an Euler circuit that crosses every edge from one anchor to the
+other, on the vertices alone.
 
-One union-find over a selection's incidences is the package's only
+One union-find that joins each edge's two anchors is the package's only
 component routine: it gives a certificate's components, and it scores the
-merge's candidate cycles on their toggled selections.  Certificates are
-frozen: the constructor enforces the degree discipline, every merge move
-builds a new one, and trail extraction is not re-verified; trails are
-verified once, where they leave the package.
+merge's candidate cycles on their toggled pairs.  Certificates are frozen:
+the constructor enforces the pair and parity rules, every merge move builds
+a new one, and trail extraction is not re-verified; trails are verified
+once, where they leave the package.
 """
 
 from __future__ import annotations
@@ -32,20 +33,19 @@ from .incidence import IncidenceGraph
 from .matching import max_matching, reduce_to_matching
 
 
-def _union_find(g: IncidenceGraph, selected) -> tuple[list[int], int]:
-    """Union-find over the subgraph a selection of incidences spans.
+def _union_find(n_v: int, anchors) -> tuple[list[int], int]:
+    """Union-find over the vertices, joining each edge's two anchors.
 
     Returns the parent array and the number of non-trivial components.  A
     union hangs the larger root under the smaller, so every parent is at
-    most its node and a component's root is its smallest node.  A node lies
-    in a non-trivial component exactly when it has a selected incidence, so
-    the count is the touched nodes minus the joining unions.
+    most its vertex and a component's root is its smallest vertex.  A vertex
+    lies in a non-trivial component exactly when it anchors some edge, so
+    the count is the anchoring vertices minus the joining unions.
     """
-    parent = list(range(g.n_v + g.n_e))
-    touched = [False] * len(parent)
+    parent = list(range(n_v))
+    touched = [False] * n_v
     count = 0
-    for a, e in selected:
-        b = g.n_v + e
+    for a, b in anchors:
         for x in (a, b):
             if not touched[x]:
                 touched[x] = True
@@ -64,49 +64,45 @@ def _union_find(g: IncidenceGraph, selected) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class FamilySubgraph:
-    """A certificate subgraph: selected incidences with the degree discipline above."""
+    """A family certificate: ``anchors[e]``, the two anchors edge e is traversed between."""
 
     host: IncidenceGraph
-    selected: frozenset[tuple[int, int]]
+    anchors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         g = self.host
         edges = g.host.edges
-        e_deg = [0] * g.n_e
-        v_deg = [0] * g.n_v
-        for v, e in self.selected:
-            if not (0 <= e < g.n_e) or v not in edges[e]:
-                raise CertificateViolation(f"({v}, e{e + 1}) is not an incidence of the host")
-            e_deg[e] += 1
-            v_deg[v] += 1
-        for e, d in enumerate(e_deg):
-            if d != 2:
-                raise CertificateViolation(f"edge-node e{e + 1} has degree {d}, expected 2")
-        for v, d in enumerate(v_deg):
+        if len(self.anchors) != g.n_e:
+            raise CertificateViolation(
+                f"{len(self.anchors)} anchor pairs for {g.n_e} edges")
+        deg = [0] * g.n_v
+        for e, pair in enumerate(self.anchors):
+            if len(pair) != 2 or pair[0] == pair[1]:
+                raise CertificateViolation(
+                    f"edge-node e{e + 1} has degree {len(set(pair))}, expected 2")
+            # Membership first, so no index is used as a position before it is checked.
+            for v in pair:
+                if v not in edges[e]:
+                    raise CertificateViolation(f"({v}, e{e + 1}) is not an incidence of the host")
+                deg[v] += 1
+            if pair[0] > pair[1]:
+                raise CertificateViolation(f"edge-node e{e + 1} has anchors {pair} out of order")
+        for v, d in enumerate(deg):
             if d % 2 == 1:
                 raise CertificateViolation(f"vertex-node {g.host.vertices[v]!r} has odd degree {d}")
 
     @cached_property
-    def subgraph_adj(self) -> tuple[tuple[int, ...], ...]:
-        g = self.host
-        adj: list[list[int]] = [[] for _ in range(g.n_v + g.n_e)]
-        for v, e in self.selected:
-            adj[v].append(g.e_node(e))
-            adj[g.e_node(e)].append(v)
-        return tuple(tuple(sorted(row)) for row in adj)
-
-    @cached_property
     def _components(self) -> tuple[tuple[int, ...], int]:
-        parent, count = _union_find(self.host, self.selected)
-        # Every parent is at most its node, so one pass in index order
-        # resolves each node to its root.
+        parent, count = _union_find(self.host.n_v, self.anchors)
+        # Every parent is at most its vertex, so one pass in index order
+        # resolves each vertex to its root.
         for x, p in enumerate(parent):
             parent[x] = parent[p]
         return tuple(parent), count
 
     @property
     def component_of(self) -> tuple[int, ...]:
-        """Each node's component root, its smallest node; an isolated node is its own root."""
+        """Each vertex's component root, its smallest vertex; a vertex anchoring no edge is its own."""
         return self._components[0]
 
     @property
@@ -118,8 +114,10 @@ class FamilySubgraph:
 def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     """Decide Euler-family existence exactly; return a certificate when one exists.
 
-    Incidence t is selected iff the gadget edge ``(t, T + t)`` realizing it,
-    for ``T`` incidences, is in the matching, that is iff ``mate[t] == T + t``.
+    Incidence t anchors its edge iff the gadget edge ``(t, T + t)`` realizing
+    it, for ``T`` incidences, is in the matching, that is iff
+    ``mate[t] == T + t``.  Incidences are grouped by edge in increasing vertex
+    order, so each edge's two anchors arrive in increasing order.
     """
     try:
         gg = reduce_to_matching(g)
@@ -128,10 +126,12 @@ def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     mate = max_matching(gg.adj)
     if -1 in mate:
         return None
-    incidences = g.incidences
-    t_count = len(incidences)
-    return FamilySubgraph(g, frozenset(
-        vt for t, vt in enumerate(incidences) if mate[t] == t_count + t))
+    t_count = len(g.incidences)
+    pairs: list[list[int]] = [[] for _ in range(g.n_e)]
+    for t, (v, e) in enumerate(g.incidences):
+        if mate[t] == t_count + t:
+            pairs[e].append(v)
+    return FamilySubgraph(g, tuple(map(tuple, pairs)))
 
 
 def _walk_key(w: Walk):
@@ -142,29 +142,28 @@ def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
     """One canonical closed trail per non-trivial component of the certificate.
 
     A Hierholzer walk over the vertices: at vertex v it crosses v's lowest
-    untraversed selected edge to that edge's other selected anchor, and a
-    vertex with none left is popped together with the edge that led to it.
-    One pass over the vertices in index order starts a circuit at each vertex
-    that still has an untraversed edge, which is the smallest vertex of its
-    component.  Not re-verified here; callers verify what they return.
+    untraversed edge to that edge's other anchor, and a vertex with none left
+    is popped together with the edge that led to it.  One pass over the
+    vertices in index order starts a circuit at each vertex that still has an
+    untraversed edge, which is the smallest vertex of its component.  Not
+    re-verified here; callers verify what they return.
     """
     g = fsub.host
     labels = g.host.vertices
-    # rows[v]: v's selected edges, largest first, so pop() yields the lowest.
+    anchors = fsub.anchors
+    # rows[v]: the edges v anchors, largest first, so pop() yields the lowest.
     rows: list[list[int]] = [[] for _ in range(g.n_v)]
-    ends = [0] * g.n_e  # the sum of each edge's two selected anchors
-    for v, e in fsub.selected:
-        rows[v].append(e)
-        ends[e] += v
-    for row in rows:
-        row.sort(reverse=True)
+    for e in range(g.n_e - 1, -1, -1):
+        a, b = anchors[e]
+        rows[a].append(e)
+        rows[b].append(e)
     used = [False] * g.n_e
     walks: list[Walk] = []
     for start in range(g.n_v):
         if not rows[start]:
             continue
         stack, via = [start], []
-        anchors: list[str] = []
+        trail: list[str] = []
         edges: list[int] = []
         while stack:
             v = stack[-1]
@@ -175,13 +174,14 @@ def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
                 e = row.pop()
                 used[e] = True
                 via.append(e)
-                stack.append(ends[e] - v)
+                a, b = anchors[e]
+                stack.append(a + b - v)
             else:
-                anchors.append(labels[stack.pop()])
+                trail.append(labels[stack.pop()])
                 if via:
                     edges.append(via.pop())
         # The circuit comes out backwards; the canonical form reads both directions.
-        walks.append(canonical_closed_trail(Walk(tuple(anchors), tuple(edges))))
+        walks.append(canonical_closed_trail(Walk(tuple(trail), tuple(edges))))
     walks.sort(key=_walk_key)
     return EulerFamily(tuple(walks))
 
@@ -191,10 +191,9 @@ def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:
     report = verify_euler_object(g.host, f)
     if not report.valid:
         raise ValueError("invalid family: " + "; ".join(report.violations[:3]))
-    h = g.host
-    selected: set[tuple[int, int]] = set()
+    index = g.host.vertex_index
+    anchors: list = [None] * g.n_e
     for w in f.components:
         for j, eid in enumerate(w.edges):
-            selected.add((h.vertex_index(w.anchors[j]), eid))
-            selected.add((h.vertex_index(w.anchors[j + 1]), eid))
-    return FamilySubgraph(g, frozenset(selected))
+            anchors[eid] = tuple(sorted((index(w.anchors[j]), index(w.anchors[j + 1]))))
+    return FamilySubgraph(g, tuple(anchors))

@@ -81,9 +81,9 @@ class Hypergraph:
         except KeyError:
             raise KeyError(f"unknown vertex {label!r}") from None
 
-    def edge_labels(self, edge_id: int) -> tuple[str, ...]:
+    def edge_labels(self, j: int) -> tuple[str, ...]:
         """Sorted vertex labels of one edge."""
-        return tuple(sorted(map(self.vertices.__getitem__, self.edges[edge_id])))
+        return tuple(sorted(map(self.vertices.__getitem__, self.edges[j])))
 
     def uniformity(self) -> int | None:
         """The common edge cardinality, or None if edges are absent or mixed."""
@@ -93,9 +93,9 @@ class Hypergraph:
         return next(iter(sizes))
 
 
-def edge_name(edge_id: int) -> str:
+def edge_name(j: int) -> str:
     """Printable name of an edge id, 1-based: ``e1``, ``e2``, ..."""
-    return f"e{edge_id + 1}"
+    return f"e{j + 1}"
 
 
 @dataclass(frozen=True)

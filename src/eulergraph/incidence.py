@@ -25,11 +25,8 @@ class IncidenceGraph:
     n_e: int
     adj: tuple[tuple[int, ...], ...]
 
-    def e_node(self, edge_id: int) -> int:
-        return self.n_v + edge_id
-
-    def edge_id(self, node: int) -> int:
-        return node - self.n_v
+    def e_node(self, j: int) -> int:
+        return self.n_v + j
 
     @cached_property
     def incidences(self) -> tuple[tuple[int, int], ...]:

@@ -1,11 +1,11 @@
 """Interchanging cycles: certificate rewriting, diminishing-cycle search, tour merging.
 
 A cycle of the incidence graph is *interchanging* for a family subgraph when
-every edge-node on the cycle meets exactly one selected cycle edge.  Taking
-the symmetric difference of the certificate with such a cycle preserves the
-degree discipline (each touched node gains and loses edges in equal parity),
-so it rewrites one Euler family into another.  A *diminishing* cycle is an
-interchanging cycle whose application strictly reduces the number of
+every edge-node on the cycle has exactly one of its two cycle neighbours
+among its anchors.  Toggling such a cycle swaps that anchor for the other
+neighbour, which keeps two anchors per edge and every vertex's anchor count
+even, so it rewrites one Euler family into another.  A *diminishing* cycle
+is an interchanging cycle whose application strictly reduces the number of
 non-trivial components; applying diminishing cycles repeatedly drives a
 family towards a single closed trail, an Euler tour.  Certificates are
 frozen, so the merge leaves the certificate it is given unchanged: each move
@@ -26,49 +26,61 @@ The merge takes one move per step, from one scan:
   covering 3-hypergraphs, exceeding the budget signals an implementation
   bug, not a mathematical obstruction.
 
-A move is the node tuple the search yields.  Each candidate is scored on
-its toggled selection, the certificate's incidences XOR the cycle's: the
-union-find that gives a :class:`FamilySubgraph` its components counts the
-set's non-trivial components, and the set itself is what the merge compares
-with the certificates it has seen.  Only the applied move builds a new
-:class:`FamilySubgraph`, whose degree check rejects any cycle that is not
-interchanging.
+A move is the node tuple the search yields.  Toggling it sets each
+edge-node's anchor pair to that pair XOR its two cycle neighbours.  The
+candidate scoring (one union-find on the toggled pairs), the merge's set of
+certificates seen and :func:`apply_interchange` all use this one toggle; only
+the applied move builds a new :class:`FamilySubgraph`, whose check rejects
+any cycle that is not interchanging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MergeExhaustedError
+from .errors import CertificateViolation, MergeExhaustedError
 from .family import FamilySubgraph, _union_find, trails_from_subgraph
 from .hypergraph import Walk
-from .incidence import IncidenceGraph
 
 MAX_EDGE_NODES = 6
 MAX_EXPANSIONS = 250_000
 
 
+def _toggle(fsub: FamilySubgraph, nodes) -> tuple[tuple[int, ...], ...]:
+    """The certificate's pairs, each cycle edge-node's XOR its two cycle neighbours."""
+    n_v = fsub.host.n_v
+    anchors = list(fsub.anchors)
+    L = len(nodes)
+    for i in range(1, L, 2):
+        e = nodes[i] - n_v
+        if not 0 <= e < len(anchors):
+            raise CertificateViolation(f"node {nodes[i]} is not an edge-node")
+        anchors[e] = tuple(sorted({*anchors[e]} ^ {nodes[i - 1], nodes[(i + 1) % L]}))
+    return tuple(anchors)
+
+
 def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySubgraph:
-    """Symmetric difference of the certificate with the cycle ``nodes``.
+    """The certificate with the cycle ``nodes`` toggled.
 
     ``nodes`` alternates vertex-node, edge-node, ... starting at a
     vertex-node; closure back to ``nodes[0]`` is implicit.  The new
-    certificate's degree check rejects every cycle that is not interchanging:
-    an edge-node meeting 0 or 2 selected cycle edges ends at degree 4 or 0.
+    certificate's check rejects every cycle that is not interchanging: an
+    edge-node with both or neither of its cycle neighbours among its anchors
+    ends at degree 0 or 4.
     """
-    return FamilySubgraph(fsub.host, fsub.selected ^ _cycle_incidences(fsub.host, nodes))
+    return FamilySubgraph(fsub.host, _toggle(fsub, nodes))
 
 
-def _alternating_cycles(g, rows, start, exact_e, counter):
+def _alternating_cycles(g, anchors, start, exact_e, counter):
     """DFS over interchanging cycles with exactly ``exact_e`` edge-nodes.
 
     Only cycles whose smallest vertex-node is ``start`` are produced, so each
-    cycle comes from one start.  ``rows`` is the certificate's selected
-    adjacency (``subgraph_adj``); an edge-node's row holds its two selected
-    vertex-nodes.  ``counter`` is a one-cell expansion budget shared across
-    calls.
+    cycle comes from one start.  ``anchors`` is the certificate's anchor
+    pairs, one per edge.  ``counter`` is a one-cell expansion budget shared
+    across calls.
     """
     adj = g.adj
+    n_v = g.n_v
     used = {start}
     path = [start]
 
@@ -81,7 +93,7 @@ def _alternating_cycles(g, rows, start, exact_e, counter):
                 return
             if en in used:
                 continue
-            pair = rows[en]
+            pair = anchors[en - n_v]
             f_in = u in pair
             for w in adj[en]:
                 if w == u or (w in pair) == f_in:
@@ -105,52 +117,42 @@ def _alternating_cycles(g, rows, start, exact_e, counter):
     yield from walk(start, 0)
 
 
-def _candidates(g, rows):
+def _candidates(g, anchors):
     """Interchanging cycles of the certificate, shortest first, in one expansion budget."""
     counter = [MAX_EXPANSIONS]
     for t in range(2, MAX_EDGE_NODES + 1):
         for s in range(g.n_v):
-            yield from _alternating_cycles(g, rows, s, t, counter)
+            yield from _alternating_cycles(g, anchors, s, t, counter)
 
 
-def _cycle_incidences(g: IncidenceGraph, nodes) -> frozenset[tuple[int, int]]:
-    """The (vertex index, edge id) incidences along the cycle ``nodes``."""
-    L = len(nodes)
-    out = []
-    for i in range(1, L, 2):
-        eid = g.edge_id(nodes[i])
-        out.append((nodes[i - 1], eid))
-        out.append((nodes[(i + 1) % L], eid))
-    return frozenset(out)
-
-
-def find_diminishing_cycle(
-    g: IncidenceGraph, fsub: FamilySubgraph, seen=None,
-) -> tuple[int, ...] | None:
+def find_diminishing_cycle(fsub: FamilySubgraph, seen=None) -> tuple[int, ...] | None:
     """A component-diminishing interchanging cycle, by one shortest-first scan.
 
     The scan tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
     edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
-    keeps the first whose toggled selection has fewer non-trivial components.
+    keeps the first whose toggled pairs have fewer non-trivial components.
     A cycle linking c <= ``MAX_EDGE_NODES`` components through one vertex of
     each and c edge-nodes, the paper's move on covering 3-hypergraphs, is one
     of the candidates, so the scan returns it or an earlier diminishing one.
     When none diminishes and ``seen`` is given, it returns instead the first
-    candidate of the same scan whose toggled selection is not in ``seen``.
+    candidate of the same scan whose toggled pairs are not in ``seen``.
     """
     base = fsub.nontrivial_count
     if base < 2:
         raise ValueError("nothing to diminish: fewer than two non-trivial components")
+    g = fsub.host
     comp_of = fsub.component_of
     escape = None
-    for nodes in _candidates(g, fsub.subgraph_adj):
-        # A cycle confined to one component can never diminish.
-        crosses = len({comp_of[x] for x in nodes}) > 1
+    for nodes in _candidates(g, fsub.anchors):
+        # A cycle confined to one component can never diminish.  Each
+        # edge-node lies in the component of the anchor it meets on the
+        # cycle, so the vertex-nodes decide.
+        crosses = len({comp_of[x] for x in nodes[::2]}) > 1
         want_escape = seen is not None and escape is None
         if not (crosses or want_escape):
             continue
-        toggled = fsub.selected ^ _cycle_incidences(g, nodes)
-        if crosses and _union_find(g, toggled)[1] < base:
+        toggled = _toggle(fsub, nodes)
+        if crosses and _union_find(g.n_v, toggled)[1] < base:
             return nodes
         if want_escape and toggled not in seen:
             escape = nodes
@@ -199,8 +201,7 @@ def merge_to_tour(
     """
     if stats is None:
         stats = MergeStats()
-    g = fsub.host
-    m = g.n_e
+    m = fsub.host.n_e
     if m < 2:
         raise ValueError("an Euler tour needs at least two edges")
     # A family that already is a tour is returned without the union-find.
@@ -212,13 +213,13 @@ def merge_to_tour(
         budget = 10 * m * m
 
     steps = 0
-    seen = {fsub.selected}
+    seen = {fsub.anchors}
     while (base := fsub.nontrivial_count) > 1:
         if steps >= budget:
-            raise MergeExhaustedError("budget", steps, fsub.selected)
-        move = find_diminishing_cycle(g, fsub, seen)
+            raise MergeExhaustedError("budget", steps, fsub.anchors)
+        move = find_diminishing_cycle(fsub, seen)
         if move is None:
-            raise MergeExhaustedError("no-move", steps, fsub.selected)
+            raise MergeExhaustedError("no-move", steps, fsub.anchors)
         fsub = apply_interchange(fsub, move)
         if fsub.nontrivial_count < base:
             stats.diminishing += 1
@@ -226,6 +227,6 @@ def merge_to_tour(
             stats.escapes += 1
         steps += 1
         stats.steps += 1
-        seen.add(fsub.selected)
+        seen.add(fsub.anchors)
 
     return trails_from_subgraph(fsub).components[0]

@@ -26,10 +26,12 @@ perfect-matching question:
   across incidence edges are forced to be even in number;
 * each incidence becomes one gadget edge between the two matching stubs.
 
-An incidence belongs to the selected subgraph iff its gadget edge is in the
-matching.  The node layout fixes that edge, so the gadget stores only its
-adjacency rows, and :func:`max_matching` returns the bare mate list: the
-t-th incidence is selected iff ``mate[t] == T + t``.
+Vertex v anchors edge e, so that the incidence (v, e) is in the certificate
+subgraph, iff that incidence's gadget edge is in the matching.  The node
+layout fixes that edge, so the gadget stores only its adjacency rows, and
+:func:`max_matching` returns the bare mate list: the t-th incidence anchors
+its edge iff ``mate[t] == T + t``, and a perfect matching leaves each edge
+exactly two anchors, the pair the family certificate stores.
 """
 
 from __future__ import annotations

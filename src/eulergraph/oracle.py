@@ -12,7 +12,9 @@ are exact within their size budgets, and they search states, not paths:
 * ``brute_tour`` is a depth-first trail search over per-vertex edge bitmasks
   that remembers failed (used-edge mask, current vertex) states of each
   start vertex, at most 2^(m-1) * n of them, in the style of Held and Karp
-  (1962), and tries each unordered start pair of edge 0 once;
+  (1962), and tries each unordered start pair of edge 0 once; it recurses
+  once per edge, so it refuses more than ``MAX_TOUR_EDGES`` edges whatever
+  the budget;
 * ``brute_max_matching`` memoises the best matching of each live node set.
 
 Euler-tour existence is NP-complete (Lonc and Naroski, 2010), so the tour
@@ -48,6 +50,10 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+# brute_tour recurses one level per edge; this bound keeps it well inside
+# Python's default recursion limit of 1000, whatever the budget allows.
+MAX_TOUR_EDGES = 500
 
 
 def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> bool:
@@ -109,6 +115,9 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
     m = len(h.edges)
     if m > budget.max_edges:
         raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
+    if m > MAX_TOUR_EDGES:
+        raise ValueError(
+            f"too many edges for the recursive tour search ({m} > {MAX_TOUR_EDGES})")
     if m < 2:
         return None
     n = h.order

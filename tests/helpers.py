@@ -105,11 +105,45 @@ def grouped_family(groups) -> tuple[Hypergraph, object, FamilySubgraph]:
                     anchors.append((grp[i], grp[j]))
     h = Hypergraph.from_labels(labels, edges)
     g = build_incidence(h)
-    selected = set()
-    for eid, (x, y) in enumerate(anchors):
-        selected.add((h.vertex_index(x), eid))
-        selected.add((h.vertex_index(y), eid))
-    return h, g, FamilySubgraph(g, frozenset(selected))
+    return h, g, FamilySubgraph(g, anchor_pairs(h, anchors))
+
+
+def anchor_pairs(h: Hypergraph, label_pairs) -> tuple[tuple[int, int], ...]:
+    """Each edge's anchor pair as increasing vertex indices, from a pair of labels per edge."""
+    return tuple(tuple(sorted(map(h.vertex_index, pair))) for pair in label_pairs)
+
+
+def incidences(anchors) -> frozenset[tuple[int, int]]:
+    """Anchor pairs, one per edge, as their set of (vertex index, edge id) incidences."""
+    return frozenset((v, e) for e, pair in enumerate(anchors) for v in pair)
+
+
+def subgraph_adj(fsub: FamilySubgraph) -> tuple[tuple[int, ...], ...]:
+    """The certificate as a spanning subgraph of the incidence graph, as sorted adjacency rows.
+
+    Edge-node ``n_v + e`` is joined to the two anchors of edge e.
+    """
+    g = fsub.host
+    adj: list[list[int]] = [[] for _ in range(g.n_v + g.n_e)]
+    for v, e in incidences(fsub.anchors):
+        adj[v].append(g.e_node(e))
+        adj[g.e_node(e)].append(v)
+    return tuple(tuple(sorted(row)) for row in adj)
+
+
+def reference_toggle(fsub: FamilySubgraph, nodes) -> frozenset[tuple[int, int]]:
+    """The certificate's incidences XOR the incidences along the cycle ``nodes``.
+
+    The reference for the anchor-pair toggle of :mod:`eulergraph.interchange`.
+    """
+    g = fsub.host
+    L = len(nodes)
+    cycle = set()
+    for i in range(1, L, 2):
+        e = nodes[i] - g.n_v
+        cycle.add((nodes[i - 1], e))
+        cycle.add((nodes[(i + 1) % L], e))
+    return incidences(fsub.anchors) ^ cycle
 
 
 def roadmap_item3() -> Hypergraph:
@@ -160,7 +194,7 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
         skip = rng.below(4)
         counter = [4000]
         i = 0
-        for nodes in _alternating_cycles(fsub.host, fsub.subgraph_adj, s, t, counter):
+        for nodes in _alternating_cycles(fsub.host, fsub.anchors, s, t, counter):
             if i == skip:
                 if nodes not in seen:
                     seen.add(nodes)
@@ -179,8 +213,8 @@ def reference_components(adj) -> tuple[Component, ...]:
     """Connected components of a graph given as adjacency rows, by breadth-first search.
 
     Ordered by smallest member node.  A component is trivial iff it is one
-    isolated node.  The reference for ``FamilySubgraph.component_of`` and
-    ``.nontrivial_count``.
+    isolated node.  Applied to :func:`subgraph_adj`, the reference for
+    ``FamilySubgraph.component_of`` and ``.nontrivial_count``.
     """
     n = len(adj)
     seen = [False] * n
@@ -236,13 +270,14 @@ def reference_trails(fsub: FamilySubgraph) -> EulerFamily:
     g = fsub.host
     h = g.host
     walks = []
-    for comp in reference_components(fsub.subgraph_adj):
+    adj = subgraph_adj(fsub)
+    for comp in reference_components(adj):
         if comp.trivial:
             continue
         start = min(node for node in comp.nodes if node < g.n_v)
-        seq = _fresh_euler_circuit(fsub.subgraph_adj, start)
+        seq = _fresh_euler_circuit(adj, start)
         anchors = tuple(h.vertices[seq[i]] for i in range(0, len(seq), 2))
-        edges = tuple(g.edge_id(seq[i]) for i in range(1, len(seq), 2))
+        edges = tuple(seq[i] - g.n_v for i in range(1, len(seq), 2))
         walks.append(canonical_closed_trail(Walk(anchors, edges)))
     walks.sort(key=lambda w: (w.anchors, w.edges))
     return EulerFamily(tuple(walks))

@@ -220,7 +220,7 @@ def test_c05_interchange_preserves_certificates():
             try:
                 after = apply_interchange(fsub, cyc)  # revalidates degrees
                 back = apply_interchange(after, cyc)
-                if back.selected != fsub.selected:
+                if back.anchors != fsub.anchors:
                     failures += 1
             except Exception:
                 failures += 1

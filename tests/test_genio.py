@@ -349,6 +349,18 @@ class TestCli:
         assert main(["tour", str(hg), "--budget", "-5"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_unexpected_exception_exit_four(self, tmp_path, capsys, monkeypatch):
+        # exit 1 is kept for verified negatives; any other failure is internal
+        hg = tmp_path / "two.hg"
+        hg.write_text("hg 3 3 2\nv a\nv b\nv c\ne a b c\ne a b c\n")
+
+        def broken_solve(*args, **kwargs):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        assert main(["tour", str(hg)]) == EXIT_INTERNAL == 4
+        assert "internal error: RuntimeError: forced" in capsys.readouterr().err
+
     def assert_boundary_failure(self, tmp_path, capsys, monkeypatch, text, command, module):
         hg = tmp_path / "input.hg"
         hg.write_text(text)

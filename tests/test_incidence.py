@@ -18,6 +18,7 @@ from helpers import (
     reference_components,
     reference_trails,
     sample_interchanging_cycles,
+    subgraph_adj,
 )
 
 
@@ -84,26 +85,27 @@ class TestComponents:
     """The union-find components, against a breadth-first-search reference."""
 
     def test_edgeless(self):
-        fsub = FamilySubgraph(build_incidence(Hypergraph.from_labels("abc", [])), frozenset())
+        fsub = FamilySubgraph(build_incidence(Hypergraph.from_labels("abc", [])), ())
         assert fsub.component_of == (0, 1, 2) and fsub.nontrivial_count == 0
 
     def test_star_single_component(self):
-        g = build_incidence(Hypergraph.from_labels("abc", [("a", "b", "c")]))
-        parent, count = _union_find(g, g.incidences)
-        assert count == 1 and parent == [0, 0, 0, 0]
+        # one edge anchored at a and c: b anchors nothing and stays its own root
+        parent, count = _union_find(3, [(0, 2)])
+        assert count == 1 and parent == [0, 1, 0]
 
     def test_two_disjoint_four_cycles(self):
         _, _, fsub = grouped_family([("a", "b"), ("c", "d")])
         assert fsub.nontrivial_count == 2
         a, c = fsub.component_of[0], fsub.component_of[2]
-        assert a != c and sorted(fsub.component_of[:4]) == [a, a, c, c]
+        assert a != c and sorted(fsub.component_of) == [a, a, c, c]
 
     def test_partition_property(self):
         certificates = with_isolated = most = 0
         for fsub in seeded_certificates():
-            adj = fsub.subgraph_adj
+            adj = subgraph_adj(fsub)
             ref = reference_components(adj)
-            assert fsub.component_of == _reference_roots(adj)
+            # the vertex-nodes' roots: a component's smallest node is a vertex-node
+            assert fsub.component_of == _reference_roots(adj)[:fsub.host.n_v]
             assert fsub.nontrivial_count == sum(not c.trivial for c in ref)
             certificates += 1
             with_isolated += any(not adj[v] for v in range(fsub.host.n_v))
@@ -113,16 +115,21 @@ class TestComponents:
         assert most >= 20
 
     def test_union_find_on_arbitrary_selections(self):
-        # the merge scores toggled selections, so any incidence subset must count right
+        # the merge scores toggled pairs, so any pair per edge must count right,
+        # whatever the vertex parities
         rng = Lcg(31)
         for _ in range(200):
-            g = build_incidence(random_noncovering(rng))
-            selected = [vt for vt in g.incidences if rng.below(2)]
-            adj = [[] for _ in range(g.n_v + g.n_e)]
-            for v, e in selected:
-                adj[v].append(g.e_node(e))
-                adj[g.e_node(e)].append(v)
-            parent, count = _union_find(g, selected)
+            h = random_noncovering(rng)
+            pairs = []
+            for e in h.edges:
+                members = sorted(e)
+                rng.shuffle(members)
+                pairs.append(tuple(sorted(members[:2])))
+            adj = [[] for _ in range(h.order)]
+            for a, b in pairs:
+                adj[a].append(b)
+                adj[b].append(a)
+            parent, count = _union_find(h.order, pairs)
             roots = []
             for x in range(len(parent)):
                 while parent[x] != x:

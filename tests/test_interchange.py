@@ -22,23 +22,26 @@ from eulergraph import (
     find_family_subgraph,
     merge_to_tour,
     solve,
-    subgraph_from_trails,
     trails_from_subgraph,
     validate_covering,
     verify_euler_object,
 )
 from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts
-from eulergraph.family import _union_find
-from eulergraph.interchange import _candidates, _cycle_incidences
+from eulergraph.family import _union_find, subgraph_from_trails
+from eulergraph.interchange import _candidates, _toggle
 
 from helpers import (
+    anchor_pairs,
     disjoint_union,
     fano,
     grouped_family,
+    incidences,
     random_noncovering,
     reference_components,
+    reference_toggle,
     roadmap_item3,
     sample_interchanging_cycles,
+    subgraph_adj,
 )
 
 
@@ -47,15 +50,15 @@ def three_component_instance():
 
 
 class TestIsInterchanging:
-    """A cycle is interchanging when each of its edge-nodes meets exactly one selected cycle edge."""
+    """A cycle is interchanging when each of its edge-nodes has exactly one of its two
+    cycle neighbours among its anchors."""
 
     def test_false_when_an_e_node_has_two(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         a, b = h.vertex_index("a"), h.vertex_index("b")
         cycle = (a, g.e_node(0), b, g.e_node(1))
-        incidences = _cycle_incidences(g, cycle)
-        for e in (0, 1):
-            assert {(a, e), (b, e)} <= incidences & fsub.selected
+        # both cycle neighbours of e1 and of e2 are its anchors
+        assert fsub.anchors[0] == fsub.anchors[1] == (a, b)
         with pytest.raises(CertificateViolation):
             apply_interchange(fsub, cycle)
 
@@ -66,17 +69,19 @@ class TestApplyInterchange:
     def test_interchanging_cycle_accepted(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # edges: e1={a,b,c} e2={a,b,d} anchored (a,b); e3={c,d,a} e4={c,d,b} anchored (c,d)
-        a, c = h.vertex_index("a"), h.vertex_index("c")
+        a, b, c, d = map(h.vertex_index, "abcd")
         cycle = (a, g.e_node(0), c, g.e_node(2))
         after = apply_interchange(fsub, cycle)
-        assert after.selected == fsub.selected ^ {(a, 0), (c, 0), (a, 2), (c, 2)}
+        # e1 swaps anchor a for c, e3 swaps c for a; e2 and e4 keep theirs
+        assert after.anchors == ((b, c), (a, b), (a, d), (c, d))
+        assert incidences(after.anchors) == reference_toggle(fsub, cycle)
 
     def test_involution(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
         once = apply_interchange(fsub, cycle)
         again = apply_interchange(once, cycle)
-        assert again.selected == fsub.selected
+        assert again.anchors == fsub.anchors
 
     def test_crossing_cycle_merges_two_four_cycles(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
@@ -84,10 +89,10 @@ class TestApplyInterchange:
         cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
-        assert after.component_of == (0,) * 8  # one 8-cycle component
+        assert after.component_of == (0,) * 4  # one 8-cycle component
 
     def test_non_interchanging_rejected(self):
-        # both cycle edges at e1 and at e2 are selected: the edge-nodes would end at degree 0
+        # both cycle neighbours of e1 and of e2 are its anchors: the pairs would end empty
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("b"), g.e_node(1))
         with pytest.raises(CertificateViolation, match="degree 0"):
@@ -95,17 +100,18 @@ class TestApplyInterchange:
 
     def test_e_node_meeting_no_selected_edge_rejected(self):
         # two copies of {a,b,c,d} anchored (a,b); the cycle through c and d
-        # meets no selected edge, so both edge-nodes would end at degree 4
+        # meets no anchor, so both edge-nodes would end at degree 4
         h = Hypergraph.from_labels("abcd", ["abcd", "abcd"])
         g = build_incidence(h)
         a, b, c, d = range(4)
-        fsub = FamilySubgraph(g, frozenset({(a, 0), (b, 0), (a, 1), (b, 1)}))
+        fsub = FamilySubgraph(g, ((a, b), (a, b)))
         with pytest.raises(CertificateViolation, match="degree 4"):
             apply_interchange(fsub, (c, g.e_node(0), d, g.e_node(1)))
 
     def test_not_a_cycle_rejected(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        for nodes in [(0, g.e_node(0)), (0, g.e_node(0), 0, g.e_node(1)), (0, 1, 2, 3)]:
+        for nodes in [(0, g.e_node(0)), (0, g.e_node(0), 0, g.e_node(1)), (0, 1, 2, 3),
+                      (0, g.e_node(0), 2, g.e_node(4))]:
             with pytest.raises(CertificateViolation):
                 apply_interchange(fsub, nodes)
 
@@ -126,7 +132,7 @@ class TestApplyInterchange:
 
 
 class TestCandidateScoring:
-    """Candidates are judged on the toggled selection, never on a rebuilt certificate."""
+    """Candidates are judged on the toggled pairs, never on a rebuilt certificate."""
 
     @staticmethod
     def seeded_families():
@@ -144,12 +150,12 @@ class TestCandidateScoring:
         for fsub in self.seeded_families():
             g = fsub.host
             with_isolated += any(c.trivial and min(c.nodes) < g.n_v
-                                 for c in reference_components(fsub.subgraph_adj))
+                                 for c in reference_components(subgraph_adj(fsub)))
             for cyc in sample_interchanging_cycles(fsub, rng, want=6):
                 after = apply_interchange(fsub, cyc)
-                toggled = fsub.selected ^ _cycle_incidences(g, cyc)
-                assert toggled == after.selected
-                assert _union_find(g, toggled)[1] == after.nontrivial_count
+                toggled = _toggle(fsub, cyc)
+                assert incidences(toggled) == reference_toggle(fsub, cyc)
+                assert _union_find(g.n_v, toggled)[1] == after.nontrivial_count
                 cycles += 1
         assert cycles >= 150
         assert with_isolated >= 10
@@ -161,19 +167,15 @@ def isolated_vertex_instance():
         "abcdz",
         [("a", "b", "c"), ("a", "b", "z"), ("a", "c", "d"), ("c", "d", "z")])
     g = build_incidence(h)
-    sel = set()
-    for eid, pair in enumerate([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")]):
-        sel.add((h.vertex_index(pair[0]), eid))
-        sel.add((h.vertex_index(pair[1]), eid))
-    fsub = FamilySubgraph(g, frozenset(sel))
-    assert sum(1 for c in reference_components(fsub.subgraph_adj) if c.trivial) == 1
+    fsub = FamilySubgraph(g, anchor_pairs(h, ["ab", "ab", "cd", "cd"]))
+    assert sum(1 for c in reference_components(subgraph_adj(fsub)) if c.trivial) == 1
     return h, g, fsub
 
 
 class TestFindDiminishingCycle:
     def test_two_components_four_cycle(self):
         _, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = find_diminishing_cycle(g, fsub)
+        cycle = find_diminishing_cycle(fsub)
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
@@ -189,7 +191,7 @@ class TestFindDiminishingCycle:
         h, g, fsub = make()
         assert fsub.nontrivial_count == count
         while count > 1:
-            fsub = apply_interchange(fsub, find_diminishing_cycle(g, fsub))
+            fsub = apply_interchange(fsub, find_diminishing_cycle(fsub))
             assert fsub.nontrivial_count < count
             count = fsub.nontrivial_count
         assert verify_euler_object(h, trails_from_subgraph(fsub)).valid
@@ -201,7 +203,7 @@ class TestFindDiminishingCycle:
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
         assert fsub.nontrivial_count == 2
-        cycle = find_diminishing_cycle(g, fsub)
+        cycle = find_diminishing_cycle(fsub)
         assert cycle is not None and len(cycle) == 4
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
@@ -211,7 +213,7 @@ class TestFindDiminishingCycle:
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
         with pytest.raises(ValueError):
-            find_diminishing_cycle(g, fsub)
+            find_diminishing_cycle(fsub)
 
     def test_steiner_families_need_longer_cycles(self):
         # no two triples of a Steiner system share a pair, so the incidence
@@ -227,7 +229,7 @@ class TestFindDiminishingCycle:
                 break
             fsub = apply_interchange(fsub, cycles[rng.below(len(cycles))])
             if fsub.nontrivial_count >= 2:
-                cyc = find_diminishing_cycle(g, fsub)
+                cyc = find_diminishing_cycle(fsub)
                 assert cyc is not None
                 before = fsub.nontrivial_count
                 fsub = apply_interchange(fsub, cyc)
@@ -267,8 +269,7 @@ class TestMergeToTour:
                 deg[b] += 1
             if any(d % 2 for d in deg):
                 continue
-            sel = frozenset((v, e) for e, pair in enumerate(assign) for v in pair)
-            fsub = FamilySubgraph(g, sel)
+            fsub = FamilySubgraph(g, assign)
             families += 1
             comp_counts.add(fsub.nontrivial_count)
             tour = merge_to_tour(fsub)
@@ -292,8 +293,7 @@ class TestMergeToTour:
                 deg[b] += 1
             if any(d % 2 for d in deg):
                 continue
-            sel = frozenset((v, e) for e, pair in enumerate(assign) for v in pair)
-            fsub = FamilySubgraph(g, sel)
+            fsub = FamilySubgraph(g, assign)
             if fsub.nontrivial_count == 2:
                 target = fsub
                 break
@@ -323,7 +323,7 @@ class TestMergeToTour:
         with pytest.raises(MergeExhaustedError) as exc:
             merge_to_tour(fsub, budget=0)
         assert exc.value.reason == "budget"
-        assert exc.value.selected is not None
+        assert exc.value.anchors == fsub.anchors
 
 
 def _stream_draw(i):
@@ -357,8 +357,8 @@ class TestLadderTrajectories:
 
     Counts are ``(steps, diminishing, pivot_reduce, pivot_neutral,
     escapes)``; every step is a diminishing move or an escape, so the two
-    pivot counters read 0.  The digest is the SHA-256 of
-    ``repr(sorted(MergeExhaustedError.selected))``.
+    pivot counters read 0.  The digest is the SHA-256 of the sorted
+    (vertex, edge) incidences of ``MergeExhaustedError.anchors``.
     """
 
     @pytest.mark.parametrize("make, budget, counts, reason, digest", [
@@ -382,7 +382,8 @@ class TestLadderTrajectories:
                 stats.escapes) == counts
         assert stats.steps == stats.diminishing + stats.escapes
         assert exc.value.reason == reason
-        assert hashlib.sha256(repr(sorted(exc.value.selected)).encode()).hexdigest() == digest
+        incidences = sorted((v, e) for e, pair in enumerate(exc.value.anchors) for v in pair)
+        assert hashlib.sha256(repr(incidences).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("make, budget", _TRAJECTORY_INPUTS, ids=_TRAJECTORY_IDS)
     def test_best_effort_family_does_not_depend_on_the_merge(self, make, budget):
@@ -410,12 +411,12 @@ def _two_scans(g, fsub, seen):
     """
     base = fsub.nontrivial_count
     diminishing = next(
-        (nodes for nodes in _candidates(g, fsub.subgraph_adj)
-         if _union_find(g, fsub.selected ^ _cycle_incidences(g, nodes))[1] < base),
+        (nodes for nodes in _candidates(g, fsub.anchors)
+         if _union_find(g.n_v, _toggle(fsub, nodes))[1] < base),
         None)
     unseen = next(
-        (nodes for nodes in _candidates(g, fsub.subgraph_adj)
-         if fsub.selected ^ _cycle_incidences(g, nodes) not in seen),
+        (nodes for nodes in _candidates(g, fsub.anchors)
+         if _toggle(fsub, nodes) not in seen),
         None)
     return diminishing, unseen
 
@@ -426,41 +427,41 @@ class TestEscapeMove:
     def test_first_unseen_candidate_respects_seen_set(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # a crossing 4-cycle diminishes, and the escape never replaces it
-        assert find_diminishing_cycle(g, fsub, {fsub.selected}) == find_diminishing_cycle(g, fsub)
+        assert find_diminishing_cycle(fsub, {fsub.anchors}) == find_diminishing_cycle(fsub)
         # every candidate confined to one component: none diminishes
         fsub = find_family_subgraph(build_incidence(_two_complete_four_three()))
         assert fsub.nontrivial_count == 2
         g = fsub.host
-        assert find_diminishing_cycle(g, fsub) is None
-        seen = {fsub.selected}
-        move = find_diminishing_cycle(g, fsub, seen)
+        assert find_diminishing_cycle(fsub) is None
+        seen = {fsub.anchors}
+        move = find_diminishing_cycle(fsub, seen)
         assert move is not None
         first = apply_interchange(fsub, move)
-        assert first.selected not in seen
-        seen.add(first.selected)
-        move2 = find_diminishing_cycle(g, fsub, seen)
+        assert first.anchors not in seen
+        seen.add(first.anchors)
+        move2 = find_diminishing_cycle(fsub, seen)
         assert move2 is not None and move2 != move
-        assert apply_interchange(fsub, move2).selected not in seen
-        seen |= {apply_interchange(fsub, nodes).selected
-                 for nodes in _candidates(g, fsub.subgraph_adj)}
-        assert find_diminishing_cycle(g, fsub, seen) is None
+        assert apply_interchange(fsub, move2).anchors not in seen
+        seen |= {apply_interchange(fsub, nodes).anchors
+                 for nodes in _candidates(g, fsub.anchors)}
+        assert find_diminishing_cycle(fsub, seen) is None
 
     @pytest.mark.parametrize("make, budget", _TRAJECTORY_INPUTS, ids=_TRAJECTORY_IDS)
     def test_one_scan_matches_two_scans_step_by_step(self, make, budget):
         fsub = find_family_subgraph(build_incidence(make()))
         g = fsub.host
-        seen = {fsub.selected}
+        seen = {fsub.anchors}
         limit = budget if budget is not None else 10 * g.n_e ** 2
         steps = 0
         while fsub.nontrivial_count > 1 and steps < limit:
             diminishing, unseen = _two_scans(g, fsub, seen)
-            assert find_diminishing_cycle(g, fsub) == diminishing
-            move = find_diminishing_cycle(g, fsub, seen)
+            assert find_diminishing_cycle(fsub) == diminishing
+            move = find_diminishing_cycle(fsub, seen)
             assert move == (diminishing or unseen)
             if move is None:
                 break
             fsub = apply_interchange(fsub, move)
-            seen.add(fsub.selected)
+            seen.add(fsub.anchors)
             steps += 1
         assert steps > 0
 

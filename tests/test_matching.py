@@ -21,6 +21,7 @@ from eulergraph.matching import _augment_from
 from helpers import (
     complete_graph,
     fano,
+    incidences,
     matching_size,
     petersen,
     random_graph,
@@ -226,7 +227,7 @@ class TestGadget:
         mate = max_matching(gg.adj)
         assert 2 * matching_size(gg.adj, mate) == gg.node_count
         fsub = find_family_subgraph(g)
-        assert fsub.selected == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
+        assert incidences(fsub.anchors) == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
 
     def test_perfect_matching_by_exhaustion(self):
         # two copies of a triple: the 14-node gadget has a perfect matching;

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import eulergraph.oracle
+from eulergraph.oracle import MAX_TOUR_EDGES
 from eulergraph import (
     CertificateViolation,
     EulerFamily,
@@ -108,6 +109,19 @@ class TestBruteTour:
 
     def test_single_edge_none(self):
         assert brute_tour(Hypergraph.from_labels("abc", [("a", "b", "c")])) is None
+
+    def test_recursion_bound_rejects_before_searching(self):
+        # one recursion level per edge: 1,140 edges would pass a 2,000-edge
+        # budget and then overflow the interpreter's stack
+        h = gen_complete(20, 3)
+        with pytest.raises(ValueError, match=f"> {MAX_TOUR_EDGES}"):
+            brute_tour(h, SearchBudget(max_edges=2000))
+
+    def test_cli_exits_two_above_recursion_bound(self, tmp_path, capsys):
+        path = tmp_path / "k20.hg"
+        path.write_text(emit_hg(gen_complete(20, 3)), encoding="utf-8")
+        assert main(["oracle", "tour", str(path), "--max-edges", "2000"]) == EXIT_INPUT
+        assert f"1140 > {MAX_TOUR_EDGES}" in capsys.readouterr().err
 
     def test_failed_self_check_raises(self, monkeypatch):
         # an explicit raise, not an assert, so python -O keeps the check

@@ -20,7 +20,12 @@ class CertificateViolation(EulerGraphError):
 
 
 class InfeasibleDegreeError(EulerGraphError):
-    """An edge-node of the incidence graph has degree below 2, so it can never be traversed."""
+    """No anchor choice meets the degree rules, so no Euler family exists.
+
+    Raised for an edge with fewer undecided vertices than anchors it still
+    needs (such as a hyperedge of fewer than two vertices, which can never be
+    traversed), or for a vertex with no choice left and an odd anchor count.
+    """
 
 
 class InadmissibleOrderError(EulerGraphError, ValueError):

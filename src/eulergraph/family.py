@@ -9,6 +9,13 @@ closed trails, so existence reduces to a perfect-matching search, and each
 trail is an Euler circuit that crosses every edge from one anchor to the
 other, on the vertices alone.
 
+Many anchor choices are forced before any search: a two-vertex edge anchors
+both its vertices, a vertex in one edge anchors none.  A linear propagation
+of such rules runs first.  A contradiction proves that no family exists, with
+no gadget built; otherwise the matching gadget covers only the undecided
+incidences, with each edge's remaining need and each vertex's forced parity,
+and the forced anchors join the matched ones.
+
 One union-find that joins each edge's two anchors is the package's only
 component routine: it gives a certificate's components, and it scores the
 merge's candidate cycles on their toggled pairs.  Certificates are frozen:
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import CertificateViolation, InfeasibleDegreeError
 from .hypergraph import (
@@ -111,25 +119,103 @@ class FamilySubgraph:
         return self._components[1]
 
 
+def _forced_anchors(g: IncidenceGraph) -> list[int]:
+    """The anchor choices every family shares, propagated to a fixpoint.
+
+    ``state[t]`` is 1 when the t-th incidence anchors its edge in every
+    family, 0 when it anchors it in none, and -1 when undecided.  Three
+    rules run until none applies:
+
+    * an edge with only as many undecided incidences as anchors it still
+      needs takes them all;
+    * an edge with two forced anchors excludes the rest;
+    * a vertex with one undecided incidence takes the parity that makes its
+      anchor count even.
+
+    Each decision is made once and rechecks one edge and one vertex, so the
+    fixpoint costs time linear in the incidences.  Returns at once, with
+    nothing decided, when no edge has fewer than three vertices and no vertex
+    lies in exactly one edge, since no rule can then fire.  Raises
+    :class:`InfeasibleDegreeError` on a contradiction: an edge left with
+    more anchors to find than undecided incidences, or a vertex with none
+    left and an odd anchor count.  Then no family exists.
+    """
+    n_v, adj = g.n_v, g.adj
+    sizes = list(map(len, adj))
+    incidences = g.incidences
+    state = [-1] * len(incidences)
+    if 1 not in sizes[:n_v] and min(sizes[n_v:], default=3) > 2:
+        return state
+    of_vertex: list[list[int]] = [[] for _ in range(n_v)]
+    for t, (v, _) in enumerate(incidences):
+        of_vertex[v].append(t)
+    open_v, open_e = sizes[:n_v], sizes[n_v:]
+    first = [0, *accumulate(open_e)]  # edge e's incidences: first[e] .. first[e + 1] - 1
+    need = [2] * g.n_e
+    odd = [0] * n_v
+    # Incidence-graph nodes to recheck, vertex v or edge e as n_v + e: at
+    # first those a rule can fire on, then both ends of each decision.
+    stack = [x for x, d in enumerate(sizes) if (d == 1 if x < n_v else d <= 2)]
+    while stack:
+        x = stack.pop()
+        if x < n_v:
+            if open_v[x] != 1:
+                if open_v[x] == 0 and odd[x]:
+                    raise InfeasibleDegreeError(
+                        f"vertex {g.host.vertices[x]!r} is an anchor an odd number of times")
+                continue
+            s = odd[x]
+            todo = [t for t in of_vertex[x] if state[t] < 0]
+        else:
+            e = x - n_v
+            k, u = need[e], open_e[e]
+            if k < 0 or u < k:
+                raise InfeasibleDegreeError(
+                    f"edge e{e + 1} has {u} undecided vertices for {k} more anchors")
+            if u == 0 or 0 < k < u:
+                continue
+            s = int(k > 0)
+            todo = [t for t in range(first[e], first[e + 1]) if state[t] < 0]
+        for t in todo:
+            v, e = incidences[t]
+            state[t] = s
+            open_e[e] -= 1
+            open_v[v] -= 1
+            if s:
+                need[e] -= 1
+                odd[v] ^= 1
+            stack.append(v)
+            stack.append(n_v + e)
+    return state
+
+
 def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     """Decide Euler-family existence exactly; return a certificate when one exists.
 
-    Incidence t anchors its edge iff the gadget edge ``(t, T + t)`` realizing
-    it, for ``T`` incidences, is in the matching, that is iff
-    ``mate[t] == T + t``.  Incidences are grouped by edge in increasing vertex
-    order, so each edge's two anchors arrive in increasing order.
+    The forced anchors are propagated first; a contradiction there means no
+    family.  The gadget then covers the ``U`` undecided incidences, in
+    incidence order, and the u-th of them anchors its edge iff the gadget
+    edge ``(u, U + u)`` realizing it is in the matching, that is iff
+    ``mate[u] == U + u``.  Each edge's anchors are its forced ones together
+    with its matched ones; incidences are grouped by edge in increasing
+    vertex order, so the two arrive in increasing order.
     """
     try:
-        gg = reduce_to_matching(g)
+        state = _forced_anchors(g)
     except InfeasibleDegreeError:
         return None
+    gg = reduce_to_matching(g, state)
     mate = max_matching(gg.adj)
     if -1 in mate:
         return None
-    t_count = len(g.incidences)
+    u_count = state.count(-1)
+    u = 0
     pairs: list[list[int]] = [[] for _ in range(g.n_e)]
-    for t, (v, e) in enumerate(g.incidences):
-        if mate[t] == t_count + t:
+    for (v, e), s in zip(g.incidences, state):
+        if s < 0:
+            s = mate[u] == u_count + u
+            u += 1
+        if s:
             pairs[e].append(v)
     return FamilySubgraph(g, tuple(map(tuple, pairs)))
 

@@ -16,22 +16,29 @@ hyperedge (330 on ``sts(45)``).
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
-perfect-matching question:
+perfect-matching question.  Some incidences may already be decided, forced
+in or out by :mod:`eulergraph.family`'s propagation; the gadget covers the
+undecided ones only:
 
-* an edge-node of degree d becomes d stubs plus d-2 cores, every core
-  adjacent to every stub: a perfect matching leaves exactly 2 stubs to be
-  matched across incidence edges;
-* a vertex-node of degree d becomes d pairwise-adjacent stubs, plus one
-  parity dummy adjacent to all of them iff d is odd: the stubs matched
-  across incidence edges are forced to be even in number;
-* each incidence becomes one gadget edge between the two matching stubs.
+* an edge-node with u undecided incidences that still needs k anchors (2
+  minus its forced ones) becomes u stubs plus u-k cores, every core adjacent
+  to every stub: a perfect matching leaves exactly k stubs to be matched
+  across incidence edges;
+* a vertex-node with u undecided incidences and p forced anchors becomes u
+  pairwise-adjacent stubs, plus one parity dummy adjacent to all of them iff
+  u-p is odd: the stubs matched across incidence edges are forced to have
+  the parity of p, so the vertex's anchor count is even;
+* each undecided incidence becomes one gadget edge between the two matching
+  stubs.
 
-Vertex v anchors edge e, so that the incidence (v, e) is in the certificate
-subgraph, iff that incidence's gadget edge is in the matching.  The node
-layout fixes that edge, so the gadget stores only its adjacency rows, and
-:func:`max_matching` returns the bare mate list: the t-th incidence anchors
-its edge iff ``mate[t] == T + t``, and a perfect matching leaves each edge
-exactly two anchors, the pair the family certificate stores.
+With nothing decided, every edge needs 2 and every p is 0, so an edge-node
+of degree d gets d-2 cores and a vertex-node a dummy iff its degree is odd.
+An undecided incidence (v, e) anchors v in e iff its gadget edge is in the
+matching.  The node layout fixes that edge, so the gadget stores only its
+adjacency rows, and :func:`max_matching` returns the bare mate list: the
+u-th undecided incidence anchors its edge iff ``mate[u] == U + u``, for
+``U`` undecided incidences, and a perfect matching leaves each edge exactly
+two anchors, the pair the family certificate stores.
 """
 
 from __future__ import annotations
@@ -179,12 +186,12 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
 class GadgetGraph:
     """The matching gadget built from an incidence graph, as adjacency rows.
 
-    Node layout, for the ``T`` incidences of ``IncidenceGraph.incidences``:
-    v-stubs ``[0, T)``, e-stubs ``[T, 2T)``, then the cores in edge order,
-    then the parity dummies in vertex order.  The t-th incidence (vertex
-    index, edge id) is realized by the gadget edge ``(t, T + t)`` from its
-    v-stub to its e-stub; all other gadget edges are internal (stub-core,
-    stub-stub, stub-dummy).
+    Node layout, for the ``T`` undecided incidences, in the order of
+    ``IncidenceGraph.incidences``: v-stubs ``[0, T)``, e-stubs ``[T, 2T)``,
+    then the cores in edge order, then the parity dummies in vertex order.
+    The t-th of them (vertex index, edge id) is realized by the gadget edge
+    ``(t, T + t)`` from its v-stub to its e-stub; all other gadget edges are
+    internal (stub-core, stub-stub, stub-dummy).
     """
 
     adj: tuple[tuple[int, ...], ...]
@@ -194,52 +201,76 @@ class GadgetGraph:
         return len(self.adj)
 
 
-def reduce_to_matching(g: IncidenceGraph) -> GadgetGraph:
+def reduce_to_matching(g: IncidenceGraph, state: Sequence[int] | None = None) -> GadgetGraph:
     """Build the gadget whose perfect matchings encode the degree-constrained subgraphs.
 
-    Raises :class:`InfeasibleDegreeError` when some edge-node has degree < 2,
-    i.e. some hyperedge has fewer than two vertices and can never be traversed.
-    """
-    for j in range(g.n_e):
-        if len(g.adj[g.n_v + j]) < 2:
-            raise InfeasibleDegreeError(
-                f"edge e{j + 1} has only {len(g.adj[g.n_v + j])} vertices")
+    ``state[t]`` is 1 when the t-th incidence is a forced anchor, 0 when it
+    is excluded and -1 when undecided; None decides nothing.  The gadget
+    covers the undecided incidences only: an edge needing ``k`` more anchors
+    from ``u`` undecided incidences gets ``u - k`` cores, and a vertex gets
+    a parity dummy when its undecided count minus its forced count is odd.
+    With nothing decided, every edge needs 2 and every forced count is 0.
 
+    Raises :class:`InfeasibleDegreeError` when some edge has fewer undecided
+    vertices than anchors it needs, e.g. a hyperedge with fewer than two
+    vertices, which can never be traversed.
+    """
     incidences = g.incidences
-    t_count = len(incidences)
-    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
-    for t, (v, _) in enumerate(incidences):
+    n_v, n_e = g.n_v, g.n_e
+    if state is None:
+        state = [-1] * len(incidences)
+    need = [2] * n_e
+    odd = [0] * n_v
+    live = []
+    widths = [0] * n_e
+    for (v, e), s in zip(incidences, state):
+        if s < 0:
+            live.append((v, e))
+            widths[e] += 1
+        elif s:
+            need[e] -= 1
+            odd[v] ^= 1
+    for j in range(n_e):
+        if widths[j] < need[j]:
+            raise InfeasibleDegreeError(
+                f"edge e{j + 1} has only {widths[j]} vertices left for {need[j]} anchors")
+
+    t_count = len(live)
+    stubs_of: list[list[int]] = [[] for _ in range(n_v)]
+    for t, (v, _) in enumerate(live):
         stubs_of[v].append(t)
-    degrees = [len(g.adj[g.n_v + j]) for j in range(g.n_e)]
     # Node layout: v-stubs [0, T), e-stubs [T, 2T), then cores, then dummies.
     # Every row is built once, already sorted: the layout orders its parts.
-    dummy = 2 * t_count + sum(d - 2 for d in degrees)
-    adj: list[tuple[int, ...]] = [()] * (dummy + sum(len(s) % 2 for s in stubs_of))
+    dummy = 2 * t_count + sum(d - k for d, k in zip(widths, need))
+    adj: list[tuple[int, ...]] = [()] * (
+        dummy + sum((len(s) - p) % 2 for s, p in zip(stubs_of, odd)))
 
-    # Vertex-node gadgets: stub clique plus a parity dummy for odd degree.
+    # Vertex-node gadgets: stub clique plus a parity dummy iff the stub count
+    # minus the forced count is odd, so the stubs matched across have the
+    # forced count's parity and the vertex's anchor count ends even.
     # A v-stub's row: the other stubs of its vertex, its e-stub, its dummy.
-    for stubs in stubs_of:
+    for stubs, p in zip(stubs_of, odd):
         clique = tuple(stubs)
         tail: tuple[int, ...] = ()
-        if len(clique) % 2 == 1:
+        if (len(clique) - p) % 2 == 1:
             adj[dummy] = clique
             tail = (dummy,)
             dummy += 1
         for i, t in enumerate(clique):
             adj[t] = (*clique[:i], *clique[i + 1:], t_count + t, *tail)
 
-    # Edge-node gadgets: d-2 cores, each adjacent to all d of the edge's stubs.
+    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
     # An e-stub's row: its v-stub, then its edge's cores.
     stub = t_count
     core = 2 * t_count
-    for d in degrees:
+    for d, k in zip(widths, need):
         stubs = tuple(range(stub, stub + d))
-        cores = tuple(range(core, core + d - 2))
+        cores = tuple(range(core, core + d - k))
         for s in stubs:
             adj[s] = (s - t_count, *cores)
         for c in cores:
             adj[c] = stubs
         stub += d
-        core += d - 2
+        core += d - k
 
     return GadgetGraph(tuple(adj))

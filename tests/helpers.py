@@ -512,6 +512,55 @@ def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(row)) for row in adj)
 
 
+def reference_forced_anchors(h: Hypergraph) -> dict[tuple[int, int], bool] | None:
+    """The forced anchor choices, by sweeping the three rules over every edge and
+    vertex until a sweep changes nothing; None on a contradiction.
+
+    The reference for ``eulergraph.family._forced_anchors``, keyed by
+    (vertex index, edge id): True for a forced anchor, False for an excluded
+    one.  Each rule's conclusion holds in every consistent extension of the
+    state it fired in, so the fixpoint, and whether it contradicts, does not
+    depend on the order the rules run in.
+    """
+    decided: dict[tuple[int, int], bool] = {}
+    changed = True
+    while changed:
+        changed = False
+        for e, members in enumerate(h.edges):
+            anchors = sum(decided.get((v, e), False) for v in members)
+            open_ = [v for v in members if (v, e) not in decided]
+            if anchors > 2 or anchors + len(open_) < 2:
+                return None
+            if open_ and (anchors == 2 or anchors + len(open_) == 2):
+                decided.update(((v, e), anchors < 2) for v in open_)
+                changed = True
+        for v in range(h.order):
+            mine = [e for e, members in enumerate(h.edges) if v in members]
+            open_ = [e for e in mine if (v, e) not in decided]
+            odd = sum(decided.get((v, e), False) for e in mine) % 2 == 1
+            if not open_ and odd:
+                return None
+            if len(open_) == 1:
+                decided[(v, open_[0])] = odd
+                changed = True
+    return decided
+
+
+def random_mixed(rng: Lcg) -> Hypergraph:
+    """n in 4..8 and 2 to 8 edges of 2 to 5 vertices, about one edge in four a repeat."""
+    n = 4 + rng.below(5)
+    labels = "abcdefgh"[:n]
+    edges: list[tuple[str, ...]] = []
+    for _ in range(2 + rng.below(7)):
+        if edges and rng.below(4) == 0:
+            edges.append(edges[rng.below(len(edges))])
+            continue
+        pool = list(labels)
+        rng.shuffle(pool)
+        edges.append(tuple(sorted(pool[:min(n, 2 + rng.below(4))])))
+    return Hypergraph.from_labels(labels, edges)
+
+
 def reference_brute_family_exists(h: Hypergraph) -> bool:
     """Family existence by backtracking over one anchor pair per edge.
 

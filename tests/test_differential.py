@@ -9,6 +9,10 @@ Each input class has at most 10 edges, so ``oracle.brute_family_exists`` and
   ``neither`` only where no family exists;
 * no underclaim: a family-only verdict only where no tour exists.
 
+A seeded stream of non-covering inputs also checks that every draw with a
+brute-force tour still ends ``eulerian``, now that forced anchors fix part
+of each family before the merge.
+
 Hypothesis runs derandomized with fixed example counts, so every run draws
 the same inputs.
 """
@@ -31,7 +35,9 @@ from eulergraph import (
     verify_euler_object,
 )
 from eulergraph.cli import EXIT_EXHAUSTED, EXIT_NEGATIVE, EXIT_OK, main
-from eulergraph.genio import emit_hg, parse_hg
+from eulergraph.genio import Lcg, emit_hg, parse_hg
+
+from helpers import random_noncovering
 
 DIFFERENTIAL = settings(
     max_examples=40,
@@ -128,3 +134,16 @@ def test_engine_agrees_with_oracle(kind, data, workdir):
     family, tour = _truth(h)
     _check_solve(h, k, family, tour)
     _check_cli(h, family, tour, workdir)
+
+
+def test_no_tour_lost_on_a_noncovering_stream():
+    # the forced anchors fix part of each family before the merge starts,
+    # so a draw with a tour must still end eulerian
+    rng = Lcg(79)
+    tours = 0
+    for _ in range(400):
+        h = random_noncovering(rng)
+        if brute_tour(h) is not None:
+            assert solve(h, 3).verdict == "eulerian", emit_hg(h)
+            tours += 1
+    assert tours >= 150

@@ -1,4 +1,8 @@
-"""Family certificates: existence, trail extraction, and round trips."""
+"""Family certificates: existence, forced anchors, trail extraction, and round trips."""
+
+from collections import Counter
+from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 
@@ -14,10 +18,19 @@ from eulergraph import (
     trails_from_subgraph,
     verify_euler_object,
 )
-from eulergraph.family import subgraph_from_trails
-from eulergraph.genio import Lcg, format_walk_line, gen_random_covering
+from eulergraph.errors import InfeasibleDegreeError
+from eulergraph.family import _forced_anchors, subgraph_from_trails
+from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering, gen_sts
+from eulergraph.matching import reduce_to_matching
 
-from helpers import fano, grouped_family, sample_interchanging_cycles
+from helpers import (
+    fano,
+    grouped_family,
+    random_mixed,
+    random_noncovering,
+    reference_forced_anchors,
+    sample_interchanging_cycles,
+)
 
 
 class TestFindFamilySubgraph:
@@ -61,6 +74,126 @@ class TestFindFamilySubgraph:
             h = Hypergraph.from_labels(labels[:n], edges)
             got = find_family_subgraph(build_incidence(h)) is not None
             assert got == brute_family_exists(h)
+
+
+def _forced(g):
+    """``_forced_anchors`` as a dict like :func:`helpers.reference_forced_anchors`."""
+    try:
+        state = _forced_anchors(g)
+    except InfeasibleDegreeError:
+        return None
+    return {g.incidences[t]: s == 1 for t, s in enumerate(state) if s >= 0}
+
+
+def _families(h):
+    """Every family certificate of ``h``, by trying every anchor pair of every edge."""
+    for pairs in product(*(combinations(sorted(e), 2) for e in h.edges)):
+        parity = Counter(v for pair in pairs for v in pair)
+        if all(c % 2 == 0 for c in parity.values()):
+            yield pairs
+
+
+class TestForcedAnchors:
+    """The propagation ahead of the gadget is sound, and the gadget after it exact."""
+
+    def test_every_family_keeps_the_forced_anchors(self):
+        rng = Lcg(53)
+        kinds = Counter()
+        for _ in range(300):
+            h = random_mixed(rng)
+            if prod(comb(len(e), 2) for e in h.edges) > 4000:
+                continue
+            forced = _forced(build_incidence(h))
+            families = list(_families(h))
+            if forced is None:
+                kinds["refuted"] += 1
+                assert not families
+                continue
+            kinds["decided" if forced else "open"] += 1
+            for pairs in families:
+                for (v, e), anchor in forced.items():
+                    assert (v in pairs[e]) == anchor, (h, v, e)
+        assert kinds["refuted"] >= 20 and kinds["decided"] >= 20 and kinds["open"] >= 5, kinds
+
+    def test_fixpoint_equals_the_reference_sweep(self):
+        rng = Lcg(59)
+        for _ in range(300):
+            h = random_mixed(rng)
+            assert _forced(build_incidence(h)) == reference_forced_anchors(h)
+
+    def test_found_exactly_when_a_family_exists(self):
+        rng = Lcg(61)
+        kinds = Counter()
+        for _ in range(400):
+            h = random_mixed(rng)
+            g = build_incidence(h)
+            exists = brute_family_exists(h)
+            fsub = find_family_subgraph(g)
+            assert (fsub is not None) == exists
+            forced = _forced(g)
+            if forced is None:
+                kinds["refuted"] += 1
+            elif fsub is not None:
+                # the certificate keeps every forced choice
+                assert all((v in fsub.anchors[e]) == a for (v, e), a in forced.items())
+                kinds["decided" if forced else "open"] += 1
+            kinds["repeat"] += len(set(h.edges)) < len(h.edges)
+            kinds["odd"] += any(len(row) % 2 for row in g.adj[:g.n_v])
+            for e in h.edges:
+                kinds[len(e)] += 1
+        assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "odd", "refuted", "decided", "open"))
+
+    def test_noncovering_stream_never_refuted_when_a_family_exists(self):
+        rng = Lcg(67)
+        refuted = 0
+        for _ in range(300):
+            h = random_noncovering(rng)
+            if _forced(build_incidence(h)) is None:
+                assert not brute_family_exists(h)
+                refuted += 1
+        assert refuted >= 50
+
+    def test_decides_nothing_on_covering_generators(self):
+        inputs = [gen_sts(n) for n in (7, 9, 13, 15, 19, 21)]
+        inputs += [gen_complete(n, k) for n, k in ((4, 3), (6, 3), (6, 4), (7, 5))]
+        inputs += [gen_random_covering(n, k, seed)
+                   for seed in range(1, 6) for n, k in ((6, 3), (9, 3), (7, 4), (8, 5))]
+        for h in inputs:
+            g = build_incidence(h)
+            assert set(_forced_anchors(g)) == {-1}
+            assert reference_forced_anchors(h) == {}
+
+    def test_gadget_over_an_undecided_state_is_the_full_gadget(self):
+        rng = Lcg(71)
+        for _ in range(100):
+            g = build_incidence(random_mixed(rng))
+            try:
+                full = reduce_to_matching(g)
+            except InfeasibleDegreeError:
+                continue
+            assert reduce_to_matching(g, [-1] * len(g.incidences)) == full
+
+    def test_gadget_covers_the_undecided_incidences_only(self):
+        rng = Lcg(73)
+        shrunk = 0
+        for _ in range(200):
+            g = build_incidence(random_mixed(rng))
+            try:
+                state = _forced_anchors(g)
+            except InfeasibleDegreeError:
+                continue
+            gg = reduce_to_matching(g, state)
+            undecided = [t for t, s in enumerate(state) if s < 0]
+            need = Counter({e: 2 for e in range(g.n_e)})
+            need.subtract(e for (_, e), s in zip(g.incidences, state) if s == 1)
+            open_e = Counter(g.incidences[t][1] for t in undecided)
+            open_v = Counter(g.incidences[t][0] for t in undecided)
+            forced_v = Counter(v for (v, _), s in zip(g.incidences, state) if s == 1)
+            cores = sum(open_e[e] - need[e] for e in open_e)
+            dummies = sum((open_v[v] - forced_v[v]) % 2 for v in range(g.n_v))
+            assert gg.node_count == 2 * len(undecided) + cores + dummies
+            shrunk += len(undecided) < len(g.incidences)
+        assert shrunk >= 50
 
 
 class TestFamilySubgraphInvariants:

@@ -13,7 +13,7 @@ from eulergraph import (
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import Lcg, gen_complete, gen_random_covering
+from eulergraph.genio import Lcg, emit_hg, gen_complete, gen_random_covering, gen_sts, parse_hg
 
 from helpers import (
     all_pairs_covered,
@@ -67,6 +67,27 @@ class TestConstruction:
     def test_unknown_vertex_index_rejected(self):
         with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex index 3$"):
             Hypergraph(("a", "b", "c"), (frozenset({0, 1}), frozenset({2, 3})))
+
+    def test_label_builders_keep_the_constructor_messages(self):
+        # from_labels checks its edges first, then the constructor's checks
+        for vertices, edges, message in [
+            ((), [], "vertex set must be non-empty"),
+            (("a", "b", "a"), [("a", "b")], "duplicate vertex label"),
+            ((), [("a",)], "edge e1 references unknown vertex 'a'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Hypergraph.from_labels(vertices, edges)
+        with pytest.raises(ValueError, match="^vertex set must be non-empty$"):
+            Hypergraph((), ())
+        with pytest.raises(ValueError, match="^duplicate vertex label$"):
+            Hypergraph(("a", "a"), ())
+
+    def test_unchecked_builders_equal_checked_construction(self):
+        for h in (fano(), gen_complete(6, 3), gen_random_covering(7, 4, 3), gen_sts(9),
+                  parse_hg(emit_hg(gen_sts(7)))[0]):
+            checked = Hypergraph(tuple(h.vertices), tuple(h.edges))
+            assert checked == h and hash(checked) == hash(h)
+            assert h.vertex_index(h.vertices[-1]) == len(h.vertices) - 1
 
     def test_multiset_edges_keep_identity(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])

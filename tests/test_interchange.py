@@ -139,7 +139,7 @@ class TestCandidateScoring:
         for seed in range(1, 8):
             yield find_family_subgraph(build_incidence(gen_random_covering(7, 3, seed)))
         rng = Lcg(17)
-        for _ in range(60):
+        for _ in range(70):
             fsub = find_family_subgraph(build_incidence(random_noncovering(rng)))
             if fsub is not None:
                 yield fsub

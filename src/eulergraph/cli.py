@@ -36,8 +36,9 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_tour(args) -> int:
-    h, k = genio.load_hg(args.file)
-    result = solve(h, k if k >= 3 else 3, budget=args.budget)
+    h, _ = genio.load_hg(args.file)
+    # The arity comes from the edges, so an "hg 0" covering k-hypergraph is still reduced.
+    result = solve(h, max(h.uniformity() or 3, 3), budget=args.budget)
     if result.verdict == VERDICT_EULERIAN:
         if result.tour is None:
             _write_out("# empty hypergraph: vacuously eulerian\n", args.out)

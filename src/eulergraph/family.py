@@ -133,9 +133,7 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
       anchor count even.
 
     Each decision is made once and rechecks one edge and one vertex, so the
-    fixpoint costs time linear in the incidences.  Returns at once, with
-    nothing decided, when no edge has fewer than three vertices and no vertex
-    lies in exactly one edge, since no rule can then fire.  Raises
+    fixpoint costs time linear in the incidences.  Raises
     :class:`InfeasibleDegreeError` on a contradiction: an edge left with
     more anchors to find than undecided incidences, or a vertex with none
     left and an odd anchor count.  Then no family exists.
@@ -144,8 +142,6 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
     sizes = list(map(len, adj))
     incidences = g.incidences
     state = [-1] * len(incidences)
-    if 1 not in sizes[:n_v] and min(sizes[n_v:], default=3) > 2:
-        return state
     of_vertex: list[list[int]] = [[] for _ in range(n_v)]
     for t, (v, _) in enumerate(incidences):
         of_vertex[v].append(t)

@@ -70,7 +70,7 @@ def gen_complete(n: int, k: int) -> Hypergraph:
     if not n > k >= 3:
         raise ValueError(f"need n > k >= 3, got n={n}, k={k}")
     verts = tuple(f"v{i}" for i in range(1, n + 1))
-    return Hypergraph._unchecked(verts, tuple(map(frozenset, combinations(range(n), k))))
+    return Hypergraph(verts, tuple(map(frozenset, combinations(range(n), k))))
 
 
 def gen_sts(n: int) -> Hypergraph:
@@ -119,8 +119,8 @@ def gen_sts(n: int) -> Hypergraph:
                     triples.append(((x, i), (y, i), (rho((x + y) % q), (i + 1) % 3)))
 
     index = {p: i for i, p in enumerate(pts)}
-    return Hypergraph._unchecked(tuple(lab(p) for p in pts),
-                                 tuple(frozenset([index[p] for p in tri]) for tri in triples))
+    return Hypergraph(tuple(lab(p) for p in pts),
+                      tuple(frozenset([index[p] for p in tri]) for tri in triples))
 
 
 def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
@@ -150,7 +150,7 @@ def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
         e = s[:p] + (x,) + s[p:]
         edges.append(frozenset(e))
         covered.update(combinations(e, k - 1))
-    return Hypergraph._unchecked(tuple(f"v{i}" for i in range(1, n + 1)), tuple(edges))
+    return Hypergraph(tuple(f"v{i}" for i in range(1, n + 1)), tuple(edges))
 
 
 def emit_hg(h: Hypergraph) -> str:
@@ -213,7 +213,7 @@ def parse_hg(text: str) -> tuple[Hypergraph, int]:
         if len(e) != len(members):
             raise FormatError("repeated label within an edge", ln)
         edges.append(e)
-    return Hypergraph._unchecked(tuple(index), tuple(edges)), k
+    return Hypergraph(tuple(index), tuple(edges)), k
 
 
 def load_hg(path) -> tuple[Hypergraph, int]:

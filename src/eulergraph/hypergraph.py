@@ -38,17 +38,6 @@ class Hypergraph:
                 raise ValueError(f"edge {edge_name(i)} references unknown vertex index {v}")
 
     @classmethod
-    def _unchecked(cls, vertices: tuple[str, ...], edges: tuple[frozenset[int], ...]) -> Hypergraph:
-        """A hypergraph built without the constructor's checks.
-
-        For builders that have just guaranteed them: a non-empty tuple of
-        distinct labels, and every edge a subset of its index range.
-        """
-        h = object.__new__(cls)
-        h.__dict__.update(vertices=vertices, edges=edges)
-        return h
-
-    @classmethod
     def from_labels(cls, vertices, edges) -> Hypergraph:
         """Build a hypergraph from label iterables, preserving the given orders.
 

@@ -204,11 +204,6 @@ def merge_to_tour(
     m = fsub.host.n_e
     if m < 2:
         raise ValueError("an Euler tour needs at least two edges")
-    # A family that already is a tour is returned without the union-find.
-    trails = trails_from_subgraph(fsub).components
-    if len(trails) == 1:
-        return trails[0]
-
     if budget is None:
         budget = 10 * m * m
 

@@ -335,6 +335,19 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert main(["verify", str(hg), "--cert", str(cert)]) == 0
 
+    def test_tour_reads_the_arity_from_the_edges(self, tmp_path, capsys):
+        # a covering 4-hypergraph is reduced whether its header says 4 or 0
+        text = emit_hg(gen_complete(7, 4))
+        assert text.startswith("hg 4 ")
+        lines = []
+        for header in ("hg 4 ", "hg 0 "):
+            hg = tmp_path / "complete74.hg"
+            hg.write_text(header + text[len("hg 4 "):])
+            assert main(["tour", str(hg)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0] == format_walk_line(solver.solve(gen_complete(7, 4), 4).tour) + "\n"
+
     def test_budget_exhausted_exit_three(self, tmp_path):
         # random covering instance whose matching-produced family starts with
         # two components, so a zero budget bites immediately

@@ -82,7 +82,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^duplicate vertex label$"):
             Hypergraph(("a", "a"), ())
 
-    def test_unchecked_builders_equal_checked_construction(self):
+    def test_builders_equal_direct_construction(self):
         for h in (fano(), gen_complete(6, 3), gen_random_covering(7, 4, 3), gen_sts(9),
                   parse_hg(emit_hg(gen_sts(7)))[0]):
             checked = Hypergraph(tuple(h.vertices), tuple(h.edges))

@@ -244,6 +244,11 @@ class TestMergeToTour:
         tour = Walk(("b", "a", "b"), (1, 0))
         fsub = subgraph_from_trails(build_incidence(h), EulerFamily((tour,)))
         assert merge_to_tour(fsub) == canonical_closed_trail(tour)
+        # the loop tests the component count before the budget, so a family
+        # that already is one trail takes no step, even on a zero budget
+        stats = MergeStats()
+        assert merge_to_tour(fsub, budget=0, stats=stats) == canonical_closed_trail(tour)
+        assert stats == MergeStats()
 
     def test_grouped_three_components(self):
         h, g, fsub = three_component_instance()

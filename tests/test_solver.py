@@ -41,6 +41,17 @@ NO_TOUR_REVISIT_LOOP = (
     + "e v10 v5 v9\ne v10 v2 v8\ne v3 v4 v5\ne v3 v8\n"
     + "e v5 v6 v9\ne v1 v4 v7 v8\ne v10 v2 v8\n")
 
+# A non-covering input (best-effort bench corpus, seed 1, "random#372") with a
+# tour.  The family the matching returns already is that tour.  From another
+# family of it, anchors (v4,v7) (v2,v9) (v10,v2) (v4,v7) (v10,v8) (v6,v9)
+# (v3,v6) (v3,v8), the merge stops with "no-move" after one escape, so a
+# change to the family search can lose this tour.
+TOUR_DEPENDS_ON_FAMILY = (
+    "hg 0 10 8\n"
+    + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+    + "e v4 v7\ne v2 v6 v9\ne v10 v2\ne v10 v4 v7\n"
+    + "e v10 v8\ne v2 v6 v9\ne v3 v6 v8\ne v10 v3 v4 v8\n")
+
 
 def family_only() -> Hypergraph:
     """Two disjoint repeated triples: a two-trail family and no tour."""
@@ -236,6 +247,13 @@ class TestSolve:
         assert res.verdict == "not-covering-best-effort"
         assert res.family is not None and res.certificate.valid
         assert stats.steps < 10
+
+    def test_tour_that_depends_on_the_family_found(self):
+        h, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
+        assert brute_tour(h) is not None
+        res = solve(h, 3)
+        assert res.verdict == "eulerian" and res.certificate.valid
+        assert verify_euler_object(h, EulerFamily((res.tour,))).valid
 
     def test_tour_found_iff_brute_force_finds_one(self):
         rng = Lcg(3)

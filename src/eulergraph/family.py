@@ -12,9 +12,10 @@ other, on the vertices alone.
 Many anchor choices are forced before any search: a two-vertex edge anchors
 both its vertices, a vertex in one edge anchors none.  A linear propagation
 of such rules runs first.  A contradiction proves that no family exists, with
-no gadget built; otherwise the matching gadget covers only the undecided
-incidences, with each edge's remaining need and each vertex's forced parity,
-and the forced anchors join the matched ones.
+no gadget built; otherwise the matching gadget of :mod:`eulergraph.matching`
+covers only the undecided incidences, with each edge's remaining need and
+each vertex's forced parity, and reads the anchors back from a perfect
+matching, the forced ones joined by the matched ones.
 
 One union-find that joins each edge's two anchors is the package's only
 component routine: it gives a certificate's components, and it scores the
@@ -189,12 +190,10 @@ def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     """Decide Euler-family existence exactly; return a certificate when one exists.
 
     The forced anchors are propagated first; a contradiction there means no
-    family.  The gadget then covers the ``U`` undecided incidences, in
-    incidence order, and the u-th of them anchors its edge iff the gadget
-    edge ``(u, U + u)`` realizing it is in the matching, that is iff
-    ``mate[u] == U + u``.  Each edge's anchors are its forced ones together
-    with its matched ones; incidences are grouped by edge in increasing
-    vertex order, so the two arrive in increasing order.
+    family.  The gadget then covers the undecided incidences; a perfect
+    matching of it, read back by :meth:`eulergraph.matching.GadgetGraph.anchors`,
+    gives each edge its forced anchors together with its matched ones, and
+    with no perfect matching there is no family either.
     """
     try:
         state = _forced_anchors(g)
@@ -204,16 +203,7 @@ def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     mate = max_matching(gg.adj)
     if -1 in mate:
         return None
-    u_count = state.count(-1)
-    u = 0
-    pairs: list[list[int]] = [[] for _ in range(g.n_e)]
-    for (v, e), s in zip(g.incidences, state):
-        if s < 0:
-            s = mate[u] == u_count + u
-            u += 1
-        if s:
-            pairs[e].append(v)
-    return FamilySubgraph(g, tuple(map(tuple, pairs)))
+    return FamilySubgraph(g, gg.anchors(mate))
 
 
 def _walk_key(w: Walk):

@@ -98,35 +98,19 @@ def edge_name(j: int) -> str:
     return f"e{j + 1}"
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    is_k_uniform: bool
-    is_covering: bool
-    witness_uncovered: tuple[str, ...] | None
-
-
-def validate_covering(h: Hypergraph, k: int) -> CoveringReport:
-    """Check whether ``h`` is a covering k-hypergraph.
+def validate_covering(h: Hypergraph, k: int) -> bool:
+    """Whether ``h`` is a covering k-hypergraph.
 
     Covering means: non-empty, k-uniform, and every (k-1)-subset of the
     vertex set lies inside at least one edge.  One pass collects the
-    (k-1)-subsets of the edges and compares their count with C(n, k-1).  When
-    coverage fails, the witness is the first missing subset in lexicographic
-    label order.
+    (k-1)-subsets of the edges and compares their count with C(n, k-1).
     """
     if k < 3:
         raise ValueError(f"covering hypergraphs are defined for k >= 3, got k={k}")
-    uniform = all(len(e) == k for e in h.edges)
-    if not uniform or not h.edges:
-        return CoveringReport(uniform, False, None)
-    labels = sorted(h.vertices)
-    rank = {h.vertex_index(lab): r for r, lab in enumerate(labels)}
-    covered = {
-        sub for e in h.edges for sub in combinations(sorted(rank[v] for v in e), k - 1)}
-    if len(covered) == comb(len(labels), k - 1):
-        return CoveringReport(True, True, None)
-    missing = next(c for c in combinations(range(len(labels)), k - 1) if c not in covered)
-    return CoveringReport(True, False, tuple(labels[r] for r in missing))
+    if not h.edges or any(len(e) != k for e in h.edges):
+        return False
+    covered = {sub for e in h.edges for sub in combinations(sorted(e), k - 1)}
+    return len(covered) == comb(h.order, k - 1)
 
 
 @dataclass(frozen=True)

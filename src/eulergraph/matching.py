@@ -34,11 +34,12 @@ undecided ones only:
 With nothing decided, every edge needs 2 and every p is 0, so an edge-node
 of degree d gets d-2 cores and a vertex-node a dummy iff its degree is odd.
 An undecided incidence (v, e) anchors v in e iff its gadget edge is in the
-matching.  The node layout fixes that edge, so the gadget stores only its
-adjacency rows, and :func:`max_matching` returns the bare mate list: the
-u-th undecided incidence anchors its edge iff ``mate[u] == U + u``, for
-``U`` undecided incidences, and a perfect matching leaves each edge exactly
-two anchors, the pair the family certificate stores.
+matching.  The node layout fixes that edge, so the gadget stores its
+adjacency rows and the decisions it was built from, :func:`max_matching`
+returns the bare mate list, and :meth:`GadgetGraph.anchors` reads the
+layout back: the u-th undecided incidence anchors its edge iff
+``mate[u] == U + u``, for ``U`` undecided incidences, and a perfect matching
+leaves each edge exactly two anchors, the pair the family certificate stores.
 """
 
 from __future__ import annotations
@@ -186,30 +187,48 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
 class GadgetGraph:
     """The matching gadget built from an incidence graph, as adjacency rows.
 
-    Node layout, for the ``T`` undecided incidences, in the order of
-    ``IncidenceGraph.incidences``: v-stubs ``[0, T)``, e-stubs ``[T, 2T)``,
+    Node layout, for the ``U`` undecided incidences, in the order of
+    ``IncidenceGraph.incidences``: v-stubs ``[0, U)``, e-stubs ``[U, 2U)``,
     then the cores in edge order, then the parity dummies in vertex order.
-    The t-th of them (vertex index, edge id) is realized by the gadget edge
-    ``(t, T + t)`` from its v-stub to its e-stub; all other gadget edges are
-    internal (stub-core, stub-stub, stub-dummy).
+    The u-th of them (vertex index, edge id) is realized by the gadget edge
+    ``(u, U + u)`` from its v-stub to its e-stub; all other gadget edges are
+    internal (stub-core, stub-stub, stub-dummy).  ``host`` and ``state`` are
+    the incidence graph and the decisions it was built from.
     """
 
     adj: tuple[tuple[int, ...], ...]
+    host: IncidenceGraph
+    state: Sequence[int]
 
-    @property
-    def node_count(self) -> int:
-        return len(self.adj)
+    def anchors(self, mate: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Each edge's anchors under the perfect matching ``mate`` of ``adj``.
+
+        An edge's anchors are its forced incidences together with its
+        undecided ones whose gadget edge ``(u, U + u)`` is matched.
+        Incidences are grouped by edge in increasing vertex order, so each
+        edge's anchors arrive in increasing order.
+        """
+        u_count = self.state.count(-1)
+        u = 0
+        pairs: list[list[int]] = [[] for _ in range(self.host.n_e)]
+        for (v, e), s in zip(self.host.incidences, self.state):
+            if s < 0:
+                s = mate[u] == u_count + u
+                u += 1
+            if s:
+                pairs[e].append(v)
+        return tuple(map(tuple, pairs))
 
 
-def reduce_to_matching(g: IncidenceGraph, state: Sequence[int] | None = None) -> GadgetGraph:
+def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     """Build the gadget whose perfect matchings encode the degree-constrained subgraphs.
 
     ``state[t]`` is 1 when the t-th incidence is a forced anchor, 0 when it
-    is excluded and -1 when undecided; None decides nothing.  The gadget
-    covers the undecided incidences only: an edge needing ``k`` more anchors
-    from ``u`` undecided incidences gets ``u - k`` cores, and a vertex gets
-    a parity dummy when its undecided count minus its forced count is odd.
-    With nothing decided, every edge needs 2 and every forced count is 0.
+    is excluded and -1 when undecided.  The gadget covers the undecided
+    incidences only: an edge needing ``k`` more anchors from ``u`` undecided
+    incidences gets ``u - k`` cores, and a vertex gets a parity dummy when
+    its undecided count minus its forced count is odd.  With nothing
+    decided, every edge needs 2 and every forced count is 0.
 
     Raises :class:`InfeasibleDegreeError` when some edge has fewer undecided
     vertices than anchors it needs, e.g. a hyperedge with fewer than two
@@ -217,8 +236,6 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int] | None = None) ->
     """
     incidences = g.incidences
     n_v, n_e = g.n_v, g.n_e
-    if state is None:
-        state = [-1] * len(incidences)
     need = [2] * n_e
     odd = [0] * n_v
     live = []
@@ -235,13 +252,13 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int] | None = None) ->
             raise InfeasibleDegreeError(
                 f"edge e{j + 1} has only {widths[j]} vertices left for {need[j]} anchors")
 
-    t_count = len(live)
+    u_count = len(live)
     stubs_of: list[list[int]] = [[] for _ in range(n_v)]
     for t, (v, _) in enumerate(live):
         stubs_of[v].append(t)
-    # Node layout: v-stubs [0, T), e-stubs [T, 2T), then cores, then dummies.
+    # Node layout: v-stubs [0, U), e-stubs [U, 2U), then cores, then dummies.
     # Every row is built once, already sorted: the layout orders its parts.
-    dummy = 2 * t_count + sum(d - k for d, k in zip(widths, need))
+    dummy = 2 * u_count + sum(d - k for d, k in zip(widths, need))
     adj: list[tuple[int, ...]] = [()] * (
         dummy + sum((len(s) - p) % 2 for s, p in zip(stubs_of, odd)))
 
@@ -257,20 +274,20 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int] | None = None) ->
             tail = (dummy,)
             dummy += 1
         for i, t in enumerate(clique):
-            adj[t] = (*clique[:i], *clique[i + 1:], t_count + t, *tail)
+            adj[t] = (*clique[:i], *clique[i + 1:], u_count + t, *tail)
 
     # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
     # An e-stub's row: its v-stub, then its edge's cores.
-    stub = t_count
-    core = 2 * t_count
+    stub = u_count
+    core = 2 * u_count
     for d, k in zip(widths, need):
         stubs = tuple(range(stub, stub + d))
         cores = tuple(range(core, core + d - k))
         for s in stubs:
-            adj[s] = (s - t_count, *cores)
+            adj[s] = (s - u_count, *cores)
         for c in cores:
             adj[c] = stubs
         stub += d
         core += d - k
 
-    return GadgetGraph(tuple(adj))
+    return GadgetGraph(tuple(adj), g, state)

@@ -26,7 +26,6 @@ from .family import find_family_subgraph, trails_from_subgraph
 from .hypergraph import (
     EulerFamily,
     Hypergraph,
-    VerifyReport,
     Walk,
     validate_covering,
     verify_euler_object,
@@ -58,18 +57,15 @@ class SolveResult:
     The verdict never claims more than the certificate shows: ``eulerian``
     comes with a verified tour and ``family`` holds that tour alone (or, for
     an empty hypergraph, eulerian by convention, no tour and the empty
-    family); ``neither`` only when no Euler family exists; and
-    ``not-covering-best-effort`` carries a verified family without a tour,
-    when the merge of a non-covering input stops.  ``certificate`` is the
-    verifier's report on ``family``, ``steps`` the merge steps this call
-    took, and ``reductions`` the label deleted by each arity-reduction layer.
+    family); ``neither`` only when no Euler family exists, with no tour and
+    no family; and ``not-covering-best-effort`` carries a verified family
+    without a tour, when the merge of a non-covering input stops.
+    ``reductions`` is the label deleted by each arity-reduction layer.
     """
 
     verdict: str
     tour: Walk | None
     family: EulerFamily | None
-    certificate: VerifyReport | None
-    steps: int = 0
     reductions: tuple[str, ...] = ()
 
 
@@ -90,41 +86,37 @@ def solve(
 
     ``budget`` caps the merge steps of this call (default ``10 * |E|**2``); a
     negative one raises :class:`ValueError`.  ``stats`` accumulates over
-    every call that is given it.  Every certificate is verified once, here,
-    before it is returned; a failed check raises :class:`CertificateViolation`.
+    every call that is given it.  Every family returned, the empty one
+    included, is verified once, here, at the end; a failed check raises
+    :class:`CertificateViolation`.
     """
     if k < 3:
         raise ValueError(f"arity parameter must be at least 3, got {k}")
     if budget is not None and budget < 0:
         raise ValueError(f"step budget must be non-negative, got {budget}")
-    if stats is None:
-        stats = MergeStats()
     m = len(h.edges)
-    if m == 0:
-        fam = EulerFamily(())
-        return SolveResult(VERDICT_EULERIAN, None, fam, verify_euler_object(h, fam))
     if m == 1:
-        return SolveResult(VERDICT_NEITHER, None, None, None)
-
-    covering = validate_covering(h, k).is_covering
-    cur, deleted = _reduce_to_order3(h, k) if covering and k > 3 else (h, ())
-    fsub = find_family_subgraph(build_incidence(cur))
-    if fsub is None:
-        if covering:
-            raise CertificateViolation(
-                "covering 3-hypergraph with >= 2 edges has no family certificate")
-        return SolveResult(VERDICT_NEITHER, None, None, None)
-    start = stats.steps
-    try:
-        tour = merge_to_tour(fsub, budget=budget, stats=stats)
-    except MergeExhaustedError:
-        if covering:
-            raise
-        tour, fam, verdict = None, trails_from_subgraph(fsub), VERDICT_BEST_EFFORT
-    else:
-        fam, verdict = EulerFamily((tour,)), VERDICT_EULERIAN
-    cert = verify_euler_object(h, fam)
-    if not cert.valid:
+        return SolveResult(VERDICT_NEITHER, None, None)
+    verdict, tour, fam, deleted = VERDICT_EULERIAN, None, EulerFamily(()), ()
+    if m:
+        covering = validate_covering(h, k)
+        cur, deleted = _reduce_to_order3(h, k) if covering and k > 3 else (h, ())
+        fsub = find_family_subgraph(build_incidence(cur))
+        if fsub is None:
+            if covering:
+                raise CertificateViolation(
+                    "covering 3-hypergraph with >= 2 edges has no family certificate")
+            return SolveResult(VERDICT_NEITHER, None, None)
+        try:
+            tour = merge_to_tour(fsub, budget=budget, stats=stats)
+        except MergeExhaustedError:
+            if covering:
+                raise
+            verdict, fam = VERDICT_BEST_EFFORT, trails_from_subgraph(fsub)
+        else:
+            fam = EulerFamily((tour,))
+    report = verify_euler_object(h, fam)
+    if not report.valid:
         raise CertificateViolation(
-            f"{verdict} certificate failed verification: " + "; ".join(cert.violations[:3]))
-    return SolveResult(verdict, tour, fam, cert, stats.steps - start, deleted)
+            f"{verdict} certificate failed verification: " + "; ".join(report.violations[:3]))
+    return SolveResult(verdict, tour, fam, deleted)

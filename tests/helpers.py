@@ -469,14 +469,18 @@ def reference_max_matching(adj) -> list[int]:
     return mate
 
 
-def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:
+def reference_gadget_adj(g, decided=None) -> tuple[tuple[int, ...], ...]:
     """The gadget's rows built link by link into lists, then sorted.
 
-    The reference for the rows of :func:`eulergraph.reduce_to_matching`.
+    ``decided`` maps (vertex index, edge id) to True for a forced anchor and
+    False for an excluded incidence, as :func:`reference_forced_anchors`
+    returns it; None decides nothing.  The reference for the rows of
+    :func:`eulergraph.reduce_to_matching` given the same decisions.
     """
-    incidences = g.incidences
-    t_count = len(incidences)
-    adj: list[list[int]] = [[] for _ in range(2 * t_count)]
+    decided = decided or {}
+    live = [inc for inc in g.incidences if inc not in decided]
+    u_count = len(live)
+    adj: list[list[int]] = [[] for _ in range(2 * u_count)]
 
     def new_node() -> int:
         adj.append([])
@@ -486,26 +490,25 @@ def reference_gadget_adj(g) -> tuple[tuple[int, ...], ...]:
         adj[a].append(b)
         adj[b].append(a)
 
-    for t in range(t_count):
-        link(t, t_count + t)
-    pos = 0
+    e_stubs: dict[int, list[int]] = {}
+    v_stubs: dict[int, list[int]] = {}
+    for u, (v, e) in enumerate(live):
+        link(u, u_count + u)
+        e_stubs.setdefault(e, []).append(u_count + u)
+        v_stubs.setdefault(v, []).append(u)
+    forced = [inc for inc, anchor in decided.items() if anchor]
     for j in range(g.n_e):
-        d = len(g.adj[g.n_v + j])
-        stubs = [t_count + (pos + i) for i in range(d)]
-        for _ in range(d - 2):
+        stubs = e_stubs.get(j, [])
+        for _ in range(len(stubs) - 2 + sum(e == j for _, e in forced)):
             core = new_node()
             for s in stubs:
                 link(core, s)
-        pos += d
-    stubs_of: dict[int, list[int]] = {}
-    for t, (v, _) in enumerate(incidences):
-        stubs_of.setdefault(v, []).append(t)
-    for v in sorted(stubs_of):
-        stubs = stubs_of[v]
+    for v in range(g.n_v):
+        stubs = v_stubs.get(v, [])
         for i in range(len(stubs)):
             for jj in range(i + 1, len(stubs)):
                 link(stubs[i], stubs[jj])
-        if len(stubs) % 2 == 1:
+        if (len(stubs) - sum(w == v for w, _ in forced)) % 2 == 1:
             dummy = new_node()
             for s in stubs:
                 link(dummy, s)

@@ -15,12 +15,20 @@ from eulergraph import (
     brute_family_exists,
     build_incidence,
     find_family_subgraph,
+    solve,
     trails_from_subgraph,
     verify_euler_object,
 )
 from eulergraph.errors import InfeasibleDegreeError
 from eulergraph.family import _forced_anchors, subgraph_from_trails
-from eulergraph.genio import Lcg, format_walk_line, gen_complete, gen_random_covering, gen_sts
+from eulergraph.genio import (
+    Lcg,
+    format_walk_line,
+    gen_complete,
+    gen_random_covering,
+    gen_sts,
+    parse_hg,
+)
 from eulergraph.matching import reduce_to_matching
 
 from helpers import (
@@ -29,8 +37,23 @@ from helpers import (
     random_mixed,
     random_noncovering,
     reference_forced_anchors,
+    reference_gadget_adj,
     sample_interchanging_cycles,
 )
+
+# Inputs where the three propagation rules leave incidences undecided and
+# only the gadget's missing perfect matching proves that no family exists.
+# "minimal" is the smallest (at most 6 vertices, 5 edges of size 2 to 3):
+# the rules fix only the anchors of a b; a needs one anchor from the two
+# a c d edges, so c and d share three anchors and one of them ends odd.
+# "random#106" is an op of the best-effort bench corpus at seed 2.
+MATCHING_ONLY_NEITHER = {
+    "minimal": "hg 0 6 5\nv a\nv b\nv c\nv d\nv e\nv f\n"
+               "e a b\ne a c d\ne a c d\ne b e f\ne b e f\n",
+    "random#106": "hg 0 10 10\n" + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+                  + "e v1 v2 v6 v7\ne v1 v2 v6 v7\ne v3 v9\ne v10 v8 v9\ne v3 v5\n"
+                  + "e v10 v5\ne v10 v5 v8\ne v1 v2 v6 v7\ne v2 v3 v8\ne v10 v8 v9\n",
+}
 
 
 class TestFindFamilySubgraph:
@@ -57,6 +80,15 @@ class TestFindFamilySubgraph:
     def test_undersized_edge_none(self):
         h = Hypergraph.from_labels("abc", [("a",), ("a", "b", "c")])
         assert find_family_subgraph(build_incidence(h)) is None
+
+    @pytest.mark.parametrize("name", sorted(MATCHING_ONLY_NEITHER))
+    def test_neither_that_only_the_matching_proves(self, name):
+        h, _ = parse_hg(MATCHING_ONLY_NEITHER[name])
+        g = build_incidence(h)
+        assert -1 in _forced_anchors(g)
+        assert find_family_subgraph(g) is None
+        assert solve(h, 3).verdict == "neither"
+        assert brute_family_exists(h) is False
 
     def test_matches_oracle_on_random_inputs(self):
         rng = Lcg(43)
@@ -168,10 +200,24 @@ class TestForcedAnchors:
         for _ in range(100):
             g = build_incidence(random_mixed(rng))
             try:
-                full = reduce_to_matching(g)
+                gg = reduce_to_matching(g, [-1] * len(g.incidences))
             except InfeasibleDegreeError:
                 continue
-            assert reduce_to_matching(g, [-1] * len(g.incidences)) == full
+            assert gg.adj == reference_gadget_adj(g)
+
+    def test_gadget_rows_over_the_forced_state_equal_the_reference(self):
+        rng = Lcg(79)
+        decided = 0
+        for _ in range(200):
+            h = random_mixed(rng)
+            g = build_incidence(h)
+            forced = reference_forced_anchors(h)
+            if forced is None:
+                continue
+            gg = reduce_to_matching(g, _forced_anchors(g))
+            assert gg.adj == reference_gadget_adj(g, forced)
+            decided += bool(forced)
+        assert decided >= 50
 
     def test_gadget_covers_the_undecided_incidences_only(self):
         rng = Lcg(73)
@@ -191,7 +237,7 @@ class TestForcedAnchors:
             forced_v = Counter(v for (v, _), s in zip(g.incidences, state) if s == 1)
             cores = sum(open_e[e] - need[e] for e in open_e)
             dummies = sum((open_v[v] - forced_v[v]) % 2 for v in range(g.n_v))
-            assert gg.node_count == 2 * len(undecided) + cores + dummies
+            assert len(gg.adj) == 2 * len(undecided) + cores + dummies
             shrunk += len(undecided) < len(g.incidences)
         assert shrunk >= 50
 

@@ -104,24 +104,14 @@ class TestConstruction:
 class TestValidateCovering:
     def test_fano_is_covering(self):
         h = fano()
-        report = validate_covering(h, 3)
-        assert report.is_k_uniform and report.is_covering
-        assert report.witness_uncovered is None
+        assert validate_covering(h, 3) is True
         # oracle: every one of the 21 pairs lies in a triple
         ok, witness = all_pairs_covered(h, 3)
         assert ok and witness is None
 
     def test_single_triple_on_three_vertices(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
-        report = validate_covering(h, 3)
-        assert report == validate_covering(h, 3)
-        assert report.is_k_uniform and report.is_covering
-
-    def test_witness_is_first_lexicographic(self):
-        h = Hypergraph.from_labels("abcd", [("a", "b", "c")])
-        report = validate_covering(h, 3)
-        assert report.is_k_uniform and not report.is_covering
-        assert report.witness_uncovered == ("a", "d")
+        assert validate_covering(h, 3) is True
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
@@ -129,32 +119,29 @@ class TestValidateCovering:
 
     def test_non_uniform_not_covering(self):
         h = Hypergraph.from_labels("abcd", [("a", "b"), ("a", "b", "c")])
-        report = validate_covering(h, 3)
-        assert not report.is_k_uniform and not report.is_covering
+        assert validate_covering(h, 3) is False
 
     def test_empty_edge_list_not_covering(self):
         h = Hypergraph.from_labels("abc", [])
-        assert not validate_covering(h, 3).is_covering
+        assert validate_covering(h, 3) is False
 
     @pytest.mark.parametrize("n,k,seed", [(5, 3, 1), (6, 3, 2), (6, 4, 3), (7, 4, 4)])
     def test_random_covering_and_min_degree(self, n, k, seed):
         h = gen_random_covering(n, k, seed)
-        assert validate_covering(h, k).is_covering
+        assert validate_covering(h, k) is True
         assert all_pairs_covered(h, k)[0]
         # every vertex has positive degree once |V| >= k
         assert all(any(v in e for e in h.edges) for v in range(len(h.vertices)))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_matches_oracle_with_edges_removed(self, k):
-        # dropping edges from a covering input uncovers subsets; the first
-        # missing one in label order must match the direct scan
+        # dropping edges from a covering input uncovers subsets; the decision
+        # must match the direct scan at every prefix of the edge list
         for seed in range(1, 16):
             h = gen_random_covering(6 + seed % 3, k, seed)
             for keep in range(len(h.edges) + 1):
                 sub = Hypergraph(h.vertices, h.edges[:keep])
-                report = validate_covering(sub, k)
-                ok, witness = all_pairs_covered(sub, k) if keep else (False, None)
-                assert (report.is_covering, report.witness_uncovered) == (ok, witness)
+                assert validate_covering(sub, k) is all_pairs_covered(sub, k)[0]
 
 
 class TestWalkFlags:
@@ -277,13 +264,12 @@ class TestCanonicalClosedTrail:
         assert canonical_closed_trail(variant) == canonical_closed_trail(base)
 
 
-def test_covering_report_fields_match_spec_example():
+def test_complete_design_is_covering_spec_example():
     # 4-uniform complete design on 6 vertices is covering for k=4
     from eulergraph.genio import gen_complete
 
     h = gen_complete(6, 4)
-    report = validate_covering(h, 4)
-    assert report.is_k_uniform and report.is_covering
+    assert validate_covering(h, 4) is True
     assert all_pairs_covered(h, 4)[0]
 
 
@@ -291,4 +277,4 @@ def test_covering_report_fields_match_spec_example():
 @settings(max_examples=30, deadline=None)
 def test_random_covering_always_validates(seed):
     h = gen_random_covering(6, 3, seed)
-    assert validate_covering(h, 3).is_covering
+    assert validate_covering(h, 3) is True

@@ -31,6 +31,11 @@ from helpers import (
 )
 
 
+def open_gadget(g):
+    """The gadget with every incidence undecided."""
+    return reduce_to_matching(g, [-1] * len(g.incidences))
+
+
 class TestMaxMatching:
     def test_triangle(self):
         adj = complete_graph(3)
@@ -83,7 +88,7 @@ class TestMaxMatching:
         hs = [gen_sts(27), gen_sts(31)]
         hs += [gen_random_covering(n, 3, seed) for n in range(14, 23) for seed in range(1, 7)]
         for h in hs:
-            adj = reduce_to_matching(build_incidence(h)).adj
+            adj = open_gadget(build_incidence(h)).adj
             mate = max_matching(adj)
             matching_size(adj, mate)
             assert mate == reference_max_matching(adj)
@@ -130,14 +135,14 @@ def _layout(g, gg):
     t_count = len(g.incidences)
     edge_degree = Counter(e for _, e in g.incidences)
     cores = range(2 * t_count, 2 * t_count + sum(d - 2 for d in edge_degree.values()))
-    return range(t_count), range(t_count, 2 * t_count), cores, range(cores.stop, gg.node_count)
+    return range(t_count), range(t_count, 2 * t_count), cores, range(cores.stop, len(gg.adj))
 
 
 class TestGadget:
     def test_edge_node_degree_three_has_one_core(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
         g = build_incidence(h)
-        gg = reduce_to_matching(g)
+        gg = open_gadget(g)
         _, e_stubs, cores, _ = _layout(g, gg)
         assert len(cores) == 1
         core = cores[0]
@@ -147,7 +152,7 @@ class TestGadget:
     def test_even_vertex_degree_no_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         g = build_incidence(h)
-        gg = reduce_to_matching(g)
+        gg = open_gadget(g)
         assert len(_layout(g, gg)[3]) == 0
         # each v-node of degree 2 contributes two mutually adjacent stubs
         a_stubs = [t for t, (v, e) in enumerate(g.incidences) if v == 0]
@@ -157,7 +162,7 @@ class TestGadget:
     def test_odd_vertex_degree_gets_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 3)
         g = build_incidence(h)
-        gg = reduce_to_matching(g)
+        gg = open_gadget(g)
         dummies = _layout(g, gg)[3]
         assert len(dummies) == 3
         assert len(gg.adj[dummies[0]]) == 3
@@ -169,16 +174,16 @@ class TestGadget:
             Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d"), ("c", "d")]),
         ):
             g = build_incidence(h)
-            gg = reduce_to_matching(g)
+            gg = open_gadget(g)
             d_e = [len(g.adj[g.e_node(j)]) for j in range(g.n_e)]
             d_v = [len(g.adj[v]) for v in range(g.n_v)]
             expected = sum(2 * d - 2 for d in d_e) + sum(d_v) + sum(1 for d in d_v if d % 2)
-            assert gg.node_count == expected
+            assert len(gg.adj) == expected
 
     def test_two_copies_gadget_is_14_nodes(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
-        gg = reduce_to_matching(build_incidence(h))
-        assert gg.node_count == 14
+        gg = open_gadget(build_incidence(h))
+        assert len(gg.adj) == 14
 
     def test_rows_equal_reference_builder(self):
         rng = Lcg(47)
@@ -198,24 +203,24 @@ class TestGadget:
                 edges.append(tuple(sorted(e)))
                 kinds[len(e)] += 1
             g = build_incidence(Hypergraph.from_labels(labels[:n], edges))
-            gg = reduce_to_matching(g)
+            gg = open_gadget(g)
             assert gg.adj == reference_gadget_adj(g)
             assert all(a < b for row in gg.adj for a, b in zip(row, row[1:]))
             kinds["dummies"] += len(_layout(g, gg)[3])
             g1 = build_incidence(Hypergraph.from_labels(labels[:n], edges + [("a",)]))
             with pytest.raises(InfeasibleDegreeError):
-                reduce_to_matching(g1)
+                open_gadget(g1)
         assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
 
     def test_infeasible_degree(self):
         h = Hypergraph.from_labels("ab", [("a",)])
         with pytest.raises(InfeasibleDegreeError):
-            reduce_to_matching(build_incidence(h))
+            open_gadget(build_incidence(h))
 
     def test_back_map(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         g = build_incidence(h)
-        gg = reduce_to_matching(g)
+        gg = open_gadget(g)
         v_stubs, e_stubs, cores, _ = _layout(g, gg)
         # incidence t is realized by the gadget edge from v-stub t to e-stub T+t,
         # the only edge between the two stub ranges at either end
@@ -225,20 +230,21 @@ class TestGadget:
         assert not any(s in v_stubs for s in gg.adj[cores[0]])
         # a perfect matching selects exactly the incidences of its (t, T+t) pairs
         mate = max_matching(gg.adj)
-        assert 2 * matching_size(gg.adj, mate) == gg.node_count
+        assert 2 * matching_size(gg.adj, mate) == len(gg.adj)
         fsub = find_family_subgraph(g)
         assert incidences(fsub.anchors) == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
+        assert gg.anchors(mate) == fsub.anchors
 
     def test_perfect_matching_by_exhaustion(self):
         # two copies of a triple: the 14-node gadget has a perfect matching;
         # a single triple: its gadget has none
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
-        gg = reduce_to_matching(build_incidence(h))
-        assert 2 * brute_max_matching(gg.adj) == gg.node_count
-        assert 2 * matching_size(gg.adj, max_matching(gg.adj)) == gg.node_count
+        gg = open_gadget(build_incidence(h))
+        assert 2 * brute_max_matching(gg.adj) == len(gg.adj)
+        assert 2 * matching_size(gg.adj, max_matching(gg.adj)) == len(gg.adj)
         single = Hypergraph.from_labels("abc", [("a", "b", "c")])
-        gg1 = reduce_to_matching(build_incidence(single))
-        assert 2 * brute_max_matching(gg1.adj) < gg1.node_count
+        gg1 = open_gadget(build_incidence(single))
+        assert 2 * brute_max_matching(gg1.adj) < len(gg1.adj)
 
 
 class TestRoundTrip:
@@ -247,10 +253,10 @@ class TestRoundTrip:
     def _agrees(self, h: Hypergraph) -> bool:
         g = build_incidence(h)
         try:
-            gg = reduce_to_matching(g)
+            gg = open_gadget(g)
         except InfeasibleDegreeError:
             return brute_family_exists(h) is False
-        perfect = 2 * matching_size(gg.adj, max_matching(gg.adj)) == gg.node_count
+        perfect = 2 * matching_size(gg.adj, max_matching(gg.adj)) == len(gg.adj)
         assert (find_family_subgraph(g) is not None) == perfect
         return perfect == brute_family_exists(h)
 

@@ -85,7 +85,7 @@ class TestReduceOrder:
         h = gen_complete(6, 4)
         reduced, deleted = _reduce_to_order3(h, 4)
         assert reduced.order == 5 and len(reduced.edges) == 15
-        assert validate_covering(reduced, 3).is_covering
+        assert validate_covering(reduced, 3)
         assert deleted == ("v1",)
 
     def test_every_edge_contains_deleted_vertex(self):
@@ -93,7 +93,7 @@ class TestReduceOrder:
             "abcde",
             [("a", "b", "c", "d"), ("a", "b", "c", "e"),
              ("a", "b", "d", "e"), ("a", "c", "d", "e")])
-        assert validate_covering(h, 4).is_covering
+        assert validate_covering(h, 4)
         reduced, deleted = _reduce_to_order3(h, 4)
         assert deleted == ("a",)
         assert all(reduced.edge_labels(j) == h.edge_labels(j)[1:] for j in range(4))
@@ -137,10 +137,10 @@ class TestSolve:
     def test_fano_eulerian(self):
         res = solve(fano(), 3)
         assert res.verdict == "eulerian"
-        assert res.certificate.valid
+        assert res.family == EulerFamily((res.tour,))
         assert len(res.tour.edges) == 7
         # independent re-verification
-        assert verify_euler_object(fano(), EulerFamily((res.tour,))).valid
+        assert verify_euler_object(fano(), res.family).valid
 
     @pytest.mark.parametrize("k,labels", [(3, "abc"), (4, "abcd"), (5, "abcde")])
     def test_single_edge_neither(self, k, labels):
@@ -151,25 +151,28 @@ class TestSolve:
         h = Hypergraph.from_labels("ab", [])
         res = solve(h, 3)
         assert res.verdict == "eulerian" and res.tour is None
-        assert res.family == EulerFamily(()) and res.certificate.valid
+        assert res.family == EulerFamily(()) and verify_euler_object(h, res.family).valid
 
     def test_complete_6_4_via_reduction(self):
-        res = solve(gen_complete(6, 4), 4)
-        assert res.verdict == "eulerian" and res.certificate.valid
+        h = gen_complete(6, 4)
+        res = solve(h, 4)
+        assert res.verdict == "eulerian" and verify_euler_object(h, res.family).valid
         assert len(res.reductions) == 1
         assert len(res.tour.edges) == 15
 
     def test_complete_7_5_two_layers(self):
-        res = solve(gen_complete(7, 5), 5)
-        assert res.verdict == "eulerian" and res.certificate.valid
+        h = gen_complete(7, 5)
+        res = solve(h, 5)
+        assert res.verdict == "eulerian" and verify_euler_object(h, res.family).valid
         assert len(res.reductions) == 2
         assert len(res.tour.edges) == 21
 
     def test_order3_direct(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 5)
-        res = solve(h, 3)
-        assert res.verdict == "eulerian" and res.certificate.valid
-        assert res.steps == 0
+        stats = MergeStats()
+        res = solve(h, 3, stats=stats)
+        assert res.verdict == "eulerian" and verify_euler_object(h, res.family).valid
+        assert stats.steps == 0
 
     @pytest.mark.parametrize("k, m", [(k, m) for k in (3, 4, 5) for m in range(2, 8)])
     def test_one_edge_repeated(self, k, m):
@@ -177,11 +180,12 @@ class TestSolve:
         # has at most one non-trivial component: the merge returns at once.
         labels = "abcde"[:k]
         h = Hypergraph.from_labels(labels, [tuple(labels)] * m)
-        res = solve(h, k)
-        assert res.verdict == "eulerian" and res.certificate.valid
+        stats = MergeStats()
+        res = solve(h, k, stats=stats)
+        assert res.verdict == "eulerian" and res.family == EulerFamily((res.tour,))
         assert len(res.tour.edges) == m
-        assert verify_euler_object(h, EulerFamily((res.tour,))).valid
-        assert res.steps == 0
+        assert verify_euler_object(h, res.family).valid
+        assert stats.steps == 0
 
     def test_non_covering_quasi_exact_negative(self):
         # two edges meeting in one vertex: any anchor choice leaves odd parity
@@ -193,7 +197,7 @@ class TestSolve:
     def test_non_covering_tour_found(self):
         h = one_component()
         res = solve(h, 3)
-        assert res.verdict == "eulerian" and res.certificate.valid
+        assert res.verdict == "eulerian" and verify_euler_object(h, res.family).valid
 
     def test_non_covering_disconnected_family_only(self):
         h = family_only()
@@ -201,7 +205,7 @@ class TestSolve:
         assert res.verdict == "not-covering-best-effort"
         assert res.tour is None
         assert len(res.family.components) == 2
-        assert res.certificate.valid  # the family itself is certified
+        assert verify_euler_object(h, res.family).valid  # the family itself is certified
 
     def test_budget_propagates(self):
         # covering instance whose matching-produced family starts with two
@@ -214,17 +218,22 @@ class TestSolve:
             solve(h, 3, budget=0)
 
     def test_shared_stats_budget_counts_each_call(self):
-        # the fields accumulate across calls, but each merge's budget and its
-        # reported steps start from what stats.steps held on entry
+        # the fields accumulate across calls, but each merge's budget starts
+        # from what stats.steps held on entry; a fresh MergeStats per call
+        # counts that call's steps alone
         union = disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))
+        covering = gen_random_covering(5, 3, 17)
+        for h, verdict, steps in ((union, "not-covering-best-effort", 240),
+                                  (covering, "eulerian", 1)):
+            own = MergeStats()
+            assert solve(h, 3, stats=own).verdict == verdict
+            assert own.steps == steps
         stats = MergeStats()
         for total in (240, 480):
-            res = solve(union, 3, stats=stats)
-            assert res.verdict == "not-covering-best-effort"
-            assert (res.steps, stats.steps) == (240, total)
-        res = solve(gen_random_covering(5, 3, 17), 3, stats=stats)
-        assert res.verdict == "eulerian"
-        assert (res.steps, stats.steps) == (1, 481)
+            assert solve(union, 3, stats=stats).verdict == "not-covering-best-effort"
+            assert stats.steps == total
+        assert solve(covering, 3, stats=stats).verdict == "eulerian"
+        assert stats.steps == 481
         fsub = find_family_subgraph(build_incidence(union))
         with pytest.raises(MergeExhaustedError) as exc:
             merge_to_tour(fsub, budget=40, stats=stats)
@@ -245,15 +254,15 @@ class TestSolve:
         stats = MergeStats()
         res = solve(h, 3, stats=stats)
         assert res.verdict == "not-covering-best-effort"
-        assert res.family is not None and res.certificate.valid
+        assert res.family is not None and verify_euler_object(h, res.family).valid
         assert stats.steps < 10
 
     def test_tour_that_depends_on_the_family_found(self):
         h, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
         assert brute_tour(h) is not None
         res = solve(h, 3)
-        assert res.verdict == "eulerian" and res.certificate.valid
-        assert verify_euler_object(h, EulerFamily((res.tour,))).valid
+        assert res.verdict == "eulerian" and res.family == EulerFamily((res.tour,))
+        assert verify_euler_object(h, res.family).valid
 
     def test_tour_found_iff_brute_force_finds_one(self):
         rng = Lcg(3)
@@ -285,11 +294,14 @@ class TestSolve:
     def test_steps_recorded(self):
         from helpers import grouped_family
 
-        h, _, _ = grouped_family([("a", "b"), ("c", "d"), ("e", "f")])
-        stats = MergeStats()
-        res = solve(h, 3, stats=stats)
-        assert res.verdict == "eulerian"
-        assert res.steps == stats.steps
+        # a fresh MergeStats per call records that call's steps, the same
+        # count on every call, each step diminishing or an escape
+        grouped, _, _ = grouped_family([("a", "b"), ("c", "d"), ("e", "f")])
+        for h, steps in ((grouped, 0), (gen_random_covering(5, 3, 17), 1)):
+            for _ in range(2):
+                stats = MergeStats()
+                assert solve(h, 3, stats=stats).verdict == "eulerian"
+                assert stats.steps == stats.diminishing + stats.escapes == steps
 
     def test_verdict_never_overclaims(self):
         # every eulerian verdict carries a verified tour
@@ -351,20 +363,21 @@ class TestBoundaryVerify:
         h = make()
         calls = self.count_verifies(monkeypatch)
         res = solve(h, 3)
-        assert res.verdict == "eulerian" and res.certificate.valid
+        assert res.verdict == "eulerian" and verify_euler_object(h, res.family).valid
         assert calls == [EulerFamily((res.tour,))]
 
     @pytest.mark.parametrize("make, verdict", [
         (one_component, "eulerian"),
         (roadmap_item3, "eulerian"),
         (family_only, "not-covering-best-effort"),
-    ], ids=["one-component", "merged", "family-only"])
+        (lambda: Hypergraph.from_labels("ab", []), "eulerian"),
+    ], ids=["one-component", "merged", "family-only", "empty"])
     def test_non_covering_solve_verifies_once(self, monkeypatch, make, verdict):
         h = make()
-        assert not validate_covering(h, 3).is_covering
+        assert not validate_covering(h, 3)
         calls = self.count_verifies(monkeypatch)
         res = solve(h, 3)
-        assert res.verdict == verdict and res.certificate.valid
+        assert res.verdict == verdict and verify_euler_object(h, res.family).valid
         assert calls == [res.family]
 
     def test_covering_decided_once(self, monkeypatch):

@@ -4,8 +4,8 @@ The package decides whether a hypergraph admits an Euler family (exactly, via
 a matching reduction on its incidence graph), constructs Euler tours of
 covering k-hypergraphs by merging family components with interchanging
 cycles, and reduces higher arities to 3 before solving.  Every certificate
-``solve`` returns is checked once, by an independent verifier, at that
-boundary.
+``solve`` or ``certified_family`` returns is checked once, by an independent
+verifier, at that boundary.
 """
 
 from .errors import (
@@ -16,11 +16,7 @@ from .errors import (
     InfeasibleDegreeError,
     MergeExhaustedError,
 )
-from .family import (
-    FamilySubgraph,
-    find_family_subgraph,
-    trails_from_subgraph,
-)
+from .family import FamilySubgraph, find_family_subgraph, trails_from_subgraph
 from .hypergraph import (
     EulerFamily,
     Hypergraph,
@@ -39,7 +35,7 @@ from .interchange import (
 )
 from .matching import max_matching, reduce_to_matching
 from .oracle import SearchBudget, brute_family_exists, brute_max_matching, brute_tour
-from .solver import SolveResult, solve
+from .solver import SolveResult, certified_family, solve
 
 __version__ = "0.1.0"
 
@@ -65,6 +61,7 @@ __all__ = [
     "brute_tour",
     "build_incidence",
     "canonical_closed_trail",
+    "certified_family",
     "find_diminishing_cycle",
     "find_family_subgraph",
     "max_matching",

@@ -13,12 +13,10 @@ import sys
 import traceback
 
 from . import genio
-from .errors import CertificateViolation, FormatError, InadmissibleOrderError, MergeExhaustedError
-from .family import find_family_subgraph, trails_from_subgraph
+from .errors import CertificateViolation, FormatError, MergeExhaustedError
 from .hypergraph import verify_euler_object
-from .incidence import build_incidence
 from .oracle import SearchBudget, brute_family_exists, brute_tour
-from .solver import VERDICT_EULERIAN, VERDICT_NEITHER, solve
+from .solver import VERDICT_EULERIAN, VERDICT_NEITHER, certified_family, solve
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -58,15 +56,10 @@ def _cmd_tour(args) -> int:
 
 def _cmd_family(args) -> int:
     h, _ = genio.load_hg(args.file)
-    fsub = find_family_subgraph(build_incidence(h))
-    if fsub is None:
+    fam = certified_family(h)
+    if fam is None:
         print("verified: no Euler family exists", file=sys.stderr)
         return EXIT_NEGATIVE
-    fam = trails_from_subgraph(fsub)
-    report = verify_euler_object(h, fam)
-    if not report.valid:
-        raise CertificateViolation(
-            "trail extraction produced an invalid family: " + "; ".join(report.violations[:3]))
     lines = "".join(genio.format_walk_line(w) + "\n" for w in fam.components)
     _write_out(lines if lines else "# empty hypergraph: empty Euler family\n", args.out)
     return EXIT_OK
@@ -177,7 +170,7 @@ def main(argv=None) -> int:
     except CertificateViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (InadmissibleOrderError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Euler-family certificates as one anchor pair per edge, and conversions to and from trails.
+"""Euler-family certificates as one anchor pair per edge, and the closed trails they describe.
 
 An Euler family is a set of anchor- and edge-disjoint closed trails covering
 every edge once, so its certificate is one pair of distinct anchors per edge,
@@ -32,12 +32,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import CertificateViolation, InfeasibleDegreeError
-from .hypergraph import (
-    EulerFamily,
-    Walk,
-    canonical_closed_trail,
-    verify_euler_object,
-)
+from .hypergraph import EulerFamily, Walk, canonical_closed_trail
 from .incidence import IncidenceGraph
 from .matching import max_matching, reduce_to_matching
 
@@ -256,16 +251,3 @@ def trails_from_subgraph(fsub: FamilySubgraph) -> EulerFamily:
         walks.append(canonical_closed_trail(Walk(tuple(trail), tuple(edges))))
     walks.sort(key=_walk_key)
     return EulerFamily(tuple(walks))
-
-
-def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:
-    """Inverse of :func:`trails_from_subgraph` up to rotation, reflection and component order."""
-    report = verify_euler_object(g.host, f)
-    if not report.valid:
-        raise ValueError("invalid family: " + "; ".join(report.violations[:3]))
-    index = g.host.vertex_index
-    anchors: list = [None] * g.n_e
-    for w in f.components:
-        for j, eid in enumerate(w.edges):
-            anchors[eid] = tuple(sorted((index(w.anchors[j]), index(w.anchors[j + 1]))))
-    return FamilySubgraph(g, tuple(anchors))

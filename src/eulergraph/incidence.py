@@ -25,9 +25,6 @@ class IncidenceGraph:
     n_e: int
     adj: tuple[tuple[int, ...], ...]
 
-    def e_node(self, j: int) -> int:
-        return self.n_v + j
-
     @cached_property
     def incidences(self) -> tuple[tuple[int, int], ...]:
         """All (vertex index, edge id) incidence pairs, grouped by edge."""

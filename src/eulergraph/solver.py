@@ -83,6 +83,7 @@ def solve(
     inputs always end eulerian; a missing family or an exhausted merge there
     is a bug and raises.  Non-covering inputs get an exact Euler-family
     decision and a best-effort merge, which falls back to the family.
+    :func:`certified_family` is that decision alone, with no reduction.
 
     ``budget`` caps the merge steps of this call (default ``10 * |E|**2``); a
     negative one raises :class:`ValueError`.  ``stats`` accumulates over
@@ -115,8 +116,27 @@ def solve(
             verdict, fam = VERDICT_BEST_EFFORT, trails_from_subgraph(fsub)
         else:
             fam = EulerFamily((tour,))
+    _check(h, fam, verdict)
+    return SolveResult(verdict, tour, fam, deleted)
+
+
+def certified_family(h: Hypergraph) -> EulerFamily | None:
+    """The exact Euler-family decision on ``h`` as given, with no arity reduction.
+
+    ``None`` when no family exists; otherwise one canonical closed trail per
+    component, verified once, here, with the check :func:`solve` makes.
+    """
+    fsub = find_family_subgraph(build_incidence(h))
+    if fsub is None:
+        return None
+    fam = trails_from_subgraph(fsub)
+    _check(h, fam, "family")
+    return fam
+
+
+def _check(h: Hypergraph, fam: EulerFamily, what: str) -> None:
+    """The boundary check: raise :class:`CertificateViolation` unless ``fam`` verifies on ``h``."""
     report = verify_euler_object(h, fam)
     if not report.valid:
         raise CertificateViolation(
-            f"{verdict} certificate failed verification: " + "; ".join(report.violations[:3]))
-    return SolveResult(verdict, tour, fam, deleted)
+            f"{what} certificate failed verification: " + "; ".join(report.violations[:3]))

@@ -12,6 +12,7 @@ from eulergraph import (
     EulerFamily,
     FamilySubgraph,
     Hypergraph,
+    IncidenceGraph,
     Walk,
     build_incidence,
     canonical_closed_trail,
@@ -22,6 +23,18 @@ from eulergraph.interchange import _alternating_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FANO_TRIPLES = ["123", "145", "167", "246", "257", "347", "356"]
+
+# A non-covering input (best-effort bench corpus, seed 1, "random#372") with a
+# tour.  The family the matching returns already is that tour.  From another
+# family of it, anchors (v4,v7) (v2,v9) (v10,v2) (v4,v7) (v10,v8) (v6,v9)
+# (v3,v6) (v3,v8), the merge stops with "no-move" after one escape, so a
+# change to the family search can lose this tour (test_interchange pins that
+# miss).
+TOUR_DEPENDS_ON_FAMILY = (
+    "hg 0 10 8\n"
+    + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+    + "e v4 v7\ne v2 v6 v9\ne v10 v2\ne v10 v4 v7\n"
+    + "e v10 v8\ne v2 v6 v9\ne v3 v6 v8\ne v10 v3 v4 v8\n")
 
 
 def fano() -> Hypergraph:
@@ -113,6 +126,25 @@ def anchor_pairs(h: Hypergraph, label_pairs) -> tuple[tuple[int, int], ...]:
     return tuple(tuple(sorted(map(h.vertex_index, pair))) for pair in label_pairs)
 
 
+def e_node(g: IncidenceGraph, j: int) -> int:
+    """The incidence-graph node of edge j: edge-nodes follow the ``n_v`` vertex-nodes."""
+    return g.n_v + j
+
+
+def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:
+    """Inverse of :func:`eulergraph.trails_from_subgraph` up to rotation, reflection and
+    component order; an invalid family raises :class:`ValueError`."""
+    report = verify_euler_object(g.host, f)
+    if not report.valid:
+        raise ValueError("invalid family: " + "; ".join(report.violations[:3]))
+    index = g.host.vertex_index
+    anchors: list = [None] * g.n_e
+    for w in f.components:
+        for j, eid in enumerate(w.edges):
+            anchors[eid] = tuple(sorted((index(w.anchors[j]), index(w.anchors[j + 1]))))
+    return FamilySubgraph(g, tuple(anchors))
+
+
 def incidences(anchors) -> frozenset[tuple[int, int]]:
     """Anchor pairs, one per edge, as their set of (vertex index, edge id) incidences."""
     return frozenset((v, e) for e, pair in enumerate(anchors) for v in pair)
@@ -126,8 +158,8 @@ def subgraph_adj(fsub: FamilySubgraph) -> tuple[tuple[int, ...], ...]:
     g = fsub.host
     adj: list[list[int]] = [[] for _ in range(g.n_v + g.n_e)]
     for v, e in incidences(fsub.anchors):
-        adj[v].append(g.e_node(e))
-        adj[g.e_node(e)].append(v)
+        adj[v].append(e_node(g, e))
+        adj[e_node(g, e)].append(v)
     return tuple(tuple(sorted(row)) for row in adj)
 
 

@@ -2,8 +2,9 @@
 
 Each input class has at most 10 edges, so ``oracle.brute_family_exists`` and
 ``oracle.brute_tour`` give exact ground truth.  ``solve``,
-``find_family_subgraph`` and the command line (``tour``, ``family`` and
-``verify`` round trips through files, run in process) must agree with it:
+``find_family_subgraph``, ``certified_family`` and the command line
+(``tour``, ``family`` and ``verify`` round trips through files, run in
+process) must agree with it:
 
 * no overclaim: ``eulerian`` only with a tour the oracle confirms exists,
   ``neither`` only where no family exists;
@@ -29,6 +30,7 @@ from eulergraph import (
     brute_family_exists,
     brute_tour,
     build_incidence,
+    certified_family,
     find_family_subgraph,
     solve,
     validate_covering,
@@ -97,6 +99,10 @@ def _check_solve(h: Hypergraph, k: int, family: bool, tour: bool) -> None:
         assert family and verify_euler_object(h, res.family).valid
         assert not tour, "underclaim: family only, but a tour exists"
     assert (find_family_subgraph(build_incidence(h)) is not None) == family
+    fam = certified_family(h)
+    assert (fam is not None) == family
+    if fam is not None:
+        assert verify_euler_object(h, fam).valid
 
 
 def _check_cli(h: Hypergraph, family: bool, tour: bool, tmp) -> None:

@@ -20,7 +20,7 @@ from eulergraph import (
     verify_euler_object,
 )
 from eulergraph.errors import InfeasibleDegreeError
-from eulergraph.family import _forced_anchors, subgraph_from_trails
+from eulergraph.family import _forced_anchors
 from eulergraph.genio import (
     Lcg,
     format_walk_line,
@@ -39,6 +39,7 @@ from helpers import (
     reference_forced_anchors,
     reference_gadget_adj,
     sample_interchanging_cycles,
+    subgraph_from_trails,
 )
 
 # Inputs where the three propagation rules leave incidences undecided and

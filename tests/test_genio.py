@@ -26,7 +26,7 @@ from eulergraph.genio import (
     parse_walk_line,
 )
 
-from helpers import src_env, swap_one_anchor
+from helpers import random_mixed, random_noncovering, src_env, swap_one_anchor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -213,6 +213,23 @@ class TestHgFormat:
         assert emit_hg(h2) == text
 
 
+    def test_header_arity_is_the_arity_solved(self):
+        # the bench solves at the header's k (3 when below 3) and the tour
+        # command at the edges' common size (3 when mixed or below 3); on
+        # emitted text the two must be the same problem
+        hs = [gen_sts(n) for n in (7, 9, 13, 15)]
+        for k in (3, 4, 5):
+            hs += [gen_complete(n, k) for n in range(k + 1, k + 4)]
+            hs += [gen_random_covering(n, k, seed)
+                   for n in range(k + 1, 10) for seed in (1, 2, 3)]
+        rng = Lcg(7)
+        hs += [random_mixed(rng) for _ in range(300)]
+        hs += [random_noncovering(rng) for _ in range(300)]
+        for h in hs:
+            h, k = parse_hg(emit_hg(h))
+            assert (k if k >= 3 else 3) == max(h.uniformity() or 3, 3), emit_hg(h)
+
+
 class TestWalkLines:
     def test_format_and_parse(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
@@ -387,7 +404,7 @@ class TestCli:
         assert captured.err.startswith("internal error: ")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command, module", [("tour", interchange), ("family", cli)])
+    @pytest.mark.parametrize("command, module", [("tour", interchange), ("family", solver)])
     def test_boundary_check_failure_exit_four(self, tmp_path, capsys, monkeypatch, command, module):
         # the one-component tour is read out by the merge's own exit
         text = "hg 3 4 2\nv a\nv b\nv c\nv d\ne a b c\ne a b d\n"

@@ -12,6 +12,7 @@ from eulergraph.family import _union_find
 from eulergraph.genio import Lcg, gen_random_covering
 
 from helpers import (
+    e_node,
     fano,
     grouped_family,
     random_noncovering,
@@ -27,7 +28,7 @@ class TestBuildIncidence:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
         g = build_incidence(h)
         assert g.n_v == 3 and g.n_e == 1
-        assert g.adj[g.e_node(0)] == (0, 1, 2)
+        assert g.adj[e_node(g, 0)] == (0, 1, 2)
         assert all(g.adj[v] == (3,) for v in range(3))
 
     def test_two_copies_complete_bipartite(self):
@@ -35,7 +36,7 @@ class TestBuildIncidence:
         g = build_incidence(h)
         assert sum(len(r) for r in g.adj) == 2 * 6
         assert all(len(g.adj[v]) == 2 for v in range(3))
-        assert all(len(g.adj[g.e_node(j)]) == 3 for j in range(2))
+        assert all(len(g.adj[e_node(g, j)]) == 3 for j in range(2))
 
     def test_fano_counts(self):
         g = build_incidence(fano())
@@ -47,7 +48,7 @@ class TestBuildIncidence:
         h = fano()
         g = build_incidence(h)
         for j, e in enumerate(h.edges):
-            assert frozenset(g.adj[g.e_node(j)]) == e
+            assert frozenset(g.adj[e_node(g, j)]) == e
 
 
 def seeded_certificates():

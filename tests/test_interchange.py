@@ -26,13 +26,15 @@ from eulergraph import (
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts
-from eulergraph.family import _union_find, subgraph_from_trails
+from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
+from eulergraph.family import _union_find
 from eulergraph.interchange import _candidates, _toggle
 
 from helpers import (
+    TOUR_DEPENDS_ON_FAMILY,
     anchor_pairs,
     disjoint_union,
+    e_node,
     fano,
     grouped_family,
     incidences,
@@ -42,6 +44,7 @@ from helpers import (
     roadmap_item3,
     sample_interchanging_cycles,
     subgraph_adj,
+    subgraph_from_trails,
 )
 
 
@@ -56,7 +59,7 @@ class TestIsInterchanging:
     def test_false_when_an_e_node_has_two(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         a, b = h.vertex_index("a"), h.vertex_index("b")
-        cycle = (a, g.e_node(0), b, g.e_node(1))
+        cycle = (a, e_node(g, 0), b, e_node(g, 1))
         # both cycle neighbours of e1 and of e2 are its anchors
         assert fsub.anchors[0] == fsub.anchors[1] == (a, b)
         with pytest.raises(CertificateViolation):
@@ -70,7 +73,7 @@ class TestApplyInterchange:
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # edges: e1={a,b,c} e2={a,b,d} anchored (a,b); e3={c,d,a} e4={c,d,b} anchored (c,d)
         a, b, c, d = map(h.vertex_index, "abcd")
-        cycle = (a, g.e_node(0), c, g.e_node(2))
+        cycle = (a, e_node(g, 0), c, e_node(g, 2))
         after = apply_interchange(fsub, cycle)
         # e1 swaps anchor a for c, e3 swaps c for a; e2 and e4 keep theirs
         assert after.anchors == ((b, c), (a, b), (a, d), (c, d))
@@ -78,7 +81,7 @@ class TestApplyInterchange:
 
     def test_involution(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
+        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("c"), e_node(g, 2))
         once = apply_interchange(fsub, cycle)
         again = apply_interchange(once, cycle)
         assert again.anchors == fsub.anchors
@@ -86,7 +89,7 @@ class TestApplyInterchange:
     def test_crossing_cycle_merges_two_four_cycles(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         assert fsub.nontrivial_count == 2
-        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("c"), g.e_node(2))
+        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("c"), e_node(g, 2))
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
         assert after.component_of == (0,) * 4  # one 8-cycle component
@@ -94,7 +97,7 @@ class TestApplyInterchange:
     def test_non_interchanging_rejected(self):
         # both cycle neighbours of e1 and of e2 are its anchors: the pairs would end empty
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = (h.vertex_index("a"), g.e_node(0), h.vertex_index("b"), g.e_node(1))
+        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("b"), e_node(g, 1))
         with pytest.raises(CertificateViolation, match="degree 0"):
             apply_interchange(fsub, cycle)
 
@@ -106,12 +109,12 @@ class TestApplyInterchange:
         a, b, c, d = range(4)
         fsub = FamilySubgraph(g, ((a, b), (a, b)))
         with pytest.raises(CertificateViolation, match="degree 4"):
-            apply_interchange(fsub, (c, g.e_node(0), d, g.e_node(1)))
+            apply_interchange(fsub, (c, e_node(g, 0), d, e_node(g, 1)))
 
     def test_not_a_cycle_rejected(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        for nodes in [(0, g.e_node(0)), (0, g.e_node(0), 0, g.e_node(1)), (0, 1, 2, 3),
-                      (0, g.e_node(0), 2, g.e_node(4))]:
+        for nodes in [(0, e_node(g, 0)), (0, e_node(g, 0), 0, e_node(g, 1)), (0, 1, 2, 3),
+                      (0, e_node(g, 0), 2, e_node(g, 4))]:
             with pytest.raises(CertificateViolation):
                 apply_interchange(fsub, nodes)
 
@@ -308,6 +311,19 @@ class TestMergeToTour:
         tour = merge_to_tour(target, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))).valid
         assert len(tour.edges) == 12 and stats.steps >= 1
+
+    @pytest.mark.xfail(strict=True, raises=MergeExhaustedError,
+                       reason="the merge stops with no-move after one escape")
+    def test_two_trail_family_of_a_tour_merges(self):
+        # random#372 has a tour, but from this two-trail family of it the
+        # ladder finds no move; a merge that reaches every tour passes here
+        h, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
+        pairs = [("v4", "v7"), ("v2", "v9"), ("v10", "v2"), ("v4", "v7"),
+                 ("v10", "v8"), ("v6", "v9"), ("v3", "v6"), ("v3", "v8")]
+        fsub = FamilySubgraph(build_incidence(h), anchor_pairs(h, pairs))
+        assert fsub.nontrivial_count == 2
+        tour = merge_to_tour(fsub)
+        assert verify_euler_object(h, EulerFamily((tour,))).valid
 
     def test_complete_five_from_scrambled_family(self):
         rng = Lcg(61)

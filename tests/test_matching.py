@@ -20,6 +20,7 @@ from eulergraph.matching import _augment_from
 
 from helpers import (
     complete_graph,
+    e_node,
     fano,
     incidences,
     matching_size,
@@ -175,7 +176,7 @@ class TestGadget:
         ):
             g = build_incidence(h)
             gg = open_gadget(g)
-            d_e = [len(g.adj[g.e_node(j)]) for j in range(g.n_e)]
+            d_e = [len(g.adj[e_node(g, j)]) for j in range(g.n_e)]
             d_v = [len(g.adj[v]) for v in range(g.n_v)]
             expected = sum(2 * d - 2 for d in d_e) + sum(d_v) + sum(1 for d in d_v if d % 2)
             assert len(gg.adj) == expected

@@ -30,7 +30,13 @@ from eulergraph.genio import (
 from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
 
-from helpers import disjoint_union, fano, roadmap_item3, swap_one_anchor
+from helpers import (
+    TOUR_DEPENDS_ON_FAMILY,
+    disjoint_union,
+    fano,
+    roadmap_item3,
+    swap_one_anchor,
+)
 
 # A non-covering input with a family and no tour.  Unless the merge skips
 # moves back to certificates it has seen, a move here that undoes the
@@ -40,17 +46,6 @@ NO_TOUR_REVISIT_LOOP = (
     + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
     + "e v10 v5 v9\ne v10 v2 v8\ne v3 v4 v5\ne v3 v8\n"
     + "e v5 v6 v9\ne v1 v4 v7 v8\ne v10 v2 v8\n")
-
-# A non-covering input (best-effort bench corpus, seed 1, "random#372") with a
-# tour.  The family the matching returns already is that tour.  From another
-# family of it, anchors (v4,v7) (v2,v9) (v10,v2) (v4,v7) (v10,v8) (v6,v9)
-# (v3,v6) (v3,v8), the merge stops with "no-move" after one escape, so a
-# change to the family search can lose this tour.
-TOUR_DEPENDS_ON_FAMILY = (
-    "hg 0 10 8\n"
-    + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
-    + "e v4 v7\ne v2 v6 v9\ne v10 v2\ne v10 v4 v7\n"
-    + "e v10 v8\ne v2 v6 v9\ne v3 v6 v8\ne v10 v3 v4 v8\n")
 
 
 def family_only() -> Hypergraph:

@@ -34,7 +34,7 @@ from .interchange import (
     merge_to_tour,
 )
 from .matching import max_matching, reduce_to_matching
-from .oracle import SearchBudget, brute_family_exists, brute_max_matching, brute_tour
+from .oracle import brute_family_exists, brute_tour
 from .solver import SolveResult, certified_family, solve
 
 __version__ = "0.1.0"
@@ -51,13 +51,11 @@ __all__ = [
     "InfeasibleDegreeError",
     "MergeExhaustedError",
     "MergeStats",
-    "SearchBudget",
     "SolveResult",
     "VerifyReport",
     "Walk",
     "apply_interchange",
     "brute_family_exists",
-    "brute_max_matching",
     "brute_tour",
     "build_incidence",
     "canonical_closed_trail",

@@ -15,7 +15,7 @@ import traceback
 from . import genio
 from .errors import CertificateViolation, FormatError, MergeExhaustedError
 from .hypergraph import verify_euler_object
-from .oracle import SearchBudget, brute_family_exists, brute_tour
+from .oracle import MAX_EDGES, brute_family_exists, brute_tour
 from .solver import VERDICT_EULERIAN, VERDICT_NEITHER, certified_family, solve
 
 EXIT_OK = 0
@@ -91,18 +91,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     h, _ = genio.load_hg(args.file)
-    budget = SearchBudget(max_edges=args.max_edges)
+    # Checked before the edgeless shortcut, so a bad limit fails on every input.
+    if args.max_edges <= 0:
+        raise ValueError("--max-edges must be positive")
     if args.what == "tour":
         if not h.edges:
             print("# empty hypergraph: vacuously eulerian")
             return EXIT_OK
-        tour = brute_tour(h, budget)
+        tour = brute_tour(h, args.max_edges)
         if tour is None:
             print("verified: no Euler tour exists", file=sys.stderr)
             return EXIT_NEGATIVE
         print(genio.format_walk_line(tour))
         return EXIT_OK
-    if brute_family_exists(h, budget):
+    if brute_family_exists(h, args.max_edges):
         print("an Euler family exists")
         return EXIT_OK
     print("verified: no Euler family exists", file=sys.stderr)
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="brute-force ground truth on small inputs")
     orc.add_argument("what", choices=("tour", "family"))
     orc.add_argument("file")
-    orc.add_argument("--max-edges", type=int, default=10)
+    orc.add_argument("--max-edges", type=int, default=MAX_EDGES)
     orc.set_defaults(func=_cmd_oracle)
     return p
 

@@ -75,12 +75,6 @@ class Hypergraph:
     def order(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown vertex {label!r}") from None
-
     def edge_labels(self, j: int) -> tuple[str, ...]:
         """Sorted vertex labels of one edge."""
         return tuple(sorted(map(self.vertices.__getitem__, self.edges[j])))

@@ -1,21 +1,21 @@
-"""Brute-force ground truth for families, tours and matchings.
+"""Brute-force ground truth for Euler families and Euler tours.
 
 Everything here takes an independent code path from the main engine (only the
-data types are shared), so the two sides can check each other.  All searches
-are exact within their size budgets, and they search states, not paths:
+data types are shared), so the two sides can check each other.  Both searches
+are exact on inputs of at most ``max_edges`` edges (``MAX_EDGES`` by default),
+and they search states, not paths:
 
 * ``brute_family_exists`` sweeps the edges in order over the set of reachable
   vertex-parity bitmasks, at most 2^(open vertices) of them, where a vertex
   is open while some but not all of its edges are swept; an edge step that
-  would make more than 2^max_nodes state updates raises ``ValueError``, so
-  wide inputs fail fast in time and in memory;
+  would make more than 2^``STEP_BITS`` state updates raises ``ValueError``,
+  so wide inputs fail fast in time and in memory;
 * ``brute_tour`` is a depth-first trail search over per-vertex edge bitmasks
   that remembers failed (used-edge mask, current vertex) states of each
   start vertex, at most 2^(m-1) * n of them, in the style of Held and Karp
   (1962), and tries each unordered start pair of edge 0 once; it recurses
   once per edge, so it refuses more than ``MAX_TOUR_EDGES`` edges whatever
-  the budget;
-* ``brute_max_matching`` memoises the best matching of each live node set.
+  ``max_edges`` allows.
 
 Euler-tour existence is NP-complete (Lonc and Naroski, 2010), so the tour
 search stays exponential in the number of edges.
@@ -23,40 +23,30 @@ search stays exponential in the number of edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 from .errors import CertificateViolation
 from .hypergraph import EulerFamily, Hypergraph, Walk, canonical_closed_trail, verify_euler_object
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Size limits of the exhaustive searches.
-
-    ``max_edges`` caps the edges of the family and tour searches;
-    ``max_nodes`` caps the nodes of the matching search and, as
-    2^max_nodes, the state updates of one edge step of the family sweep.
-    """
-
-    max_edges: int = 10
-    max_nodes: int = 16
-
-    def __post_init__(self):
-        if self.max_edges <= 0 or self.max_nodes <= 0:
-            raise ValueError("budget limits must be positive")
-
-
-DEFAULT_BUDGET = SearchBudget()
-
+MAX_EDGES = 10
+# One edge step of the family sweep makes at most 2**STEP_BITS state updates.
+STEP_BITS = 16
 # brute_tour recurses one level per edge; this bound keeps it well inside
-# Python's default recursion limit of 1000, whatever the budget allows.
+# Python's default recursion limit of 1000, whatever max_edges allows.
 MAX_TOUR_EDGES = 500
 
 
-def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+def _check_edges(h: Hypergraph, max_edges: int) -> int:
+    """The edge count of ``h``; ``ValueError`` unless it is within a positive ``max_edges``."""
+    if max_edges <= 0:
+        raise ValueError(f"max_edges must be positive, got {max_edges}")
+    m = len(h.edges)
+    if m > max_edges:
+        raise ValueError(f"too many edges for exhaustive search ({m} > {max_edges})")
+    return m
+
+
+def brute_family_exists(h: Hypergraph, max_edges: int = MAX_EDGES) -> bool:
     """Exhaustively decide Euler-family existence.
 
     A family certificate is one anchor pair per edge with every vertex at even
@@ -66,14 +56,12 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
     clear can still end at zero, so only the bits of open vertices (met by a
     swept edge and by an edge still to come) are ever set, and the set holds
     at most 2^(open vertices) states.  An edge step costs one update per
-    state and anchor pair; a step that would cost more than
-    2^budget.max_nodes updates raises ``ValueError``, as too many edges do.
+    state and anchor pair; a step that would cost more than 2^STEP_BITS
+    updates raises ``ValueError``, as more than ``max_edges`` edges do.
     That bounds the time of every step, and the states it reaches.
     """
-    m = len(h.edges)
-    if m > budget.max_edges:
-        raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
-    cap = 1 << budget.max_nodes
+    _check_edges(h, max_edges)
+    cap = 1 << STEP_BITS
     last = {v: j for j, e in enumerate(h.edges) for v in e}
     states = {0}
     for j, e in enumerate(h.edges):
@@ -81,7 +69,7 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
         if len(states) * pairs > cap:
             raise ValueError(
                 f"too many parity states for exhaustive search: {len(states)} states x "
-                f"{pairs} anchor pairs at e{j + 1} (over 2**{budget.max_nodes})")
+                f"{pairs} anchor pairs at e{j + 1} (over 2**{STEP_BITS})")
         closed = sum(1 << v for v in e if last[v] == j)
         reached: set[int] = set()
         for a, b in combinations(e, 2):
@@ -95,7 +83,7 @@ def brute_family_exists(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) ->
     return True
 
 
-def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | None:
+def brute_tour(h: Hypergraph, max_edges: int = MAX_EDGES) -> Walk | None:
     """Depth-first search for an Euler tour; returns a canonical verified tour or None.
 
     The search starts from each anchor pair (a, b) of edge 0 with a < b, then
@@ -112,9 +100,7 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
     found is the one plain backtracking over all ordered pairs in the same
     order would find.
     """
-    m = len(h.edges)
-    if m > budget.max_edges:
-        raise ValueError(f"too many edges for exhaustive search ({m} > {budget.max_edges})")
+    m = _check_edges(h, max_edges)
     if m > MAX_TOUR_EDGES:
         raise ValueError(
             f"too many edges for the recursive tour search ({m} > {MAX_TOUR_EDGES})")
@@ -165,33 +151,3 @@ def brute_tour(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> Walk | N
             return tour
     return None
 
-
-def brute_max_matching(adj: Sequence[Sequence[int]], budget: SearchBudget = DEFAULT_BUDGET) -> int:
-    """Exact maximum matching size over node subsets (branch on the lowest live node)."""
-    n = len(adj)
-    if n > budget.max_nodes:
-        raise ValueError(f"too many nodes for exhaustive search ({n} > {budget.max_nodes})")
-    nbr = [0] * n
-    for v in range(n):
-        for u in adj[v]:
-            nbr[v] |= 1 << u
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
-        top = best(rest)
-        avail = nbr[v] & rest
-        while avail:
-            u = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            cand = 1 + best(rest & ~(1 << u))
-            if cand > top:
-                top = cand
-        return top
-
-    result = best((1 << n) - 1)
-    best.cache_clear()
-    return result

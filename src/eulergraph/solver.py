@@ -1,10 +1,11 @@
 """End-to-end pipeline: validate, reduce arity to 3, certify a family, merge, verify.
 
-Every input with two or more edges takes the same path.  A covering
-k-hypergraph with k > 3 is first reduced to arity 3; any other input is used
-as it is.  The exact family search then runs once on the incidence graph, the
-interchanging-cycle merge runs once on its certificate, and what comes out,
-a tour or, when a best-effort merge stops, the family, is verified once.
+Every input with edges takes the same path.  A covering k-hypergraph with
+k > 3 and at least two edges is first reduced to arity 3; any other input is
+used as it is.  The exact family search then runs once on the incidence
+graph, the interchanging-cycle merge runs once on its certificate, and what
+comes out, a tour or, when a best-effort merge stops, the family, is
+verified once.
 Order 3 needs no special case: on three vertices a family has at most one
 non-trivial component, so the merge returns it at once.
 
@@ -77,12 +78,13 @@ def solve(
 ) -> SolveResult:
     """Decide eulerian properties and construct certificates.
 
-    A single edge can never form a closed trail.  Every other input runs one
-    path: covering k-hypergraphs with k > 3 are reduced to arity 3, then the
-    family search, the merge and the verifier each run once.  Covering
-    inputs always end eulerian; a missing family or an exhausted merge there
-    is a bug and raises.  Non-covering inputs get an exact Euler-family
-    decision and a best-effort merge, which falls back to the family.
+    Every input with edges runs one path: covering k-hypergraphs with k > 3
+    are reduced to arity 3, then the family search, the merge and the
+    verifier each run once.  Covering inputs with two or more edges, the
+    theorem's hypothesis, always end eulerian; a missing family or an
+    exhausted merge there is a bug and raises.  Any other input, one edge
+    included, gets an exact Euler-family decision and a best-effort merge,
+    which falls back to the family.
     :func:`certified_family` is that decision alone, with no reduction.
 
     ``budget`` caps the merge steps of this call (default ``10 * |E|**2``); a
@@ -96,11 +98,9 @@ def solve(
     if budget is not None and budget < 0:
         raise ValueError(f"step budget must be non-negative, got {budget}")
     m = len(h.edges)
-    if m == 1:
-        return SolveResult(VERDICT_NEITHER, None, None)
     verdict, tour, fam, deleted = VERDICT_EULERIAN, None, EulerFamily(()), ()
     if m:
-        covering = validate_covering(h, k)
+        covering = m > 1 and validate_covering(h, k)
         cur, deleted = _reduce_to_order3(h, k) if covering and k > 3 else (h, ())
         fsub = find_family_subgraph(build_incidence(cur))
         if fsub is None:

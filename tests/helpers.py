@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -98,6 +99,41 @@ def tutte_berge_max_matching(adj) -> int:
     return (n - worst) // 2
 
 
+def brute_max_matching(adj) -> int:
+    """Exact maximum matching size over node subsets (branch on the lowest live node).
+
+    Memoises the best matching of each live node set; more than 16 nodes
+    raise :class:`ValueError`.
+    """
+    n = len(adj)
+    if n > 16:
+        raise ValueError(f"too many nodes for exhaustive search ({n} > 16)")
+    nbr = [0] * n
+    for v in range(n):
+        for u in adj[v]:
+            nbr[v] |= 1 << u
+
+    @lru_cache(maxsize=None)
+    def best(mask: int) -> int:
+        if mask == 0:
+            return 0
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << v)
+        top = best(rest)
+        avail = nbr[v] & rest
+        while avail:
+            u = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            cand = 1 + best(rest & ~(1 << u))
+            if cand > top:
+                top = cand
+        return top
+
+    result = best((1 << n) - 1)
+    best.cache_clear()
+    return result
+
+
 def grouped_family(groups) -> tuple[Hypergraph, object, FamilySubgraph]:
     """A covering 3-hypergraph plus a family certificate with one component per group.
 
@@ -123,7 +159,7 @@ def grouped_family(groups) -> tuple[Hypergraph, object, FamilySubgraph]:
 
 def anchor_pairs(h: Hypergraph, label_pairs) -> tuple[tuple[int, int], ...]:
     """Each edge's anchor pair as increasing vertex indices, from a pair of labels per edge."""
-    return tuple(tuple(sorted(map(h.vertex_index, pair))) for pair in label_pairs)
+    return tuple(tuple(sorted(map(h.vertices.index, pair))) for pair in label_pairs)
 
 
 def e_node(g: IncidenceGraph, j: int) -> int:
@@ -137,7 +173,7 @@ def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:
     report = verify_euler_object(g.host, f)
     if not report.valid:
         raise ValueError("invalid family: " + "; ".join(report.violations[:3]))
-    index = g.host.vertex_index
+    index = g.host.vertices.index
     anchors: list = [None] * g.n_e
     for w in f.components:
         for j, eid in enumerate(w.edges):

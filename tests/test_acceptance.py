@@ -21,7 +21,6 @@ from eulergraph import (
     MergeStats,
     apply_interchange,
     brute_family_exists,
-    brute_max_matching,
     build_incidence,
     find_family_subgraph,
     max_matching,
@@ -41,6 +40,7 @@ from eulergraph.genio import (
 from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
+    brute_max_matching,
     complete_graph,
     grouped_family,
     matching_size,

@@ -142,6 +142,18 @@ def test_engine_agrees_with_oracle(kind, data, workdir):
     _check_cli(h, family, tour, workdir)
 
 
+def test_one_edge_inputs_agree_with_oracle(workdir):
+    # one edge is never a closed trail, covering or not, at every edge size
+    for n in range(1, 7):
+        verts = [f"v{i}" for i in range(1, n + 1)]
+        for size in range(1, n + 1):
+            h, k = parse_hg(emit_hg(Hypergraph.from_labels(verts, [verts[:size]])))
+            family, tour = _truth(h)
+            assert not family and not tour
+            _check_solve(h, k, family, tour)
+            _check_cli(h, family, tour, workdir)
+
+
 def test_no_tour_lost_on_a_noncovering_stream():
     # the forced anchors fix part of each family before the merge starts,
     # so a draw with a tour must still end eulerian

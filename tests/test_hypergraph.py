@@ -87,7 +87,6 @@ class TestConstruction:
                   parse_hg(emit_hg(gen_sts(7)))[0]):
             checked = Hypergraph(tuple(h.vertices), tuple(h.edges))
             assert checked == h and hash(checked) == hash(h)
-            assert h.vertex_index(h.vertices[-1]) == len(h.vertices) - 1
 
     def test_multiset_edges_keep_identity(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])

@@ -58,7 +58,7 @@ class TestIsInterchanging:
 
     def test_false_when_an_e_node_has_two(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        a, b = h.vertex_index("a"), h.vertex_index("b")
+        a, b = h.vertices.index("a"), h.vertices.index("b")
         cycle = (a, e_node(g, 0), b, e_node(g, 1))
         # both cycle neighbours of e1 and of e2 are its anchors
         assert fsub.anchors[0] == fsub.anchors[1] == (a, b)
@@ -72,7 +72,7 @@ class TestApplyInterchange:
     def test_interchanging_cycle_accepted(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # edges: e1={a,b,c} e2={a,b,d} anchored (a,b); e3={c,d,a} e4={c,d,b} anchored (c,d)
-        a, b, c, d = map(h.vertex_index, "abcd")
+        a, b, c, d = map(h.vertices.index, "abcd")
         cycle = (a, e_node(g, 0), c, e_node(g, 2))
         after = apply_interchange(fsub, cycle)
         # e1 swaps anchor a for c, e3 swaps c for a; e2 and e4 keep theirs
@@ -81,7 +81,7 @@ class TestApplyInterchange:
 
     def test_involution(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("c"), e_node(g, 2))
+        cycle = (h.vertices.index("a"), e_node(g, 0), h.vertices.index("c"), e_node(g, 2))
         once = apply_interchange(fsub, cycle)
         again = apply_interchange(once, cycle)
         assert again.anchors == fsub.anchors
@@ -89,7 +89,7 @@ class TestApplyInterchange:
     def test_crossing_cycle_merges_two_four_cycles(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         assert fsub.nontrivial_count == 2
-        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("c"), e_node(g, 2))
+        cycle = (h.vertices.index("a"), e_node(g, 0), h.vertices.index("c"), e_node(g, 2))
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
         assert after.component_of == (0,) * 4  # one 8-cycle component
@@ -97,7 +97,7 @@ class TestApplyInterchange:
     def test_non_interchanging_rejected(self):
         # both cycle neighbours of e1 and of e2 are its anchors: the pairs would end empty
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = (h.vertex_index("a"), e_node(g, 0), h.vertex_index("b"), e_node(g, 1))
+        cycle = (h.vertices.index("a"), e_node(g, 0), h.vertices.index("b"), e_node(g, 1))
         with pytest.raises(CertificateViolation, match="degree 0"):
             apply_interchange(fsub, cycle)
 

@@ -9,7 +9,6 @@ from eulergraph import (
     Hypergraph,
     InfeasibleDegreeError,
     brute_family_exists,
-    brute_max_matching,
     build_incidence,
     find_family_subgraph,
     max_matching,
@@ -19,6 +18,7 @@ from eulergraph.genio import Lcg, gen_random_covering, gen_sts
 from eulergraph.matching import _augment_from
 
 from helpers import (
+    brute_max_matching,
     complete_graph,
     e_node,
     fano,
@@ -28,7 +28,6 @@ from helpers import (
     random_graph,
     reference_gadget_adj,
     reference_max_matching,
-    tutte_berge_max_matching,
 )
 
 
@@ -109,26 +108,6 @@ class TestMaxMatching:
             assert used == [False] * n
             assert parent == [-1] * n
             assert base == list(range(n))
-
-
-class TestBruteMatchingOracle:
-    def test_known_values(self):
-        assert brute_max_matching(complete_graph(3)) == 1
-        assert brute_max_matching(complete_graph(4)) == 2
-        assert brute_max_matching(petersen()) == 5
-
-    def test_against_deficiency_formula(self):
-        rng = Lcg(37)
-        for _ in range(25):
-            n = 3 + rng.below(7)
-            adj = random_graph(rng, n, 20 + rng.below(50))
-            assert brute_max_matching(adj) == tutte_berge_max_matching(adj)
-
-    def test_budget_enforced(self):
-        from eulergraph import SearchBudget
-
-        with pytest.raises(ValueError):
-            brute_max_matching(complete_graph(17), SearchBudget(max_nodes=16))
 
 
 def _layout(g, gg):

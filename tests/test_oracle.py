@@ -13,10 +13,8 @@ from eulergraph import (
     CertificateViolation,
     EulerFamily,
     Hypergraph,
-    SearchBudget,
     VerifyReport,
     brute_family_exists,
-    brute_max_matching,
     brute_tour,
     solve,
     verify_euler_object,
@@ -32,6 +30,7 @@ from eulergraph.genio import (
 )
 
 from helpers import (
+    brute_max_matching,
     complete_graph,
     disjoint_union,
     fano,
@@ -75,11 +74,9 @@ class TestBruteFamilyExists:
             brute_family_exists(h)
         assert time.perf_counter() - start < 2.0
 
-    def test_state_cap_follows_max_nodes(self):
+    def test_five_vertex_edges_equal_reference(self):
         h = _wide_edges(10, 5)
         assert brute_family_exists(h) == reference_brute_family_exists(h)
-        with pytest.raises(ValueError, match=r"\(over 2\*\*4\)"):
-            brute_family_exists(h, SearchBudget(max_nodes=4))
 
     def test_update_cap_bounds_time(self, tmp_path, capsys):
         # Ten 12-vertex edges over 18 vertices keep under 2^16 states, yet a
@@ -115,7 +112,7 @@ class TestBruteTour:
         # budget and then overflow the interpreter's stack
         h = gen_complete(20, 3)
         with pytest.raises(ValueError, match=f"> {MAX_TOUR_EDGES}"):
-            brute_tour(h, SearchBudget(max_edges=2000))
+            brute_tour(h, 2000)
 
     def test_cli_exits_two_above_recursion_bound(self, tmp_path, capsys):
         path = tmp_path / "k20.hg"
@@ -146,7 +143,7 @@ class TestBruteTour:
     def test_disjoint_unions_equal_reference(self, parts):
         # Every start pair fails, so each pair (b, a) is skipped after (a, b).
         h = disjoint_union(*parts)
-        assert brute_tour(h, SearchBudget(max_edges=12)) is None
+        assert brute_tour(h, 12) is None
         assert reference_brute_tour(h) is None
 
     def test_roadmap_item3_equal_reference(self):
@@ -300,17 +297,30 @@ class TestBruteMaxMatching:
         assert brute_max_matching(petersen()) == 5
 
     def test_deficiency_formula_agreement(self):
-        rng = Lcg(71)
-        for _ in range(20):
-            n = 4 + rng.below(6)
-            adj = random_graph(rng, n, 15 + rng.below(55))
-            assert brute_max_matching(adj) == tutte_berge_max_matching(adj)
+        # two seeded streams: n 4..9 at density 15..69 %, n 3..9 at 20..69 %
+        for seed, count, low_n, low_density in ((71, 20, 4, 15), (37, 25, 3, 20)):
+            rng = Lcg(seed)
+            for _ in range(count):
+                n = low_n + rng.below(10 - low_n)
+                adj = random_graph(rng, n, low_density + rng.below(70 - low_density))
+                assert brute_max_matching(adj) == tutte_berge_max_matching(adj)
 
     def test_budget(self):
-        with pytest.raises(ValueError):
-            brute_max_matching(complete_graph(20))
+        for n in (17, 20):
+            with pytest.raises(ValueError, match=f"{n} > 16"):
+                brute_max_matching(complete_graph(n))
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_edges=0)
+def test_budget_validation(tmp_path, capsys):
+    # a non-positive edge limit is rejected by both searches and the command
+    # line, the edgeless input included
+    h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
+    for limit in (0, -1):
+        for search in (brute_family_exists, brute_tour):
+            with pytest.raises(ValueError, match="max_edges must be positive"):
+                search(h, limit)
+    path = tmp_path / "edgeless.hg"
+    path.write_text(emit_hg(Hypergraph.from_labels("abc", [])), encoding="utf-8")
+    for what in ("tour", "family"):
+        assert main(["oracle", what, str(path), "--max-edges", "0"]) == EXIT_INPUT
+        assert "--max-edges must be positive" in capsys.readouterr().err

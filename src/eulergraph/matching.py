@@ -3,16 +3,23 @@
 The matching kernel is the classical blossom-contraction search (Edmonds,
 "Paths, trees, and flowers", 1965): repeatedly grow an alternating BFS forest
 from an exposed node, shrinking odd cycles (blossoms) to their base, until an
-augmenting path is found or proven absent.  Blossom bases are kept in a
-union-find array with path compression, so a contraction relabels only the
-bases on its two paths and costs time proportional to the blossom, not to the
-graph.  The search state (``used``, ``parent``, ``base``) is allocated once
-per :func:`max_matching`, and each search resets only the nodes it touched,
-so a search that stays small costs time proportional to its tree, not to the
-graph.  A greedy maximal matching in node order seeds the search.  On a
-gadget it pairs the v-stubs inside their own vertex cliques and leaves two
-e-stubs exposed per hyperedge, so about one augmentation still runs per
-hyperedge (330 on ``sts(45)``).
+augmenting path is found or proven absent.  Each search is one flat loop over
+a plain list that serves as its queue.  A scanned edge to a node already even
+(queued) either stays inside one blossom or closes a new one; an edge to a
+node outside the tree grows it by that node and its mate, or augments when
+that node is exposed.  Blossom bases are kept in a union-find array with path
+compression, looked up inline and walked only when a base is not its own root,
+so a contraction relabels only the bases on its two paths and costs time
+proportional to the blossom, not to the graph.  The blossom's base, the lowest
+common ancestor of the edge's two ends, is found with a stamp array and a
+per-search counter, so a contraction allocates no set.  The search state
+(``used``, ``parent``, ``base``, ``stamp``) is allocated once per
+:func:`max_matching`, and each search resets only the nodes it touched, at
+once when it augments, so a search that stays small costs time proportional to
+its tree, not to the graph.  A greedy maximal matching in node order seeds the
+search.  On a gadget it pairs the v-stubs inside their own vertex cliques and
+leaves two e-stubs exposed per hyperedge, so about one augmentation still runs
+per hyperedge (330 on ``sts(45)``).
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
@@ -44,7 +51,6 @@ leaves each edge exactly two anchors, the pair the family certificate stores.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,94 +79,111 @@ def _find(base, x):
     return root
 
 
-def _lca(mate, base, parent, a, b):
-    marked = set()
-    while True:
-        a = _find(base, a)
-        marked.add(a)
-        if mate[a] == -1:
-            break
-        a = parent[mate[a]]
-    while True:
-        b = _find(base, b)
-        if b in marked:
-            return b
-        b = parent[mate[b]]
-
-
-def _mark_path(mate, base, parent, v, b, child, members):
-    """Walk from ``v`` up to base ``b``, re-pointing ``parent`` and collecting the bases passed.
-
-    The caller relabels the bases only after both walks: a base merged early
-    would stop a walk inside a blossom it has not finished crossing.
-    """
-    while (bv := _find(base, v)) != b:
-        members.append(bv)
-        members.append(_find(base, mate[v]))
-        parent[v] = child
-        child = mate[v]
-        v = parent[mate[v]]
-
-
 def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
-                  used: list[bool], parent: list[int], base: list[int]) -> bool:
+                  used: list[bool], parent: list[int], base: list[int],
+                  stamp: list[int]) -> bool:
     """BFS for an augmenting path from ``root``; flips it and reports success.
 
-    ``used``, ``parent`` and ``base`` must arrive reset (``False``, ``-1``,
-    identity) and are left reset: the search records the root, every node it
-    gives a parent and every node it queues as even, and resets exactly
-    those.  Path compression and blossom relabelling only touch nodes already
-    in the tree, so these cover every entry the search changed.
+    ``used``, ``parent``, ``base`` and ``stamp`` must arrive reset
+    (``False``, ``-1``, identity, ``0``) and are left reset: the search
+    records the root, every node it gives a parent and every node it queues
+    as even, and resets exactly those.  Path compression, blossom
+    relabelling and the LCA stamps only touch nodes already in the tree, so
+    these cover every entry the search changed.
     """
     touched = [root]
     used[root] = True
-    q: deque[int] = deque([root])
-    found = False
-    while q and not found:
-        v = q.popleft()
-        mv = mate[v]
-        bv = _find(base, v)
+    q = [root]
+    mark = 0
+    for v in q:  # the loop also reaches what is queued while it runs
+        bv = base[v]
+        if base[bv] != bv:
+            bv = _find(base, v)
         for to in adj[v]:
-            bt = base[to]
-            if base[bt] != bt:
-                bt = _find(base, to)
-            if bv == bt or mv == to:
-                continue
-            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                # Even-even edge inside the forest: contract the blossom.
-                bv = _lca(mate, base, parent, v, to)
+            if used[to]:
+                # Both ends even: nothing within one blossom (v's mate is
+                # even only inside v's own), else a new blossom whose base
+                # is the LCA of the two bases.
+                bt = base[to]
+                if base[bt] != bt:
+                    bt = _find(base, to)
+                if bv == bt:
+                    continue
+                # Stamp the bases from v up to the root, then walk up from
+                # to until a stamped base.
+                mark += 1
+                b = bv
+                while True:
+                    stamp[b] = mark
+                    if mate[b] == -1:
+                        break
+                    x = parent[mate[b]]
+                    b = base[x]
+                    if base[b] != b:
+                        b = _find(base, x)
+                b = bt
+                while stamp[b] != mark:
+                    x = parent[mate[b]]
+                    b = base[x]
+                    if base[b] != b:
+                        b = _find(base, x)
+                # Walk each side up to b, re-pointing parent and collecting the
+                # bases passed.  Relabel only after both walks: a base merged
+                # early would stop a walk inside a blossom it has not crossed.
                 members: list[int] = []
-                _mark_path(mate, base, parent, v, bv, to, members)
-                _mark_path(mate, base, parent, to, bv, v, members)
-                for b in members:
-                    base[b] = bv
+                for x, child in ((v, to), (to, v)):
+                    while True:
+                        bx = base[x]
+                        if base[bx] != bx:
+                            bx = _find(base, x)
+                        if bx == b:
+                            break
+                        mx = mate[x]
+                        bm = base[mx]
+                        if base[bm] != bm:
+                            bm = _find(base, mx)
+                        members.append(bx)
+                        members.append(bm)
+                        parent[x] = child
+                        child = mx
+                        x = parent[mx]
+                for x in members:
+                    base[x] = b
+                bv = b
                 # A node not yet even was never contracted, so it is its own
                 # base: the newly even nodes are the odd bases passed.  Queue
                 # them in index order; that order fixes the matching returned.
-                for i in sorted(members):
-                    if not used[i]:
-                        used[i] = True
-                        q.append(i)
+                for x in sorted(members):
+                    if not used[x]:
+                        used[x] = True
+                        q.append(x)
             elif parent[to] == -1:
+                # Outside the tree: to becomes odd and its mate even.
                 parent[to] = v
                 touched.append(to)
-                if mate[to] == -1:
+                mt = mate[to]
+                if mt == -1:
                     while to != -1:
                         pv = parent[to]
                         ppv = mate[pv]
                         mate[to] = pv
                         mate[pv] = to
                         to = ppv
-                    found = True
-                    break
-                used[mate[to]] = True
-                touched.append(mate[to])
-                q.append(mate[to])
+                    _reset(touched, used, parent, base, stamp)
+                    return True
+                used[mt] = True
+                touched.append(mt)
+                q.append(mt)
+    _reset(touched, used, parent, base, stamp)
+    return False
+
+
+def _reset(touched, used, parent, base, stamp) -> None:
     for x in touched:
         used[x] = False
         parent[x] = -1
         base[x] = x
-    return found
+        stamp[x] = 0
 
 
 def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
@@ -177,9 +200,10 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
+    stamp = [0] * n
     for root in range(n):
         if mate[root] == -1:
-            _augment_from(adj, mate, root, used, parent, base)
+            _augment_from(adj, mate, root, used, parent, base, stamp)
     return mate
 
 
@@ -230,11 +254,14 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     its undecided count minus its forced count is odd.  With nothing
     decided, every edge needs 2 and every forced count is 0.
 
-    Raises :class:`InfeasibleDegreeError` when some edge has fewer undecided
+    Raises :class:`ValueError` unless ``state`` has one entry per incidence,
+    and :class:`InfeasibleDegreeError` when some edge has fewer undecided
     vertices than anchors it needs, e.g. a hyperedge with fewer than two
     vertices, which can never be traversed.
     """
     incidences = g.incidences
+    if len(state) != len(incidences):
+        raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
     n_v, n_e = g.n_v, g.n_e
     need = [2] * n_e
     odd = [0] * n_v

@@ -32,6 +32,7 @@ from eulergraph.genio import (
 from eulergraph.matching import reduce_to_matching
 
 from helpers import (
+    MATCHING_ONLY_NEITHER,
     fano,
     grouped_family,
     random_mixed,
@@ -41,20 +42,6 @@ from helpers import (
     sample_interchanging_cycles,
     subgraph_from_trails,
 )
-
-# Inputs where the three propagation rules leave incidences undecided and
-# only the gadget's missing perfect matching proves that no family exists.
-# "minimal" is the smallest (at most 6 vertices, 5 edges of size 2 to 3):
-# the rules fix only the anchors of a b; a needs one anchor from the two
-# a c d edges, so c and d share three anchors and one of them ends odd.
-# "random#106" is an op of the best-effort bench corpus at seed 2.
-MATCHING_ONLY_NEITHER = {
-    "minimal": "hg 0 6 5\nv a\nv b\nv c\nv d\nv e\nv f\n"
-               "e a b\ne a c d\ne a c d\ne b e f\ne b e f\n",
-    "random#106": "hg 0 10 10\n" + "".join(f"v v{i}\n" for i in (1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
-                  + "e v1 v2 v6 v7\ne v1 v2 v6 v7\ne v3 v9\ne v10 v8 v9\ne v3 v5\n"
-                  + "e v10 v5\ne v10 v5 v8\ne v1 v2 v6 v7\ne v2 v3 v8\ne v10 v8 v9\n",
-}
 
 
 class TestFindFamilySubgraph:

@@ -14,10 +14,13 @@ from eulergraph import (
     max_matching,
     reduce_to_matching,
 )
-from eulergraph.genio import Lcg, gen_random_covering, gen_sts
+from eulergraph.family import _forced_anchors
+from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
 from eulergraph.matching import _augment_from
+from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
+    MATCHING_ONLY_NEITHER,
     brute_max_matching,
     complete_graph,
     e_node,
@@ -26,6 +29,8 @@ from helpers import (
     matching_size,
     petersen,
     random_graph,
+    random_mixed,
+    random_noncovering,
     reference_gadget_adj,
     reference_max_matching,
 )
@@ -84,30 +89,62 @@ class TestMaxMatching:
                 assert mate == reference_max_matching(adj)
 
     def test_same_pairs_as_full_rescan_kernel_on_gadgets(self):
-        # gadgets are near-perfect and their clique rows nest blossoms deeply
+        # The gadgets find_family_subgraph builds over the forced anchors:
+        # covering 3-uniform inputs (open gadgets, near-perfect, whose clique
+        # rows nest blossoms deeply), arity 4 to 6 coverings reduced to arity
+        # 3 as tour-k45 runs them, non-covering and mixed-arity draws as
+        # best-effort runs them, and inputs whose gadget has no perfect
+        # matching, where the exposed nodes must agree too.
         hs = [gen_sts(27), gen_sts(31)]
         hs += [gen_random_covering(n, 3, seed) for n in range(14, 23) for seed in range(1, 7)]
+        hs += [_reduce_to_order3(gen_random_covering(n, k, seed), k)[0]
+               for k, n in ((4, 7), (4, 12), (5, 8), (5, 11), (6, 9), (6, 10))
+               for seed in range(1, 4)]
+        rng_noncovering, rng_mixed = Lcg(53), Lcg(59)
+        hs += [random_noncovering(rng_noncovering) for _ in range(150)]
+        hs += [random_mixed(rng_mixed) for _ in range(150)]
+        hs += [parse_hg(text)[0] for text in MATCHING_ONLY_NEITHER.values()]
+        seen = Counter()
         for h in hs:
-            adj = open_gadget(build_incidence(h)).adj
+            g = build_incidence(h)
+            try:
+                state = _forced_anchors(g)
+            except InfeasibleDegreeError:
+                seen["refuted"] += 1
+                continue
+            adj = reduce_to_matching(g, state).adj
             mate = max_matching(adj)
             matching_size(adj, mate)
             assert mate == reference_max_matching(adj)
+            seen["decided" if max(state) >= 0 else "open"] += 1
+            seen["perfect" if -1 not in mate else "exposed"] += 1
+        assert all(seen[k] for k in ("refuted", "decided", "open", "perfect", "exposed")), seen
 
     def test_search_leaves_its_state_reset(self):
-        # Triangle 0-1-2 (1-2 matched) with pendant 3, and triangle 4-5-6
-        # (5-6 matched).  The search from 0 contracts {0, 1, 2} and augments
-        # to 3; the search from 4 contracts {4, 5, 6} and finds no path.
-        adj = ((1, 2), (0, 2), (0, 1, 3), (2,), (5, 6), (4, 6), (4, 5))
-        n = len(adj)
-        mate = [-1, 2, 1, -1, -1, 6, 5]
-        used, parent, base = [False] * n, [-1] * n, list(range(n))
-        for root, found, after in ((0, True, [1, 0, 3, 2, -1, 6, 5]),
-                                   (4, False, [1, 0, 3, 2, -1, 6, 5])):
-            assert _augment_from(adj, mate, root, used, parent, base) is found
-            assert mate == after
-            assert used == [False] * n
-            assert parent == [-1] * n
-            assert base == list(range(n))
+        cases = (
+            # Triangle 0-1-2 (1-2 matched) with pendant 3, and triangle 4-5-6
+            # (5-6 matched).  The search from 0 contracts {0, 1, 2} and
+            # augments to 3; the search from 4 contracts {4, 5, 6} and finds
+            # no path.
+            (((1, 2), (0, 2), (0, 1, 3), (2,), (5, 6), (4, 6), (4, 5)),
+             [-1, 2, 1, -1, -1, 6, 5],
+             ((0, True, [1, 0, 3, 2, -1, 6, 5]), (4, False, [1, 0, 3, 2, -1, 6, 5]))),
+            # Nested blossoms, matched 0-4, 1-3 and 2-7.  The search from 5
+            # contracts the triangle 4-2-7 into base 4, then the odd cycle
+            # 5-1=3-7=2-4=0-5, which holds that blossom, into base 5, and
+            # augments along 5-1=3-7=2-4=0-6.
+            (((4, 5, 6), (3, 5), (4, 7), (1, 7), (0, 2, 7), (0, 1), (0,), (2, 3, 4)),
+             [4, 3, 7, 1, 0, -1, -1, 2],
+             ((5, True, [6, 5, 4, 7, 2, 1, 0, 3]),)),
+        )
+        for adj, mate, searches in cases:
+            n = len(adj)
+            reset = ([False] * n, [-1] * n, list(range(n)), [0] * n)
+            used, parent, base, stamp = scratch = tuple(map(list, reset))
+            for root, found, after in searches:
+                assert _augment_from(adj, mate, root, used, parent, base, stamp) is found
+                assert mate == after
+                assert scratch == reset
 
 
 def _layout(g, gg):
@@ -191,6 +228,14 @@ class TestGadget:
             with pytest.raises(InfeasibleDegreeError):
                 open_gadget(g1)
         assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
+
+    def test_state_of_the_wrong_length_raises(self):
+        g = build_incidence(gen_complete(5, 3))
+        t_count = len(g.incidences)
+        for length in (t_count + 5, t_count - 1, 0):
+            with pytest.raises(ValueError, match=f"state has {length} entries for {t_count}"):
+                reduce_to_matching(g, [-1] * length)
+        assert len(open_gadget(g).adj) > 0
 
     def test_infeasible_degree(self):
         h = Hypergraph.from_labels("ab", [("a",)])

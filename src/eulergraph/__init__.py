@@ -12,8 +12,6 @@ from .errors import (
     CertificateViolation,
     EulerGraphError,
     FormatError,
-    InadmissibleOrderError,
-    InfeasibleDegreeError,
     MergeExhaustedError,
 )
 from .family import FamilySubgraph, find_family_subgraph, trails_from_subgraph
@@ -46,9 +44,7 @@ __all__ = [
     "FamilySubgraph",
     "FormatError",
     "Hypergraph",
-    "InadmissibleOrderError",
     "IncidenceGraph",
-    "InfeasibleDegreeError",
     "MergeExhaustedError",
     "MergeStats",
     "SolveResult",

@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 success (tour/family found, certificate valid), 1 verified
-negative, 2 input error, 3 search or budget exhausted, 4 internal error (a
-constructed certificate failed the boundary check, or any other unexpected
+negative, 2 input error (a ``ValueError``, which includes
+:class:`~eulergraph.errors.FormatError`, or an ``OSError``), 3 search or
+budget exhausted (:class:`~eulergraph.errors.MergeExhaustedError`), 4
+internal error (a constructed certificate failed the boundary check with
+:class:`~eulergraph.errors.CertificateViolation`, or any other unexpected
 exception).  Exit 1 therefore only ever means a verified negative.
 """
 
@@ -13,7 +16,7 @@ import sys
 import traceback
 
 from . import genio
-from .errors import CertificateViolation, FormatError, MergeExhaustedError
+from .errors import CertificateViolation, MergeExhaustedError
 from .hypergraph import verify_euler_object
 from .oracle import MAX_EDGES, brute_family_exists, brute_tour
 from .solver import VERDICT_EULERIAN, VERDICT_NEITHER, certified_family, solve
@@ -163,9 +166,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MergeExhaustedError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_EXHAUSTED

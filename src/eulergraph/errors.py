@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type maps to one exit code of the command line: :class:`FormatError`
+is a :class:`ValueError`, and with every other ``ValueError`` it is an input
+error (exit 2); :class:`MergeExhaustedError` is a search that gave up (exit
+3); :class:`CertificateViolation` is an internal error (exit 4).  A verified
+"no Euler family" is a return value, not an exception.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ class EulerGraphError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FormatError(EulerGraphError):
+class FormatError(EulerGraphError, ValueError):
     """Malformed input text: hypergraph file or tour certificate."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -17,19 +24,6 @@ class FormatError(EulerGraphError):
 
 class CertificateViolation(EulerGraphError):
     """An object that should be a valid certificate failed an internal consistency check."""
-
-
-class InfeasibleDegreeError(EulerGraphError):
-    """No anchor choice meets the degree rules, so no Euler family exists.
-
-    Raised for an edge with fewer undecided vertices than anchors it still
-    needs (such as a hyperedge of fewer than two vertices, which can never be
-    traversed), or for a vertex with no choice left and an odd anchor count.
-    """
-
-
-class InadmissibleOrderError(EulerGraphError, ValueError):
-    """Requested a Steiner triple system of an order for which none exists."""
 
 
 class MergeExhaustedError(EulerGraphError):

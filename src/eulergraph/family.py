@@ -11,11 +11,12 @@ other, on the vertices alone.
 
 Many anchor choices are forced before any search: a two-vertex edge anchors
 both its vertices, a vertex in one edge anchors none.  A linear propagation
-of such rules runs first.  A contradiction proves that no family exists, with
-no gadget built; otherwise the matching gadget of :mod:`eulergraph.matching`
-covers only the undecided incidences, with each edge's remaining need and
-each vertex's forced parity, and reads the anchors back from a perfect
-matching, the forced ones joined by the matched ones.
+of such rules runs first.  It returns ``None`` on a contradiction, which
+proves that no family exists with no gadget built; otherwise the matching
+gadget of :mod:`eulergraph.matching` covers only the undecided incidences,
+with each edge's remaining need and each vertex's forced parity, and reads
+the anchors back from a perfect matching, the forced ones joined by the
+matched ones.
 
 One union-find that joins each edge's two anchors is the package's only
 component routine: it gives a certificate's components, and it scores the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import CertificateViolation, InfeasibleDegreeError
+from .errors import CertificateViolation
 from .hypergraph import EulerFamily, Walk, canonical_closed_trail
 from .incidence import IncidenceGraph
 from .matching import max_matching, reduce_to_matching
@@ -115,7 +116,7 @@ class FamilySubgraph:
         return self._components[1]
 
 
-def _forced_anchors(g: IncidenceGraph) -> list[int]:
+def _forced_anchors(g: IncidenceGraph) -> list[int] | None:
     """The anchor choices every family shares, propagated to a fixpoint.
 
     ``state[t]`` is 1 when the t-th incidence anchors its edge in every
@@ -129,10 +130,10 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
       anchor count even.
 
     Each decision is made once and rechecks one edge and one vertex, so the
-    fixpoint costs time linear in the incidences.  Raises
-    :class:`InfeasibleDegreeError` on a contradiction: an edge left with
-    more anchors to find than undecided incidences, or a vertex with none
-    left and an odd anchor count.  Then no family exists.
+    fixpoint costs time linear in the incidences.  Returns ``None`` on a
+    contradiction: an edge left with more anchors to find than undecided
+    incidences, or a vertex with none left and an odd anchor count.  Then no
+    family exists.
     """
     n_v, adj = g.n_v, g.adj
     sizes = list(map(len, adj))
@@ -153,8 +154,7 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
         if x < n_v:
             if open_v[x] != 1:
                 if open_v[x] == 0 and odd[x]:
-                    raise InfeasibleDegreeError(
-                        f"vertex {g.host.vertices[x]!r} is an anchor an odd number of times")
+                    return None
                 continue
             s = odd[x]
             todo = [t for t in of_vertex[x] if state[t] < 0]
@@ -162,8 +162,7 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
             e = x - n_v
             k, u = need[e], open_e[e]
             if k < 0 or u < k:
-                raise InfeasibleDegreeError(
-                    f"edge e{e + 1} has {u} undecided vertices for {k} more anchors")
+                return None
             if u == 0 or 0 < k < u:
                 continue
             s = int(k > 0)
@@ -184,15 +183,15 @@ def _forced_anchors(g: IncidenceGraph) -> list[int]:
 def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     """Decide Euler-family existence exactly; return a certificate when one exists.
 
-    The forced anchors are propagated first; a contradiction there means no
-    family.  The gadget then covers the undecided incidences; a perfect
-    matching of it, read back by :meth:`eulergraph.matching.GadgetGraph.anchors`,
-    gives each edge its forced anchors together with its matched ones, and
-    with no perfect matching there is no family either.
+    The forced anchors are propagated first; a contradiction there, returned
+    as ``None``, means no family.  The gadget then covers the undecided
+    incidences; a perfect matching of it, read back by
+    :meth:`eulergraph.matching.GadgetGraph.anchors`, gives each edge its
+    forced anchors together with its matched ones, and with no perfect
+    matching there is no family either.
     """
-    try:
-        state = _forced_anchors(g)
-    except InfeasibleDegreeError:
+    state = _forced_anchors(g)
+    if state is None:
         return None
     gg = reduce_to_matching(g, state)
     mate = max_matching(gg.adj)

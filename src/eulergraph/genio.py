@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .errors import FormatError, InadmissibleOrderError
+from .errors import FormatError
 from .hypergraph import EulerFamily, Hypergraph, Walk, edge_name
 
 _LCG_MUL = 6364136223846793005
@@ -82,7 +82,7 @@ def gen_sts(n: int) -> Hypergraph:
     order.
     """
     if n < 7 or n % 6 not in (1, 3):
-        raise InadmissibleOrderError(
+        raise ValueError(
             f"no Steiner triple system of order {n} (need n % 6 in {{1, 3}} and n >= 7)")
 
     def lab(p) -> str:
@@ -154,11 +154,19 @@ def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
 
 
 def emit_hg(h: Hypergraph) -> str:
-    """Byte-deterministic text form of a hypergraph."""
+    """Byte-deterministic text form of a hypergraph.
+
+    Raises :class:`ValueError` on what the format cannot hold: an empty
+    label, one with whitespace or ``#``, or an edge with no vertices.
+    """
     k = h.uniformity() or 0
     for lab in h.vertices:
         if not lab or re.search(r"\s|#", lab):
             raise ValueError(f"label {lab!r} cannot appear in the text format")
+    for j, e in enumerate(h.edges):
+        if not e:
+            raise ValueError(
+                f"edge {edge_name(j)} has no vertices and cannot appear in the text format")
     labels = sorted(h.vertices)
     rank = [0] * len(labels)  # vertex index -> position of its label in sorted order
     for r, lab in enumerate(labels):

@@ -20,11 +20,11 @@ The merge takes one move per step, from one scan:
   one cycle through a non-cut vertex of each and c edge-nodes; for c <= 6
   that cycle is itself a candidate within the expansion budget, so the
   search finds it or a diminishing cycle scanned before it.
-* Escape (merging only): when no diminishing cycle is found, apply the first
-  candidate of the same scan that reaches a certificate the merge has not
-  seen, so the loop ends; a per-call step budget also guards it.  On
-  covering 3-hypergraphs, exceeding the budget signals an implementation
-  bug, not a mathematical obstruction.
+* Escape: when no diminishing cycle is found, apply the first candidate of
+  the same scan that reaches a certificate the merge has not seen, so the
+  loop ends; a per-call step budget also guards it.  On covering
+  3-hypergraphs, exceeding the budget signals an implementation bug, not a
+  mathematical obstruction.
 
 A move is the node tuple the search yields.  Toggling it sets each
 edge-node's anchor pair to that pair XOR its two cycle neighbours.  The
@@ -125,8 +125,8 @@ def _candidates(g, anchors):
             yield from _alternating_cycles(g, anchors, s, t, counter)
 
 
-def find_diminishing_cycle(fsub: FamilySubgraph, seen=None) -> tuple[int, ...] | None:
-    """A component-diminishing interchanging cycle, by one shortest-first scan.
+def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None:
+    """The merge's next move, a diminishing cycle or else an escape, by one scan.
 
     The scan tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
     edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
@@ -134,8 +134,9 @@ def find_diminishing_cycle(fsub: FamilySubgraph, seen=None) -> tuple[int, ...] |
     A cycle linking c <= ``MAX_EDGE_NODES`` components through one vertex of
     each and c edge-nodes, the paper's move on covering 3-hypergraphs, is one
     of the candidates, so the scan returns it or an earlier diminishing one.
-    When none diminishes and ``seen`` is given, it returns instead the first
-    candidate of the same scan whose toggled pairs are not in ``seen``.
+    When none diminishes, it returns instead the first candidate of the same
+    scan whose toggled pairs are not in ``seen``, the set of certificates'
+    anchor tuples the merge has visited; ``None`` when there is neither.
     """
     base = fsub.nontrivial_count
     if base < 2:
@@ -148,13 +149,12 @@ def find_diminishing_cycle(fsub: FamilySubgraph, seen=None) -> tuple[int, ...] |
         # edge-node lies in the component of the anchor it meets on the
         # cycle, so the vertex-nodes decide.
         crosses = len({comp_of[x] for x in nodes[::2]}) > 1
-        want_escape = seen is not None and escape is None
-        if not (crosses or want_escape):
+        if not crosses and escape is not None:
             continue
         toggled = _toggle(fsub, nodes)
         if crosses and _union_find(g.n_v, toggled)[1] < base:
             return nodes
-        if want_escape and toggled not in seen:
+        if escape is None and toggled not in seen:
             escape = nodes
     return escape
 

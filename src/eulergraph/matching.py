@@ -54,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfeasibleDegreeError
 from .incidence import IncidenceGraph
 
 
@@ -255,9 +254,10 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     decided, every edge needs 2 and every forced count is 0.
 
     Raises :class:`ValueError` unless ``state`` has one entry per incidence,
-    and :class:`InfeasibleDegreeError` when some edge has fewer undecided
-    vertices than anchors it needs, e.g. a hyperedge with fewer than two
-    vertices, which can never be traversed.
+    or when some edge has fewer undecided vertices than anchors it needs,
+    e.g. a hyperedge with fewer than two vertices, which can never be
+    traversed.  :func:`eulergraph.family.find_family_subgraph` never meets
+    the second case: its propagation refutes such a state first.
     """
     incidences = g.incidences
     if len(state) != len(incidences):
@@ -276,7 +276,7 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             odd[v] ^= 1
     for j in range(n_e):
         if widths[j] < need[j]:
-            raise InfeasibleDegreeError(
+            raise ValueError(
                 f"edge e{j + 1} has only {widths[j]} vertices left for {need[j]} anchors")
 
     u_count = len(live)

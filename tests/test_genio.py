@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulergraph import FormatError, Hypergraph, InadmissibleOrderError, Walk, validate_covering
+from eulergraph import FormatError, Hypergraph, Walk, validate_covering
 from eulergraph import cli, interchange, solver
 from eulergraph.cli import EXIT_INTERNAL, main
 from eulergraph.genio import (
@@ -73,7 +73,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [3, 6, 8, 11])
     def test_sts_inadmissible_orders(self, n):
-        with pytest.raises(InadmissibleOrderError):
+        with pytest.raises(ValueError, match=f"no Steiner triple system of order {n} "):
             gen_sts(n)
 
     def test_random_covering_validates(self):
@@ -154,6 +154,7 @@ class TestHgFormat:
         with pytest.raises(FormatError) as exc:
             parse_hg("hg 3 3\nv a\n")
         assert exc.value.line == 1
+        assert isinstance(exc.value, ValueError)
 
     def test_arity_mismatch_reports_line(self):
         text = "hg 3 3 1\nv a\nv b\nv c\ne a b\n"
@@ -202,6 +203,12 @@ class TestHgFormat:
     def test_label_with_whitespace_rejected_on_emit(self):
         h = Hypergraph.from_labels(("a b", "c", "d"), [("a b", "c", "d")])
         with pytest.raises(ValueError):
+            emit_hg(h)
+
+    def test_empty_edge_rejected_on_emit(self):
+        # its line would read "e " alone, which parse_hg refuses
+        h = Hypergraph.from_labels("abc", [("a", "b", "c"), ()])
+        with pytest.raises(ValueError, match="edge e2 has no vertices"):
             emit_hg(h)
 
     @given(st.integers(1, 10_000), st.integers(5, 8))
@@ -299,16 +306,33 @@ class TestCli:
         cert.write_text("a e1 b e1 a\n")
         assert main(["verify", str(hg), "--cert", str(cert)]) == 1
 
-    def test_parse_error_exit_two(self, tmp_path):
+    def test_parse_error_exit_two(self, tmp_path, capsys):
         hg = tmp_path / "bad.hg"
         hg.write_text("hg 3 oops 1\n")
         assert main(["tour", str(hg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: line 1: header fields must be integers\n"
+
+    def test_certificate_parse_error_exit_two(self, tmp_path, capsys):
+        hg = tmp_path / "two.hg"
+        hg.write_text("hg 3 3 2\nv a\nv b\nv c\ne a b c\ne a b c\n")
+        cert = tmp_path / "bad.cert"
+        cert.write_text("a e99 b e2 a\n")
+        assert main(["verify", str(hg), "--cert", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: line 1: edge name 'e99' out of range\n"
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["tour", str(tmp_path / "absent.hg")]) == 2
 
     def test_sts_inadmissible_exit_two(self, capsys):
         assert main(["gen", "sts", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: no Steiner triple system of order 6 "
+                                "(need n % 6 in {1, 3} and n >= 7)\n")
 
     def test_oracle_commands(self, tmp_path, capsys):
         hg = tmp_path / "two.hg"

@@ -178,7 +178,7 @@ def isolated_vertex_instance():
 class TestFindDiminishingCycle:
     def test_two_components_four_cycle(self):
         _, g, fsub = grouped_family([("a", "b"), ("c", "d")])
-        cycle = find_diminishing_cycle(fsub)
+        cycle = find_diminishing_cycle(fsub, {fsub.anchors})
         assert cycle is not None
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
@@ -194,7 +194,7 @@ class TestFindDiminishingCycle:
         h, g, fsub = make()
         assert fsub.nontrivial_count == count
         while count > 1:
-            fsub = apply_interchange(fsub, find_diminishing_cycle(fsub))
+            fsub = apply_interchange(fsub, find_diminishing_cycle(fsub, {fsub.anchors}))
             assert fsub.nontrivial_count < count
             count = fsub.nontrivial_count
         assert verify_euler_object(h, trails_from_subgraph(fsub)).valid
@@ -206,7 +206,7 @@ class TestFindDiminishingCycle:
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
         assert fsub.nontrivial_count == 2
-        cycle = find_diminishing_cycle(fsub)
+        cycle = find_diminishing_cycle(fsub, {fsub.anchors})
         assert cycle is not None and len(cycle) == 4
         after = apply_interchange(fsub, cycle)
         assert after.nontrivial_count == 1
@@ -216,7 +216,7 @@ class TestFindDiminishingCycle:
         g = build_incidence(h)
         fsub = find_family_subgraph(g)
         with pytest.raises(ValueError):
-            find_diminishing_cycle(fsub)
+            find_diminishing_cycle(fsub, {fsub.anchors})
 
     def test_steiner_families_need_longer_cycles(self):
         # no two triples of a Steiner system share a pair, so the incidence
@@ -232,7 +232,7 @@ class TestFindDiminishingCycle:
                 break
             fsub = apply_interchange(fsub, cycles[rng.below(len(cycles))])
             if fsub.nontrivial_count >= 2:
-                cyc = find_diminishing_cycle(fsub)
+                cyc = find_diminishing_cycle(fsub, {fsub.anchors})
                 assert cyc is not None
                 before = fsub.nontrivial_count
                 fsub = apply_interchange(fsub, cyc)
@@ -448,13 +448,15 @@ class TestEscapeMove:
     def test_first_unseen_candidate_respects_seen_set(self):
         h, g, fsub = grouped_family([("a", "b"), ("c", "d")])
         # a crossing 4-cycle diminishes, and the escape never replaces it
-        assert find_diminishing_cycle(fsub, {fsub.anchors}) == find_diminishing_cycle(fsub)
+        diminishing = _two_scans(g, fsub, set())[0]
+        assert diminishing is not None
+        assert find_diminishing_cycle(fsub, {fsub.anchors}) == diminishing
         # every candidate confined to one component: none diminishes
         fsub = find_family_subgraph(build_incidence(_two_complete_four_three()))
         assert fsub.nontrivial_count == 2
         g = fsub.host
-        assert find_diminishing_cycle(fsub) is None
         seen = {fsub.anchors}
+        assert _two_scans(g, fsub, seen)[0] is None
         move = find_diminishing_cycle(fsub, seen)
         assert move is not None
         first = apply_interchange(fsub, move)
@@ -476,7 +478,6 @@ class TestEscapeMove:
         steps = 0
         while fsub.nontrivial_count > 1 and steps < limit:
             diminishing, unseen = _two_scans(g, fsub, seen)
-            assert find_diminishing_cycle(fsub) == diminishing
             move = find_diminishing_cycle(fsub, seen)
             assert move == (diminishing or unseen)
             if move is None:

@@ -26,6 +26,16 @@ The merge takes one move per step, from one scan:
   3-hypergraphs, exceeding the budget signals an implementation bug, not a
   mathematical obstruction.
 
+The exits that keep a cycle interchanging are fixed by the certificate, so
+each scan tabulates them once: an edge-node entered from one of its anchors
+leaves through a member that is not an anchor, ``others[e]`` in row order,
+and one entered from a non-anchor leaves through an anchor, its sorted pair.
+The search reads these tables and one list of visited flags over the nodes
+instead of testing every member of each edge-node it enters.  Row order, the
+shortest-first order over (length, start) and the expansion charged for each
+edge-node looked at are unchanged, so the scan yields the same cycles in the
+same order and spends the same budget.
+
 A move is the node tuple the search yields.  Toggling it sets each
 edge-node's anchor pair to that pair XOR its two cycle neighbours.  The
 candidate scoring (one union-find on the toggled pairs), the merge's set of
@@ -71,58 +81,66 @@ def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySub
     return FamilySubgraph(fsub.host, _toggle(fsub, nodes))
 
 
-def _alternating_cycles(g, anchors, start, exact_e, counter):
+def _alternating_cycles(adj, n_v, anchors, others, visited, start, exact_e, counter):
     """DFS over interchanging cycles with exactly ``exact_e`` edge-nodes.
 
     Only cycles whose smallest vertex-node is ``start`` are produced, so each
     cycle comes from one start.  ``anchors`` is the certificate's anchor
-    pairs, one per edge.  ``counter`` is a one-cell expansion budget shared
-    across calls.
+    pairs, one per edge, and ``others[e]`` the rest of edge e's row: an
+    edge-node entered from an anchor is left through a non-anchor, and one
+    entered from a non-anchor through an anchor.  ``visited`` holds one flag
+    per node, all clear on entry and on a full run's return.  ``counter`` is
+    a one-cell expansion budget shared across calls, charged once for each
+    edge-node looked at.
     """
-    adj = g.adj
-    n_v = g.n_v
-    used = {start}
     path = [start]
 
     def walk(u, depth):
         if counter[0] <= 0:
             return
+        closing = depth + 1 == exact_e
         for en in adj[u]:
             counter[0] -= 1
             if counter[0] <= 0:
                 return
-            if en in used:
+            if visited[en]:
                 continue
-            pair = anchors[en - n_v]
-            f_in = u in pair
-            for w in adj[en]:
-                if w == u or (w in pair) == f_in:
+            e = en - n_v
+            pair = anchors[e]
+            exits = others[e] if u in pair else pair
+            if closing:
+                if start in exits:
+                    yield (*path, en)
+                continue
+            for w in exits:
+                if w <= start or visited[w]:
                     continue
-                if w == start:
-                    if depth + 1 == exact_e:
-                        yield tuple(path) + (en,)
-                    continue
-                if depth + 1 >= exact_e or w in used or w < start:
-                    continue
-                used.add(en)
-                used.add(w)
+                visited[en] = visited[w] = True
                 path.append(en)
                 path.append(w)
                 yield from walk(w, depth + 1)
-                path.pop()
-                path.pop()
-                used.discard(en)
-                used.discard(w)
+                del path[-2:]
+                visited[en] = visited[w] = False
 
+    visited[start] = True
     yield from walk(start, 0)
+    visited[start] = False
 
 
 def _candidates(g, anchors):
-    """Interchanging cycles of the certificate, shortest first, in one expansion budget."""
+    """Interchanging cycles of the certificate, shortest first, in one expansion budget.
+
+    The exit table ``others`` and the visited flags are built once per scan
+    and shared by every (length, start) search.
+    """
+    adj = g.adj
+    n_v = g.n_v
+    others = [tuple(v for v in adj[n_v + e] if v not in pair) for e, pair in enumerate(anchors)]
+    visited = [False] * (n_v + g.n_e)
     counter = [MAX_EXPANSIONS]
     for t in range(2, MAX_EDGE_NODES + 1):
-        for s in range(g.n_v):
-            yield from _alternating_cycles(g, anchors, s, t, counter)
+        for s in range(n_v):
+            yield from _alternating_cycles(adj, n_v, anchors, others, visited, s, t, counter)
 
 
 def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None:
@@ -197,7 +215,8 @@ def merge_to_tour(
     steps; :class:`MergeExhaustedError` past that point indicates a bug.  On
     other inputs the same moves run best-effort and may exhaust honestly.
     ``budget`` caps the steps of this call, whatever ``stats.steps`` held on
-    entry, and :class:`MergeExhaustedError` reports this call's steps.
+    entry, and :class:`MergeExhaustedError` reports this call's steps; a
+    negative one raises :class:`ValueError` before any step.
     """
     if stats is None:
         stats = MergeStats()
@@ -206,6 +225,8 @@ def merge_to_tour(
         raise ValueError("an Euler tour needs at least two edges")
     if budget is None:
         budget = 10 * m * m
+    elif budget < 0:
+        raise ValueError(f"step budget must be non-negative, got {budget}")
 
     steps = 0
     seen = {fsub.anchors}

@@ -19,8 +19,8 @@ from eulergraph import (
     canonical_closed_trail,
     verify_euler_object,
 )
+from eulergraph import interchange
 from eulergraph.genio import Lcg
-from eulergraph.interchange import _alternating_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FANO_TRIPLES = ["123", "145", "167", "246", "257", "347", "356"]
@@ -262,6 +262,66 @@ def random_noncovering(rng: Lcg) -> Hypergraph:
     return Hypergraph.from_labels(verts, edges)
 
 
+def reference_alternating_cycles(g, anchors, start, exact_e, counter):
+    """DFS over interchanging cycles with exactly ``exact_e`` edge-nodes.
+
+    The reference for the merge scan: it filters every member of each
+    edge-node it enters and keeps a visited set.  Only cycles whose smallest
+    vertex-node is ``start`` are produced, so each cycle comes from one
+    start.  ``anchors`` is the certificate's anchor pairs, one per edge.
+    ``counter`` is a one-cell expansion budget shared across calls.
+    """
+    adj = g.adj
+    n_v = g.n_v
+    used = {start}
+    path = [start]
+
+    def walk(u, depth):
+        if counter[0] <= 0:
+            return
+        for en in adj[u]:
+            counter[0] -= 1
+            if counter[0] <= 0:
+                return
+            if en in used:
+                continue
+            pair = anchors[en - n_v]
+            f_in = u in pair
+            for w in adj[en]:
+                if w == u or (w in pair) == f_in:
+                    continue
+                if w == start:
+                    if depth + 1 == exact_e:
+                        yield tuple(path) + (en,)
+                    continue
+                if depth + 1 >= exact_e or w in used or w < start:
+                    continue
+                used.add(en)
+                used.add(w)
+                path.append(en)
+                path.append(w)
+                yield from walk(w, depth + 1)
+                path.pop()
+                path.pop()
+                used.discard(en)
+                used.discard(w)
+
+    yield from walk(start, 0)
+
+
+def reference_candidates(g, anchors):
+    """Interchanging cycles of the certificate, shortest first, in one expansion budget.
+
+    Reads ``MAX_EDGE_NODES`` and ``MAX_EXPANSIONS`` from
+    :mod:`eulergraph.interchange` when called, so a patched limit holds for
+    the reference and the scan alike.
+    """
+    counter = [interchange.MAX_EXPANSIONS]
+    for t in range(2, interchange.MAX_EDGE_NODES + 1):
+        for s in range(g.n_v):
+            yield from reference_alternating_cycles(g, anchors, s, t, counter)
+
+
 def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
                                 tries: int = 40, max_e: int = 5) -> list[tuple[int, ...]]:
     """Collect interchanging cycles of fsub, as node tuples, at seeded-random starts and lengths."""
@@ -276,7 +336,7 @@ def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
         skip = rng.below(4)
         counter = [4000]
         i = 0
-        for nodes in _alternating_cycles(fsub.host, fsub.anchors, s, t, counter):
+        for nodes in reference_alternating_cycles(fsub.host, fsub.anchors, s, t, counter):
             if i == skip:
                 if nodes not in seen:
                     seen.add(nodes)

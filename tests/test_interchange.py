@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import hashlib
 from pathlib import Path
 
@@ -26,9 +27,10 @@ from eulergraph import (
     validate_covering,
     verify_euler_object,
 )
-from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
+from eulergraph import interchange
+from eulergraph.genio import Lcg, emit_hg, gen_complete, gen_random_covering, gen_sts, parse_hg
 from eulergraph.family import _union_find
-from eulergraph.interchange import _candidates, _toggle
+from eulergraph.interchange import MAX_EXPANSIONS, _candidates, _toggle
 
 from helpers import (
     TOUR_DEPENDS_ON_FAMILY,
@@ -39,6 +41,7 @@ from helpers import (
     grouped_family,
     incidences,
     random_noncovering,
+    reference_candidates,
     reference_components,
     reference_toggle,
     roadmap_item3,
@@ -346,6 +349,20 @@ class TestMergeToTour:
         assert exc.value.reason == "budget"
         assert exc.value.anchors == fsub.anchors
 
+    def test_negative_budget_rejected_before_any_step(self):
+        # the message solve gives, not a budget exhaustion (exit 3 on the command line)
+        h, g, fsub = three_component_instance()
+        stats = MergeStats()
+        with pytest.raises(ValueError, match="step budget must be non-negative, got -1"):
+            merge_to_tour(fsub, budget=-1, stats=stats)
+        assert stats == MergeStats()
+
+    def test_negative_budget_rejected_on_a_tour(self):
+        fsub = find_family_subgraph(build_incidence(fano()))
+        assert fsub.nontrivial_count == 1
+        with pytest.raises(ValueError, match="step budget must be non-negative, got -1"):
+            merge_to_tour(fsub, budget=-1)
+
 
 def _stream_draw(i):
     rng = Lcg(0)
@@ -360,6 +377,16 @@ def _two_complete_four_three():
 
 def _covering_plus_complete_four_three():
     return disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))
+
+
+def _three_complete_four_three():
+    return disjoint_union(gen_complete(4, 3), gen_complete(4, 3), gen_complete(4, 3))
+
+
+def _sts7_plus_complete_four_three():
+    # through the file format, as the best-effort bench op reads it: parsing
+    # sorts the labels, so the vertex order differs from disjoint_union's
+    return parse_hg(emit_hg(disjoint_union(gen_sts(7), gen_complete(4, 3))))[0]
 
 
 _TRAJECTORY_INPUTS = [
@@ -393,7 +420,12 @@ class TestLadderTrajectories:
          "4a153a187db63bb2b49b0b0aa093e0466c51b8fbc7f5f205e143e59c0edf7b22"),
         (_covering_plus_complete_four_three, None, (240, 40, 0, 0, 200), "no-move",
          "c8fdde9c87d1e8352c06e67932436999f01a0373316e0a6df1da3efcd8994109"),
-    ], ids=_TRAJECTORY_IDS)
+        # the two longest merges of the best-effort bench workload
+        (_three_complete_four_three, None, (535, 244, 0, 0, 291), "no-move",
+         "6f4959d41fe266f9465d38c7d4c7b569db4126aad3e9845c308cd9d614c59e2e"),
+        (_sts7_plus_complete_four_three, None, (259, 72, 0, 0, 187), "no-move",
+         "be25433fa83898c4345622ccd88102d2379b238e66c227c57d60d98e22729363"),
+    ], ids=_TRAJECTORY_IDS + ["complete43x3", "sts7+complete43"])
     def test_pinned_trajectory(self, make, budget, counts, reason, digest):
         fsub = find_family_subgraph(build_incidence(make()))
         stats = MergeStats()
@@ -432,11 +464,11 @@ def _two_scans(g, fsub, seen):
     """
     base = fsub.nontrivial_count
     diminishing = next(
-        (nodes for nodes in _candidates(g, fsub.anchors)
+        (nodes for nodes in reference_candidates(g, fsub.anchors)
          if _union_find(g.n_v, _toggle(fsub, nodes))[1] < base),
         None)
     unseen = next(
-        (nodes for nodes in _candidates(g, fsub.anchors)
+        (nodes for nodes in reference_candidates(g, fsub.anchors)
          if _toggle(fsub, nodes) not in seen),
         None)
     return diminishing, unseen
@@ -486,6 +518,71 @@ class TestEscapeMove:
             seen.add(fsub.anchors)
             steps += 1
         assert steps > 0
+
+
+class _Budget(int):
+    """An expansion limit that records, in ``left[0]``, each value it is counted down to."""
+
+    def __new__(cls, value, left):
+        self = super().__new__(cls, value)
+        self.left = left
+        left[0] = value
+        return self
+
+    def __sub__(self, other):
+        return _Budget(int(self) - other, self.left)
+
+
+def _merge_states(fsub, budget):
+    """Every certificate a merge from ``fsub`` holds, in order, as ``merge_to_tour`` steps."""
+    limit = budget if budget is not None else 10 * fsub.host.n_e ** 2
+    seen = {fsub.anchors}
+    yield fsub
+    for _ in range(limit):
+        if fsub.nontrivial_count < 2 or (move := find_diminishing_cycle(fsub, seen)) is None:
+            return
+        fsub = apply_interchange(fsub, move)
+        seen.add(fsub.anchors)
+        yield fsub
+
+
+@functools.lru_cache(maxsize=1)
+def _scanned_states():
+    """The states of the pinned merges and of the merges from 200 random non-covering draws."""
+    states = [fsub for make, budget in _TRAJECTORY_INPUTS
+              for fsub in _merge_states(find_family_subgraph(build_incidence(make())), budget)]
+    rng = Lcg(26)
+    for _ in range(200):
+        fsub = find_family_subgraph(build_incidence(random_noncovering(rng)))
+        if fsub is not None:
+            states += _merge_states(fsub, None)
+    return states
+
+
+class TestScanMatchesReference:
+    """The merge scan yields the reference enumerator's cycles and spends the same budget."""
+
+    @staticmethod
+    def _scan(scan, fsub, limit, monkeypatch):
+        left = [None]
+        monkeypatch.setattr(interchange, "MAX_EXPANSIONS", _Budget(limit, left))
+        return list(scan(fsub.host, fsub.anchors)), limit - left[0]
+
+    @pytest.mark.parametrize("limit", [MAX_EXPANSIONS, 1, 5, 37, 400])
+    def test_same_cycles_and_expansions(self, limit, monkeypatch):
+        states = _scanned_states()
+        assert len(states) > 500
+        cut = 0
+        for fsub in states:
+            got = self._scan(_candidates, fsub, limit, monkeypatch)
+            want = self._scan(reference_candidates, fsub, limit, monkeypatch)
+            assert got == want
+            cut += want[1] >= limit
+        # A search that stops on an empty budget hands back to its caller,
+        # whose next expansion takes the count below 0, so a cut scan spends
+        # a little past the limit.  The small limits cut some scans, the
+        # default one none.
+        assert (cut > 0) == (limit != MAX_EXPANSIONS)
 
 
 class TestDirectOrderThree:

@@ -91,13 +91,12 @@ def _alternating_cycles(adj, n_v, anchors, others, visited, start, exact_e, coun
     entered from a non-anchor through an anchor.  ``visited`` holds one flag
     per node, all clear on entry and on a full run's return.  ``counter`` is
     a one-cell expansion budget shared across calls, charged once for each
-    edge-node looked at.
+    edge-node looked at; the search stops when it reaches 0 and then charges
+    nothing more.  The caller starts a search only while it is above 0.
     """
     path = [start]
 
     def walk(u, depth):
-        if counter[0] <= 0:
-            return
         closing = depth + 1 == exact_e
         for en in adj[u]:
             counter[0] -= 1
@@ -121,6 +120,8 @@ def _alternating_cycles(adj, n_v, anchors, others, visited, start, exact_e, coun
                 yield from walk(w, depth + 1)
                 del path[-2:]
                 visited[en] = visited[w] = False
+                if counter[0] <= 0:
+                    return
 
     visited[start] = True
     yield from walk(start, 0)
@@ -140,6 +141,8 @@ def _candidates(g, anchors):
     counter = [MAX_EXPANSIONS]
     for t in range(2, MAX_EDGE_NODES + 1):
         for s in range(n_v):
+            if counter[0] <= 0:
+                return
             yield from _alternating_cycles(adj, n_v, anchors, others, visited, s, t, counter)
 
 

@@ -21,6 +21,20 @@ search.  On a gadget it pairs the v-stubs inside their own vertex cliques and
 leaves two e-stubs exposed per hyperedge, so about one augmentation still runs
 per hyperedge (330 on ``sts(45)``).
 
+Most of those augmenting paths have length 3, and :func:`max_matching` takes
+such a path without growing a tree when the search would find it first.  The
+seed is maximal and augmenting never exposes a node, so every neighbour of an
+exposed root is matched.  The search scans the root's whole row before any
+other node and grows the root's first neighbour ``a`` first, so ``a``'s mate
+``p`` is the next node it scans.  Only the root is exposed in the tree, so
+the first exposed ``x`` other than the root in ``p``'s row ends the path the
+search flips: root, ``a``, ``p``, ``x``.  Blossoms closed before that, the
+triangle root-``a``-``p`` too, never re-point the parent of ``a``: it is odd
+until a blossom takes it in, that blossom's base is the root, and a walk
+stops at that base.  The flip reads only the parents of ``x`` and ``a``, so
+the mate list is the one the search would leave.  Only when ``p`` has no such
+neighbour does the search run: on ``sts(45)``, 128 of the 330 augmentations.
+
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
 perfect-matching question.  Some incidences may already be decided, forced
@@ -191,7 +205,10 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
     ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
     so the matching is perfect iff ``-1 not in mate``.  Deterministic: nodes
     are processed in increasing order and neighbours in adjacency order, so
-    equal inputs give equal matchings.
+    equal inputs give equal matchings.  Rows must be symmetric (``u`` in
+    ``adj[v]`` iff ``v`` in ``adj[u]``), loop-free and without repeats: the
+    seed is maximal, and the length-3 path is the search's own, only on such
+    rows.
     """
     n = len(adj)
     mate = [-1] * n
@@ -201,7 +218,19 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
     base = list(range(n))
     stamp = [0] * n
     for root in range(n):
-        if mate[root] == -1:
+        if mate[root] != -1 or not adj[root]:
+            continue
+        # The path the search would find first, when it has length 3: the
+        # root's first neighbour a, a's mate p (the next node it scans), and
+        # the first exposed x in p's row.  The seed leaves no two exposed
+        # nodes adjacent, so there is no shorter path.
+        a = adj[root][0]
+        p = mate[a]
+        for x in adj[p]:
+            if mate[x] == -1 and x != root:
+                mate[x], mate[p], mate[a], mate[root] = p, x, root, a
+                break
+        else:
             _augment_from(adj, mate, root, used, parent, base, stamp)
     return mate
 

@@ -574,14 +574,12 @@ class TestScanMatchesReference:
         assert len(states) > 500
         cut = 0
         for fsub in states:
-            got = self._scan(_candidates, fsub, limit, monkeypatch)
-            want = self._scan(reference_candidates, fsub, limit, monkeypatch)
-            assert got == want
-            cut += want[1] >= limit
-        # A search that stops on an empty budget hands back to its caller,
-        # whose next expansion takes the count below 0, so a cut scan spends
-        # a little past the limit.  The small limits cut some scans, the
-        # default one none.
+            cycles, spent = self._scan(_candidates, fsub, limit, monkeypatch)
+            want, want_spent = self._scan(reference_candidates, fsub, limit, monkeypatch)
+            assert cycles == want
+            assert spent == min(want_spent, limit)
+            cut += want_spent >= limit
+        # The small limits cut some scans, the default one none.
         assert (cut > 0) == (limit != MAX_EXPANSIONS)
 
 

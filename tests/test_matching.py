@@ -10,6 +10,7 @@ from eulergraph import (
     brute_family_exists,
     build_incidence,
     find_family_subgraph,
+    matching,
     max_matching,
     reduce_to_matching,
 )
@@ -80,12 +81,17 @@ class TestMaxMatching:
 
     def test_same_pairs_as_full_rescan_kernel_on_random_graphs(self):
         rng = Lcg(43)
-        for n in range(20, 121, 20):
-            for density_pct in (4, 10, 25, 60):
-                adj = random_graph(rng, n, density_pct)
-                mate = max_matching(adj)
-                matching_size(adj, mate)
-                assert mate == reference_max_matching(adj)
+        graphs = [random_graph(rng, n, density_pct)
+                  for n in range(20, 121, 20) for density_pct in (4, 10, 25, 60)]
+        # Small dense draws: the root often lies in a triangle with its first
+        # neighbour and that neighbour's mate, and blossoms close in the rows
+        # scanned before the length-3 path is found.
+        rng = Lcg(97)
+        graphs += [random_graph(rng, 2 + rng.below(30), 30 + rng.below(71)) for _ in range(400)]
+        for adj in graphs:
+            mate = max_matching(adj)
+            matching_size(adj, mate)
+            assert mate == reference_max_matching(adj)
 
     def test_same_pairs_as_full_rescan_kernel_on_gadgets(self):
         # The gadgets find_family_subgraph builds over the forced anchors:
@@ -117,6 +123,53 @@ class TestMaxMatching:
             seen["decided" if max(state) >= 0 else "open"] += 1
             seen["perfect" if -1 not in mate else "exposed"] += 1
         assert all(seen[k] for k in ("refuted", "decided", "open", "perfect", "exposed")), seen
+
+    @staticmethod
+    def _count_searches(monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _augment_from(*args)
+
+        monkeypatch.setattr(matching, "_augment_from", counted)
+        return calls
+
+    @pytest.mark.parametrize("adj, mate, searches", [
+        # Edge 0-1: two exposed neighbours.  The seed pairs them, so no root
+        # ever has an exposed neighbour and there is no path of length 1.
+        (((1,), (0,)), [1, 0], 0),
+        # Path 2-0=1-3 (0-1 matched): the root's first neighbour is 0, its
+        # mate 1 has the exposed 3, and the path is flipped with no search.
+        (((1, 2), (0, 3), (0,), (1,)), [2, 3, 0, 1], 0),
+        # Triangle 2-0=1-2 with 3 hanging off 1: the root 2 is in 1's row
+        # but is not the end of a path; 3 is.
+        (((1, 2), (0, 2, 3), (0, 1), (1,)), [2, 3, 0, 1], 0),
+        # Root 4's first neighbour 0 has a mate (1) with no exposed
+        # neighbour, so the search runs and takes 4-2=3-5, through the
+        # root's second neighbour.
+        (((1, 4), (0,), (3, 4), (2, 5), (0, 2), (3,)), [1, 0, 4, 5, 2, 3], 1),
+        # Exposed roots with empty rows: nothing to search.
+        (((), (2,), (1,), ()), [-1, 2, 1, -1], 0),
+    ], ids=["exposed-neighbour", "path-through-mate", "triangle", "miss", "empty-row"])
+    def test_short_path_before_the_search(self, adj, mate, searches, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        assert max_matching(adj) == mate == reference_max_matching(adj)
+        assert calls[0] == searches
+
+    @pytest.mark.parametrize("h, searches", [
+        (gen_sts(45), 128),
+        (gen_complete(13, 3), 12),
+    ], ids=["sts45", "complete13"])
+    def test_searches_left_on_open_gadgets(self, h, searches, monkeypatch):
+        # The seed leaves 330 and 286 exposed roots; most close by a path of
+        # length 3 and never grow a search tree.
+        adj = open_gadget(build_incidence(h)).adj
+        calls = self._count_searches(monkeypatch)
+        mate = max_matching(adj)
+        assert calls[0] == searches
+        assert -1 not in mate
+        assert mate == reference_max_matching(adj)
 
     def test_search_leaves_its_state_reset(self):
         cases = (

@@ -8,11 +8,13 @@ a plain list that serves as its queue.  A scanned edge to a node already even
 (queued) either stays inside one blossom or closes a new one; an edge to a
 node outside the tree grows it by that node and its mate, or augments when
 that node is exposed.  Blossom bases are kept in a union-find array with path
-compression, looked up inline and walked only when a base is not its own root,
-so a contraction relabels only the bases on its two paths and costs time
-proportional to the blossom, not to the graph.  The blossom's base, the lowest
-common ancestor of the edge's two ends, is found with a stamp array and a
-per-search counter, so a contraction allocates no set.  The search state
+compression, looked up inline and walked only when a base is not its own root.
+A general contraction relabels only the bases on its two paths, but it finds
+the blossom's base, the lowest common ancestor of the edge's two ends, by
+stamping every base from the scanning node's up to the root and walking up
+from the other end to the first stamped one: it costs time in the depth of the
+tree, not in the size of the blossom.  The stamps are a per-search counter in
+one array, so a contraction allocates no set.  The search state
 (``used``, ``parent``, ``base``, ``stamp``) is allocated once per
 :func:`max_matching`, and each search resets only the nodes it touched, at
 once when it augments, so a search that stays small costs time proportional to
@@ -34,6 +36,18 @@ until a blossom takes it in, that blossom's base is the root, and a walk
 stops at that base.  The flip reads only the parents of ``x`` and ``a``, so
 the mate list is the one the search would leave.  Only when ``p`` has no such
 neighbour does the search run: on ``sts(45)``, 128 of the 330 augmentations.
+
+Most contractions close a triangle below the scanning node ``v``: the even end
+``to`` is its own base and its mate ``x`` is the odd node ``v`` grew earlier
+in its row.  The common ancestor is then ``v``'s base, the walk from ``v``
+passes nothing and the walk from ``to`` passes ``to`` and ``x`` alone, so the
+general path would re-point ``to``'s parent to ``v``, give ``to`` and ``x``
+``v``'s base and queue ``x``.  The kernel makes exactly those writes in
+constant time, so parents, bases, queue order and mate lists are the same.
+``to`` is never the exposed root there: an even neighbour of the root joins the
+root's blossom in the root's own scan.  Per pass at seed 1 this path takes
+20,490 of 26,590 contractions on the ``tour-k3`` bench corpus, 21,498 of
+24,548 on ``tour-k45`` and 818 of 2,128 on ``best-effort``.
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
@@ -122,6 +136,21 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
                     bt = _find(base, to)
                 if bv == bt:
                     continue
+                # The triangle below v: to is its own base and v grew its
+                # mate x.  Make the writes the general path below would (see
+                # the module docstring).  x is odd and in no blossom, since
+                # one holding x holds its mate and to is the base of none
+                # holding x, so x is queued.  to is never the exposed root
+                # here: an even neighbour of the root joins the root's
+                # blossom in the root's own scan.
+                if bt == to:
+                    x = mate[to]
+                    if parent[x] == v:
+                        base[to] = base[x] = bv
+                        parent[to] = v
+                        used[x] = True
+                        q.append(x)
+                        continue
                 # Stamp the bases from v up to the root, then walk up from
                 # to until a stamped base.
                 mark += 1

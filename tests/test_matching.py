@@ -88,6 +88,15 @@ class TestMaxMatching:
         # scanned before the length-3 path is found.
         rng = Lcg(97)
         graphs += [random_graph(rng, 2 + rng.below(30), 30 + rng.below(71)) for _ in range(400)]
+        # The same kinds of draw with each row shuffled: the contract allows
+        # symmetric rows in any order, while the draws above and every gadget
+        # list each row in ascending order.
+        rng = Lcg(101)
+        for _ in range(300):
+            rows = [list(row) for row in random_graph(rng, 2 + rng.below(40), 10 + rng.below(91))]
+            for row in rows:
+                rng.shuffle(row)
+            graphs.append(tuple(map(tuple, rows)))
         for adj in graphs:
             mate = max_matching(adj)
             matching_size(adj, mate)
@@ -105,6 +114,9 @@ class TestMaxMatching:
         hs += [_reduce_to_order3(gen_random_covering(n, k, seed), k)[0]
                for k, n in ((4, 7), (4, 12), (5, 8), (5, 11), (6, 9), (6, 10))
                for seed in range(1, 4)]
+        # Dense reduced coverings: nearly every blossom is a triangle closed
+        # below the scanning node.
+        hs += [_reduce_to_order3(gen_complete(n, k), k)[0] for n, k in ((8, 5), (9, 4))]
         rng_noncovering, rng_mixed = Lcg(53), Lcg(59)
         hs += [random_noncovering(rng_noncovering) for _ in range(150)]
         hs += [random_mixed(rng_mixed) for _ in range(150)]
@@ -187,6 +199,13 @@ class TestMaxMatching:
             (((4, 5, 6), (3, 5), (4, 7), (1, 7), (0, 2, 7), (0, 1), (0,), (2, 3, 4)),
              [4, 3, 7, 1, 0, -1, -1, 2],
              ((5, True, [6, 5, 4, 7, 2, 1, 0, 3]),)),
+            # A triangle below a non-root even node, matched 1-2 and 3-4.
+            # The search from 0 grows 1, then 2 grows 3 and meets 4, the
+            # mate it just queued: the triangle 2-3=4-2 contracts into base
+            # 2, and 3 augments to 5 along 0-1=2-4=3-5.
+            (((1,), (0, 2), (1, 3, 4), (2, 4, 5), (2, 3), (3,)),
+             [-1, 2, 1, 4, 3, -1],
+             ((0, True, [1, 0, 4, 5, 2, 3]),)),
         )
         for adj, mate, searches in cases:
             n = len(adj)

@@ -18,9 +18,9 @@ from math import comb
 class Hypergraph:
     """A finite hypergraph with labelled vertices and an indexed edge multiset.
 
-    ``edges[i]`` is the set of vertex indices of edge ``i``.  User-facing
-    output always uses the original labels; the printable name of edge ``i``
-    is ``e{i+1}``.
+    ``edges[i]`` is the frozenset of vertex indices of edge ``i``; an edge of
+    any other type is rejected.  User-facing output always uses the original
+    labels; the printable name of edge ``i`` is ``e{i+1}``.
     """
 
     vertices: tuple[str, ...]
@@ -33,6 +33,8 @@ class Hypergraph:
             raise ValueError("duplicate vertex label")
         valid = frozenset(range(len(self.vertices)))
         for i, e in enumerate(self.edges):
+            if not isinstance(e, frozenset):
+                raise ValueError(f"edge {edge_name(i)} is not a frozenset of vertex indices")
             if not valid.issuperset(e):
                 v = next(v for v in e if v not in valid)
                 raise ValueError(f"edge {edge_name(i)} references unknown vertex index {v}")

@@ -18,8 +18,9 @@ The merge takes one move per step, from one scan:
   edge-nodes, shortest first, keeping the first whose application
   diminishes.  The paper links c components of a covering 3-hypergraph by
   one cycle through a non-cut vertex of each and c edge-nodes; for c <= 6
-  that cycle is itself a candidate within the expansion budget, so the
-  search finds it or a diminishing cycle scanned before it.
+  that cycle is itself a candidate, so a scan that the expansion budget does
+  not cut finds it or a diminishing cycle scanned before it.  The budget's
+  headroom for it is measured on a test corpus, not proven.
 * Escape: when no diminishing cycle is found, apply the first candidate of
   the same scan that reaches a certificate the merge has not seen, so the
   loop ends; a per-call step budget also guards it.  On covering
@@ -81,26 +82,33 @@ def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySub
     return FamilySubgraph(fsub.host, _toggle(fsub, nodes))
 
 
-def _alternating_cycles(adj, n_v, anchors, others, visited, start, exact_e, counter):
-    """DFS over interchanging cycles with exactly ``exact_e`` edge-nodes.
+def _candidates(g, anchors):
+    """Interchanging cycles of the certificate, shortest first, in one expansion budget.
 
-    Only cycles whose smallest vertex-node is ``start`` are produced, so each
-    cycle comes from one start.  ``anchors`` is the certificate's anchor
-    pairs, one per edge, and ``others[e]`` the rest of edge e's row: an
-    edge-node entered from an anchor is left through a non-anchor, and one
-    entered from a non-anchor through an anchor.  ``visited`` holds one flag
-    per node, all clear on entry and on a full run's return.  ``counter`` is
-    a one-cell expansion budget shared across calls, charged once for each
-    edge-node looked at; the search stops when it reaches 0 and then charges
-    nothing more.  The caller starts a search only while it is above 0.
+    For each length t from 2 to ``MAX_EDGE_NODES`` edge-nodes, and each start
+    vertex in turn, one depth-first search yields the cycles through t
+    edge-nodes whose smallest vertex-node is the start, so each cycle comes
+    from one start.  An edge-node entered from one of its anchors is left
+    through a non-anchor, ``others[e]`` in row order, and one entered from a
+    non-anchor through an anchor.  ``visited`` flags the edge-nodes and the
+    later vertex-nodes on the path.  The budget ``left`` starts at
+    ``MAX_EXPANSIONS``, read when the scan starts, and is charged once for
+    each edge-node looked at; at 0 the scan stops for good and charges
+    nothing more.
     """
-    path = [start]
+    adj = g.adj
+    n_v = g.n_v
+    others = [tuple(v for v in adj[n_v + e] if v not in pair) for e, pair in enumerate(anchors)]
+    visited = [False] * (n_v + g.n_e)
+    path = [0]
+    left = MAX_EXPANSIONS
 
     def walk(u, depth):
-        closing = depth + 1 == exact_e
+        nonlocal left
+        closing = depth + 1 == t
         for en in adj[u]:
-            counter[0] -= 1
-            if counter[0] <= 0:
+            left -= 1
+            if left <= 0:
                 return
             if visited[en]:
                 continue
@@ -120,30 +128,15 @@ def _alternating_cycles(adj, n_v, anchors, others, visited, start, exact_e, coun
                 yield from walk(w, depth + 1)
                 del path[-2:]
                 visited[en] = visited[w] = False
-                if counter[0] <= 0:
+                if left <= 0:
                     return
 
-    visited[start] = True
-    yield from walk(start, 0)
-    visited[start] = False
-
-
-def _candidates(g, anchors):
-    """Interchanging cycles of the certificate, shortest first, in one expansion budget.
-
-    The exit table ``others`` and the visited flags are built once per scan
-    and shared by every (length, start) search.
-    """
-    adj = g.adj
-    n_v = g.n_v
-    others = [tuple(v for v in adj[n_v + e] if v not in pair) for e, pair in enumerate(anchors)]
-    visited = [False] * (n_v + g.n_e)
-    counter = [MAX_EXPANSIONS]
     for t in range(2, MAX_EDGE_NODES + 1):
-        for s in range(n_v):
-            if counter[0] <= 0:
+        for start in range(n_v):
+            if left <= 0:
                 return
-            yield from _alternating_cycles(adj, n_v, anchors, others, visited, s, t, counter)
+            path[0] = start
+            yield from walk(start, 0)
 
 
 def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None:
@@ -154,7 +147,8 @@ def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None
     keeps the first whose toggled pairs have fewer non-trivial components.
     A cycle linking c <= ``MAX_EDGE_NODES`` components through one vertex of
     each and c edge-nodes, the paper's move on covering 3-hypergraphs, is one
-    of the candidates, so the scan returns it or an earlier diminishing one.
+    of the candidates, so an uncut scan returns it or an earlier diminishing
+    one; a scan the budget cuts falls back to an escape.
     When none diminishes, it returns instead the first candidate of the same
     scan whose toggled pairs are not in ``seen``, the set of certificates'
     anchor tuples the merge has visited; ``None`` when there is neither.

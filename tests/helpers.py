@@ -309,6 +309,19 @@ def reference_alternating_cycles(g, anchors, start, exact_e, counter):
     yield from walk(start, 0)
 
 
+class ExpansionBudget(int):
+    """An expansion limit that records, in ``left[0]``, each value it is counted down to."""
+
+    def __new__(cls, value, left):
+        self = super().__new__(cls, value)
+        self.left = left
+        left[0] = value
+        return self
+
+    def __sub__(self, other):
+        return ExpansionBudget(int(self) - other, self.left)
+
+
 def reference_candidates(g, anchors):
     """Interchanging cycles of the certificate, shortest first, in one expansion budget.
 

@@ -68,6 +68,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex index 3$"):
             Hypergraph(("a", "b", "c"), (frozenset({0, 1}), frozenset({2, 3})))
 
+    def test_edges_that_are_not_sets_rejected(self):
+        # a repeated index would otherwise reach the solver as an edge-node of degree 1
+        with pytest.raises(ValueError, match=r"^edge e1 is not a frozenset of vertex indices$"):
+            Hypergraph(("a", "b", "c"), ((0, 0, 1), frozenset({0, 1})))
+        with pytest.raises(ValueError, match=r"^edge e2 is not a frozenset of vertex indices$"):
+            Hypergraph(("a", "b", "c"), (frozenset({0, 1}), [1, 2]))
+
     def test_label_builders_keep_the_constructor_messages(self):
         # from_labels checks its edges first, then the constructor's checks
         for vertices, edges, message in [

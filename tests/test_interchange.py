@@ -34,6 +34,7 @@ from eulergraph.interchange import MAX_EXPANSIONS, _candidates, _toggle
 
 from helpers import (
     TOUR_DEPENDS_ON_FAMILY,
+    ExpansionBudget,
     anchor_pairs,
     disjoint_union,
     e_node,
@@ -520,19 +521,6 @@ class TestEscapeMove:
         assert steps > 0
 
 
-class _Budget(int):
-    """An expansion limit that records, in ``left[0]``, each value it is counted down to."""
-
-    def __new__(cls, value, left):
-        self = super().__new__(cls, value)
-        self.left = left
-        left[0] = value
-        return self
-
-    def __sub__(self, other):
-        return _Budget(int(self) - other, self.left)
-
-
 def _merge_states(fsub, budget):
     """Every certificate a merge from ``fsub`` holds, in order, as ``merge_to_tour`` steps."""
     limit = budget if budget is not None else 10 * fsub.host.n_e ** 2
@@ -565,7 +553,7 @@ class TestScanMatchesReference:
     @staticmethod
     def _scan(scan, fsub, limit, monkeypatch):
         left = [None]
-        monkeypatch.setattr(interchange, "MAX_EXPANSIONS", _Budget(limit, left))
+        monkeypatch.setattr(interchange, "MAX_EXPANSIONS", ExpansionBudget(limit, left))
         return list(scan(fsub.host, fsub.anchors)), limit - left[0]
 
     @pytest.mark.parametrize("limit", [MAX_EXPANSIONS, 1, 5, 37, 400])
@@ -581,6 +569,31 @@ class TestScanMatchesReference:
             cut += want_spent >= limit
         # The small limits cut some scans, the default one none.
         assert (cut > 0) == (limit != MAX_EXPANSIONS)
+
+    def test_scans_are_independent(self):
+        # Every piece of scan state belongs to one call: two scans consumed
+        # in turn, and a fresh scan next to an abandoned one, each yield the
+        # reference's list.
+        states = (fsub for fsub in _scanned_states()
+                  if len(list(reference_candidates(fsub.host, fsub.anchors))) > 3)
+        a, b = next(states), next(states)
+        assert a.anchors != b.anchors
+        want = [list(reference_candidates(f.host, f.anchors)) for f in (a, b)]
+        scans = [_candidates(f.host, f.anchors) for f in (a, b)]
+        got = ([], [])
+        live = [0, 1]
+        while live:
+            for i in tuple(live):
+                nodes = next(scans[i], None)
+                if nodes is None:
+                    live.remove(i)
+                else:
+                    got[i].append(nodes)
+        assert list(got) == want
+        abandoned = _candidates(a.host, a.anchors)
+        assert [next(abandoned), next(abandoned)] == want[0][:2]
+        assert list(_candidates(a.host, a.anchors)) == want[0]
+        assert list(abandoned) == want[0][2:]
 
 
 class TestDirectOrderThree:

@@ -18,7 +18,6 @@ from .family import FamilySubgraph, find_family_subgraph, trails_from_subgraph
 from .hypergraph import (
     EulerFamily,
     Hypergraph,
-    VerifyReport,
     Walk,
     canonical_closed_trail,
     validate_covering,
@@ -48,7 +47,6 @@ __all__ = [
     "MergeExhaustedError",
     "MergeStats",
     "SolveResult",
-    "VerifyReport",
     "Walk",
     "apply_interchange",
     "brute_family_exists",

@@ -17,7 +17,7 @@ import traceback
 
 from . import genio
 from .errors import CertificateViolation, MergeExhaustedError
-from .hypergraph import verify_euler_object
+from .hypergraph import EulerFamily, verify_euler_object
 from .oracle import MAX_EDGES, brute_family_exists, brute_tour
 from .solver import VERDICT_EULERIAN, VERDICT_NEITHER, certified_family, solve
 
@@ -36,49 +36,49 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_family(fam: EulerFamily, empty: str, out: str | None) -> None:
+    """One certificate line per closed trail; an empty family writes one comment line."""
+    lines = "".join(genio.format_walk_line(w) + "\n" for w in fam.components)
+    _write_out(lines or f"# empty hypergraph: {empty}\n", out)
+
+
 def _cmd_tour(args) -> int:
-    h, _ = genio.load_hg(args.file)
+    h = genio.load_hg(args.file)
     # The arity comes from the edges, so an "hg 0" covering k-hypergraph is still reduced.
     result = solve(h, max(h.uniformity() or 3, 3), budget=args.budget)
-    if result.verdict == VERDICT_EULERIAN:
-        if result.tour is None:
-            _write_out("# empty hypergraph: vacuously eulerian\n", args.out)
-        else:
-            _write_out(genio.format_walk_line(result.tour) + "\n", args.out)
-        return EXIT_OK
     if result.verdict == VERDICT_NEITHER:
         print("verified: no Euler family, hence no Euler tour", file=sys.stderr)
         return EXIT_NEGATIVE
-    # Family-only best effort: search stopped without a tour.
-    _write_out("".join(genio.format_walk_line(w) + "\n" for w in result.family.components),
-               args.out)
+    # The family is the tour alone when eulerian (empty for an edgeless input),
+    # and the certified family when a best-effort merge stopped without a tour.
+    _write_family(result.family, "vacuously eulerian", args.out)
+    if result.verdict == VERDICT_EULERIAN:
+        return EXIT_OK
     print(f"tour search exhausted ({result.verdict}); wrote the family certificate instead",
           file=sys.stderr)
     return EXIT_EXHAUSTED
 
 
 def _cmd_family(args) -> int:
-    h, _ = genio.load_hg(args.file)
-    fam = certified_family(h)
+    fam = certified_family(genio.load_hg(args.file))
     if fam is None:
         print("verified: no Euler family exists", file=sys.stderr)
         return EXIT_NEGATIVE
-    lines = "".join(genio.format_walk_line(w) + "\n" for w in fam.components)
-    _write_out(lines if lines else "# empty hypergraph: empty Euler family\n", args.out)
+    _write_family(fam, "empty Euler family", args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    h, _ = genio.load_hg(args.file)
+    h = genio.load_hg(args.file)
     with open(args.cert, encoding="utf-8") as fh:
         fam = genio.parse_family(h, fh.read())
-    report = verify_euler_object(h, fam)
-    if report.valid:
-        print("valid certificate")
-        return EXIT_OK
-    for violation in report.violations:
+    violations = verify_euler_object(h, fam)
+    for violation in violations:
         print(violation, file=sys.stderr)
-    return EXIT_NEGATIVE
+    if violations:
+        return EXIT_NEGATIVE
+    print("valid certificate")
+    return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
@@ -93,19 +93,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    h, _ = genio.load_hg(args.file)
-    # Checked before the edgeless shortcut, so a bad limit fails on every input.
+    h = genio.load_hg(args.file)
+    # Checked here, so a bad limit fails with the option's name on every input.
     if args.max_edges <= 0:
         raise ValueError("--max-edges must be positive")
     if args.what == "tour":
-        if not h.edges:
-            print("# empty hypergraph: vacuously eulerian")
-            return EXIT_OK
         tour = brute_tour(h, args.max_edges)
-        if tour is None:
+        if tour is None and h.edges:
             print("verified: no Euler tour exists", file=sys.stderr)
             return EXIT_NEGATIVE
-        print(genio.format_walk_line(tour))
+        # An edgeless input has no tour and is vacuously eulerian, as in `tour`.
+        _write_family(EulerFamily(() if tour is None else (tour,)), "vacuously eulerian", None)
         return EXIT_OK
     if brute_family_exists(h, args.max_edges):
         print("an Euler family exists")

@@ -77,11 +77,16 @@ class FamilySubgraph:
     def __post_init__(self):
         g = self.host
         edges = g.host.edges
+        if not isinstance(self.anchors, tuple):
+            raise CertificateViolation("anchor pairs must come as a tuple")
         if len(self.anchors) != g.n_e:
             raise CertificateViolation(
                 f"{len(self.anchors)} anchor pairs for {g.n_e} edges")
         deg = [0] * g.n_v
         for e, pair in enumerate(self.anchors):
+            # A tuple, so the certificate hashes into the merge's set of seen ones.
+            if not isinstance(pair, tuple):
+                raise CertificateViolation(f"edge-node e{e + 1} has anchors {pair!r}, not a tuple")
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise CertificateViolation(
                     f"edge-node e{e + 1} has degree {len(set(pair))}, expected 2")

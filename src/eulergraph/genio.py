@@ -224,9 +224,10 @@ def parse_hg(text: str) -> tuple[Hypergraph, int]:
     return Hypergraph(tuple(index), tuple(edges)), k
 
 
-def load_hg(path) -> tuple[Hypergraph, int]:
+def load_hg(path) -> Hypergraph:
+    """The hypergraph of a ``.hg`` file; :func:`parse_hg` also gives its declared arity."""
     with open(path, encoding="utf-8") as fh:
-        return parse_hg(fh.read())
+        return parse_hg(fh.read())[0]
 
 
 def format_walk_line(w: Walk) -> str:

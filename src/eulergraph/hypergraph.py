@@ -18,17 +18,24 @@ from math import comb
 class Hypergraph:
     """A finite hypergraph with labelled vertices and an indexed edge multiset.
 
-    ``edges[i]`` is the frozenset of vertex indices of edge ``i``; an edge of
-    any other type is rejected.  User-facing output always uses the original
-    labels; the printable name of edge ``i`` is ``e{i+1}``.
+    ``vertices`` is a tuple of ``str`` labels and ``edges`` a tuple whose
+    ``edges[i]`` is the frozenset of vertex indices of edge ``i``; anything
+    else is rejected, so the object is hashable and every label prints.
+    User-facing output always uses the original labels; the printable name
+    of edge ``i`` is ``e{i+1}``.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.vertices, tuple) or not isinstance(self.edges, tuple):
+            raise ValueError("vertices and edges must be tuples")
         if not self.vertices:
             raise ValueError("vertex set must be non-empty")
+        for lab in self.vertices:
+            if not isinstance(lab, str):
+                raise ValueError(f"vertex label {lab!r} is not a str")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex label")
         valid = frozenset(range(len(self.vertices)))
@@ -121,14 +128,6 @@ class Walk:
     anchors: tuple[str, ...]
     edges: tuple[int, ...]
 
-    @property
-    def is_closed(self) -> bool:
-        return len(self.edges) >= 2 and bool(self.anchors) and self.anchors[0] == self.anchors[-1]
-
-    @property
-    def is_trail(self) -> bool:
-        return len(set(self.edges)) == len(self.edges)
-
 
 @dataclass(frozen=True)
 class EulerFamily:
@@ -140,17 +139,12 @@ class EulerFamily:
     components: tuple[Walk, ...]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def verify_euler_object(h: Hypergraph, f: EulerFamily) -> VerifyReport:
+def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
     """Check an Euler family (or tour, as a 1-component family) against its host.
 
-    Never raises: every failed condition is reported with the offending
-    component or edge index.
+    Returns the violations found, in a fixed order; an empty tuple means the
+    family is valid.  Never raises: every failed condition is reported with
+    the offending component or edge index.
     """
     bad: list[str] = []
     m = len(h.edges)
@@ -205,7 +199,7 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> VerifyReport:
         if eid not in usage:
             bad.append(f"edge {edge_name(eid)} never traversed")
 
-    return VerifyReport(not bad, tuple(bad))
+    return tuple(bad)
 
 
 def canonical_closed_trail(w: Walk) -> Walk:
@@ -216,11 +210,13 @@ def canonical_closed_trail(w: Walk) -> Walk:
     closed trail are distinct and consecutive anchors differ, so no two starts
     share their first (anchor, edge) pair and the smallest pair picks the
     walk in one pass.  Canonical forms make certificates comparable as values.
+    Any other walk, one with fewer than two edges, a repeated edge, an end
+    apart from its start or a mismatched anchor count, raises ``ValueError``.
     """
-    if len(w.anchors) != len(w.edges) + 1 or not w.is_closed or not w.is_trail:
-        raise ValueError("canonical form is defined for closed trails only")
     a, e = w.anchors, w.edges
     k = len(e)
+    if len(a) != k + 1 or k < 2 or a[0] != a[-1] or len(set(e)) != k:
+        raise ValueError("canonical form is defined for closed trails only")
     if any(a[i] == a[i + 1] for i in range(k)):
         raise ValueError("closed trail with equal consecutive anchors")
     # Forward start r reads (a[r], e[r]); reverse start r reads (a[r], e[r-1]).

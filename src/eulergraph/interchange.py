@@ -31,11 +31,9 @@ The exits that keep a cycle interchanging are fixed by the certificate, so
 each scan tabulates them once: an edge-node entered from one of its anchors
 leaves through a member that is not an anchor, ``others[e]`` in row order,
 and one entered from a non-anchor leaves through an anchor, its sorted pair.
-The search reads these tables and one list of visited flags over the nodes
-instead of testing every member of each edge-node it enters.  Row order, the
-shortest-first order over (length, start) and the expansion charged for each
-edge-node looked at are unchanged, so the scan yields the same cycles in the
-same order and spends the same budget.
+The search reads these tables and one list of visited flags over the nodes,
+in row order and shortest first over (length, start), and charges one
+expansion for each edge-node it looks at.
 
 A move is the node tuple the search yields.  Toggling it sets each
 edge-node's anchor pair to that pair XOR its two cycle neighbours.  The

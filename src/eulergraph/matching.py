@@ -45,9 +45,7 @@ general path would re-point ``to``'s parent to ``v``, give ``to`` and ``x``
 ``v``'s base and queue ``x``.  The kernel makes exactly those writes in
 constant time, so parents, bases, queue order and mate lists are the same.
 ``to`` is never the exposed root there: an even neighbour of the root joins the
-root's blossom in the root's own scan.  Per pass at seed 1 this path takes
-20,490 of 26,590 contractions on the ``tour-k3`` bench corpus, 21,498 of
-24,548 on ``tour-k45`` and 818 of 2,128 on ``best-effort``.
+root's blossom in the root's own scan.
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a

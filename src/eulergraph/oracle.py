@@ -144,10 +144,10 @@ def brute_tour(h: Hypergraph, max_edges: int = MAX_EDGES) -> Walk | None:
             anchors = [a, b] + [v for _, v in steps]
             walk = Walk(tuple(h.vertices[i] for i in anchors), (0,) + tuple(e for e, _ in steps))
             tour = canonical_closed_trail(walk)
-            report = verify_euler_object(h, EulerFamily((tour,)))
-            if not report.valid:
+            violations = verify_euler_object(h, EulerFamily((tour,)))
+            if violations:
                 raise CertificateViolation(
-                    "brute-force tour failed verification: " + "; ".join(report.violations[:3]))
+                    "brute-force tour failed verification: " + "; ".join(violations[:3]))
             return tour
     return None
 

@@ -136,7 +136,7 @@ def certified_family(h: Hypergraph) -> EulerFamily | None:
 
 def _check(h: Hypergraph, fam: EulerFamily, what: str) -> None:
     """The boundary check: raise :class:`CertificateViolation` unless ``fam`` verifies on ``h``."""
-    report = verify_euler_object(h, fam)
-    if not report.valid:
+    violations = verify_euler_object(h, fam)
+    if violations:
         raise CertificateViolation(
-            f"{what} certificate failed verification: " + "; ".join(report.violations[:3]))
+            f"{what} certificate failed verification: " + "; ".join(violations[:3]))

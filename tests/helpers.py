@@ -184,9 +184,9 @@ def e_node(g: IncidenceGraph, j: int) -> int:
 def subgraph_from_trails(g: IncidenceGraph, f: EulerFamily) -> FamilySubgraph:
     """Inverse of :func:`eulergraph.trails_from_subgraph` up to rotation, reflection and
     component order; an invalid family raises :class:`ValueError`."""
-    report = verify_euler_object(g.host, f)
-    if not report.valid:
-        raise ValueError("invalid family: " + "; ".join(report.violations[:3]))
+    violations = verify_euler_object(g.host, f)
+    if violations:
+        raise ValueError("invalid family: " + "; ".join(violations[:3]))
     index = g.host.vertices.index
     anchors: list = [None] * g.n_e
     for w in f.components:
@@ -790,7 +790,7 @@ def reference_brute_tour(h: Hypergraph) -> Walk | None:
             if extend(b, a, 1):
                 walk = Walk(tuple(h.vertices[i] for i in anchors), tuple(eseq))
                 tour = canonical_closed_trail(walk)
-                assert verify_euler_object(h, EulerFamily((tour,))).valid
+                assert verify_euler_object(h, EulerFamily((tour,))) == ()
                 return tour
             used[0] = False
     return None

@@ -75,6 +75,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^edge e2 is not a frozenset of vertex indices$"):
             Hypergraph(("a", "b", "c"), (frozenset({0, 1}), [1, 2]))
 
+    def test_fields_that_are_not_tuples_rejected(self):
+        # a list field would construct, solve, and then fail to hash
+        with pytest.raises(ValueError, match="^vertices and edges must be tuples$"):
+            Hypergraph(["a", "b", "c"], (frozenset({0, 1, 2}),) * 3)
+        with pytest.raises(ValueError, match="^vertices and edges must be tuples$"):
+            Hypergraph(("a", "b", "c"), [frozenset({0, 1, 2})] * 3)
+
+    def test_labels_that_are_not_strings_rejected(self):
+        # an int label would solve to a tour that format_walk_line cannot print
+        with pytest.raises(ValueError, match="^vertex label 1 is not a str$"):
+            Hypergraph((1, 2, 3), (frozenset({0, 1, 2}),) * 3)
+        with pytest.raises(ValueError, match="^vertex label None is not a str$"):
+            Hypergraph.from_labels(["a", None], [("a", None)])
+
     def test_label_builders_keep_the_constructor_messages(self):
         # from_labels checks its edges first, then the constructor's checks
         for vertices, edges, message in [
@@ -150,45 +164,40 @@ class TestValidateCovering:
                 assert validate_covering(sub, k) is all_pairs_covered(sub, k)[0]
 
 
-class TestWalkFlags:
-    def test_flags(self):
-        w = Walk(("a", "b", "a"), (0, 1))
-        assert w.is_closed and w.is_trail
-        assert not Walk(("a", "b"), (0,)).is_closed
-        assert not Walk(("a", "b", "a"), (0, 0)).is_trail
-        w2 = Walk(("a", "b", "a", "c", "a"), (0, 1, 2, 3))
-        assert w2.is_closed and w2.is_trail
-
-
 class TestVerifyEulerObject:
     def test_valid_two_edge_tour(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
         f = EulerFamily((Walk(("a", "b", "a"), (0, 1)),))
-        assert verify_euler_object(h, f).valid
+        assert verify_euler_object(h, f) == ()
 
     def test_repeated_edge_rejected(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
         f = EulerFamily((Walk(("a", "b", "a"), (0, 0)),))
-        report = verify_euler_object(h, f)
-        assert not report.valid
-        assert any("repeated" in v for v in report.violations)
-        assert any("never traversed" in v for v in report.violations)
+        assert verify_euler_object(h, f) == (
+            "component 0: edge e1 repeated",
+            "edge e1 traversed 2 times across the family",
+            "edge e2 never traversed",
+        )
 
     def test_one_edge_tour_claims_rejected(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
-        report = verify_euler_object(h, EulerFamily((Walk(("a", "b"), (0,)),)))
-        assert not report.valid
+        assert verify_euler_object(h, EulerFamily((Walk(("a", "b"), (0,)),))) == (
+            "component 0: a closed trail needs at least 2 edges",
+            "component 0: not closed ('a' != 'b')",
+        )
 
     def test_equal_consecutive_anchors_rejected(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
-        report = verify_euler_object(h, EulerFamily((Walk(("a", "a", "a"), (0, 1)),)))
-        assert not report.valid
+        assert verify_euler_object(h, EulerFamily((Walk(("a", "a", "a"), (0, 1)),))) == (
+            "component 0: equal consecutive anchors 'a' at step 0",
+            "component 0: equal consecutive anchors 'a' at step 1",
+        )
 
     def test_anchor_not_incident_rejected(self):
         h = Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d")])
-        report = verify_euler_object(h, EulerFamily((Walk(("d", "a", "d"), (0, 1)),)))
-        assert not report.valid
-        assert any("not in e1" in v for v in report.violations)
+        assert verify_euler_object(h, EulerFamily((Walk(("d", "a", "d"), (0, 1)),))) == (
+            "component 0: anchor 'd' not in e1 at step 0",
+        )
 
     def test_shared_anchor_across_components_rejected(self):
         h = Hypergraph.from_labels(
@@ -197,18 +206,18 @@ class TestVerifyEulerObject:
             Walk(("a", "b", "a"), (0, 1)),
             Walk(("a", "d", "a"), (2, 3)),
         ))
-        report = verify_euler_object(h, f)
-        assert not report.valid
-        assert any("share anchor" in v for v in report.violations)
+        assert verify_euler_object(h, f) == ("components 0 and 1 share anchor 'a'",)
 
     def test_unknown_anchor_reported_not_raised(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
-        report = verify_euler_object(h, EulerFamily((Walk(("z", "b", "z"), (0, 1)),)))
-        assert not report.valid
+        assert verify_euler_object(h, EulerFamily((Walk(("z", "b", "z"), (0, 1)),))) == (
+            "component 0: unknown anchor 'z' at step 0",
+            "component 0: unknown anchor 'z' at step 1",
+        )
 
     def test_empty_family_on_empty_hypergraph(self):
         h = Hypergraph.from_labels("abc", [])
-        assert verify_euler_object(h, EulerFamily(())).valid
+        assert verify_euler_object(h, EulerFamily(())) == ()
 
     def test_fano_brute_tour_verifies(self):
         from eulergraph import brute_tour
@@ -216,13 +225,24 @@ class TestVerifyEulerObject:
         h = fano()
         tour = brute_tour(h)
         assert tour is not None
-        assert verify_euler_object(h, EulerFamily((tour,))).valid
+        assert verify_euler_object(h, EulerFamily((tour,))) == ()
 
 
 class TestCanonicalClosedTrail:
     def test_requires_closed_trail(self):
         with pytest.raises(ValueError):
             canonical_closed_trail(Walk(("a", "b"), (0,)))
+
+    @pytest.mark.parametrize("anchors, edges", [
+        (("a", "b", "c"), (0, 1)),
+        (("a", "a"), (0,)),
+        (("a", "b", "a"), (0, 0)),
+        (("a", "b", "a", "c", "a"), (0, 1, 2, 1)),
+        (("a", "b", "a"), (0, 1, 2)),
+    ], ids=["open", "one-edge", "repeated-edge", "repeated-edge-later", "anchor-count"])
+    def test_malformed_walks_rejected(self, anchors, edges):
+        with pytest.raises(ValueError, match="^canonical form is defined for closed trails only$"):
+            canonical_closed_trail(Walk(anchors, edges))
 
     def test_small_example(self):
         w = Walk(("b", "a", "b"), (1, 0))

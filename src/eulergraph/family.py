@@ -90,10 +90,11 @@ class FamilySubgraph:
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise CertificateViolation(
                     f"edge-node e{e + 1} has degree {len(set(pair))}, expected 2")
-            # Membership first, so no index is used as a position before it is checked.
+            # Type and membership first, so no index is used as a position
+            # before it is checked (0.0 and True are members of {0, 1}).
             for v in pair:
-                if v not in edges[e]:
-                    raise CertificateViolation(f"({v}, e{e + 1}) is not an incidence of the host")
+                if type(v) is not int or v not in edges[e]:
+                    raise CertificateViolation(f"({v!r}, e{e + 1}) is not an incidence of the host")
                 deg[v] += 1
             if pair[0] > pair[1]:
                 raise CertificateViolation(f"edge-node e{e + 1} has anchors {pair} out of order")

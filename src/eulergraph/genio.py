@@ -22,8 +22,8 @@ draw for each position i from the back.
 
 The generators work on vertex indices: vertex i is labelled ``v{i+1}`` (or
 its Steiner-system point name), edges are built as index sets, and labels
-appear only when the text form is emitted, with each edge's indices sorted
-by the rank of their labels (so ``v10`` comes before ``v2``).
+appear only when the text form is emitted, each edge line listing its labels
+in sorted order (so ``v10`` comes before ``v2``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class Lcg:
     def below(self, n: int) -> int:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        self.state = state = (self.state * _LCG_MUL + _LCG_INC) & _LCG_MASK
-        return (state >> 33) % n
+        return self.draw() % n
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the back, one ``below(i + 1)`` draw per position."""
@@ -76,51 +75,39 @@ def gen_complete(n: int, k: int) -> Hypergraph:
 def gen_sts(n: int) -> Hypergraph:
     """A Steiner triple system of order n: every pair in exactly one triple.
 
-    Orders 3 mod 6 use the quasigroup-on-three-wings construction over
-    Z_(n/3) with the halving product; orders 1 mod 6 use the variant with a
-    point at infinity over a half-idempotent commutative quasigroup of even
-    order.
+    One construction serves both admissible residues: Bose's for
+    n = 3 (mod 6) and Skolem's for n = 1 (mod 6).  The points lie on three
+    wings of ``q = n // 3`` points each; let ``t = n // 6``.  Point x of
+    wing i (i = 0, 1, 2) is labelled ``{x}a``, ``{x}b`` or ``{x}c`` and is
+    vertex ``off + i*q + x``.  ``off`` is 0 for Bose.  For Skolem it is 1,
+    and vertex 0 is the point at infinity ``oo``.
+
+    The triples come in a fixed order:
+
+    - the wing triples {x of each wing}, for x < q (Bose) or x < t (Skolem);
+    - Skolem only: the 3t triples {oo, t + x of wing i, x of wing i + 1};
+    - for each wing i and each pair x < y in it, the triple that adds point
+      ``mid[(x + y) % q]`` of wing i + 1 (wings count mod 3).
+
+    ``mid[z]`` is ``z // 2`` for even z and ``(z + q - off) // 2`` for odd
+    z: halving in Z_q for Bose's odd q, Skolem's half-idempotent product for
+    even q.  The table is stored twice over, so ``x + y`` indexes it
+    without the modulus.
     """
     if n < 7 or n % 6 not in (1, 3):
         raise ValueError(
             f"no Steiner triple system of order {n} (need n % 6 in {{1, 3}} and n >= 7)")
-
-    def lab(p) -> str:
-        return p if isinstance(p, str) else f"{p[0]}{'abc'[p[1]]}"
-
-    triples: list[tuple] = []
-    if n % 6 == 3:
-        t = n // 6
-        q = 2 * t + 1
-        half = t + 1  # 2 * half == 1 (mod q), so (x + y) * half halves the sum
-        pts = [(x, i) for i in range(3) for x in range(q)]
-        for x in range(q):
-            triples.append(((x, 0), (x, 1), (x, 2)))
-        for i in range(3):
-            for x in range(q):
-                for y in range(x + 1, q):
-                    triples.append(((x, i), (y, i), (((x + y) * half) % q, (i + 1) % 3)))
-    else:
-        t = n // 6
-        q = 2 * t
-
-        def rho(z: int) -> int:
-            return z // 2 if z % 2 == 0 else t + (z - 1) // 2
-
-        pts = ["oo"] + [(x, i) for i in range(3) for x in range(q)]
-        for x in range(t):
-            triples.append(((x, 0), (x, 1), (x, 2)))
-        for i in range(3):
-            for x in range(t):
-                triples.append(("oo", (t + x, i), (x, (i + 1) % 3)))
-        for i in range(3):
-            for x in range(q):
-                for y in range(x + 1, q):
-                    triples.append(((x, i), (y, i), (rho((x + y) % q), (i + 1) % 3)))
-
-    index = {p: i for i, p in enumerate(pts)}
-    return Hypergraph(tuple(lab(p) for p in pts),
-                      tuple(frozenset([index[p] for p in tri]) for tri in triples))
+    q, t, off = n // 3, n // 6, int(n % 6 == 1)
+    mid = [z // 2 if z % 2 == 0 else (z + q - off) // 2 for z in range(q)] * 2
+    triples = [(off + x, off + q + x, off + 2 * q + x) for x in range(t if off else q)]
+    if off:
+        triples += [(0, 1 + i * q + t + x, 1 + (i + 1) % 3 * q + x)
+                    for i in range(3) for x in range(t)]
+    for i in range(3):
+        cur, nxt = off + i * q, off + (i + 1) % 3 * q
+        triples += [(cur + x, cur + y, nxt + mid[x + y]) for x in range(q) for y in range(x + 1, q)]
+    return Hypergraph(("oo",) * off + tuple(f"{x}{w}" for w in "abc" for x in range(q)),
+                      tuple(map(frozenset, triples)))
 
 
 def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
@@ -167,14 +154,9 @@ def emit_hg(h: Hypergraph) -> str:
         if not e:
             raise ValueError(
                 f"edge {edge_name(j)} has no vertices and cannot appear in the text format")
-    labels = sorted(h.vertices)
-    rank = [0] * len(labels)  # vertex index -> position of its label in sorted order
-    for r, lab in enumerate(labels):
-        rank[h._index[lab]] = r
-    lines = [f"hg {k} {len(labels)} {len(h.edges)}"]
-    lines += [f"v {lab}" for lab in labels]
-    label_of, rank_of = labels.__getitem__, rank.__getitem__
-    lines += ["e " + " ".join(map(label_of, sorted(map(rank_of, e)))) for e in h.edges]
+    lines = [f"hg {k} {len(h.vertices)} {len(h.edges)}"]
+    lines += [f"v {lab}" for lab in sorted(h.vertices)]
+    lines += ["e " + " ".join(h.edge_labels(j)) for j in range(len(h.edges))]
     return "\n".join(lines) + "\n"
 
 

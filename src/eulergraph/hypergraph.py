@@ -51,29 +51,21 @@ class Hypergraph:
         """Build a hypergraph from label iterables, preserving the given orders.
 
         An edge is a set, so a label repeated within one edge is rejected
-        rather than merged.  Labels are checked one by one, for the error
-        message, only when an edge's index set comes out short.
+        rather than merged.
         """
         vs = tuple(vertices)
         index = {lab: i for i, lab in enumerate(vs)}
-        position = index.__getitem__
         es = []
         for e in edges:
-            labs = tuple(e)
-            try:
-                members = frozenset(map(position, labs))
-            except KeyError:
-                members = frozenset()  # short, so the scan below names the label
-            if len(members) != len(labs):
-                seen = set()
-                for lab in labs:
-                    if lab not in index:
-                        raise ValueError(
-                            f"edge {edge_name(len(es))} references unknown vertex {lab!r}")
-                    if lab in seen:
-                        raise ValueError(f"edge {edge_name(len(es))} repeats vertex {lab!r}")
-                    seen.add(lab)
-            es.append(members)
+            members = set()
+            for lab in e:
+                i = index.get(lab)
+                if i is None:
+                    raise ValueError(f"edge {edge_name(len(es))} references unknown vertex {lab!r}")
+                if i in members:
+                    raise ValueError(f"edge {edge_name(len(es))} repeats vertex {lab!r}")
+                members.add(i)
+            es.append(frozenset(members))
         return cls(vs, tuple(es))
 
     @cached_property
@@ -121,22 +113,32 @@ class Walk:
     """An alternating vertex/edge sequence v0 e1 v1 ... ek vk.
 
     Anchors are vertex labels; edges are edge ids of the host hypergraph.
-    Shape and incidence validity against a host are checked by
+    Both fields must be tuples, so a walk hashes and cannot change; their
+    members, shape and incidence validity against a host are checked by
     :func:`verify_euler_object`, not by the constructor.
     """
 
     anchors: tuple[str, ...]
     edges: tuple[int, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.anchors, tuple) or not isinstance(self.edges, tuple):
+            raise ValueError("anchors and edges must be tuples")
+
 
 @dataclass(frozen=True)
 class EulerFamily:
     """Pairwise anchor- and edge-disjoint closed trails jointly covering every edge.
 
-    A family with exactly one component is an Euler tour.
+    A family with exactly one component is an Euler tour.  ``components``
+    must be a tuple; :func:`verify_euler_object` checks what it holds.
     """
 
     components: tuple[Walk, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.components, tuple):
+            raise ValueError("components must be a tuple")
 
 
 def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
@@ -152,6 +154,18 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
     anchor_owner: dict[str, int] = {}
 
     for ci, w in enumerate(f.components):
+        if not isinstance(w, Walk):
+            bad.append(f"component {ci}: {w!r} is not a walk")
+            continue
+        odd = [a for a in w.anchors if not isinstance(a, str)]
+        if odd:
+            bad.append(f"component {ci}: anchor {odd[0]!r} is not a vertex label")
+            continue
+        # type(), not isinstance: a bool is an int but names no edge
+        odd = [eid for eid in w.edges if type(eid) is not int]
+        if odd:
+            bad.append(f"component {ci}: edge id {odd[0]!r} is not an int")
+            continue
         if len(w.anchors) != len(w.edges) + 1:
             bad.append(f"component {ci}: {len(w.anchors)} anchors do not fit {len(w.edges)} edges")
             continue
@@ -163,7 +177,7 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
         for e in sorted(dup):
             bad.append(f"component {ci}: edge {edge_name(e)} repeated")
         for j, eid in enumerate(w.edges):
-            if not isinstance(eid, int) or not (0 <= eid < m):
+            if not 0 <= eid < m:
                 bad.append(f"component {ci}: step {j} uses unknown edge id {eid!r}")
                 continue
             usage[eid] += 1
@@ -183,12 +197,11 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
             if ib not in h.edges[eid]:
                 bad.append(f"component {ci}: anchor {b!r} not in {edge_name(eid)} at step {j}")
         labels = dict.fromkeys(w.anchors)
-        shared = labels.keys() & anchor_owner.keys()
-        if shared:
-            # anchor_owner holds labels in order of first appearance, so the
-            # report does not depend on string hashing.
-            for lab in [x for x in anchor_owner if x in shared]:
-                bad.append(f"components {anchor_owner[lab]} and {ci} share anchor {lab!r}")
+        # anchor_owner holds labels in order of first appearance, so the
+        # report does not depend on string hashing.
+        for lab, owner in anchor_owner.items():
+            if lab in labels:
+                bad.append(f"components {owner} and {ci} share anchor {lab!r}")
         for lab in labels:
             anchor_owner.setdefault(lab, ci)
 

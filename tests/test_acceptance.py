@@ -21,6 +21,7 @@ from eulergraph import (
     MergeStats,
     apply_interchange,
     brute_family_exists,
+    brute_tour,
     build_incidence,
     find_family_subgraph,
     max_matching,
@@ -369,3 +370,38 @@ def test_c10_budget_health_and_report(sweep):
     _report("C10 budget health", passed,
             f"max steps {payload['max_steps']}, distribution {payload['step_distribution']}")
     assert not over, over
+
+
+def _every_simple_hypergraph(n: int, k: int):
+    """Every simple k-uniform hypergraph on n labelled vertices, by edge mask."""
+    vertices = tuple("abcdef"[:n])
+    subsets = [frozenset(e) for e in combinations(range(n), k)]
+    for mask in range(1 << len(subsets)):
+        yield Hypergraph(vertices, tuple(e for i, e in enumerate(subsets) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("n, k, covering", [(4, 3, 5), (5, 3, 388), (5, 4, 6), (6, 5, 7)])
+def test_c11_theorem_on_every_small_covering_hypergraph(n, k, covering):
+    # the paper's theorem, over every input of these orders: a covering
+    # k-hypergraph with k >= 3 and at least two edges has an Euler tour
+    found = 0
+    for h in _every_simple_hypergraph(n, k):
+        if not validate_covering(h, k):
+            continue
+        found += 1
+        res = solve(h, k)
+        assert res.verdict == "eulerian", h
+        assert verify_euler_object(h, EulerFamily((res.tour,))) == (), h
+    _report(f"C11 theorem n={n} k={k}", found == covering, f"{found} covering, all eulerian")
+    assert found == covering
+
+
+def test_c11_graphs_are_outside_the_theorem():
+    # k = 2, the case the paper excludes: most graphs on 5 vertices with no
+    # isolated vertex and at least two edges have no Euler tour
+    graphs = [h for h in _every_simple_hypergraph(5, 2)
+              if len(h.edges) >= 2 and len(set().union(*h.edges)) == 5]
+    without = sum(brute_tour(h) is None for h in graphs)
+    _report("C11 graph control", (len(graphs), without) == (768, 730),
+            f"{len(graphs)} graphs, {without} without a tour")
+    assert (len(graphs), without) == (768, 730)

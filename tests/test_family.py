@@ -276,8 +276,12 @@ class TestAnchorPairConstructor:
         # a list would build, then fail to hash into the merge's set of certificates
         ([(0, 1), (0, 1)], "^anchor pairs must come as a tuple$"),
         (((0, 1), [0, 1]), r"^edge-node e2 has anchors \[0, 1\], not a tuple$"),
+        # 0.0 and True pass the membership test and would index the degree list
+        (((0.0, 1.0), (0, 1)), r"^\(0\.0, e1\) is not an incidence of the host$"),
+        (((0, 1), (False, True)), r"^\(False, e2\) is not an incidence of the host$"),
     ], ids=["too-few", "too-many", "repeated-anchor", "empty-pair", "outside-edge",
-            "out-of-order", "odd-degree", "list-of-pairs", "list-pair"])
+            "out-of-order", "odd-degree", "list-of-pairs", "list-pair", "float-anchor",
+            "bool-anchor"])
     def test_rejected(self, anchors, message):
         with pytest.raises(CertificateViolation, match=message):
             FamilySubgraph(self.two_triples(), anchors)

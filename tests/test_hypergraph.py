@@ -219,6 +219,42 @@ class TestVerifyEulerObject:
         h = Hypergraph.from_labels("abc", [])
         assert verify_euler_object(h, EulerFamily(())) == ()
 
+    def test_walk_and_family_fields_must_be_tuples(self):
+        # a list field would verify and then fail to hash
+        with pytest.raises(ValueError, match="^anchors and edges must be tuples$"):
+            Walk(["a", "b", "a"], (0, 1))
+        with pytest.raises(ValueError, match="^anchors and edges must be tuples$"):
+            Walk(("a", "b", "a"), [0, 1])
+        with pytest.raises(ValueError, match="^components must be a tuple$"):
+            EulerFamily([Walk(("a", "b", "a"), (0, 1))])
+
+    @pytest.mark.parametrize("component, violation", [
+        (Walk((["a"], "b", ["a"]), (0, 1)), "anchor ['a'] is not a vertex label"),
+        (Walk(("a", "b", "a"), (False, True)), "edge id False is not an int"),
+        (Walk(("a", "b", "a"), (0, 1.0)), "edge id 1.0 is not an int"),
+        (("a", "b", "a"), "('a', 'b', 'a') is not a walk"),
+    ], ids=["list-anchor", "bool-edges", "float-edge", "not-a-walk"])
+    def test_malformed_members_reported_not_raised(self, component, violation):
+        h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
+        assert verify_euler_object(h, EulerFamily((component,))) == (
+            f"component 0: {violation}", "edge e1 never traversed", "edge e2 never traversed")
+
+    _MEMBER = st.one_of(st.sampled_from("abcz"), st.integers(-1, 3), st.booleans(), st.none(),
+                        st.floats(), st.lists(st.sampled_from("ab"), max_size=2))
+
+    @given(st.lists(st.tuples(st.lists(_MEMBER, max_size=5), st.lists(_MEMBER, max_size=4)),
+                    max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_on_malformed_walks(self, parts):
+        h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
+        f = EulerFamily(tuple(Walk(tuple(a), tuple(e)) for a, e in parts))
+        violations = verify_euler_object(h, f)
+        assert isinstance(violations, tuple)
+        assert all(isinstance(v, str) for v in violations)
+        if any(not isinstance(x, str) for a, _ in parts for x in a) or any(
+                type(x) is not int for _, e in parts for x in e):
+            assert violations
+
     def test_fano_brute_tour_verifies(self):
         from eulergraph import brute_tour
 

@@ -21,16 +21,15 @@ matched ones.
 One union-find that joins each edge's two anchors is the package's only
 component routine: it gives a certificate's components, and it scores the
 merge's candidate cycles on their toggled pairs.  Certificates are frozen:
-the constructor enforces the pair and parity rules, every merge move builds
-a new one, and trail extraction is not re-verified; trails are verified
-once, where they leave the package.
+the constructor enforces the pair and parity rules and runs that union-find
+once, every merge move builds a new one, and trail extraction is not
+re-verified; trails are verified once, where they leave the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import CertificateViolation
 from .hypergraph import EulerFamily, Walk, canonical_closed_trail
@@ -101,25 +100,24 @@ class FamilySubgraph:
         for v, d in enumerate(deg):
             if d % 2 == 1:
                 raise CertificateViolation(f"vertex-node {g.host.vertices[v]!r} has odd degree {d}")
+        # The union-find of the anchors: every certificate the package builds
+        # is asked for its component count.
+        object.__setattr__(self, "_union", _union_find(g.n_v, self.anchors))
 
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], int]:
-        parent, count = _union_find(self.host.n_v, self.anchors)
+    def component_of(self) -> tuple[int, ...]:
+        """Each vertex's component root, its smallest vertex; a vertex anchoring no edge is its own."""
+        parent = self._union[0]
         # Every parent is at most its vertex, so one pass in index order
         # resolves each vertex to its root.
         for x, p in enumerate(parent):
             parent[x] = parent[p]
-        return tuple(parent), count
-
-    @property
-    def component_of(self) -> tuple[int, ...]:
-        """Each vertex's component root, its smallest vertex; a vertex anchoring no edge is its own."""
-        return self._components[0]
+        return tuple(parent)
 
     @property
     def nontrivial_count(self) -> int:
         """The number of non-trivial components, one per closed trail of the family."""
-        return self._components[1]
+        return self._union[1]
 
 
 def _forced_anchors(g: IncidenceGraph) -> list[int] | None:
@@ -141,15 +139,11 @@ def _forced_anchors(g: IncidenceGraph) -> list[int] | None:
     incidences, or a vertex with none left and an odd anchor count.  Then no
     family exists.
     """
-    n_v, adj = g.n_v, g.adj
+    n_v, adj, first = g.n_v, g.adj, g.first
     sizes = list(map(len, adj))
     incidences = g.incidences
     state = [-1] * len(incidences)
-    of_vertex: list[list[int]] = [[] for _ in range(n_v)]
-    for t, (v, _) in enumerate(incidences):
-        of_vertex[v].append(t)
     open_v, open_e = sizes[:n_v], sizes[n_v:]
-    first = [0, *accumulate(open_e)]  # edge e's incidences: first[e] .. first[e + 1] - 1
     need = [2] * g.n_e
     odd = [0] * n_v
     # Incidence-graph nodes to recheck, vertex v or edge e as n_v + e: at
@@ -163,7 +157,12 @@ def _forced_anchors(g: IncidenceGraph) -> list[int] | None:
                     return None
                 continue
             s = odd[x]
-            todo = [t for t in of_vertex[x] if state[t] < 0]
+            # The one undecided incidence of x, found in the rows of x's edges.
+            for en in adj[x]:
+                t = first[en - n_v] + adj[en].index(x)
+                if state[t] < 0:
+                    break
+            todo = (t,)
         else:
             e = x - n_v
             k, u = need[e], open_e[e]

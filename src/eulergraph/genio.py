@@ -162,46 +162,54 @@ def emit_hg(h: Hypergraph) -> str:
 
 def parse_hg(text: str) -> tuple[Hypergraph, int]:
     """Parse the text form; returns the hypergraph and the declared arity."""
-    rows: list[tuple[int, list[str]]] = []
+    # The rows of tokens of the non-blank lines, and their line numbers.
+    rows: list[list[str]] = []
+    lines: list[int] = []
     for ln, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((ln, body.split()))
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        row = raw.split()
+        if row:
+            rows.append(row)
+            lines.append(ln)
     if not rows:
         raise FormatError("empty hypergraph file")
-    head_ln, head = rows[0]
+    head = rows[0]
     if len(head) != 4 or head[0] != "hg":
-        raise FormatError("header must read 'hg <k> <n> <m>'", head_ln)
+        raise FormatError("header must read 'hg <k> <n> <m>'", lines[0])
     try:
-        k, n, m = (int(x) for x in head[1:])
+        k, n, m = map(int, head[1:])
     except ValueError:
-        raise FormatError("header fields must be integers", head_ln) from None
+        raise FormatError("header fields must be integers", lines[0]) from None
     if k < 0 or n < 1 or m < 0:
-        raise FormatError("header needs k >= 0, n >= 1, m >= 0", head_ln)
+        raise FormatError("header needs k >= 0, n >= 1, m >= 0", lines[0])
     if len(rows) != 1 + n + m:
         raise FormatError(
-            f"expected {n} vertex lines and {m} edge lines, found {len(rows) - 1}", head_ln)
+            f"expected {n} vertex lines and {m} edge lines, found {len(rows) - 1}", lines[0])
     index: dict[str, int] = {}
-    for ln, row in rows[1:1 + n]:
+    for i in range(1, 1 + n):
+        row = rows[i]
         if row[0] != "v" or len(row) != 2:
-            raise FormatError("expected 'v <label>'", ln)
+            raise FormatError("expected 'v <label>'", lines[i])
         if row[1] in index:
-            raise FormatError(f"duplicate vertex label {row[1]!r}", ln)
-        index[row[1]] = len(index)
+            raise FormatError(f"duplicate vertex label {row[1]!r}", lines[i])
+        index[row[1]] = i - 1
     position = index.__getitem__
     edges: list[frozenset[int]] = []
-    for ln, row in rows[1 + n:]:
+    for i in range(1 + n, 1 + n + m):
+        row = rows[i]
         if row[0] != "e" or len(row) < 2:
-            raise FormatError("expected 'e <label> ...'", ln)
+            raise FormatError("expected 'e <label> ...'", lines[i])
         members = row[1:]
         if k > 0 and len(members) != k:
-            raise FormatError(f"arity mismatch: expected {k} labels, found {len(members)}", ln)
+            raise FormatError(
+                f"arity mismatch: expected {k} labels, found {len(members)}", lines[i])
         try:
             e = frozenset(map(position, members))
         except KeyError as exc:  # the first unknown label, in line order
-            raise FormatError(f"unknown vertex label {exc.args[0]!r}", ln) from None
+            raise FormatError(f"unknown vertex label {exc.args[0]!r}", lines[i]) from None
         if len(e) != len(members):
-            raise FormatError("repeated label within an edge", ln)
+            raise FormatError("repeated label within an edge", lines[i])
         edges.append(e)
     return Hypergraph(tuple(index), tuple(edges)), k
 

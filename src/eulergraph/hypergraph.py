@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import eq
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,8 @@ class Hypergraph:
     """A finite hypergraph with labelled vertices and an indexed edge multiset.
 
     ``vertices`` is a tuple of ``str`` labels and ``edges`` a tuple whose
-    ``edges[i]`` is the frozenset of vertex indices of edge ``i``; anything
-    else is rejected, so the object is hashable and every label prints.
+    ``edges[i]`` is the frozenset of ``int`` vertex indices of edge ``i``;
+    anything else is rejected, so the object is hashable and every label prints.
     User-facing output always uses the original labels; the printable name
     of edge ``i`` is ``e{i+1}``.
     """
@@ -29,22 +29,30 @@ class Hypergraph:
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.vertices, tuple) or not isinstance(self.edges, tuple):
+        vertices, edges = self.vertices, self.edges
+        if not isinstance(vertices, tuple) or not isinstance(edges, tuple):
             raise ValueError("vertices and edges must be tuples")
-        if not self.vertices:
+        if not vertices:
             raise ValueError("vertex set must be non-empty")
-        for lab in self.vertices:
+        for lab in vertices:
             if not isinstance(lab, str):
                 raise ValueError(f"vertex label {lab!r} is not a str")
-        if len(set(self.vertices)) != len(self.vertices):
+        # Each label's index, kept for the verifier; a repeated label shrinks it.
+        index = dict(zip(vertices, range(len(vertices))))
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertex label")
-        valid = frozenset(range(len(self.vertices)))
-        for i, e in enumerate(self.edges):
+        object.__setattr__(self, "_index", index)
+        valid = frozenset(range(len(vertices)))
+        for i, e in enumerate(edges):
             if not isinstance(e, frozenset):
                 raise ValueError(f"edge {edge_name(i)} is not a frozenset of vertex indices")
             if not valid.issuperset(e):
                 v = next(v for v in e if v not in valid)
                 raise ValueError(f"edge {edge_name(i)} references unknown vertex index {v}")
+            # 0.0 and True are members of valid too, but index no list.
+            for v in e:
+                if type(v) is not int:
+                    raise ValueError(f"edge {edge_name(i)} holds vertex index {v!r}, not an int")
 
     @classmethod
     def from_labels(cls, vertices, edges) -> Hypergraph:
@@ -67,10 +75,6 @@ class Hypergraph:
                 members.add(i)
             es.append(frozenset(members))
         return cls(vs, tuple(es))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.vertices)}
 
     @property
     def order(self) -> int:
@@ -149,54 +153,62 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
     the offending component or edge index.
     """
     bad: list[str] = []
-    m = len(h.edges)
-    usage: Counter[int] = Counter()
+    edges = h.edges
+    m = len(edges)
+    index = h._index
+    usage = [0] * m
     anchor_owner: dict[str, int] = {}
 
     for ci, w in enumerate(f.components):
         if not isinstance(w, Walk):
             bad.append(f"component {ci}: {w!r} is not a walk")
             continue
-        odd = [a for a in w.anchors if not isinstance(a, str)]
-        if odd:
-            bad.append(f"component {ci}: anchor {odd[0]!r} is not a vertex label")
+        anchors, ids = w.anchors, w.edges
+        if not all(isinstance(a, str) for a in anchors):
+            odd = next(a for a in anchors if not isinstance(a, str))
+            bad.append(f"component {ci}: anchor {odd!r} is not a vertex label")
             continue
         # type(), not isinstance: a bool is an int but names no edge
-        odd = [eid for eid in w.edges if type(eid) is not int]
-        if odd:
-            bad.append(f"component {ci}: edge id {odd[0]!r} is not an int")
+        if not all(type(eid) is int for eid in ids):
+            odd = next(eid for eid in ids if type(eid) is not int)
+            bad.append(f"component {ci}: edge id {odd!r} is not an int")
             continue
-        if len(w.anchors) != len(w.edges) + 1:
-            bad.append(f"component {ci}: {len(w.anchors)} anchors do not fit {len(w.edges)} edges")
+        k = len(ids)
+        if len(anchors) != k + 1:
+            bad.append(f"component {ci}: {len(anchors)} anchors do not fit {k} edges")
             continue
-        if len(w.edges) < 2:
+        if k < 2:
             bad.append(f"component {ci}: a closed trail needs at least 2 edges")
-        if w.anchors[0] != w.anchors[-1]:
-            bad.append(f"component {ci}: not closed ({w.anchors[0]!r} != {w.anchors[-1]!r})")
-        dup = [e for e, c in Counter(w.edges).items() if c > 1]
-        for e in sorted(dup):
-            bad.append(f"component {ci}: edge {edge_name(e)} repeated")
-        for j, eid in enumerate(w.edges):
+        if anchors[0] != anchors[-1]:
+            bad.append(f"component {ci}: not closed ({anchors[0]!r} != {anchors[-1]!r})")
+        if len(set(ids)) != k:
+            for e in sorted(e for e, c in Counter(ids).items() if c > 1):
+                bad.append(f"component {ci}: edge {edge_name(e)} repeated")
+        at = list(map(index.get, anchors))
+        for j, eid in enumerate(ids):
             if not 0 <= eid < m:
                 bad.append(f"component {ci}: step {j} uses unknown edge id {eid!r}")
                 continue
             usage[eid] += 1
-            a, b = w.anchors[j], w.anchors[j + 1]
-            ia = h._index.get(a)
-            ib = h._index.get(b)
+            ia, ib = at[j], at[j + 1]
             if ia is None:
-                bad.append(f"component {ci}: unknown anchor {a!r} at step {j}")
+                bad.append(f"component {ci}: unknown anchor {anchors[j]!r} at step {j}")
                 continue
             if ib is None:
-                bad.append(f"component {ci}: unknown anchor {b!r} at step {j}")
+                bad.append(f"component {ci}: unknown anchor {anchors[j + 1]!r} at step {j}")
                 continue
-            if a == b:
-                bad.append(f"component {ci}: equal consecutive anchors {a!r} at step {j}")
-            if ia not in h.edges[eid]:
-                bad.append(f"component {ci}: anchor {a!r} not in {edge_name(eid)} at step {j}")
-            if ib not in h.edges[eid]:
+            # Labels are distinct, so equal indices are equal labels.
+            if ia == ib:
+                bad.append(
+                    f"component {ci}: equal consecutive anchors {anchors[j]!r} at step {j}")
+            e = edges[eid]
+            if ia not in e:
+                bad.append(
+                    f"component {ci}: anchor {anchors[j]!r} not in {edge_name(eid)} at step {j}")
+            if ib not in e:
+                b = anchors[j + 1]
                 bad.append(f"component {ci}: anchor {b!r} not in {edge_name(eid)} at step {j}")
-        labels = dict.fromkeys(w.anchors)
+        labels = dict.fromkeys(anchors)
         # anchor_owner holds labels in order of first appearance, so the
         # report does not depend on string hashing.
         for lab, owner in anchor_owner.items():
@@ -205,12 +217,14 @@ def verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
         for lab in labels:
             anchor_owner.setdefault(lab, ci)
 
-    for eid in sorted(usage):
-        if usage[eid] > 1:
-            bad.append(f"edge {edge_name(eid)} traversed {usage[eid]} times across the family")
-    for eid in range(m):
-        if eid not in usage:
-            bad.append(f"edge {edge_name(eid)} never traversed")
+    if max(usage, default=0) > 1:
+        for eid, c in enumerate(usage):
+            if c > 1:
+                bad.append(f"edge {edge_name(eid)} traversed {c} times across the family")
+    if 0 in usage:
+        for eid, c in enumerate(usage):
+            if not c:
+                bad.append(f"edge {edge_name(eid)} never traversed")
 
     return tuple(bad)
 
@@ -219,23 +233,35 @@ def canonical_closed_trail(w: Walk) -> Walk:
     """Rotate/reflect a closed trail into a canonical form.
 
     Among all rotations and both directions, picks the lexicographically
-    smallest interleaved (anchor, edge, anchor, ...) sequence.  The edges of a
-    closed trail are distinct and consecutive anchors differ, so no two starts
-    share their first (anchor, edge) pair and the smallest pair picks the
-    walk in one pass.  Canonical forms make certificates comparable as values.
-    Any other walk, one with fewer than two edges, a repeated edge, an end
-    apart from its start or a mismatched anchor count, raises ``ValueError``.
+    smallest interleaved (anchor, edge, anchor, ...) sequence.  It starts at
+    the smallest anchor label, so only starts there compete, and each reads
+    one of the two edges beside it first: the edge after it going forward,
+    the edge before it going backward.  The edges of a closed trail are
+    distinct and that label never follows itself, so the smallest of these
+    edge ids is read first from exactly one start in one direction, and one
+    pass over the starts picks both.  Canonical forms make certificates
+    comparable as values.  Any other walk, one with fewer than two edges, a
+    repeated edge, an end apart from its start or a mismatched anchor count,
+    raises ``ValueError``.
     """
     a, e = w.anchors, w.edges
     k = len(e)
     if len(a) != k + 1 or k < 2 or a[0] != a[-1] or len(set(e)) != k:
         raise ValueError("canonical form is defined for closed trails only")
-    if any(a[i] == a[i + 1] for i in range(k)):
+    if any(map(eq, a, a[1:])):
         raise ValueError("closed trail with equal consecutive anchors")
-    # Forward start r reads (a[r], e[r]); reverse start r reads (a[r], e[r-1]).
-    _, _, r, forward = min(
-        min((a[r], e[r], r, True), (a[r], e[r - 1], r, False)) for r in range(k))
-    if forward:
-        return Walk(a[r:k] + a[:r + 1], e[r:] + e[:r])
-    return Walk(tuple(a[(r - i) % k] for i in range(k + 1)),
-                tuple(e[(r - 1 - i) % k] for i in range(k)))
+    ring = a[:k]
+    lo = min(ring)
+    low = None
+    r = -1
+    for _ in range(ring.count(lo)):
+        r = ring.index(lo, r + 1)
+        # Forward from r reads e[r] first, backward from r reads e[r - 1].
+        if low is None or e[r] < low:
+            low, start, ahead = e[r], r, True
+        if e[r - 1] < low:
+            low, start, ahead = e[r - 1], r, False
+    if not ahead:
+        # Backward from start is forward from k - start on the reversed walk.
+        a, e, start = a[::-1], e[::-1], k - start
+    return Walk(a[start:k] + a[:start + 1], e[start:] + e[:start])

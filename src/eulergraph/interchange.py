@@ -224,8 +224,9 @@ def merge_to_tour(
         raise ValueError(f"step budget must be non-negative, got {budget}")
 
     steps = 0
-    seen = {fsub.anchors}
+    seen = set()
     while (base := fsub.nontrivial_count) > 1:
+        seen.add(fsub.anchors)
         if steps >= budget:
             raise MergeExhaustedError("budget", steps, fsub.anchors)
         move = find_diminishing_cycle(fsub, seen)
@@ -238,6 +239,5 @@ def merge_to_tour(
             stats.escapes += 1
         steps += 1
         stats.steps += 1
-        seen.add(fsub.anchors)
 
     return trails_from_subgraph(fsub).components[0]

@@ -78,6 +78,7 @@ leaves each edge exactly two anchors, the pair the family certificate stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .incidence import IncidenceGraph
@@ -315,62 +316,63 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     traversed.  :func:`eulergraph.family.find_family_subgraph` never meets
     the second case: its propagation refutes such a state first.
     """
-    incidences = g.incidences
+    incidences, first = g.incidences, g.first
     if len(state) != len(incidences):
         raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
-    n_v, n_e = g.n_v, g.n_e
-    need = [2] * n_e
-    odd = [0] * n_v
-    live = []
-    widths = [0] * n_e
-    for (v, e), s in zip(incidences, state):
-        if s < 0:
-            live.append((v, e))
-            widths[e] += 1
-        elif s:
-            need[e] -= 1
-            odd[v] ^= 1
-    for j in range(n_e):
-        if widths[j] < need[j]:
-            raise ValueError(
-                f"edge e{j + 1} has only {widths[j]} vertices left for {need[j]} anchors")
-
-    u_count = len(live)
-    stubs_of: list[list[int]] = [[] for _ in range(n_v)]
-    for t, (v, _) in enumerate(live):
-        stubs_of[v].append(t)
+    u_count = state.count(-1)
     # Node layout: v-stubs [0, U), e-stubs [U, 2U), then cores, then dummies.
     # Every row is built once, already sorted: the layout orders its parts.
-    dummy = 2 * u_count + sum(d - k for d, k in zip(widths, need))
-    adj: list[tuple[int, ...]] = [()] * (
-        dummy + sum((len(s) - p) % 2 for s, p in zip(stubs_of, odd)))
+
+    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs,
+    # for an edge with d undecided incidences that needs k more anchors.
+    # An e-stub's row: its v-stub, then its edge's cores.
+    stub_rows: list[tuple[int, ...]] = []
+    core_rows: list[tuple[int, ...]] = []
+    stub = u_count
+    core = 2 * u_count
+    for j in range(g.n_e):
+        decided = state[first[j]:first[j + 1]]
+        d = decided.count(-1)
+        k = 2 - decided.count(1)
+        if d < k:
+            raise ValueError(f"edge e{j + 1} has only {d} vertices left for {k} anchors")
+        stubs = tuple(range(stub, stub + d))
+        cores = tuple(range(core, core + d - k))
+        for s in stubs:
+            stub_rows.append((s - u_count,) + cores)
+        core_rows += repeat(stubs, d - k)
+        stub += d
+        core += d - k
 
     # Vertex-node gadgets: stub clique plus a parity dummy iff the stub count
     # minus the forced count is odd, so the stubs matched across have the
     # forced count's parity and the vertex's anchor count ends even.
     # A v-stub's row: the other stubs of its vertex, its e-stub, its dummy.
+    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
+    odd = [0] * g.n_v
+    u = 0
+    for (v, _), s in zip(incidences, state):
+        if s < 0:
+            stubs_of[v].append(u)
+            u += 1
+        elif s:
+            odd[v] ^= 1
+    v_rows: list[tuple[int, ...]] = [()] * u_count
+    dummy_rows: list[tuple[int, ...]] = []
+    dummy = core  # the dummies follow the last core
     for stubs, p in zip(stubs_of, odd):
+        # A vertex with no undecided incidence adds nothing, unless its
+        # forced count is odd: then its dummy has no stub to match.
+        if not stubs and not p:
+            continue
         clique = tuple(stubs)
         tail: tuple[int, ...] = ()
         if (len(clique) - p) % 2 == 1:
-            adj[dummy] = clique
+            dummy_rows.append(clique)
             tail = (dummy,)
             dummy += 1
         for i, t in enumerate(clique):
-            adj[t] = (*clique[:i], *clique[i + 1:], u_count + t, *tail)
+            v_rows[t] = clique[:i] + clique[i + 1:] + (u_count + t,) + tail
 
-    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
-    # An e-stub's row: its v-stub, then its edge's cores.
-    stub = u_count
-    core = 2 * u_count
-    for d, k in zip(widths, need):
-        stubs = tuple(range(stub, stub + d))
-        cores = tuple(range(core, core + d - k))
-        for s in stubs:
-            adj[s] = (s - u_count, *cores)
-        for c in cores:
-            adj[c] = stubs
-        stub += d
-        core += d - k
-
-    return GadgetGraph(tuple(adj), g, state)
+    adj = (*v_rows, *stub_rows, *core_rows, *dummy_rows)
+    return GadgetGraph(adj, g, state)

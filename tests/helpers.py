@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -21,6 +21,7 @@ from eulergraph import (
 )
 from eulergraph import interchange
 from eulergraph.genio import Lcg
+from eulergraph.hypergraph import edge_name
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FANO_TRIPLES = ["123", "145", "167", "246", "257", "347", "356"]
@@ -486,6 +487,79 @@ def reference_canonical_closed_trail(w: Walk) -> Walk:
                        tuple(edges[(r - 1 - i) % k] for i in range(k))))
     a, e = min(starts, key=lambda s: interleave(*s))
     return Walk(a + (a[0],), e)
+
+
+def reference_verify_euler_object(h: Hypergraph, f: EulerFamily) -> tuple[str, ...]:
+    """The violations of ``f`` on ``h``, found with a ``Counter`` per walk and per family.
+
+    The reference for :func:`eulergraph.verify_euler_object`: the same
+    checks, reported in the same order.
+    """
+    bad: list[str] = []
+    m = len(h.edges)
+    usage: Counter[int] = Counter()
+    anchor_owner: dict[str, int] = {}
+
+    for ci, w in enumerate(f.components):
+        if not isinstance(w, Walk):
+            bad.append(f"component {ci}: {w!r} is not a walk")
+            continue
+        odd = [a for a in w.anchors if not isinstance(a, str)]
+        if odd:
+            bad.append(f"component {ci}: anchor {odd[0]!r} is not a vertex label")
+            continue
+        # type(), not isinstance: a bool is an int but names no edge
+        odd = [eid for eid in w.edges if type(eid) is not int]
+        if odd:
+            bad.append(f"component {ci}: edge id {odd[0]!r} is not an int")
+            continue
+        if len(w.anchors) != len(w.edges) + 1:
+            bad.append(f"component {ci}: {len(w.anchors)} anchors do not fit {len(w.edges)} edges")
+            continue
+        if len(w.edges) < 2:
+            bad.append(f"component {ci}: a closed trail needs at least 2 edges")
+        if w.anchors[0] != w.anchors[-1]:
+            bad.append(f"component {ci}: not closed ({w.anchors[0]!r} != {w.anchors[-1]!r})")
+        dup = [e for e, c in Counter(w.edges).items() if c > 1]
+        for e in sorted(dup):
+            bad.append(f"component {ci}: edge {edge_name(e)} repeated")
+        for j, eid in enumerate(w.edges):
+            if not 0 <= eid < m:
+                bad.append(f"component {ci}: step {j} uses unknown edge id {eid!r}")
+                continue
+            usage[eid] += 1
+            a, b = w.anchors[j], w.anchors[j + 1]
+            ia = h._index.get(a)
+            ib = h._index.get(b)
+            if ia is None:
+                bad.append(f"component {ci}: unknown anchor {a!r} at step {j}")
+                continue
+            if ib is None:
+                bad.append(f"component {ci}: unknown anchor {b!r} at step {j}")
+                continue
+            if a == b:
+                bad.append(f"component {ci}: equal consecutive anchors {a!r} at step {j}")
+            if ia not in h.edges[eid]:
+                bad.append(f"component {ci}: anchor {a!r} not in {edge_name(eid)} at step {j}")
+            if ib not in h.edges[eid]:
+                bad.append(f"component {ci}: anchor {b!r} not in {edge_name(eid)} at step {j}")
+        labels = dict.fromkeys(w.anchors)
+        # anchor_owner holds labels in order of first appearance, so the
+        # report does not depend on string hashing.
+        for lab, owner in anchor_owner.items():
+            if lab in labels:
+                bad.append(f"components {owner} and {ci} share anchor {lab!r}")
+        for lab in labels:
+            anchor_owner.setdefault(lab, ci)
+
+    for eid in sorted(usage):
+        if usage[eid] > 1:
+            bad.append(f"edge {edge_name(eid)} traversed {usage[eid]} times across the family")
+    for eid in range(m):
+        if eid not in usage:
+            bad.append(f"edge {edge_name(eid)} never traversed")
+
+    return tuple(bad)
 
 
 def random_closed_trail(rng: Lcg, k: int, n_labels: int) -> Walk:

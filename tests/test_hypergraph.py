@@ -9,6 +9,7 @@ from eulergraph import (
     Hypergraph,
     Walk,
     canonical_closed_trail,
+    certified_family,
     solve,
     validate_covering,
     verify_euler_object,
@@ -19,8 +20,11 @@ from helpers import (
     all_pairs_covered,
     fano,
     random_closed_trail,
+    random_noncovering,
     reference_canonical_closed_trail,
+    reference_verify_euler_object,
     rotations_and_reflections,
+    swap_one_anchor,
 )
 
 
@@ -67,6 +71,16 @@ class TestConstruction:
     def test_unknown_vertex_index_rejected(self):
         with pytest.raises(ValueError, match=r"^edge e2 references unknown vertex index 3$"):
             Hypergraph(("a", "b", "c"), (frozenset({0, 1}), frozenset({2, 3})))
+
+    @pytest.mark.parametrize("edge, message", [
+        (frozenset({0.0, 1, 2}), "edge e1 holds vertex index 0.0, not an int"),
+        (frozenset({True, 0, 2}), "edge e1 holds vertex index True, not an int"),
+        (frozenset({"a", 1, 2}), "edge e1 references unknown vertex index a"),
+    ], ids=["float", "bool", "str"])
+    def test_vertex_indices_that_are_not_ints_rejected(self, edge, message):
+        # 0.0 and True equal valid indices, and solve() would fail on them later
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Hypergraph(("a", "b", "c"), (edge, frozenset({0, 1, 2})))
 
     def test_edges_that_are_not_sets_rejected(self):
         # a repeated index would otherwise reach the solver as an edge-node of degree 1
@@ -249,11 +263,30 @@ class TestVerifyEulerObject:
         h = Hypergraph.from_labels("abc", [("a", "b", "c"), ("a", "b", "c")])
         f = EulerFamily(tuple(Walk(tuple(a), tuple(e)) for a, e in parts))
         violations = verify_euler_object(h, f)
+        assert violations == reference_verify_euler_object(h, f)
         assert isinstance(violations, tuple)
         assert all(isinstance(v, str) for v in violations)
         if any(not isinstance(x, str) for a, _ in parts for x in a) or any(
                 type(x) is not int for _, e in parts for x in e):
             assert violations
+
+    def test_matches_reference_on_seeded_and_corrupted_families(self):
+        rng = Lcg(23)
+        families = []
+        while len(families) < 60:
+            h = random_noncovering(rng)
+            fam = certified_family(h)
+            if fam is not None:
+                families.append((h, fam))
+        for seed in range(1, 21):
+            h = gen_random_covering(5 + seed % 4, 3, seed)
+            families += [(h, certified_family(h)), (h, solve(h, 3).family)]
+        for h, fam in families:
+            clean, *corrupted = _corruptions(h, fam)
+            assert verify_euler_object(h, clean) == reference_verify_euler_object(h, clean) == ()
+            for bad in corrupted:
+                got = verify_euler_object(h, bad)
+                assert got and got == reference_verify_euler_object(h, bad)
 
     def test_fano_brute_tour_verifies(self):
         from eulergraph import brute_tour
@@ -262,6 +295,29 @@ class TestVerifyEulerObject:
         tour = brute_tour(h)
         assert tour is not None
         assert verify_euler_object(h, EulerFamily((tour,))) == ()
+
+
+def _corruptions(h: Hypergraph, fam: EulerFamily):
+    """The family, then one copy of it for each fault the verifier reports,
+    each made in its first trail."""
+    w, rest = fam.components[0], fam.components[1:]
+    a, e = w.anchors, w.edges
+
+    def first(anchors, edges):
+        return EulerFamily((Walk(anchors, edges),) + rest)
+
+    yield fam
+    yield swap_one_anchor(h, fam)
+    yield first(a, e[:-1] + e[:1])  # repeated edge
+    yield first(a[:-2] + a[-1:], e[:-1])  # dropped edge
+    yield first(("zz",) + a[1:-1] + ("zz",), e)  # unknown label
+    yield EulerFamily(fam.components + (w,))  # anchors shared across components
+    yield first(a[:-1] + a[1:2], e)  # open trail
+    yield first(a + a[:1], e)  # wrong anchor count
+    yield first(a[:2], e[:1])  # one-edge trail
+    yield first((1,) + a[1:], e)  # non-str anchor
+    yield first(a, (True,) + e[1:])  # bool edge id
+    yield first(a, (float(e[0]),) + e[1:])  # float edge id
 
 
 class TestCanonicalClosedTrail:

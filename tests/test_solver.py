@@ -12,9 +12,11 @@ from eulergraph import (
     MergeExhaustedError,
     MergeStats,
     build_incidence,
+    certified_family,
     find_family_subgraph,
     merge_to_tour,
     solve,
+    trails_from_subgraph,
     validate_covering,
     verify_euler_object,
 )
@@ -34,6 +36,8 @@ from helpers import (
     TOUR_DEPENDS_ON_FAMILY,
     disjoint_union,
     fano,
+    grouped_family,
+    random_noncovering,
     roadmap_item3,
     swap_one_anchor,
 )
@@ -417,3 +421,50 @@ class TestGoldenCertificates:
         assert res.verdict == "eulerian"
         line = format_walk_line(res.tour) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+
+def _family_lines(fam) -> str:
+    return "".join(format_walk_line(w) + "\n" for w in fam.components) + "\n"
+
+
+def _grouped():
+    """A covering 3-hypergraph with a certificate of three trails."""
+    return grouped_family([("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i")])
+
+
+def _random_with_family(count: int):
+    rng = Lcg(3)
+    out = []
+    while len(out) < count:
+        h = random_noncovering(rng)
+        if certified_family(h) is not None:
+            out.append(h)
+    return out
+
+
+class TestGoldenFamilies:
+    """Family certificates are pinned byte for byte too: the canonical start of
+    each trail and the order of the trails in a family."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: [disjoint_union(gen_complete(4, 3), gen_complete(4, 3))],
+         "4fd5937e39ff4a0c34f00963a845e5071897aec157499bb086f4831b4a6817d4"),
+        (lambda: [disjoint_union(gen_sts(7), gen_complete(4, 3))],
+         "039a027b9fdab218f10d1f065250a700fd1a82db73f3e812f14954c640703f40"),
+        (lambda: [_grouped()[0]],
+         "a02b65632ddd99b1baf2133405632472e466698e41fe84dabc6992fe59e000cd"),
+        (lambda: _random_with_family(40),
+         "5c129178bfb5381661254f69f4addc981436d1f4996c433ae63ee9c45136cfe8"),
+    ], ids=["complete4-3-twice", "sts7-and-complete4-3", "grouped-3x3", "random-noncovering"])
+    def test_family_digest(self, make, digest):
+        text = ""
+        for h in make():
+            text += _family_lines(certified_family(h))
+            res = solve(h, 3)
+            text += _family_lines(res.family) if res.family is not None else "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_grouped_trails_digest(self):
+        text = _family_lines(trails_from_subgraph(_grouped()[2]))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8eb5d6ff5e20723b8e6f58a6bfa033ed80305a5b8ad460d63376747d108558ca")

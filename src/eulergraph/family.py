@@ -199,7 +199,7 @@ def find_family_subgraph(g: IncidenceGraph) -> FamilySubgraph | None:
     if state is None:
         return None
     gg = reduce_to_matching(g, state)
-    mate = max_matching(gg.adj)
+    mate = max_matching(gg)
     if -1 in mate:
         return None
     return FamilySubgraph(g, gg.anchors(mate))

@@ -18,10 +18,12 @@ one array, so a contraction allocates no set.  The search state
 (``used``, ``parent``, ``base``, ``stamp``) is allocated once per
 :func:`max_matching`, and each search resets only the nodes it touched, at
 once when it augments, so a search that stays small costs time proportional to
-its tree, not to the graph.  A greedy maximal matching in node order seeds the
-search.  On a gadget it pairs the v-stubs inside their own vertex cliques and
-leaves two e-stubs exposed per hyperedge, so about one augmentation still runs
-per hyperedge (330 on ``sts(45)``).
+its tree, not to the graph.  Rows are read as sequences of parts, in order, so
+a gadget can share one part between many rows; a flat row is one part.  A
+greedy maximal matching in node order seeds the search.  On a gadget it pairs
+the v-stubs inside their own vertex cliques and leaves two e-stubs exposed per
+hyperedge, so about one augmentation still runs per hyperedge (330 on
+``sts(45)``).
 
 Most of those augmenting paths have length 3, and :func:`max_matching` takes
 such a path without growing a tree when the search would find it first.  The
@@ -30,7 +32,9 @@ exposed root is matched.  The search scans the root's whole row before any
 other node and grows the root's first neighbour ``a`` first, so ``a``'s mate
 ``p`` is the next node it scans.  Only the root is exposed in the tree, so
 the first exposed ``x`` other than the root in ``p``'s row ends the path the
-search flips: root, ``a``, ``p``, ``x``.  Blossoms closed before that, the
+search flips: root, ``a``, ``p``, ``x``.  Only the last part of ``p``'s row is
+read: the rows handed to the search keep every node in an earlier part
+matched.  Blossoms closed before that, the
 triangle root-``a``-``p`` too, never re-point the parent of ``a``: it is odd
 until a blossom takes it in, that blossom's base is the root, and a walk
 stops at that base.  The flip reads only the parents of ``x`` and ``a``, so
@@ -67,17 +71,40 @@ undecided ones only:
 With nothing decided, every edge needs 2 and every p is 0, so an edge-node
 of degree d gets d-2 cores and a vertex-node a dummy iff its degree is odd.
 An undecided incidence (v, e) anchors v in e iff its gadget edge is in the
-matching.  The node layout fixes that edge, so the gadget stores its
-adjacency rows and the decisions it was built from, :func:`max_matching`
-returns the bare mate list, and :meth:`GadgetGraph.anchors` reads the
-layout back: the u-th undecided incidence anchors its edge iff
-``mate[u] == U + u``, for ``U`` undecided incidences, and a perfect matching
-leaves each edge exactly two anchors, the pair the family certificate stores.
+matching.  The node layout fixes that edge, so the gadget stores its rows and
+the decisions it was built from, :func:`max_matching` returns the bare mate
+list, and :meth:`GadgetGraph.anchors` reads the layout back: the u-th
+undecided incidence anchors its edge iff ``mate[u] == U + u``, for ``U``
+undecided incidences, and a perfect matching leaves each edge exactly two
+anchors, the pair the family certificate stores.
+
+The gadget is stored in linear space.  Its flat rows hold a clique per vertex,
+the sum of d_v^2 entries, so a v-stub's row is stored as two parts: its
+vertex's clique, one tuple that every stub of the vertex shares and that lists
+the stub itself, then the stub's own tail, its e-stub and then its vertex's
+dummy if it has one.  E-stub, core and dummy rows are one part each, and the
+cores of an edge share one stub tuple, so the gadget stores O(U + sum of
+u_e^2) entries for u_e undecided incidences in edge e.  The stub's own entry
+changes nothing: the search scans only even nodes, and an even node met in
+its own row lies in the scanning node's blossom, so the entry takes the
+same-blossom ``continue``; the base lookup it makes only compresses a path,
+which keeps every root.  The layout also fixes two
+things the general matcher finds by scanning rows.  The greedy seed on the
+flat rows pairs consecutive stubs of each vertex, since a v-stub's row lists
+its vertex's other stubs first; an odd one out takes its e-stub; each e-stub
+still free takes its edge's next free core; and cores and dummies left over
+see only matched nodes.  :func:`reduce_to_matching` lays that seed out with
+the nodes.  That seed matches every v-stub, and augmenting never exposes a
+node, so no root is ever a v-stub and its first neighbour is the first entry
+of its one-part row, and the first exposed node in a v-stub's row lies in its
+tail: the length-3 path reads only the tail.  So :func:`max_matching` on the
+gadget returns the mate list it returns on the gadget's flat rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
@@ -105,10 +132,14 @@ def _find(base, x):
     return root
 
 
-def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
+def _augment_from(rows: Sequence[Sequence[Sequence[int]]], mate: list[int], root: int,
                   used: list[bool], parent: list[int], base: list[int],
                   stamp: list[int]) -> bool:
     """BFS for an augmenting path from ``root``; flips it and reports success.
+
+    Each row is a sequence of parts, read in order as one row.  A part may
+    list the scanned node itself: that node is even and in its own blossom,
+    so the entry takes the same-blossom ``continue`` and changes nothing.
 
     ``used``, ``parent``, ``base`` and ``stamp`` must arrive reset
     (``False``, ``-1``, identity, ``0``) and are left reset: the search
@@ -125,96 +156,97 @@ def _augment_from(adj: Sequence[Sequence[int]], mate: list[int], root: int,
         bv = base[v]
         if base[bv] != bv:
             bv = _find(base, v)
-        for to in adj[v]:
-            if used[to]:
-                # Both ends even: nothing within one blossom (v's mate is
-                # even only inside v's own), else a new blossom whose base
-                # is the LCA of the two bases.
-                bt = base[to]
-                if base[bt] != bt:
-                    bt = _find(base, to)
-                if bv == bt:
-                    continue
-                # The triangle below v: to is its own base and v grew its
-                # mate x.  Make the writes the general path below would (see
-                # the module docstring).  x is odd and in no blossom, since
-                # one holding x holds its mate and to is the base of none
-                # holding x, so x is queued.  to is never the exposed root
-                # here: an even neighbour of the root joins the root's
-                # blossom in the root's own scan.
-                if bt == to:
-                    x = mate[to]
-                    if parent[x] == v:
-                        base[to] = base[x] = bv
-                        parent[to] = v
-                        used[x] = True
-                        q.append(x)
+        for part in rows[v]:
+            for to in part:
+                if used[to]:
+                    # Both ends even: nothing within one blossom (v's mate is
+                    # even only inside v's own, and v may list itself), else
+                    # a new blossom whose base is the LCA of the two bases.
+                    bt = base[to]
+                    if base[bt] != bt:
+                        bt = _find(base, to)
+                    if bv == bt:
                         continue
-                # Stamp the bases from v up to the root, then walk up from
-                # to until a stamped base.
-                mark += 1
-                b = bv
-                while True:
-                    stamp[b] = mark
-                    if mate[b] == -1:
-                        break
-                    x = parent[mate[b]]
-                    b = base[x]
-                    if base[b] != b:
-                        b = _find(base, x)
-                b = bt
-                while stamp[b] != mark:
-                    x = parent[mate[b]]
-                    b = base[x]
-                    if base[b] != b:
-                        b = _find(base, x)
-                # Walk each side up to b, re-pointing parent and collecting the
-                # bases passed.  Relabel only after both walks: a base merged
-                # early would stop a walk inside a blossom it has not crossed.
-                members: list[int] = []
-                for x, child in ((v, to), (to, v)):
+                    # The triangle below v: to is its own base and v grew its
+                    # mate x.  Make the writes the general path below would (see
+                    # the module docstring).  x is odd and in no blossom, since
+                    # one holding x holds its mate and to is the base of none
+                    # holding x, so x is queued.  to is never the exposed root
+                    # here: an even neighbour of the root joins the root's
+                    # blossom in the root's own scan.
+                    if bt == to:
+                        x = mate[to]
+                        if parent[x] == v:
+                            base[to] = base[x] = bv
+                            parent[to] = v
+                            used[x] = True
+                            q.append(x)
+                            continue
+                    # Stamp the bases from v up to the root, then walk up from
+                    # to until a stamped base.
+                    mark += 1
+                    b = bv
                     while True:
-                        bx = base[x]
-                        if base[bx] != bx:
-                            bx = _find(base, x)
-                        if bx == b:
+                        stamp[b] = mark
+                        if mate[b] == -1:
                             break
-                        mx = mate[x]
-                        bm = base[mx]
-                        if base[bm] != bm:
-                            bm = _find(base, mx)
-                        members.append(bx)
-                        members.append(bm)
-                        parent[x] = child
-                        child = mx
-                        x = parent[mx]
-                for x in members:
-                    base[x] = b
-                bv = b
-                # A node not yet even was never contracted, so it is its own
-                # base: the newly even nodes are the odd bases passed.  Queue
-                # them in index order; that order fixes the matching returned.
-                for x in sorted(members):
-                    if not used[x]:
-                        used[x] = True
-                        q.append(x)
-            elif parent[to] == -1:
-                # Outside the tree: to becomes odd and its mate even.
-                parent[to] = v
-                touched.append(to)
-                mt = mate[to]
-                if mt == -1:
-                    while to != -1:
-                        pv = parent[to]
-                        ppv = mate[pv]
-                        mate[to] = pv
-                        mate[pv] = to
-                        to = ppv
-                    _reset(touched, used, parent, base, stamp)
-                    return True
-                used[mt] = True
-                touched.append(mt)
-                q.append(mt)
+                        x = parent[mate[b]]
+                        b = base[x]
+                        if base[b] != b:
+                            b = _find(base, x)
+                    b = bt
+                    while stamp[b] != mark:
+                        x = parent[mate[b]]
+                        b = base[x]
+                        if base[b] != b:
+                            b = _find(base, x)
+                    # Walk each side up to b, re-pointing parent and collecting the
+                    # bases passed.  Relabel only after both walks: a base merged
+                    # early would stop a walk inside a blossom it has not crossed.
+                    members: list[int] = []
+                    for x, child in ((v, to), (to, v)):
+                        while True:
+                            bx = base[x]
+                            if base[bx] != bx:
+                                bx = _find(base, x)
+                            if bx == b:
+                                break
+                            mx = mate[x]
+                            bm = base[mx]
+                            if base[bm] != bm:
+                                bm = _find(base, mx)
+                            members.append(bx)
+                            members.append(bm)
+                            parent[x] = child
+                            child = mx
+                            x = parent[mx]
+                    for x in members:
+                        base[x] = b
+                    bv = b
+                    # A node not yet even was never contracted, so it is its own
+                    # base: the newly even nodes are the odd bases passed.  Queue
+                    # them in index order; that order fixes the matching returned.
+                    for x in sorted(members):
+                        if not used[x]:
+                            used[x] = True
+                            q.append(x)
+                elif parent[to] == -1:
+                    # Outside the tree: to becomes odd and its mate even.
+                    parent[to] = v
+                    touched.append(to)
+                    mt = mate[to]
+                    if mt == -1:
+                        while to != -1:
+                            pv = parent[to]
+                            ppv = mate[pv]
+                            mate[to] = pv
+                            mate[pv] = to
+                            to = ppv
+                        _reset(touched, used, parent, base, stamp)
+                        return True
+                    used[mt] = True
+                    touched.append(mt)
+                    q.append(mt)
     _reset(touched, used, parent, base, stamp)
     return False
 
@@ -227,7 +259,42 @@ def _reset(touched, used, parent, base, stamp) -> None:
         stamp[x] = 0
 
 
-def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+def _augment_all(rows: Sequence[Sequence[Sequence[int]]], mate: list[int]) -> list[int]:
+    """Augment the maximal matching ``mate`` of ``rows`` to a maximum one, in place.
+
+    Rows are read as in :func:`_augment_from`.  Every entry outside a row's
+    last part, and every node whose row has more than one part, must be
+    matched in ``mate``: augmenting never exposes a node, so the root is then
+    a one-part row and only the last part of a row can hold an exposed node.
+    """
+    n = len(rows)
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    stamp = [0] * n
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        first = rows[root][0]
+        if not first:
+            continue
+        # The path the search would find first, when it has length 3: the
+        # root's first neighbour a, a's mate p (the next node it scans), and
+        # the first exposed x in p's row, which lies in its last part.  The
+        # seed leaves no two exposed nodes adjacent, so there is no shorter
+        # path.
+        a = first[0]
+        p = mate[a]
+        for x in rows[p][-1]:
+            if mate[x] == -1 and x != root:
+                mate[x], mate[p], mate[a], mate[root] = p, x, root, a
+                break
+        else:
+            _augment_from(rows, mate, root, used, parent, base, stamp)
+    return mate
+
+
+def max_matching(adj: Sequence[Sequence[int]] | GadgetGraph) -> list[int]:
     """Maximum-cardinality matching of a simple undirected graph, as a mate list.
 
     ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
@@ -237,35 +304,21 @@ def max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
     ``adj[v]`` iff ``v`` in ``adj[u]``), loop-free and without repeats: the
     seed is maximal, and the length-3 path is the search's own, only on such
     rows.
+
+    Given a :class:`GadgetGraph`, it matches the gadget's stored rows from
+    the seed its layout fixes, and returns the mate list it returns on the
+    gadget's flat rows ``adj``.
     """
-    n = len(adj)
-    mate = [-1] * n
+    if isinstance(adj, GadgetGraph):
+        return _augment_all(adj.rows, list(adj.seed))
+    mate = [-1] * len(adj)
     _greedy_seed(adj, mate)
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
-    stamp = [0] * n
-    for root in range(n):
-        if mate[root] != -1 or not adj[root]:
-            continue
-        # The path the search would find first, when it has length 3: the
-        # root's first neighbour a, a's mate p (the next node it scans), and
-        # the first exposed x in p's row.  The seed leaves no two exposed
-        # nodes adjacent, so there is no shorter path.
-        a = adj[root][0]
-        p = mate[a]
-        for x in adj[p]:
-            if mate[x] == -1 and x != root:
-                mate[x], mate[p], mate[a], mate[root] = p, x, root, a
-                break
-        else:
-            _augment_from(adj, mate, root, used, parent, base, stamp)
-    return mate
+    return _augment_all([(row,) for row in adj], mate)
 
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """The matching gadget built from an incidence graph, as adjacency rows.
+    """The matching gadget built from an incidence graph, in linear space.
 
     Node layout, for the ``U`` undecided incidences, in the order of
     ``IncidenceGraph.incidences``: v-stubs ``[0, U)``, e-stubs ``[U, 2U)``,
@@ -274,11 +327,32 @@ class GadgetGraph:
     ``(u, U + u)`` from its v-stub to its e-stub; all other gadget edges are
     internal (stub-core, stub-stub, stub-dummy).  ``host`` and ``state`` are
     the incidence graph and the decisions it was built from.
+
+    ``rows[x]`` is node x's row as a tuple of parts.  A v-stub's row is its
+    vertex's clique, one tuple shared by all of that vertex's stubs and
+    listing the stub itself, then the stub's tail: its e-stub, then its
+    vertex's dummy if it has one.  Every other row is one part, and a core's
+    is its edge's stub tuple, shared by the edge's cores.  ``seed`` is the
+    greedy node-order matching of the flat rows, read off the layout.
     """
 
-    adj: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    seed: tuple[int, ...]
     host: IncidenceGraph
     state: Sequence[int]
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The flat adjacency rows: each row's parts joined, less a v-stub's own entry."""
+        flat = []
+        for v, row in enumerate(self.rows):
+            if len(row) == 1:
+                flat.append(row[0])
+            else:
+                clique, tail = row
+                i = clique.index(v)
+                flat.append(clique[:i] + clique[i + 1:] + tail)
+        return tuple(flat)
 
     def anchors(self, mate: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Each edge's anchors under the perfect matching ``mate`` of ``adj``.
@@ -321,13 +395,60 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
         raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
     u_count = state.count(-1)
     # Node layout: v-stubs [0, U), e-stubs [U, 2U), then cores, then dummies.
-    # Every row is built once, already sorted: the layout orders its parts.
+    # ``mate`` is the greedy node-order seed of the flat rows, laid out with
+    # the nodes.  A v-stub's flat row lists its vertex's other stubs first,
+    # then its e-stub, so the seed pairs consecutive stubs of a vertex and an
+    # odd one out takes its e-stub: each stub takes its e-stub until its
+    # vertex's next stub arrives and pairs with it.
+    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
+    odd = [0] * g.n_v
+    mate = [-1] * (2 * u_count)
+    u = 0
+    for (v, _), s in zip(incidences, state):
+        if s < 0:
+            stubs = stubs_of[v]
+            if len(stubs) % 2:
+                a = stubs[-1]
+                mate[u_count + a] = -1
+                mate[a] = u
+                mate[u] = a
+            else:
+                mate[u] = u_count + u
+                mate[u_count + u] = u
+            stubs.append(u)
+            u += 1
+        elif s:
+            odd[v] ^= 1
 
-    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs,
-    # for an edge with d undecided incidences that needs k more anchors.
-    # An e-stub's row: its v-stub, then its edge's cores.
-    stub_rows: list[tuple[int, ...]] = []
-    core_rows: list[tuple[int, ...]] = []
+    # Vertex-node gadgets: stub clique plus a parity dummy iff the stub count
+    # minus the forced count is odd, so the stubs matched across have the
+    # forced count's parity and the vertex's anchor count ends even.  An edge
+    # with d undecided incidences that needs k more anchors gets d-k cores,
+    # so U - 2 n_e + (forced anchors) cores come before the first dummy once
+    # the edge loop below has checked every d >= k.
+    v_rows: list[tuple[tuple[int, ...], ...]] = [()] * u_count
+    dummy_rows: list[tuple[tuple[int, ...]]] = []
+    dummy = 3 * u_count - 2 * g.n_e + state.count(1)
+    for stubs, p in zip(stubs_of, odd):
+        # A vertex with no undecided incidence adds nothing, unless its
+        # forced count is odd: then its dummy has no stub to match.
+        if not stubs and not p:
+            continue
+        clique = tuple(stubs)
+        tail: tuple[int, ...] = ()
+        if (len(clique) - p) % 2 == 1:
+            dummy_rows.append((clique,))
+            tail = (dummy,)
+            dummy += 1
+        for t in clique:
+            v_rows[t] = (clique, (u_count + t,) + tail)
+
+    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
+    # An e-stub's row: its v-stub, then its edge's cores.  In the seed each
+    # free e-stub takes its edge's next core; cores and dummies still free
+    # then see only matched nodes and stay so.
+    stub_rows: list[tuple[tuple[int, ...]]] = []
+    core_rows: list[tuple[tuple[int, ...]]] = []
     stub = u_count
     core = 2 * u_count
     for j in range(g.n_e):
@@ -338,41 +459,21 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             raise ValueError(f"edge e{j + 1} has only {d} vertices left for {k} anchors")
         stubs = tuple(range(stub, stub + d))
         cores = tuple(range(core, core + d - k))
-        for s in stubs:
-            stub_rows.append((s - u_count,) + cores)
-        core_rows += repeat(stubs, d - k)
+        stub_rows += [((s - u_count,) + cores,) for s in stubs]
+        core_rows += repeat((stubs,), d - k)
+        free, end = stub, stub + d
+        for c in cores:
+            while free < end and mate[free] >= 0:
+                free += 1
+            if free < end:
+                mate[free] = c
+                mate.append(free)
+                free += 1
+            else:
+                mate.append(-1)
         stub += d
         core += d - k
+    mate += repeat(-1, len(dummy_rows))
 
-    # Vertex-node gadgets: stub clique plus a parity dummy iff the stub count
-    # minus the forced count is odd, so the stubs matched across have the
-    # forced count's parity and the vertex's anchor count ends even.
-    # A v-stub's row: the other stubs of its vertex, its e-stub, its dummy.
-    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
-    odd = [0] * g.n_v
-    u = 0
-    for (v, _), s in zip(incidences, state):
-        if s < 0:
-            stubs_of[v].append(u)
-            u += 1
-        elif s:
-            odd[v] ^= 1
-    v_rows: list[tuple[int, ...]] = [()] * u_count
-    dummy_rows: list[tuple[int, ...]] = []
-    dummy = core  # the dummies follow the last core
-    for stubs, p in zip(stubs_of, odd):
-        # A vertex with no undecided incidence adds nothing, unless its
-        # forced count is odd: then its dummy has no stub to match.
-        if not stubs and not p:
-            continue
-        clique = tuple(stubs)
-        tail: tuple[int, ...] = ()
-        if (len(clique) - p) % 2 == 1:
-            dummy_rows.append(clique)
-            tail = (dummy,)
-            dummy += 1
-        for i, t in enumerate(clique):
-            v_rows[t] = clique[:i] + clique[i + 1:] + (u_count + t,) + tail
-
-    adj = (*v_rows, *stub_rows, *core_rows, *dummy_rows)
-    return GadgetGraph(adj, g, state)
+    rows = (*v_rows, *stub_rows, *core_rows, *dummy_rows)
+    return GadgetGraph(rows, tuple(mate), g, state)

@@ -16,7 +16,7 @@ from eulergraph import (
 )
 from eulergraph.family import _forced_anchors
 from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
-from eulergraph.matching import _augment_from
+from eulergraph.matching import _augment_from, _greedy_seed
 from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
@@ -122,19 +122,44 @@ class TestMaxMatching:
         hs += [random_mixed(rng_mixed) for _ in range(150)]
         hs += [parse_hg(text)[0] for text in MATCHING_ONLY_NEITHER.values()]
         seen = Counter()
+        gadgets = []
         for h in hs:
             g = build_incidence(h)
             state = _forced_anchors(g)
             if state is None:
                 seen["refuted"] += 1
                 continue
-            adj = reduce_to_matching(g, state).adj
-            mate = max_matching(adj)
-            matching_size(adj, mate)
-            assert mate == reference_max_matching(adj)
+            gadgets.append(reduce_to_matching(g, state))
             seen["decided" if max(state) >= 0 else "open"] += 1
+        # Drawn states, which the propagation never leaves: vertices with one
+        # stub, forced-odd vertices with no stub (a dummy with an empty row),
+        # and edges that still need 0, 1 or 2 anchors from their stubs.
+        rng = Lcg(61)
+        for _ in range(300):
+            g = build_incidence(random_mixed(rng))
+            state = drawn_state(rng, g)
+            gg = reduce_to_matching(g, state)
+            gadgets.append(gg)
+            stubs = Counter(v for (v, _), s in zip(g.incidences, state) if s < 0)
+            forced = Counter(v for (v, _), s in zip(g.incidences, state) if s == 1)
+            seen["single-stub"] += 1 in stubs.values()
+            seen["stubless-dummy"] += any(forced[v] % 2 and not stubs[v] for v in range(g.n_v))
+            for j in range(g.n_e):
+                decided = state[g.first[j]:g.first[j + 1]]
+                if -1 in decided:
+                    seen[f"needs-{2 - decided.count(1)}"] += 1
+        for gg in gadgets:
+            adj = gg.adj
+            mate = max_matching(gg)
+            matching_size(adj, mate)
+            assert mate == max_matching(adj) == reference_max_matching(adj)
+            seed = [-1] * len(adj)
+            _greedy_seed(adj, seed)
+            assert list(gg.seed) == seed
             seen["perfect" if -1 not in mate else "exposed"] += 1
-        assert all(seen[k] for k in ("refuted", "decided", "open", "perfect", "exposed")), seen
+        kinds = ("refuted", "decided", "open", "perfect", "exposed", "single-stub",
+                 "stubless-dummy", "needs-0", "needs-1", "needs-2")
+        assert all(seen[k] for k in kinds), seen
 
     @staticmethod
     def _count_searches(monkeypatch):
@@ -176,12 +201,14 @@ class TestMaxMatching:
     def test_searches_left_on_open_gadgets(self, h, searches, monkeypatch):
         # The seed leaves 330 and 286 exposed roots; most close by a path of
         # length 3 and never grow a search tree.
-        adj = open_gadget(build_incidence(h)).adj
+        gg = open_gadget(build_incidence(h))
         calls = self._count_searches(monkeypatch)
-        mate = max_matching(adj)
+        mate = max_matching(gg)
         assert calls[0] == searches
         assert -1 not in mate
-        assert mate == reference_max_matching(adj)
+        # The flat rows, seeded by scanning them, take the same searches.
+        assert max_matching(gg.adj) == mate == reference_max_matching(gg.adj)
+        assert calls[0] == 2 * searches
 
     def test_search_leaves_its_state_reset(self):
         cases = (
@@ -211,10 +238,32 @@ class TestMaxMatching:
             n = len(adj)
             reset = ([False] * n, [-1] * n, list(range(n)), [0] * n)
             used, parent, base, stamp = scratch = tuple(map(list, reset))
+            rows = [(row,) for row in adj]
             for root, found, after in searches:
-                assert _augment_from(adj, mate, root, used, parent, base, stamp) is found
+                assert _augment_from(rows, mate, root, used, parent, base, stamp) is found
                 assert mate == after
                 assert scratch == reset
+
+
+def drawn_state(rng, g):
+    """A seeded state that ``reduce_to_matching`` accepts: each edge gets 0 to 2
+    forced anchors and excludes up to all but 2 of its incidences, so it keeps
+    at least as many undecided incidences as anchors it still needs."""
+    state = []
+    for j in range(g.n_e):
+        size = g.first[j + 1] - g.first[j]
+        forced = rng.below(3)
+        excluded = rng.below(size - 1)
+        slots = [1] * forced + [0] * excluded + [-1] * (size - forced - excluded)
+        rng.shuffle(slots)
+        state += slots
+    return state
+
+
+def stored_entries(gg):
+    """Row entries the gadget stores, each distinct row part counted once."""
+    parts = {id(part): part for row in gg.rows for part in row}
+    return sum(map(len, parts.values()))
 
 
 def _layout(g, gg):
@@ -298,6 +347,32 @@ class TestGadget:
             with pytest.raises(ValueError, match="vertices left for 2 anchors"):
                 open_gadget(g1)
         assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
+
+    def test_storage_is_linear(self):
+        # Each vertex's clique is stored once, not once per stub: at most 4U
+        # entries outside the e-stub rows, whose cores cost u_e^2 per edge.
+        hs = [gen_complete(20, 3), _reduce_to_order3(gen_complete(10, 5), 5)[0]]
+        rng = Lcg(89)
+        hs += [random_noncovering(rng) for _ in range(100)]
+        decided = 0
+        for h in hs:
+            g = build_incidence(h)
+            state = _forced_anchors(g)
+            if state is None:
+                continue
+            gg = reduce_to_matching(g, state)
+            u_e = [state[g.first[j]:g.first[j + 1]].count(-1) for j in range(g.n_e)]
+            assert stored_entries(gg) <= 4 * sum(u_e) + sum(u * u for u in u_e)
+            decided += max(state) >= 0
+            u_count = sum(u_e)
+            for t in range(u_count):
+                clique, tail = gg.rows[t]
+                assert t in clique and tail[0] == u_count + t
+                assert all(gg.rows[s][0] is clique for s in clique)
+        assert decided >= 20
+        # complete(20, 3): 20,520 stored entries for flat rows of 601,920.
+        gg = open_gadget(build_incidence(gen_complete(20, 3)))
+        assert (stored_entries(gg), sum(map(len, gg.adj))) == (20_520, 601_920)
 
     def test_state_of_the_wrong_length_raises(self):
         g = build_incidence(gen_complete(5, 3))

@@ -415,7 +415,13 @@ class TestGoldenCertificates:
          "24eed3d7f364515436d798afdf9afb89e787744d6b924cda40d5663d3e75904f"),
         (roadmap_item3, 3,
          "7f57701c7c87780416e566506039af868183c2d2d53141d04f6b213931bf01c0"),
-    ], ids=["sts19", "sts45", "complete13-3", "complete10-5", "random22-3-1", "roadmap-item3"])
+        # Vertex cliques of 406 and 75 stubs, beyond the bench's largest (126).
+        (lambda: gen_complete(30, 3), 3,
+         "86cca2f2d8ec64140f86037c86096ef2dd4c0d8dd3d45a24cfc4354857e84b65"),
+        (lambda: gen_sts(151), 3,
+         "09687249f0e815c4a2e9113014cd908d5e586780ff204af5f0a67d17637eb057"),
+    ], ids=["sts19", "sts45", "complete13-3", "complete10-5", "random22-3-1", "roadmap-item3",
+            "complete30-3", "sts151"])
     def test_tour_digest(self, make, k, digest):
         res = solve(make(), k)
         assert res.verdict == "eulerian"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from math import comb
 
 from .errors import FormatError
 from .hypergraph import EulerFamily, Hypergraph, Walk, edge_name
@@ -37,6 +38,10 @@ from .hypergraph import EulerFamily, Hypergraph, Walk, edge_name
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+
+# The most edges (or, for gen_random_covering, candidate subsets) a generator
+# builds; the count is computed first, so a larger request fails at once.
+MAX_GEN_SIZE = 1_000_000
 
 
 class Lcg:
@@ -64,10 +69,17 @@ class Lcg:
         self.state = state
 
 
+def _check_size(count: int, what: str) -> None:
+    """Raise :class:`ValueError` when ``count`` exceeds :data:`MAX_GEN_SIZE`."""
+    if count > MAX_GEN_SIZE:
+        raise ValueError(f"{what}: {count} is more than the limit of {MAX_GEN_SIZE}")
+
+
 def gen_complete(n: int, k: int) -> Hypergraph:
     """All k-subsets of n vertices; covering by construction."""
     if not n > k >= 3:
         raise ValueError(f"need n > k >= 3, got n={n}, k={k}")
+    _check_size(comb(n, k), f"complete({n}, {k}) has C({n}, {k}) edges")
     verts = tuple(f"v{i}" for i in range(1, n + 1))
     return Hypergraph(verts, tuple(map(frozenset, combinations(range(n), k))))
 
@@ -97,6 +109,7 @@ def gen_sts(n: int) -> Hypergraph:
     if n < 7 or n % 6 not in (1, 3):
         raise ValueError(
             f"no Steiner triple system of order {n} (need n % 6 in {{1, 3}} and n >= 7)")
+    _check_size(n * (n - 1) // 6, f"sts({n}) has n(n-1)/6 triples")
     q, t, off = n // 3, n // 6, int(n % 6 == 1)
     mid = [z // 2 if z % 2 == 0 else (z + q - off) // 2 for z in range(q)] * 2
     triples = [(off + x, off + q + x, off + 2 * q + x) for x in range(t if off else q)]
@@ -118,6 +131,7 @@ def gen_random_covering(n: int, k: int, seed: int) -> Hypergraph:
     """
     if not n > k >= 3:
         raise ValueError(f"need n > k >= 3, got n={n}, k={k}")
+    _check_size(comb(n, k - 1), f"random({n}, {k}) visits C({n}, {k - 1}) subsets")
     rng = Lcg(seed)
     subsets = list(combinations(range(n), k - 1))
     rng.shuffle(subsets)

@@ -1,4 +1,4 @@
-"""Maximum matching on general graphs, and the degree-prescription gadget.
+"""Maximum matching of the degree-prescription gadget, and the gadget itself.
 
 The matching kernel is the classical blossom-contraction search (Edmonds,
 "Paths, trees, and flowers", 1965): repeatedly grow an alternating BFS forest
@@ -19,11 +19,11 @@ one array, so a contraction allocates no set.  The search state
 :func:`max_matching`, and each search resets only the nodes it touched, at
 once when it augments, so a search that stays small costs time proportional to
 its tree, not to the graph.  Rows are read as sequences of parts, in order, so
-a gadget can share one part between many rows; a flat row is one part.  A
-greedy maximal matching in node order seeds the search.  On a gadget it pairs
-the v-stubs inside their own vertex cliques and leaves two e-stubs exposed per
-hyperedge, so about one augmentation still runs per hyperedge (330 on
-``sts(45)``).
+the gadget can share one part between many rows.  The search starts from the
+greedy maximal matching in node order that the gadget's layout fixes.  It
+pairs the v-stubs inside their own vertex cliques and leaves two e-stubs
+exposed per hyperedge, so about one augmentation still runs per hyperedge
+(330 on ``sts(45)``).
 
 Most of those augmenting paths have length 3, and :func:`max_matching` takes
 such a path without growing a tree when the search would find it first.  The
@@ -33,8 +33,8 @@ other node and grows the root's first neighbour ``a`` first, so ``a``'s mate
 ``p`` is the next node it scans.  Only the root is exposed in the tree, so
 the first exposed ``x`` other than the root in ``p``'s row ends the path the
 search flips: root, ``a``, ``p``, ``x``.  Only the last part of ``p``'s row is
-read: the rows handed to the search keep every node in an earlier part
-matched.  Blossoms closed before that, the
+read: every entry outside a row's last part is a v-stub, matched by the seed
+and never exposed.  Blossoms closed before that, the
 triangle root-``a``-``p`` too, never re-point the parent of ``a``: it is odd
 until a blossom takes it in, that blossom's base is the root, and a walk
 stops at that base.  The flip reads only the parents of ``x`` and ``a``, so
@@ -78,27 +78,28 @@ undecided incidence anchors its edge iff ``mate[u] == U + u``, for ``U``
 undecided incidences, and a perfect matching leaves each edge exactly two
 anchors, the pair the family certificate stores.
 
-The gadget is stored in linear space.  Its flat rows hold a clique per vertex,
-the sum of d_v^2 entries, so a v-stub's row is stored as two parts: its
-vertex's clique, one tuple that every stub of the vertex shares and that lists
-the stub itself, then the stub's own tail, its e-stub and then its vertex's
-dummy if it has one.  E-stub, core and dummy rows are one part each, and the
-cores of an edge share one stub tuple, so the gadget stores O(U + sum of
-u_e^2) entries for u_e undecided incidences in edge e.  The stub's own entry
-changes nothing: the search scans only even nodes, and an even node met in
-its own row lies in the scanning node's blossom, so the entry takes the
-same-blossom ``continue``; the base lookup it makes only compresses a path,
-which keeps every root.  The layout also fixes two
-things the general matcher finds by scanning rows.  The greedy seed on the
-flat rows pairs consecutive stubs of each vertex, since a v-stub's row lists
-its vertex's other stubs first; an odd one out takes its e-stub; each e-stub
-still free takes its edge's next free core; and cores and dummies left over
-see only matched nodes.  :func:`reduce_to_matching` lays that seed out with
-the nodes.  That seed matches every v-stub, and augmenting never exposes a
-node, so no root is ever a v-stub and its first neighbour is the first entry
-of its one-part row, and the first exposed node in a v-stub's row lies in its
-tail: the length-3 path reads only the tail.  So :func:`max_matching` on the
-gadget returns the mate list it returns on the gadget's flat rows.
+The gadget is stored in linear space.  Its flat rows hold a clique per vertex
+and a core list per e-stub, the sums of d_v^2 and of u_e^2 entries for u_e
+undecided incidences in edge e, so rows are stored as parts.  A v-stub's row
+is its vertex's clique, one tuple shared by the vertex's stubs and listing
+the stub itself, then its own tail: its e-stub, then its vertex's dummy if
+any.  An e-stub's row is its v-stub, then its edge's cores, one tuple shared
+by the edge's e-stubs.  A core's row is its edge's stub tuple and a dummy's
+its vertex's clique.  That is at most 6U entries: U in the cliques, 2U in the
+tails, U in the e-stubs' heads, U in the core tuples, U in the stub tuples.
+The stub's own entry changes nothing: the search scans only even nodes, and
+an even node met in its own row lies in the scanning node's blossom, so the
+entry takes the same-blossom ``continue``; the base lookup it makes only
+compresses a path, which keeps every root.
+
+The layout also fixes the greedy node-order seed of the flat rows: a
+v-stub's flat row lists its vertex's other stubs first, so the seed pairs
+consecutive stubs of each vertex, an odd one out takes its e-stub, each
+e-stub still free takes its edge's next free core, and the cores and dummies
+left over see only matched nodes.  :func:`reduce_to_matching` lays it out
+with the nodes.  It matches every v-stub, and augmenting never exposes a
+node, so no root is a v-stub and every entry outside a row's last part, a
+v-stub, stays matched: the length-3 path reads only that last part.
 """
 
 from __future__ import annotations
@@ -109,17 +110,6 @@ from itertools import repeat
 from typing import Sequence
 
 from .incidence import IncidenceGraph
-
-
-def _greedy_seed(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
-    for v in range(len(adj)):
-        if mate[v] != -1:
-            continue
-        for u in adj[v]:
-            if mate[u] == -1:
-                mate[v] = u
-                mate[u] = v
-                break
 
 
 def _find(base, x):
@@ -259,14 +249,19 @@ def _reset(touched, used, parent, base, stamp) -> None:
         stamp[x] = 0
 
 
-def _augment_all(rows: Sequence[Sequence[Sequence[int]]], mate: list[int]) -> list[int]:
-    """Augment the maximal matching ``mate`` of ``rows`` to a maximum one, in place.
+def max_matching(gg: GadgetGraph) -> list[int]:
+    """Maximum-cardinality matching of the gadget ``gg``, as a mate list.
 
-    Rows are read as in :func:`_augment_from`.  Every entry outside a row's
-    last part, and every node whose row has more than one part, must be
-    matched in ``mate``: augmenting never exposes a node, so the root is then
-    a one-part row and only the last part of a row can hold an exposed node.
+    ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
+    so the matching is perfect iff ``-1 not in mate``.  Starts from
+    ``gg.seed`` and augments from each exposed root in increasing order,
+    reading rows as in :func:`_augment_from`, so equal gadgets give equal
+    matchings.  Every entry outside a row's last part is a v-stub, matched by
+    the seed and never exposed: augmenting never exposes a node, so no root
+    is a v-stub and only the last part of a row can hold an exposed node.
     """
+    rows = gg.rows
+    mate = list(gg.seed)
     n = len(rows)
     used = [False] * n
     parent = [-1] * n
@@ -294,28 +289,6 @@ def _augment_all(rows: Sequence[Sequence[Sequence[int]]], mate: list[int]) -> li
     return mate
 
 
-def max_matching(adj: Sequence[Sequence[int]] | GadgetGraph) -> list[int]:
-    """Maximum-cardinality matching of a simple undirected graph, as a mate list.
-
-    ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
-    so the matching is perfect iff ``-1 not in mate``.  Deterministic: nodes
-    are processed in increasing order and neighbours in adjacency order, so
-    equal inputs give equal matchings.  Rows must be symmetric (``u`` in
-    ``adj[v]`` iff ``v`` in ``adj[u]``), loop-free and without repeats: the
-    seed is maximal, and the length-3 path is the search's own, only on such
-    rows.
-
-    Given a :class:`GadgetGraph`, it matches the gadget's stored rows from
-    the seed its layout fixes, and returns the mate list it returns on the
-    gadget's flat rows ``adj``.
-    """
-    if isinstance(adj, GadgetGraph):
-        return _augment_all(adj.rows, list(adj.seed))
-    mate = [-1] * len(adj)
-    _greedy_seed(adj, mate)
-    return _augment_all([(row,) for row in adj], mate)
-
-
 @dataclass(frozen=True)
 class GadgetGraph:
     """The matching gadget built from an incidence graph, in linear space.
@@ -331,9 +304,12 @@ class GadgetGraph:
     ``rows[x]`` is node x's row as a tuple of parts.  A v-stub's row is its
     vertex's clique, one tuple shared by all of that vertex's stubs and
     listing the stub itself, then the stub's tail: its e-stub, then its
-    vertex's dummy if it has one.  Every other row is one part, and a core's
-    is its edge's stub tuple, shared by the edge's cores.  ``seed`` is the
-    greedy node-order matching of the flat rows, read off the layout.
+    vertex's dummy if it has one.  An e-stub's row is its v-stub, then its
+    edge's cores, one tuple shared by the edge's e-stubs.  Core and dummy
+    rows are one part: a core's is its edge's stub tuple, shared by the
+    edge's cores, and a dummy's is its vertex's clique.  Every entry outside
+    a row's last part is a v-stub.  ``seed`` is the greedy node-order
+    matching of the flat rows, read off the layout.
     """
 
     rows: tuple[tuple[tuple[int, ...], ...], ...]
@@ -343,15 +319,19 @@ class GadgetGraph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        """The flat adjacency rows: each row's parts joined, less a v-stub's own entry."""
+        """The flat adjacency rows: each row's parts joined, less the row's own node.
+
+        An inspection view, built on first use: :func:`max_matching` reads
+        ``rows``, while the tests and the bench's gadget counts
+        (``perfbench/tracing.py``) read these.
+        """
         flat = []
         for v, row in enumerate(self.rows):
-            if len(row) == 1:
-                flat.append(row[0])
-            else:
-                clique, tail = row
-                i = clique.index(v)
-                flat.append(clique[:i] + clique[i + 1:] + tail)
+            joined = row[0] if len(row) == 1 else sum(row, ())
+            if v in joined:
+                i = joined.index(v)
+                joined = joined[:i] + joined[i + 1:]
+            flat.append(joined)
         return tuple(flat)
 
     def anchors(self, mate: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -444,10 +424,11 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             v_rows[t] = (clique, (u_count + t,) + tail)
 
     # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
-    # An e-stub's row: its v-stub, then its edge's cores.  In the seed each
-    # free e-stub takes its edge's next core; cores and dummies still free
-    # then see only matched nodes and stay so.
-    stub_rows: list[tuple[tuple[int, ...]]] = []
+    # An e-stub's row: its v-stub, then its edge's cores, one tuple the
+    # edge's e-stubs share.  In the seed each free e-stub takes its edge's
+    # next core; cores and dummies still free then see only matched nodes
+    # and stay so.
+    stub_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     core_rows: list[tuple[tuple[int, ...]]] = []
     stub = u_count
     core = 2 * u_count
@@ -459,7 +440,7 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             raise ValueError(f"edge e{j + 1} has only {d} vertices left for {k} anchors")
         stubs = tuple(range(stub, stub + d))
         cores = tuple(range(core, core + d - k))
-        stub_rows += [((s - u_count,) + cores,) for s in stubs]
+        stub_rows += [((s - u_count,), cores) for s in stubs]
         core_rows += repeat((stubs,), d - k)
         free, end = stub, stub + d
         for c in cores:

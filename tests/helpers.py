@@ -22,6 +22,7 @@ from eulergraph import (
 from eulergraph import interchange
 from eulergraph.genio import Lcg
 from eulergraph.hypergraph import edge_name
+from eulergraph.matching import GadgetGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FANO_TRIPLES = ["123", "145", "167", "246", "257", "347", "356"]
@@ -617,6 +618,35 @@ def matching_size(adj, mate) -> int:
     return sum(u != -1 for u in mate) // 2
 
 
+def greedy_seed(adj) -> list[int]:
+    """The greedy maximal matching of ``adj`` in node order, as a mate list.
+
+    Each exposed node in turn takes its first exposed neighbour.  On a
+    gadget's flat rows this is the seed its layout fixes (``GadgetGraph.seed``).
+    """
+    mate = [-1] * len(adj)
+    for v in range(len(adj)):
+        if mate[v] != -1:
+            continue
+        for u in adj[v]:
+            if mate[u] == -1:
+                mate[v] = u
+                mate[u] = v
+                break
+    return mate
+
+
+def flat_gadget(adj) -> GadgetGraph:
+    """A test fake: ``adj`` as a :class:`GadgetGraph` of one-part rows.
+
+    Its seed is :func:`greedy_seed`.  Rows must be symmetric, loop-free and
+    without repeats, so the seed is maximal and ``max_matching`` on it
+    matches the plain graph ``adj``.  Its ``host`` and ``state`` are empty:
+    ``max_matching`` never reads them.
+    """
+    return GadgetGraph(tuple((tuple(row),) for row in adj), tuple(greedy_seed(adj)), None, ())
+
+
 def reference_max_matching(adj) -> list[int]:
     """Blossom matching that rescans all n nodes at every contraction.
 
@@ -625,15 +655,7 @@ def reference_max_matching(adj) -> list[int]:
     full scan, so both must return the same mate list.
     """
     n = len(adj)
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] != -1:
-            continue
-        for u in adj[v]:
-            if mate[u] == -1:
-                mate[v] = u
-                mate[u] = v
-                break
+    mate = greedy_seed(adj)
 
     def lca(base, parent, a, b):
         marked = set()

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from eulergraph import FormatError, Hypergraph, Walk, validate_covering
 from eulergraph import cli, interchange, solver
 from eulergraph.cli import EXIT_INTERNAL, main
 from eulergraph.genio import (
+    MAX_GEN_SIZE,
     Lcg,
     emit_hg,
     format_walk_line,
@@ -86,6 +88,18 @@ class TestGenerators:
         a = gen_random_covering(7, 3, 42)
         b = gen_random_covering(7, 3, 42)
         assert a == b
+
+    # The count is computed before anything is built: at the sizes below a
+    # generator that built first would never return.
+    @pytest.mark.parametrize("make, count", [
+        (lambda: gen_complete(60, 30), comb(60, 30)),
+        (lambda: gen_random_covering(60, 30, 1), comb(60, 29)),
+        (lambda: gen_sts(1000003), 1000003 * 1000002 // 6),
+    ], ids=["complete", "random", "sts"])
+    def test_oversized_requests_fail_before_building(self, make, count):
+        assert count > MAX_GEN_SIZE
+        with pytest.raises(ValueError, match=f": {count} is more than the limit of {MAX_GEN_SIZE}$"):
+            make()
 
     def test_random_covering_minimal_order(self):
         h = gen_random_covering(4, 3, 1)
@@ -337,6 +351,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("input error: no Steiner triple system of order 6 "
                                 "(need n % 6 in {1, 3} and n >= 7)\n")
+
+    def test_oversized_gen_exit_two(self, capsys):
+        assert main(["gen", "complete", "60", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: complete(60, 30) has C(60, 30) edges: "
+                                f"{comb(60, 30)} is more than the limit of {MAX_GEN_SIZE}\n")
 
     def test_oracle_commands(self, tmp_path, capsys):
         hg = tmp_path / "two.hg"

@@ -16,7 +16,7 @@ from eulergraph import (
 )
 from eulergraph.family import _forced_anchors
 from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
-from eulergraph.matching import _augment_from, _greedy_seed
+from eulergraph.matching import _augment_from
 from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
@@ -25,6 +25,8 @@ from helpers import (
     complete_graph,
     e_node,
     fano,
+    flat_gadget,
+    greedy_seed,
     incidences,
     matching_size,
     petersen,
@@ -44,40 +46,40 @@ def open_gadget(g):
 class TestMaxMatching:
     def test_triangle(self):
         adj = complete_graph(3)
-        assert matching_size(adj, max_matching(adj)) == 1
+        assert matching_size(adj, max_matching(flat_gadget(adj))) == 1
 
     def test_k4_perfect(self):
         adj = complete_graph(4)
-        assert max_matching(adj) == [1, 0, 3, 2]
-        assert matching_size(adj, max_matching(adj)) == 2
+        assert max_matching(flat_gadget(adj)) == [1, 0, 3, 2]
+        assert matching_size(adj, max_matching(flat_gadget(adj))) == 2
 
     def test_petersen_perfect(self):
         adj = petersen()
-        assert matching_size(adj, max_matching(adj)) == 5
+        assert matching_size(adj, max_matching(flat_gadget(adj))) == 5
 
     def test_empty_graph(self):
-        assert max_matching(((), (), ())) == [-1, -1, -1]
-        assert max_matching(()) == []
+        assert max_matching(flat_gadget(((), (), ()))) == [-1, -1, -1]
+        assert max_matching(flat_gadget(())) == []
 
     def test_matching_is_disjoint(self):
         rng = Lcg(23)
         for _ in range(40):
             adj = random_graph(rng, 4 + rng.below(9), 15 + rng.below(60))
-            matching_size(adj, max_matching(adj))
+            matching_size(adj, max_matching(flat_gadget(adj)))
 
     def test_against_exhaustive_on_random_graphs(self):
         rng = Lcg(29)
         for _ in range(120):
             n = 3 + rng.below(12)
             adj = random_graph(rng, n, 10 + rng.below(70))
-            assert matching_size(adj, max_matching(adj)) == brute_max_matching(adj)
+            assert matching_size(adj, max_matching(flat_gadget(adj))) == brute_max_matching(adj)
 
     def test_deterministic(self):
         rng = Lcg(31)
         adj = random_graph(rng, 12, 40)
-        mate = max_matching(adj)
+        mate = max_matching(flat_gadget(adj))
         matching_size(adj, mate)
-        assert mate == max_matching(adj)
+        assert mate == max_matching(flat_gadget(adj))
 
     def test_same_pairs_as_full_rescan_kernel_on_random_graphs(self):
         rng = Lcg(43)
@@ -98,7 +100,7 @@ class TestMaxMatching:
                 rng.shuffle(row)
             graphs.append(tuple(map(tuple, rows)))
         for adj in graphs:
-            mate = max_matching(adj)
+            mate = max_matching(flat_gadget(adj))
             matching_size(adj, mate)
             assert mate == reference_max_matching(adj)
 
@@ -152,10 +154,8 @@ class TestMaxMatching:
             adj = gg.adj
             mate = max_matching(gg)
             matching_size(adj, mate)
-            assert mate == max_matching(adj) == reference_max_matching(adj)
-            seed = [-1] * len(adj)
-            _greedy_seed(adj, seed)
-            assert list(gg.seed) == seed
+            assert mate == max_matching(flat_gadget(adj)) == reference_max_matching(adj)
+            assert list(gg.seed) == greedy_seed(adj)
             seen["perfect" if -1 not in mate else "exposed"] += 1
         kinds = ("refuted", "decided", "open", "perfect", "exposed", "single-stub",
                  "stubless-dummy", "needs-0", "needs-1", "needs-2")
@@ -191,7 +191,7 @@ class TestMaxMatching:
     ], ids=["exposed-neighbour", "path-through-mate", "triangle", "miss", "empty-row"])
     def test_short_path_before_the_search(self, adj, mate, searches, monkeypatch):
         calls = self._count_searches(monkeypatch)
-        assert max_matching(adj) == mate == reference_max_matching(adj)
+        assert max_matching(flat_gadget(adj)) == mate == reference_max_matching(adj)
         assert calls[0] == searches
 
     @pytest.mark.parametrize("h, searches", [
@@ -207,7 +207,7 @@ class TestMaxMatching:
         assert calls[0] == searches
         assert -1 not in mate
         # The flat rows, seeded by scanning them, take the same searches.
-        assert max_matching(gg.adj) == mate == reference_max_matching(gg.adj)
+        assert max_matching(flat_gadget(gg.adj)) == mate == reference_max_matching(gg.adj)
         assert calls[0] == 2 * searches
 
     def test_search_leaves_its_state_reset(self):
@@ -258,6 +258,11 @@ def drawn_state(rng, g):
         rng.shuffle(slots)
         state += slots
     return state
+
+
+def two_wide_edges(n):
+    """Two copies of one edge on all ``n`` vertices: every vertex has degree 2."""
+    return Hypergraph(tuple(f"v{i}" for i in range(1, n + 1)), (frozenset(range(n)),) * 2)
 
 
 def stored_entries(gg):
@@ -349,9 +354,11 @@ class TestGadget:
         assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
 
     def test_storage_is_linear(self):
-        # Each vertex's clique is stored once, not once per stub: at most 4U
-        # entries outside the e-stub rows, whose cores cost u_e^2 per edge.
-        hs = [gen_complete(20, 3), _reduce_to_order3(gen_complete(10, 5), 5)[0]]
+        # Each vertex's clique is stored once, not once per stub, and each
+        # edge's cores once, not once per e-stub: at most 6U entries, U in
+        # the cliques, 2U in the tails, U in the e-stubs' v-stub parts, U in
+        # the core tuples and U in the stub tuples.
+        hs = [gen_complete(20, 3), _reduce_to_order3(gen_complete(10, 5), 5)[0], two_wide_edges(200)]
         rng = Lcg(89)
         hs += [random_noncovering(rng) for _ in range(100)]
         decided = 0
@@ -361,18 +368,25 @@ class TestGadget:
             if state is None:
                 continue
             gg = reduce_to_matching(g, state)
-            u_e = [state[g.first[j]:g.first[j + 1]].count(-1) for j in range(g.n_e)]
-            assert stored_entries(gg) <= 4 * sum(u_e) + sum(u * u for u in u_e)
+            u_count = state.count(-1)
+            assert stored_entries(gg) <= 6 * u_count
             decided += max(state) >= 0
-            u_count = sum(u_e)
             for t in range(u_count):
                 clique, tail = gg.rows[t]
                 assert t in clique and tail[0] == u_count + t
                 assert all(gg.rows[s][0] is clique for s in clique)
+                assert gg.rows[u_count + t][0] == (t,)
+            # One cores tuple per edge, shared by the edge's e-stubs.
+            edge_of = [e for (_, e), s in zip(g.incidences, state) if s < 0]
+            shared = {(edge_of[t], id(gg.rows[u_count + t][1])) for t in range(u_count)}
+            assert len(shared) == len(set(edge_of))
         assert decided >= 20
-        # complete(20, 3): 20,520 stored entries for flat rows of 601,920.
+        # complete(20, 3): 18,240 stored entries for flat rows of 601,920.
         gg = open_gadget(build_incidence(gen_complete(20, 3)))
-        assert (stored_entries(gg), sum(map(len, gg.adj))) == (20_520, 601_920)
+        assert (stored_entries(gg), sum(map(len, gg.adj))) == (18_240, 601_920)
+        # Two edges of 200 vertices: the e-stubs' flat rows alone hold 79,600.
+        gg = open_gadget(build_incidence(two_wide_edges(200)))
+        assert (stored_entries(gg), sum(map(len, gg.adj))) == (1_996, 159_600)
 
     def test_state_of_the_wrong_length_raises(self):
         g = build_incidence(gen_complete(5, 3))
@@ -399,7 +413,7 @@ class TestGadget:
             assert [s for s in gg.adj[e_stubs[t]] if s in v_stubs] == [t]
         assert not any(s in v_stubs for s in gg.adj[cores[0]])
         # a perfect matching selects exactly the incidences of its (t, T+t) pairs
-        mate = max_matching(gg.adj)
+        mate = max_matching(flat_gadget(gg.adj))
         assert 2 * matching_size(gg.adj, mate) == len(gg.adj)
         fsub = find_family_subgraph(g)
         assert incidences(fsub.anchors) == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
@@ -411,7 +425,7 @@ class TestGadget:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = open_gadget(build_incidence(h))
         assert 2 * brute_max_matching(gg.adj) == len(gg.adj)
-        assert 2 * matching_size(gg.adj, max_matching(gg.adj)) == len(gg.adj)
+        assert 2 * matching_size(gg.adj, max_matching(flat_gadget(gg.adj))) == len(gg.adj)
         single = Hypergraph.from_labels("abc", [("a", "b", "c")])
         gg1 = open_gadget(build_incidence(single))
         assert 2 * brute_max_matching(gg1.adj) < len(gg1.adj)
@@ -426,7 +440,7 @@ class TestRoundTrip:
             gg = open_gadget(g)
         except ValueError:
             return brute_family_exists(h) is False
-        perfect = 2 * matching_size(gg.adj, max_matching(gg.adj)) == len(gg.adj)
+        perfect = 2 * matching_size(gg.adj, max_matching(flat_gadget(gg.adj))) == len(gg.adj)
         assert (find_family_subgraph(g) is not None) == perfect
         return perfect == brute_family_exists(h)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CertificateViolation
-from .hypergraph import EulerFamily, Walk, canonical_closed_trail
+from .hypergraph import EulerFamily, Walk, canonical_closed_trail, edge_name
 from .incidence import IncidenceGraph
 from .matching import max_matching, reduce_to_matching
 
@@ -85,18 +85,18 @@ class FamilySubgraph:
         for e, pair in enumerate(self.anchors):
             # A tuple, so the certificate hashes into the merge's set of seen ones.
             if not isinstance(pair, tuple):
-                raise CertificateViolation(f"edge-node e{e + 1} has anchors {pair!r}, not a tuple")
+                raise CertificateViolation(f"edge-node {edge_name(e)} has anchors {pair!r}, not a tuple")
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise CertificateViolation(
-                    f"edge-node e{e + 1} has degree {len(set(pair))}, expected 2")
+                    f"edge-node {edge_name(e)} has degree {len(set(pair))}, expected 2")
             # Type and membership first, so no index is used as a position
             # before it is checked (0.0 and True are members of {0, 1}).
             for v in pair:
                 if type(v) is not int or v not in edges[e]:
-                    raise CertificateViolation(f"({v!r}, e{e + 1}) is not an incidence of the host")
+                    raise CertificateViolation(f"({v!r}, {edge_name(e)}) is not an incidence of the host")
                 deg[v] += 1
             if pair[0] > pair[1]:
-                raise CertificateViolation(f"edge-node e{e + 1} has anchors {pair} out of order")
+                raise CertificateViolation(f"edge-node {edge_name(e)} has anchors {pair} out of order")
         for v, d in enumerate(deg):
             if d % 2 == 1:
                 raise CertificateViolation(f"vertex-node {g.host.vertices[v]!r} has odd degree {d}")

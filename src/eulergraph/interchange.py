@@ -12,35 +12,42 @@ frozen, so the merge leaves the certificate it is given unchanged: each move
 builds a new one, and the tour is read out of the last once at the end;
 verifying that tour is left to the caller at the API boundary.
 
-The merge takes one move per step, from one scan:
+The functions below state their contracts; the two moves, the scan that
+finds them and the toggle are described here, once.
 
-* Search: bounded enumeration of interchanging cycles through 2 to 6
-  edge-nodes, shortest first, keeping the first whose application
-  diminishes.  The paper links c components of a covering 3-hypergraph by
-  one cycle through a non-cut vertex of each and c edge-nodes; for c <= 6
-  that cycle is itself a candidate, so a scan that the expansion budget does
-  not cut finds it or a diminishing cycle scanned before it.  The budget's
-  headroom for it is measured on a test corpus, not proven.
+**Moves.**  The merge takes one move per step, from one scan:
+
+* Search: bounded enumeration of interchanging cycles through 2 to
+  ``MAX_EDGE_NODES`` edge-nodes, shortest first, keeping the first whose
+  application diminishes.  The paper links c components of a covering
+  3-hypergraph by one cycle through a non-cut vertex of each and c
+  edge-nodes; for c <= ``MAX_EDGE_NODES`` that cycle is itself a candidate,
+  so a scan that the expansion budget does not cut finds it or a
+  diminishing cycle scanned before it.  The budget's headroom for it is
+  measured on a test corpus, not proven; a cut scan falls back to an escape.
 * Escape: when no diminishing cycle is found, apply the first candidate of
   the same scan that reaches a certificate the merge has not seen, so the
   loop ends; a per-call step budget also guards it.  On covering
   3-hypergraphs, exceeding the budget signals an implementation bug, not a
   mathematical obstruction.
 
-The exits that keep a cycle interchanging are fixed by the certificate, so
-each scan tabulates them once: an edge-node entered from one of its anchors
-leaves through a member that is not an anchor, ``others[e]`` in row order,
-and one entered from a non-anchor leaves through an anchor, its sorted pair.
-The search reads these tables and one list of visited flags over the nodes,
-in row order and shortest first over (length, start), and charges one
-expansion for each edge-node it looks at.
+**Scan tables.**  The exits that keep a cycle interchanging are fixed by the
+certificate, so each scan tabulates them once: an edge-node entered from
+one of its anchors leaves through a member that is not an anchor,
+``others[e]`` in row order, and one entered from a non-anchor leaves
+through an anchor, its sorted pair.  For each length and each start vertex
+in turn, one depth-first search reads these tables and one list of visited
+flags, set on the edge-nodes and the later vertex-nodes of its path, and
+yields the cycles whose smallest vertex-node is the start, so each cycle
+comes from one start.  It charges one expansion for each edge-node it
+looks at, against ``MAX_EXPANSIONS`` for the whole scan.
 
-A move is the node tuple the search yields.  Toggling it sets each
-edge-node's anchor pair to that pair XOR its two cycle neighbours.  The
-candidate scoring (one union-find on the toggled pairs), the merge's set of
-certificates seen and :func:`apply_interchange` all use this one toggle; only
-the applied move builds a new :class:`FamilySubgraph`, whose check rejects
-any cycle that is not interchanging.
+**Toggle.**  A move is the node tuple the search yields.  Toggling it sets
+each edge-node's anchor pair to that pair XOR its two cycle neighbours.
+The candidate scoring (one union-find on the toggled pairs), the merge's
+set of certificates seen and :func:`apply_interchange` all use this one
+toggle; only the applied move builds a new :class:`FamilySubgraph`, whose
+check rejects any cycle that is not interchanging.
 """
 
 from __future__ import annotations
@@ -83,16 +90,9 @@ def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySub
 def _candidates(g, anchors):
     """Interchanging cycles of the certificate, shortest first, in one expansion budget.
 
-    For each length t from 2 to ``MAX_EDGE_NODES`` edge-nodes, and each start
-    vertex in turn, one depth-first search yields the cycles through t
-    edge-nodes whose smallest vertex-node is the start, so each cycle comes
-    from one start.  An edge-node entered from one of its anchors is left
-    through a non-anchor, ``others[e]`` in row order, and one entered from a
-    non-anchor through an anchor.  ``visited`` flags the edge-nodes and the
-    later vertex-nodes on the path.  The budget ``left`` starts at
-    ``MAX_EXPANSIONS``, read when the scan starts, and is charged once for
-    each edge-node looked at; at 0 the scan stops for good and charges
-    nothing more.
+    The scan of the module docstring.  The budget ``left`` starts at
+    ``MAX_EXPANSIONS``, read when the scan starts; at 0 the scan stops for
+    good and charges nothing more.
     """
     adj = g.adj
     n_v = g.n_v
@@ -140,16 +140,11 @@ def _candidates(g, anchors):
 def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None:
     """The merge's next move, a diminishing cycle or else an escape, by one scan.
 
-    The scan tries the interchanging cycles through 2 to ``MAX_EDGE_NODES``
-    edge-nodes, shortest first, within ``MAX_EXPANSIONS`` expansions, and
-    keeps the first whose toggled pairs have fewer non-trivial components.
-    A cycle linking c <= ``MAX_EDGE_NODES`` components through one vertex of
-    each and c edge-nodes, the paper's move on covering 3-hypergraphs, is one
-    of the candidates, so an uncut scan returns it or an earlier diminishing
-    one; a scan the budget cuts falls back to an escape.
-    When none diminishes, it returns instead the first candidate of the same
-    scan whose toggled pairs are not in ``seen``, the set of certificates'
-    anchor tuples the merge has visited; ``None`` when there is neither.
+    Returns the first candidate (module docstring) whose toggled pairs have
+    fewer non-trivial components.  When none diminishes, it returns instead
+    the first candidate of the same scan whose toggled pairs are not in
+    ``seen``, the set of certificates' anchor tuples the merge has visited;
+    ``None`` when there is neither.
     """
     base = fsub.nontrivial_count
     if base < 2:
@@ -201,14 +196,11 @@ def merge_to_tour(
     ``fsub`` is frozen and stays unchanged: each move builds a new
     certificate, and the tour is read out of the last one and not
     re-verified, so callers verify what they return.
-    Each step applies the diminishing cycle :func:`find_diminishing_cycle`
-    finds, and otherwise escapes to the first certificate the merge has not
-    seen; with neither, it stops with reason ``"no-move"``.  On covering
-    3-hypergraphs a productive move always exists (the paper's linking cycle
-    is among the search's candidates, see :func:`find_diminishing_cycle`),
-    so the loop terminates well inside the default budget of ``10 * |E|**2``
-    steps; :class:`MergeExhaustedError` past that point indicates a bug.  On
-    other inputs the same moves run best-effort and may exhaust honestly.
+    Each step applies the move :func:`find_diminishing_cycle` returns; with
+    none, it stops with reason ``"no-move"``.  The default budget is
+    ``10 * |E|**2`` steps; on covering 3-hypergraphs exhausting it indicates
+    a bug (module docstring), and on other inputs the same moves run
+    best-effort and may exhaust honestly.
     ``budget`` caps the steps of this call, whatever ``stats.steps`` held on
     entry, and :class:`MergeExhaustedError` reports this call's steps; a
     negative one raises :class:`ValueError` before any step.

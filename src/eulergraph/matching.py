@@ -1,55 +1,8 @@
-"""Maximum matching of the degree-prescription gadget, and the gadget itself.
+"""The degree-prescription gadget, and the blossom matching that solves it.
 
-The matching kernel is the classical blossom-contraction search (Edmonds,
-"Paths, trees, and flowers", 1965): repeatedly grow an alternating BFS forest
-from an exposed node, shrinking odd cycles (blossoms) to their base, until an
-augmenting path is found or proven absent.  Each search is one flat loop over
-a plain list that serves as its queue.  A scanned edge to a node already even
-(queued) either stays inside one blossom or closes a new one; an edge to a
-node outside the tree grows it by that node and its mate, or augments when
-that node is exposed.  Blossom bases are kept in a union-find array with path
-compression, looked up inline and walked only when a base is not its own root.
-A general contraction relabels only the bases on its two paths, but it finds
-the blossom's base, the lowest common ancestor of the edge's two ends, by
-stamping every base from the scanning node's up to the root and walking up
-from the other end to the first stamped one: it costs time in the depth of the
-tree, not in the size of the blossom.  The stamps are a per-search counter in
-one array, so a contraction allocates no set.  The search state
-(``used``, ``parent``, ``base``, ``stamp``) is allocated once per
-:func:`max_matching`, and each search resets only the nodes it touched, at
-once when it augments, so a search that stays small costs time proportional to
-its tree, not to the graph.  Rows are read as sequences of parts, in order, so
-the gadget can share one part between many rows.  The search starts from the
-greedy maximal matching in node order that the gadget's layout fixes.  It
-pairs the v-stubs inside their own vertex cliques and leaves two e-stubs
-exposed per hyperedge, so about one augmentation still runs per hyperedge
-(330 on ``sts(45)``).
-
-Most of those augmenting paths have length 3, and :func:`max_matching` takes
-such a path without growing a tree when the search would find it first.  The
-seed is maximal and augmenting never exposes a node, so every neighbour of an
-exposed root is matched.  The search scans the root's whole row before any
-other node and grows the root's first neighbour ``a`` first, so ``a``'s mate
-``p`` is the next node it scans.  Only the root is exposed in the tree, so
-the first exposed ``x`` other than the root in ``p``'s row ends the path the
-search flips: root, ``a``, ``p``, ``x``.  Only the last part of ``p``'s row is
-read: every entry outside a row's last part is a v-stub, matched by the seed
-and never exposed.  Blossoms closed before that, the
-triangle root-``a``-``p`` too, never re-point the parent of ``a``: it is odd
-until a blossom takes it in, that blossom's base is the root, and a walk
-stops at that base.  The flip reads only the parents of ``x`` and ``a``, so
-the mate list is the one the search would leave.  Only when ``p`` has no such
-neighbour does the search run: on ``sts(45)``, 128 of the 330 augmentations.
-
-Most contractions close a triangle below the scanning node ``v``: the even end
-``to`` is its own base and its mate ``x`` is the odd node ``v`` grew earlier
-in its row.  The common ancestor is then ``v``'s base, the walk from ``v``
-passes nothing and the walk from ``to`` passes ``to`` and ``x`` alone, so the
-general path would re-point ``to``'s parent to ``v``, give ``to`` and ``x``
-``v``'s base and queue ``x``.  The kernel makes exactly those writes in
-constant time, so parents, bases, queue order and mate lists are the same.
-``to`` is never the exposed root there: an even neighbour of the root joins the
-root's blossom in the root's own scan.
+The functions below state their contracts; the gadget's layout and seed,
+and why the kernel's shortcuts leave its matchings unchanged, are described
+here, once.
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
@@ -66,40 +19,100 @@ undecided ones only:
   u-p is odd: the stubs matched across incidence edges are forced to have
   the parity of p, so the vertex's anchor count is even;
 * each undecided incidence becomes one gadget edge between the two matching
-  stubs.
+  stubs, and anchors its vertex in its edge iff that gadget edge is matched.
 
 With nothing decided, every edge needs 2 and every p is 0, so an edge-node
 of degree d gets d-2 cores and a vertex-node a dummy iff its degree is odd.
-An undecided incidence (v, e) anchors v in e iff its gadget edge is in the
-matching.  The node layout fixes that edge, so the gadget stores its rows and
-the decisions it was built from, :func:`max_matching` returns the bare mate
-list, and :meth:`GadgetGraph.anchors` reads the layout back: the u-th
-undecided incidence anchors its edge iff ``mate[u] == U + u``, for ``U``
-undecided incidences, and a perfect matching leaves each edge exactly two
-anchors, the pair the family certificate stores.
 
-The gadget is stored in linear space.  Its flat rows hold a clique per vertex
-and a core list per e-stub, the sums of d_v^2 and of u_e^2 entries for u_e
-undecided incidences in edge e, so rows are stored as parts.  A v-stub's row
-is its vertex's clique, one tuple shared by the vertex's stubs and listing
-the stub itself, then its own tail: its e-stub, then its vertex's dummy if
-any.  An e-stub's row is its v-stub, then its edge's cores, one tuple shared
-by the edge's e-stubs.  A core's row is its edge's stub tuple and a dummy's
-its vertex's clique.  That is at most 6U entries: U in the cliques, 2U in the
-tails, U in the e-stubs' heads, U in the core tuples, U in the stub tuples.
-The stub's own entry changes nothing: the search scans only even nodes, and
-an even node met in its own row lies in the scanning node's blossom, so the
-entry takes the same-blossom ``continue``; the base lookup it makes only
-compresses a path, which keeps every root.
+**Layout.**  For ``U`` undecided incidences, taken in the order of
+``IncidenceGraph.incidences``, the nodes are the v-stubs ``[0, U)``, the
+e-stubs ``[U, 2U)``, the cores edge by edge, then the parity dummies vertex
+by vertex.  The u-th undecided incidence is the gadget edge ``(u, U + u)``,
+so it anchors its edge iff ``mate[u] == U + u``; every other gadget edge is
+internal (stub-core, stub-stub, stub-dummy).  As flat rows the gadget would
+hold a clique per vertex and a core list per e-stub, the sums of d_v^2 and
+of u_e^2 entries for u_e undecided incidences in edge e, so each row is
+stored as a tuple of parts, read in order as one row:
 
-The layout also fixes the greedy node-order seed of the flat rows: a
-v-stub's flat row lists its vertex's other stubs first, so the seed pairs
-consecutive stubs of each vertex, an odd one out takes its e-stub, each
-e-stub still free takes its edge's next free core, and the cores and dummies
-left over see only matched nodes.  :func:`reduce_to_matching` lays it out
-with the nodes.  It matches every v-stub, and augmenting never exposes a
-node, so no root is a v-stub and every entry outside a row's last part, a
-v-stub, stays matched: the length-3 path reads only that last part.
+* a v-stub's row is its vertex's clique, one tuple shared by the vertex's
+  stubs and listing the stub itself, then its own tail: its e-stub, then its
+  vertex's dummy if any;
+* an e-stub's row is its v-stub, then its edge's cores, one tuple shared by
+  the edge's e-stubs;
+* a core's row is its edge's e-stub tuple, shared by the edge's cores, and a
+  dummy's row is its vertex's clique.
+
+That is at most 6U entries: U in the cliques, 2U in the tails, U in the
+e-stubs' heads, U in the core tuples, U in the stub tuples.  Every entry
+outside a row's last part is a v-stub.
+
+**Own entry.**  A v-stub's clique lists the stub itself.  That changes
+nothing: the search scans only even nodes, and an even node met in its own
+row lies in the scanning node's blossom, so the entry takes the
+same-blossom ``continue``; the base lookup it makes only compresses a path,
+which keeps every root.
+
+**Layout seed.**  The layout fixes the greedy maximal matching that scans
+the flat rows in node order, so the gadget is built with it.  A v-stub's
+flat row lists its vertex's other stubs first, then its e-stub, so the seed
+pairs consecutive stubs of each vertex and an odd one out takes its e-stub;
+each e-stub still free takes its edge's next free core; the cores and
+dummies left over see only matched nodes.  The seed matches every v-stub
+and leaves about two e-stubs exposed per hyperedge, so about one
+augmentation runs per hyperedge (330 on ``sts(45)``).
+
+**Kernel.**  The classical blossom-contraction search (Edmonds, "Paths,
+trees, and flowers", 1965) runs from each exposed root in increasing order.
+Each search grows an alternating BFS forest from the root, shrinking odd
+cycles (blossoms) to their base, until an augmenting path is found or proven
+absent.  It is one flat loop over a plain list that serves as its queue.  A
+scanned edge to a node already even (queued) either stays inside one
+blossom or closes a new one; an edge to a node outside the tree grows it by
+that node and its mate, or augments when that node is exposed.  Blossom
+bases are kept in a union-find array with path compression, looked up
+inline and walked only when a base is not its own root.  A general
+contraction relabels only the bases on its two paths, but it finds the
+blossom's base, the lowest common ancestor of the edge's two ends, by
+stamping every base from the scanning node's up to the root and walking up
+from the other end to the first stamped one: it costs time in the depth of
+the tree, not in the size of the blossom.  The stamps are a per-search
+counter in one array, so a contraction allocates no set.  The search state
+(``used``, ``parent``, ``base``, ``stamp``) is allocated once per
+:func:`max_matching`, and each search resets only the nodes it touched, at
+once when it augments, so a search that stays small costs time in its
+tree, not in the graph.
+
+**Last part.**  Augmenting never exposes a node, so every v-stub stays
+matched from the seed on: no root is a v-stub, and only the last part of a
+row can hold an exposed node.
+
+**Length-3 path.**  Most augmenting paths have length 3, and
+:func:`max_matching` takes such a path without growing a tree when the
+search would find it first.  The seed is maximal, so every neighbour of an
+exposed root is matched and no shorter path exists.  The search scans the
+root's whole row before any other node and grows the root's first neighbour
+``a`` first, so ``a``'s mate ``p`` is the next node it scans.  Only the root
+is exposed in the tree, so the first exposed ``x`` other than the root in
+``p``'s row ends the path the search flips: root, ``a``, ``p``, ``x``; by
+the last-part rule only that part of ``p``'s row is read.  Blossoms closed
+before that, the triangle root-``a``-``p`` too, never re-point the parent of
+``a``: it is odd until a blossom takes it in, that blossom's base is the
+root, and a walk stops at that base.  The flip reads only the parents of
+``x`` and ``a``, so the mate list is the one the search would leave.  Only
+when ``p`` has no such neighbour does the search run: on ``sts(45)``, 128
+of the 330 augmentations.
+
+**Triangle contraction.**  On covering inputs most contractions close a
+triangle below the scanning node ``v``: the even end ``to`` is its own base
+and its mate ``x`` is the odd node ``v`` grew earlier in its row.  ``x`` is
+odd and in no blossom, since one holding ``x`` holds its mate and ``to`` is
+the base of none holding ``x``.  The common ancestor is then ``v``'s base,
+the walk from ``v`` passes nothing and the walk from ``to`` passes ``to``
+and ``x`` alone, so the general path would re-point ``to``'s parent to
+``v``, give ``to`` and ``x`` ``v``'s base and queue ``x``.  The kernel makes
+exactly those writes in constant time, so parents, bases, queue order and
+mate lists are the same.  ``to`` is never the exposed root there: an even
+neighbour of the root joins the root's blossom in the root's own scan.
 """
 
 from __future__ import annotations
@@ -109,6 +122,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
+from .hypergraph import edge_name
 from .incidence import IncidenceGraph
 
 
@@ -127,9 +141,8 @@ def _augment_from(rows: Sequence[Sequence[Sequence[int]]], mate: list[int], root
                   stamp: list[int]) -> bool:
     """BFS for an augmenting path from ``root``; flips it and reports success.
 
-    Each row is a sequence of parts, read in order as one row.  A part may
-    list the scanned node itself: that node is even and in its own blossom,
-    so the entry takes the same-blossom ``continue`` and changes nothing.
+    Each row is a sequence of parts, read in order as one row, and may list
+    the scanned node itself (the own-entry rule in the module docstring).
 
     ``used``, ``parent``, ``base`` and ``stamp`` must arrive reset
     (``False``, ``-1``, identity, ``0``) and are left reset: the search
@@ -157,13 +170,9 @@ def _augment_from(rows: Sequence[Sequence[Sequence[int]]], mate: list[int], root
                         bt = _find(base, to)
                     if bv == bt:
                         continue
-                    # The triangle below v: to is its own base and v grew its
-                    # mate x.  Make the writes the general path below would (see
-                    # the module docstring).  x is odd and in no blossom, since
-                    # one holding x holds its mate and to is the base of none
-                    # holding x, so x is queued.  to is never the exposed root
-                    # here: an even neighbour of the root joins the root's
-                    # blossom in the root's own scan.
+                    # The triangle below v, to its own base and its mate x
+                    # grown by v: the general path's writes, in constant time
+                    # (module docstring).
                     if bt == to:
                         x = mate[to]
                         if parent[x] == v:
@@ -255,10 +264,8 @@ def max_matching(gg: GadgetGraph) -> list[int]:
     ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
     so the matching is perfect iff ``-1 not in mate``.  Starts from
     ``gg.seed`` and augments from each exposed root in increasing order,
-    reading rows as in :func:`_augment_from`, so equal gadgets give equal
-    matchings.  Every entry outside a row's last part is a v-stub, matched by
-    the seed and never exposed: augmenting never exposes a node, so no root
-    is a v-stub and only the last part of a row can hold an exposed node.
+    taking a length-3 path without a search where the search would find it
+    first (module docstring), so equal gadgets give equal matchings.
     """
     rows = gg.rows
     mate = list(gg.seed)
@@ -273,11 +280,8 @@ def max_matching(gg: GadgetGraph) -> list[int]:
         first = rows[root][0]
         if not first:
             continue
-        # The path the search would find first, when it has length 3: the
-        # root's first neighbour a, a's mate p (the next node it scans), and
-        # the first exposed x in p's row, which lies in its last part.  The
-        # seed leaves no two exposed nodes adjacent, so there is no shorter
-        # path.
+        # The length-3 path (module docstring): the root's first neighbour
+        # a, a's mate p, and the first exposed x in p's last part.
         a = first[0]
         p = mate[a]
         for x in rows[p][-1]:
@@ -293,23 +297,10 @@ def max_matching(gg: GadgetGraph) -> list[int]:
 class GadgetGraph:
     """The matching gadget built from an incidence graph, in linear space.
 
-    Node layout, for the ``U`` undecided incidences, in the order of
-    ``IncidenceGraph.incidences``: v-stubs ``[0, U)``, e-stubs ``[U, 2U)``,
-    then the cores in edge order, then the parity dummies in vertex order.
-    The u-th of them (vertex index, edge id) is realized by the gadget edge
-    ``(u, U + u)`` from its v-stub to its e-stub; all other gadget edges are
-    internal (stub-core, stub-stub, stub-dummy).  ``host`` and ``state`` are
-    the incidence graph and the decisions it was built from.
-
-    ``rows[x]`` is node x's row as a tuple of parts.  A v-stub's row is its
-    vertex's clique, one tuple shared by all of that vertex's stubs and
-    listing the stub itself, then the stub's tail: its e-stub, then its
-    vertex's dummy if it has one.  An e-stub's row is its v-stub, then its
-    edge's cores, one tuple shared by the edge's e-stubs.  Core and dummy
-    rows are one part: a core's is its edge's stub tuple, shared by the
-    edge's cores, and a dummy's is its vertex's clique.  Every entry outside
-    a row's last part is a v-stub.  ``seed`` is the greedy node-order
-    matching of the flat rows, read off the layout.
+    ``rows[x]`` is node x's row as a tuple of parts, laid out as the module
+    docstring describes, and ``seed`` the layout seed, a mate list.
+    ``host`` and ``state`` are the incidence graph and the decisions it was
+    built from.
     """
 
     rows: tuple[tuple[tuple[int, ...], ...], ...]
@@ -338,9 +329,9 @@ class GadgetGraph:
         """Each edge's anchors under the perfect matching ``mate`` of ``adj``.
 
         An edge's anchors are its forced incidences together with its
-        undecided ones whose gadget edge ``(u, U + u)`` is matched.
-        Incidences are grouped by edge in increasing vertex order, so each
-        edge's anchors arrive in increasing order.
+        undecided ones whose gadget edge is matched.  Incidences are grouped
+        by edge in increasing vertex order, so each edge's anchors arrive in
+        increasing order.
         """
         u_count = self.state.count(-1)
         u = 0
@@ -358,11 +349,9 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     """Build the gadget whose perfect matchings encode the degree-constrained subgraphs.
 
     ``state[t]`` is 1 when the t-th incidence is a forced anchor, 0 when it
-    is excluded and -1 when undecided.  The gadget covers the undecided
-    incidences only: an edge needing ``k`` more anchors from ``u`` undecided
-    incidences gets ``u - k`` cores, and a vertex gets a parity dummy when
-    its undecided count minus its forced count is odd.  With nothing
-    decided, every edge needs 2 and every forced count is 0.
+    is excluded and -1 when undecided.  Returns the gadget over the
+    undecided incidences, with its rows and seed laid out as the module
+    docstring describes, in node order.
 
     Raises :class:`ValueError` unless ``state`` has one entry per incidence,
     or when some edge has fewer undecided vertices than anchors it needs,
@@ -374,11 +363,7 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     if len(state) != len(incidences):
         raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
     u_count = state.count(-1)
-    # Node layout: v-stubs [0, U), e-stubs [U, 2U), then cores, then dummies.
-    # ``mate`` is the greedy node-order seed of the flat rows, laid out with
-    # the nodes.  A v-stub's flat row lists its vertex's other stubs first,
-    # then its e-stub, so the seed pairs consecutive stubs of a vertex and an
-    # odd one out takes its e-stub: each stub takes its e-stub until its
+    # The layout seed's stub entries: each stub takes its e-stub until its
     # vertex's next stub arrives and pairs with it.
     stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
     odd = [0] * g.n_v
@@ -389,45 +374,16 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             stubs = stubs_of[v]
             if len(stubs) % 2:
                 a = stubs[-1]
-                mate[u_count + a] = -1
-                mate[a] = u
-                mate[u] = a
+                mate[a], mate[u], mate[u_count + a] = u, a, -1
             else:
-                mate[u] = u_count + u
-                mate[u_count + u] = u
+                mate[u], mate[u_count + u] = u_count + u, u
             stubs.append(u)
             u += 1
         elif s:
             odd[v] ^= 1
 
-    # Vertex-node gadgets: stub clique plus a parity dummy iff the stub count
-    # minus the forced count is odd, so the stubs matched across have the
-    # forced count's parity and the vertex's anchor count ends even.  An edge
-    # with d undecided incidences that needs k more anchors gets d-k cores,
-    # so U - 2 n_e + (forced anchors) cores come before the first dummy once
-    # the edge loop below has checked every d >= k.
-    v_rows: list[tuple[tuple[int, ...], ...]] = [()] * u_count
-    dummy_rows: list[tuple[tuple[int, ...]]] = []
-    dummy = 3 * u_count - 2 * g.n_e + state.count(1)
-    for stubs, p in zip(stubs_of, odd):
-        # A vertex with no undecided incidence adds nothing, unless its
-        # forced count is odd: then its dummy has no stub to match.
-        if not stubs and not p:
-            continue
-        clique = tuple(stubs)
-        tail: tuple[int, ...] = ()
-        if (len(clique) - p) % 2 == 1:
-            dummy_rows.append((clique,))
-            tail = (dummy,)
-            dummy += 1
-        for t in clique:
-            v_rows[t] = (clique, (u_count + t,) + tail)
-
-    # Edge-node gadgets: d-k cores, each adjacent to all d of the edge's stubs.
-    # An e-stub's row: its v-stub, then its edge's cores, one tuple the
-    # edge's e-stubs share.  In the seed each free e-stub takes its edge's
-    # next core; cores and dummies still free then see only matched nodes
-    # and stay so.
+    # Edge pass: e-stub rows, then d-k cores per edge, each free e-stub
+    # seeded with its edge's next core.
     stub_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     core_rows: list[tuple[tuple[int, ...]]] = []
     stub = u_count
@@ -437,7 +393,7 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
         d = decided.count(-1)
         k = 2 - decided.count(1)
         if d < k:
-            raise ValueError(f"edge e{j + 1} has only {d} vertices left for {k} anchors")
+            raise ValueError(f"edge {edge_name(j)} has only {d} vertices left for {k} anchors")
         stubs = tuple(range(stub, stub + d))
         cores = tuple(range(core, core + d - k))
         stub_rows += [((s - u_count,), cores) for s in stubs]
@@ -454,6 +410,25 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
                 mate.append(-1)
         stub += d
         core += d - k
+
+    # Vertex pass: v-stub rows, and a parity dummy for each vertex whose
+    # stub count minus forced count is odd.
+    v_rows: list[tuple[tuple[int, ...], ...]] = [()] * u_count
+    dummy_rows: list[tuple[tuple[int, ...]]] = []
+    dummy = core
+    for stubs, p in zip(stubs_of, odd):
+        # A vertex with no undecided incidence adds nothing, unless its
+        # forced count is odd: then its dummy has no stub to match.
+        if not stubs and not p:
+            continue
+        clique = tuple(stubs)
+        tail: tuple[int, ...] = ()
+        if (len(clique) - p) % 2 == 1:
+            dummy_rows.append((clique,))
+            tail = (dummy,)
+            dummy += 1
+        for t in clique:
+            v_rows[t] = (clique, (u_count + t,) + tail)
     mate += repeat(-1, len(dummy_rows))
 
     rows = (*v_rows, *stub_rows, *core_rows, *dummy_rows)

@@ -26,7 +26,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import CertificateViolation
-from .hypergraph import EulerFamily, Hypergraph, Walk, canonical_closed_trail, verify_euler_object
+from .hypergraph import (EulerFamily, Hypergraph, Walk, canonical_closed_trail, edge_name,
+                         verify_euler_object)
 
 MAX_EDGES = 10
 # One edge step of the family sweep makes at most 2**STEP_BITS state updates.
@@ -69,7 +70,7 @@ def brute_family_exists(h: Hypergraph, max_edges: int = MAX_EDGES) -> bool:
         if len(states) * pairs > cap:
             raise ValueError(
                 f"too many parity states for exhaustive search: {len(states)} states x "
-                f"{pairs} anchor pairs at e{j + 1} (over 2**{STEP_BITS})")
+                f"{pairs} anchor pairs at {edge_name(j)} (over 2**{STEP_BITS})")
         closed = sum(1 << v for v in e if last[v] == j)
         reached: set[int] = set()
         for a, b in combinations(e, 2):

@@ -238,6 +238,35 @@ class TestSolve:
             merge_to_tour(fsub, budget=40, stats=stats)
         assert (exc.value.reason, exc.value.steps, stats.steps) == ("budget", 40, 521)
 
+    def test_shared_stats_budget_on_one_piece(self):
+        # The same rules on an input whose edges form one piece and which has
+        # a family but no tour (draw 20 of Lcg(0)): its merge ends no-move
+        # after 27 steps, so a budget of 20 cuts every call, whatever
+        # stats.steps held on entry.
+        rng = Lcg(0)
+        for _ in range(20):
+            random_noncovering(rng)
+        h = random_noncovering(rng)
+        piece = set(h.edges[0])
+        for _ in h.edges:
+            piece |= set().union(*(e for e in h.edges if e & piece))
+        assert all(e <= piece for e in h.edges)
+        assert brute_tour(h) is None
+        own = MergeStats()
+        assert solve(h, 3, stats=own).verdict == "not-covering-best-effort"
+        assert own.steps == 27
+        stats = MergeStats()
+        for total in (27, 54):
+            assert solve(h, 3, stats=stats).verdict == "not-covering-best-effort"
+            assert stats.steps == total
+        for total in (74, 94):
+            assert solve(h, 3, budget=20, stats=stats).verdict == "not-covering-best-effort"
+            assert stats.steps == total
+        fsub = find_family_subgraph(build_incidence(h))
+        with pytest.raises(MergeExhaustedError) as exc:
+            merge_to_tour(fsub, budget=20, stats=stats)
+        assert (exc.value.reason, exc.value.steps, stats.steps) == ("budget", 20, 114)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             solve(gen_random_covering(5, 3, 17), 3, budget=-1)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from operator import eq
 
@@ -101,15 +100,22 @@ def validate_covering(h: Hypergraph, k: int) -> bool:
     """Whether ``h`` is a covering k-hypergraph.
 
     Covering means: non-empty, k-uniform, and every (k-1)-subset of the
-    vertex set lies inside at least one edge.  One pass collects the
-    (k-1)-subsets of the edges and compares their count with C(n, k-1).
+    vertex set lies inside at least one edge.  Each edge holds k of them, so
+    fewer than C(n, k-1) / k edges never cover.  Otherwise one pass collects
+    the (k-1)-subsets of the edges, each e - {x} as one int, the bitmask of
+    e with bit x cleared, and compares their count with C(n, k-1).
     """
     if k < 3:
         raise ValueError(f"covering hypergraphs are defined for k >= 3, got k={k}")
     if not h.edges or any(len(e) != k for e in h.edges):
         return False
-    covered = {sub for e in h.edges for sub in combinations(sorted(e), k - 1)}
-    return len(covered) == comb(h.order, k - 1)
+    need = comb(h.order, k - 1)
+    if len(h.edges) * k < need:
+        return False
+    bits = [1 << x for x in range(h.order)]
+    masks = [sum(map(bits.__getitem__, e)) for e in h.edges]
+    covered = {mask ^ bits[x] for mask, e in zip(masks, h.edges) for x in e}
+    return len(covered) == need
 
 
 @dataclass(frozen=True)

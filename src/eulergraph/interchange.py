@@ -12,10 +12,11 @@ frozen, so the merge leaves the certificate it is given unchanged: each move
 builds a new one, and the tour is read out of the last once at the end;
 verifying that tour is left to the caller at the API boundary.
 
-The functions below state their contracts; the two moves, the scan that
-finds them and the toggle are described here, once.
+The functions below state their contracts; the three moves, the scans
+that find them and the toggle are described here, once.
 
-**Moves.**  The merge takes one move per step, from one scan:
+**Moves.**  The merge takes one move per step, from one scan, and a last
+resort when that scan finds none:
 
 * Search: bounded enumeration of interchanging cycles through 2 to
   ``MAX_EDGE_NODES`` edge-nodes, shortest first, keeping the first whose
@@ -30,9 +31,24 @@ finds them and the toggle are described here, once.
   loop ends; a per-call step budget also guards it.  On covering
   3-hypergraphs, exceeding the budget signals an implementation bug, not a
   mathematical obstruction.
+* Closed trail: when the scan yields neither, toggle the first
+  interchanging closed trail, shortest first, whose toggle diminishes.  Its
+  vertex-nodes are distinct, but an edge-node may appear twice, each visit
+  swapping one anchor against the pair the earlier visit left.  This move
+  is not from the paper.  It is needed because the families of one input
+  need not be joined by interchanging cycles: a family that differs from
+  every tour at some edge in both anchors reaches none by a cycle, which
+  passes that edge-node once and swaps one anchor (``random#372`` in the
+  tests has two such families).  The difference of any two families splits
+  into closed trails of this kind, pairing an old anchor with a new one at
+  each edge-node and cutting at repeated vertex-nodes, so such trails join
+  every two families; the scan tries those of at most ``MAX_EDGE_NODES + 1``
+  visits, within its own ``MAX_EXPANSIONS``.  It runs only when some
+  connected piece of the host holds two non-trivial components: a move's
+  vertex-nodes lie in one piece, so elsewhere nothing can diminish.
 
 **Scan tables.**  The exits that keep a cycle interchanging are fixed by the
-certificate, so each scan tabulates them once: an edge-node entered from
+certificate, so the cycle scan tabulates them once: an edge-node entered from
 one of its anchors leaves through a member that is not an anchor,
 ``others[e]`` in row order, and one entered from a non-anchor leaves
 through an anchor, its sorted pair.  For each length and each start vertex
@@ -137,6 +153,98 @@ def _candidates(g, anchors):
             yield from walk(start, 0)
 
 
+def _trails(g, anchors):
+    """Interchanging closed trails of the certificate, shortest first, in one expansion budget.
+
+    The last-resort scan of the module docstring: like :func:`_candidates`,
+    from each start vertex through later vertex-nodes only, through 2 to
+    ``MAX_EDGE_NODES + 1`` edge-node visits, charging one expansion for each
+    edge-node it looks at, against its own ``MAX_EXPANSIONS``.  An edge-node
+    may be visited a second time, but not next to its first visit around the
+    trail: two such visits toggle what one visit without the vertex-node
+    between them does, on a shorter trail.  Each visit is read against the
+    edge's pair as the earlier visits on the path left it, so the exits are
+    found as the walk goes, not tabulated.
+    """
+    adj = g.adj
+    n_v = g.n_v
+    pairs = list(anchors)
+    visits = [0] * (n_v + g.n_e)
+    on_path = [False] * n_v
+    path = [0]
+    left = MAX_EXPANSIONS
+
+    def walk(u, depth):
+        nonlocal left
+        closing = depth + 1 == t
+        last = path[-2] if depth else -1
+        for en in adj[u]:
+            left -= 1
+            if left <= 0:
+                return
+            if en == last or visits[en] == 2:
+                continue
+            e = en - n_v
+            pair = pairs[e]
+            exits = [w for w in adj[en] if w not in pair] if u in pair else pair
+            if closing:
+                if start in exits and en != path[1]:
+                    yield (*path, en)
+                continue
+            for w in exits:
+                if w <= start or on_path[w]:
+                    continue
+                on_path[w] = True
+                visits[en] += 1
+                pairs[e] = tuple(sorted({*pair} ^ {u, w}))
+                path.append(en)
+                path.append(w)
+                yield from walk(w, depth + 1)
+                del path[-2:]
+                pairs[e] = pair
+                visits[en] -= 1
+                on_path[w] = False
+                if left <= 0:
+                    return
+
+    for t in range(2, MAX_EDGE_NODES + 2):
+        for start in range(n_v):
+            if left <= 0:
+                return
+            path[0] = start
+            yield from walk(start, 0)
+
+
+def _diminishing_trail(fsub: FamilySubgraph) -> tuple[int, ...] | None:
+    """The first trail of :func:`_trails` whose toggled pairs have fewer non-trivial components."""
+    g = fsub.host
+    comp_of = fsub.component_of
+    base = fsub.nontrivial_count
+    for nodes in _trails(g, fsub.anchors):
+        # The crossing filter of find_diminishing_cycle: a trail's edge-nodes
+        # too lie in the component of an anchor met on it.
+        if (len({comp_of[x] for x in nodes[::2]}) > 1
+                and _union_find(g.n_v, _toggle(fsub, nodes))[1] < base):
+            return nodes
+    return None
+
+
+def _shares_a_piece(fsub: FamilySubgraph) -> bool:
+    """Whether some connected piece of the host holds two non-trivial components.
+
+    Elsewhere no move diminishes: a move's vertex-nodes lie in one piece.
+    """
+    g = fsub.host
+    piece = _union_find(g.n_v, ((row[0], v) for row in g.adj[g.n_v:] for v in row[1:]))[0]
+    # Every parent is at most its vertex, so one pass in index order
+    # resolves each vertex to its piece's smallest vertex.
+    for x, p in enumerate(piece):
+        piece[x] = piece[p]
+    comp_of = fsub.component_of
+    roots = {comp_of[a] for a, _ in fsub.anchors}
+    return len({piece[r] for r in roots}) < len(roots)
+
+
 def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None:
     """The merge's next move, a diminishing cycle or else an escape, by one scan.
 
@@ -191,13 +299,14 @@ def merge_to_tour(
     budget: int | None = None,
     stats: MergeStats | None = None,
 ) -> Walk:
-    """Merge a family certificate into an Euler tour by interchanging-cycle moves.
+    """Merge a family certificate into an Euler tour by interchanging moves.
 
     ``fsub`` is frozen and stays unchanged: each move builds a new
     certificate, and the tour is read out of the last one and not
     re-verified, so callers verify what they return.
-    Each step applies the move :func:`find_diminishing_cycle` returns; with
-    none, it stops with reason ``"no-move"``.  The default budget is
+    Each step applies the move :func:`find_diminishing_cycle` returns, or
+    with none the first diminishing closed trail (module docstring); with
+    neither, it stops with reason ``"no-move"``.  The default budget is
     ``10 * |E|**2`` steps; on covering 3-hypergraphs exhausting it indicates
     a bug (module docstring), and on other inputs the same moves run
     best-effort and may exhaust honestly.
@@ -222,6 +331,8 @@ def merge_to_tour(
         if steps >= budget:
             raise MergeExhaustedError("budget", steps, fsub.anchors)
         move = find_diminishing_cycle(fsub, seen)
+        if move is None and _shares_a_piece(fsub):
+            move = _diminishing_trail(fsub)
         if move is None:
             raise MergeExhaustedError("no-move", steps, fsub.anchors)
         fsub = apply_interchange(fsub, move)

@@ -1,65 +1,66 @@
 """The degree-prescription gadget, and the blossom matching that solves it.
 
 The functions below state their contracts; the gadget's layout and seed,
-and why the kernel's shortcuts leave its matchings unchanged, are described
+and why the kernel's shortcut leaves its matchings unchanged, are described
 here, once.
 
 The gadget turns "pick a spanning subgraph of the incidence graph with every
 edge-node of degree exactly 2 and every vertex-node of even degree" into a
-perfect-matching question.  Some incidences may already be decided, forced
+perfect-matching question (a degree gadget after Cornuéjols, "General
+factors of graphs", 1988).  Some incidences may already be decided, forced
 in or out by :mod:`eulergraph.family`'s propagation; the gadget covers the
-undecided ones only:
+undecided ones only, one node each, its *stub*:
 
-* an edge-node with u undecided incidences that still needs k anchors (2
-  minus its forced ones) becomes u stubs plus u-k cores, every core adjacent
-  to every stub: a perfect matching leaves exactly k stubs to be matched
-  across incidence edges;
-* a vertex-node with u undecided incidences and p forced anchors becomes u
-  pairwise-adjacent stubs, plus one parity dummy adjacent to all of them iff
-  u-p is odd: the stubs matched across incidence edges are forced to have
-  the parity of p, so the vertex's anchor count is even;
-* each undecided incidence becomes one gadget edge between the two matching
-  stubs, and anchors its vertex in its edge iff that gadget edge is matched.
+* an edge with u undecided incidences that still needs k anchors (2 minus
+  its forced ones) gets u-k cores, every core adjacent to each of the
+  edge's stubs: a perfect matching leaves exactly k of them unmatched to a
+  core;
+* a vertex's stubs are pairwise adjacent, and a parity dummy adjacent to
+  all of them joins them iff the vertex's forced anchor count p is odd: the
+  stubs matched to each other or to the dummy then number p mod 2 plus an
+  even count, so the vertex's anchor count is even;
+* an incidence anchors its edge iff its stub is not matched to one of that
+  edge's cores.
 
-With nothing decided, every edge needs 2 and every p is 0, so an edge-node
-of degree d gets d-2 cores and a vertex-node a dummy iff its degree is odd.
+With nothing decided, every edge needs 2 and every p is 0, so an edge of
+size d gets d-2 cores and no vertex gets a dummy.
 
 **Layout.**  For ``U`` undecided incidences, taken in the order of
-``IncidenceGraph.incidences``, the nodes are the v-stubs ``[0, U)``, the
-e-stubs ``[U, 2U)``, the cores edge by edge, then the parity dummies vertex
-by vertex.  The u-th undecided incidence is the gadget edge ``(u, U + u)``,
-so it anchors its edge iff ``mate[u] == U + u``; every other gadget edge is
-internal (stub-core, stub-stub, stub-dummy).  As flat rows the gadget would
-hold a clique per vertex and a core list per e-stub, the sums of d_v^2 and
-of u_e^2 entries for u_e undecided incidences in edge e, so each row is
-stored as a tuple of parts, read in order as one row:
+``IncidenceGraph.incidences``, the nodes are the stubs ``[0, U)``, the cores
+edge by edge, then the parity dummies vertex by vertex.  Each row is a tuple
+of parts, read in order as one row, so that no clique is stored once per
+member:
 
-* a v-stub's row is its vertex's clique, one tuple shared by the vertex's
-  stubs and listing the stub itself, then its own tail: its e-stub, then its
-  vertex's dummy if any;
-* an e-stub's row is its v-stub, then its edge's cores, one tuple shared by
-  the edge's e-stubs;
-* a core's row is its edge's e-stub tuple, shared by the edge's cores, and a
-  dummy's row is its vertex's clique.
+* a stub's row is its vertex's stubs, one tuple shared by them that lists
+  the stub itself, then its edge's cores, one tuple shared by the edge's
+  stubs, then ``(dummy,)`` when its vertex has one;
+* a core's row is its edge's stubs, one tuple shared by the edge's cores,
+  and a dummy's row is its vertex's stubs.
 
-That is at most 6U entries: U in the cliques, 2U in the tails, U in the
-e-stubs' heads, U in the core tuples, U in the stub tuples.  Every entry
-outside a row's last part is a v-stub.
+That is U entries in the vertex tuples, U-K in the core tuples for K the
+anchors the edges still need, at most U in the edge stub tuples (an edge
+with no core stores none) and one per dummy: at most 3U on an input with
+no forced anchor, which has no dummy.  Every row lists its nodes in
+increasing order.
 
-**Own entry.**  A v-stub's clique lists the stub itself.  That changes
+**Own entry.**  A stub's first part lists the stub itself.  That changes
 nothing: the search scans only even nodes, and an even node met in its own
 row lies in the scanning node's blossom, so the entry takes the
 same-blossom ``continue``; the base lookup it makes only compresses a path,
 which keeps every root.
 
-**Layout seed.**  The layout fixes the greedy maximal matching that scans
-the flat rows in node order, so the gadget is built with it.  A v-stub's
-flat row lists its vertex's other stubs first, then its e-stub, so the seed
-pairs consecutive stubs of each vertex and an odd one out takes its e-stub;
-each e-stub still free takes its edge's next free core; the cores and
-dummies left over see only matched nodes.  The seed matches every v-stub
-and leaves about two e-stubs exposed per hyperedge, so about one
-augmentation runs per hyperedge (330 on ``sts(45)``).
+**Layout seed.**  The gadget is built with a maximal matching to start
+from.  An edge with more cores than anchors to find (u-k > k: five or more
+vertices with nothing forced) gives its cores to its first u-k stubs, so
+that most of its stubs start where most must end.  The other stubs of each
+vertex pair up in order, and an odd one out takes its edge's first free
+core, or else its dummy; the cores and dummies left over see only matched
+nodes.  Without the first rule two copies of one wide edge would start with
+every core exposed and take a search from each, each as long as the edge,
+where they now start perfect.  With no such edge, as on every 3-uniform
+input, the seed is the greedy maximal matching that scans the flat rows in
+node order, since a stub's flat row lists its vertex's other stubs first,
+then its edge's cores, then its dummy.
 
 **Kernel.**  The classical blossom-contraction search (Edmonds, "Paths,
 trees, and flowers", 1965) runs from each exposed root in increasing order.
@@ -81,26 +82,6 @@ counter in one array, so a contraction allocates no set.  The search state
 :func:`max_matching`, and each search resets only the nodes it touched, at
 once when it augments, so a search that stays small costs time in its
 tree, not in the graph.
-
-**Last part.**  Augmenting never exposes a node, so every v-stub stays
-matched from the seed on: no root is a v-stub, and only the last part of a
-row can hold an exposed node.
-
-**Length-3 path.**  Most augmenting paths have length 3, and
-:func:`max_matching` takes such a path without growing a tree when the
-search would find it first.  The seed is maximal, so every neighbour of an
-exposed root is matched and no shorter path exists.  The search scans the
-root's whole row before any other node and grows the root's first neighbour
-``a`` first, so ``a``'s mate ``p`` is the next node it scans.  Only the root
-is exposed in the tree, so the first exposed ``x`` other than the root in
-``p``'s row ends the path the search flips: root, ``a``, ``p``, ``x``; by
-the last-part rule only that part of ``p``'s row is read.  Blossoms closed
-before that, the triangle root-``a``-``p`` too, never re-point the parent of
-``a``: it is odd until a blossom takes it in, that blossom's base is the
-root, and a walk stops at that base.  The flip reads only the parents of
-``x`` and ``a``, so the mate list is the one the search would leave.  Only
-when ``p`` has no such neighbour does the search run: on ``sts(45)``, 128
-of the 330 augmentations.
 
 **Triangle contraction.**  On covering inputs most contractions close a
 triangle below the scanning node ``v``: the even end ``to`` is its own base
@@ -263,9 +244,8 @@ def max_matching(gg: GadgetGraph) -> list[int]:
 
     ``mate[v]`` is the node matched to ``v``, or ``-1`` when ``v`` is exposed,
     so the matching is perfect iff ``-1 not in mate``.  Starts from
-    ``gg.seed`` and augments from each exposed root in increasing order,
-    taking a length-3 path without a search where the search would find it
-    first (module docstring), so equal gadgets give equal matchings.
+    ``gg.seed`` and searches from each exposed root in increasing order, so
+    equal gadgets give equal matchings.
     """
     rows = gg.rows
     mate = list(gg.seed)
@@ -275,20 +255,7 @@ def max_matching(gg: GadgetGraph) -> list[int]:
     base = list(range(n))
     stamp = [0] * n
     for root in range(n):
-        if mate[root] != -1:
-            continue
-        first = rows[root][0]
-        if not first:
-            continue
-        # The length-3 path (module docstring): the root's first neighbour
-        # a, a's mate p, and the first exposed x in p's last part.
-        a = first[0]
-        p = mate[a]
-        for x in rows[p][-1]:
-            if mate[x] == -1 and x != root:
-                mate[x], mate[p], mate[a], mate[root] = p, x, root, a
-                break
-        else:
+        if mate[root] == -1:
             _augment_from(rows, mate, root, used, parent, base, stamp)
     return mate
 
@@ -298,13 +265,14 @@ class GadgetGraph:
     """The matching gadget built from an incidence graph, in linear space.
 
     ``rows[x]`` is node x's row as a tuple of parts, laid out as the module
-    docstring describes, and ``seed`` the layout seed, a mate list.
-    ``host`` and ``state`` are the incidence graph and the decisions it was
-    built from.
+    docstring describes, ``seed`` the layout seed, a mate list, and
+    ``cores`` the range of the core nodes.  ``host`` and ``state`` are the
+    incidence graph and the decisions it was built from.
     """
 
     rows: tuple[tuple[tuple[int, ...], ...], ...]
     seed: tuple[int, ...]
+    cores: range
     host: IncidenceGraph
     state: Sequence[int]
 
@@ -329,16 +297,16 @@ class GadgetGraph:
         """Each edge's anchors under the perfect matching ``mate`` of ``adj``.
 
         An edge's anchors are its forced incidences together with its
-        undecided ones whose gadget edge is matched.  Incidences are grouped
-        by edge in increasing vertex order, so each edge's anchors arrive in
-        increasing order.
+        undecided ones whose stub is not matched to a core.  Incidences are
+        grouped by edge in increasing vertex order, so each edge's anchors
+        arrive in increasing order.
         """
-        u_count = self.state.count(-1)
+        cores = self.cores
         u = 0
         pairs: list[list[int]] = [[] for _ in range(self.host.n_e)]
         for (v, e), s in zip(self.host.incidences, self.state):
             if s < 0:
-                s = mate[u] == u_count + u
+                s = mate[u] not in cores
                 u += 1
             if s:
                 pairs[e].append(v)
@@ -363,31 +331,12 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
     if len(state) != len(incidences):
         raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
     u_count = state.count(-1)
-    # The layout seed's stub entries: each stub takes its e-stub until its
-    # vertex's next stub arrives and pairs with it.
-    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
-    odd = [0] * g.n_v
-    mate = [-1] * (2 * u_count)
-    u = 0
-    for (v, _), s in zip(incidences, state):
-        if s < 0:
-            stubs = stubs_of[v]
-            if len(stubs) % 2:
-                a = stubs[-1]
-                mate[a], mate[u], mate[u_count + a] = u, a, -1
-            else:
-                mate[u], mate[u_count + u] = u_count + u, u
-            stubs.append(u)
-            u += 1
-        elif s:
-            odd[v] ^= 1
-
-    # Edge pass: e-stub rows, then d-k cores per edge, each free e-stub
-    # seeded with its edge's next core.
-    stub_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # Edge pass: u-k cores per edge; an edge with more cores than anchors to
+    # find seeds its first u-k stubs with them.
+    mate = [-1] * u_count
+    edge_cores: list[tuple[int, ...]] = []
     core_rows: list[tuple[tuple[int, ...]]] = []
-    stub = u_count
-    core = 2 * u_count
+    stub, core = 0, u_count
     for j in range(g.n_e):
         decided = state[first[j]:first[j + 1]]
         d = decided.count(-1)
@@ -396,40 +345,59 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
             raise ValueError(f"edge {edge_name(j)} has only {d} vertices left for {k} anchors")
         stubs = tuple(range(stub, stub + d))
         cores = tuple(range(core, core + d - k))
-        stub_rows += [((s - u_count,), cores) for s in stubs]
+        edge_cores += repeat(cores, d)
         core_rows += repeat((stubs,), d - k)
-        free, end = stub, stub + d
-        for c in cores:
-            while free < end and mate[free] >= 0:
-                free += 1
-            if free < end:
-                mate[free] = c
-                mate.append(free)
-                free += 1
-            else:
-                mate.append(-1)
+        if d - k > k:
+            mate[stub:stub + d - k] = cores
+            mate += stubs[:d - k]
+        else:
+            mate += repeat(-1, d - k)
         stub += d
         core += d - k
 
-    # Vertex pass: v-stub rows, and a parity dummy for each vertex whose
-    # stub count minus forced count is odd.
-    v_rows: list[tuple[tuple[int, ...], ...]] = [()] * u_count
-    dummy_rows: list[tuple[tuple[int, ...]]] = []
-    dummy = core
-    for stubs, p in zip(stubs_of, odd):
-        # A vertex with no undecided incidence adds nothing, unless its
-        # forced count is odd: then its dummy has no stub to match.
-        if not stubs and not p:
-            continue
-        clique = tuple(stubs)
-        tail: tuple[int, ...] = ()
-        if (len(clique) - p) % 2 == 1:
-            dummy_rows.append((clique,))
-            tail = (dummy,)
-            dummy += 1
-        for t in clique:
-            v_rows[t] = (clique, (u_count + t,) + tail)
-    mate += repeat(-1, len(dummy_rows))
+    # Stub pass: each vertex's stubs and forced parity, and the seed's pairs
+    # of its consecutive stubs still free; an odd one out waits in lone.
+    stubs_of: list[list[int]] = [[] for _ in range(g.n_v)]
+    odd = [0] * g.n_v
+    lone = [-1] * g.n_v
+    u = 0
+    for (v, _), s in zip(incidences, state):
+        if s < 0:
+            stubs_of[v].append(u)
+            if mate[u] < 0:
+                w = lone[v]
+                if w < 0:
+                    lone[v] = u
+                else:
+                    mate[w], mate[u] = u, w
+                    lone[v] = -1
+            u += 1
+        elif s:
+            odd[v] ^= 1
 
-    rows = (*v_rows, *stub_rows, *core_rows, *dummy_rows)
-    return GadgetGraph(rows, tuple(mate), g, state)
+    # Vertex pass: stub rows, the odd one out on its edge's first free core,
+    # and a parity dummy for each vertex whose forced count is odd, taken by
+    # the odd one out that found no core.
+    stub_rows: list[tuple[tuple[int, ...], ...]] = [()] * u_count
+    dummy_rows: list[tuple[tuple[int, ...]]] = []
+    for stubs, p, x in zip(stubs_of, odd, lone):
+        clique = tuple(stubs)
+        # Cores are taken in order, so the last one is free iff some is.
+        if x >= 0 and edge_cores[x] and mate[edge_cores[x][-1]] < 0:
+            c = next(c for c in edge_cores[x] if mate[c] < 0)
+            mate[c], mate[x] = x, c
+            x = -1
+        if p:
+            dummy = (len(mate),)
+            dummy_rows.append((clique,))
+            mate.append(x)
+            if x >= 0:
+                mate[x] = dummy[0]
+            for t in clique:
+                stub_rows[t] = (clique, edge_cores[t], dummy)
+        else:
+            for t in clique:
+                stub_rows[t] = (clique, edge_cores[t])
+
+    rows = (*stub_rows, *core_rows, *dummy_rows)
+    return GadgetGraph(rows, tuple(mate), range(u_count, core), g, state)

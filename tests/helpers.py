@@ -6,6 +6,7 @@ import os
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
@@ -337,6 +338,55 @@ def reference_candidates(g, anchors):
             yield from reference_alternating_cycles(g, anchors, s, t, counter)
 
 
+def reference_closed_trails(g, anchors):
+    """Interchanging closed trails of the certificate, shortest first, in one expansion budget.
+
+    The reference for the merge's last-resort scan.  A trail starts at its
+    smallest vertex-node, passes distinct vertex-nodes and 2 to
+    ``MAX_EDGE_NODES + 1`` edge-node visits, and may visit an edge-node
+    twice, but never at two neighbouring positions around the trail.  Each
+    visit must meet exactly one anchor of the pair the earlier visits left,
+    and swaps it for the other end: the walk keeps a copy of the pairs per
+    step and filters every member of each edge-node it enters.  One
+    expansion is charged per edge-node looked at, as in
+    :func:`reference_candidates`.
+    """
+    adj = g.adj
+    n_v = g.n_v
+    counter = [interchange.MAX_EXPANSIONS]
+
+    def walk(path, pairs, t):
+        u = path[-1]
+        for en in adj[u]:
+            counter[0] -= 1
+            if counter[0] <= 0:
+                return
+            edge_nodes = path[1::2]
+            if (edge_nodes and en == edge_nodes[-1]) or edge_nodes.count(en) == 2:
+                continue
+            pair = set(pairs[en - n_v])
+            for w in adj[en]:
+                if w == u or (u in pair) == (w in pair):
+                    continue
+                if len(edge_nodes) + 1 == t:
+                    if w == path[0] and en != edge_nodes[0]:
+                        yield (*path, en)
+                    continue
+                if w <= path[0] or w in path[::2]:
+                    continue
+                turned = dict(pairs)
+                turned[en - n_v] = tuple(sorted(pair ^ {u, w}))
+                yield from walk((*path, en, w), turned, t)
+                if counter[0] <= 0:
+                    return
+
+    for t in range(2, interchange.MAX_EDGE_NODES + 2):
+        for s in range(n_v):
+            if counter[0] <= 0:
+                return
+            yield from walk((s,), dict(enumerate(anchors)), t)
+
+
 def sample_interchanging_cycles(fsub: FamilySubgraph, rng: Lcg, want: int = 10,
                                 tries: int = 40, max_e: int = 5) -> list[tuple[int, ...]]:
     """Collect interchanging cycles of fsub, as node tuples, at seeded-random starts and lengths."""
@@ -447,6 +497,18 @@ def all_pairs_covered(h: Hypergraph, k: int) -> tuple[bool, tuple | None]:
         if not any(set(combo) <= es for es in edge_sets):
             return False, combo
     return True, None
+
+
+def reference_validate_covering(h: Hypergraph, k: int) -> bool:
+    """The covering check with one sorted tuple per (k-1)-subset of each edge.
+
+    The reference for :func:`eulergraph.validate_covering`: it collects the
+    tuples and compares their count with C(n, k-1).
+    """
+    if not h.edges or any(len(e) != k for e in h.edges):
+        return False
+    covered = {sub for e in h.edges for sub in combinations(sorted(e), k - 1)}
+    return len(covered) == comb(h.order, k - 1)
 
 
 def reduction_layers(h: Hypergraph) -> list[tuple[str, Hypergraph]]:
@@ -621,8 +683,9 @@ def matching_size(adj, mate) -> int:
 def greedy_seed(adj) -> list[int]:
     """The greedy maximal matching of ``adj`` in node order, as a mate list.
 
-    Each exposed node in turn takes its first exposed neighbour.  On a
-    gadget's flat rows this is the seed its layout fixes (``GadgetGraph.seed``).
+    Each exposed node in turn takes its first exposed neighbour.  On the flat
+    rows of a gadget with no edge that seeds its cores first, this is the
+    seed its layout fixes (``GadgetGraph.seed``).
     """
     mate = [-1] * len(adj)
     for v in range(len(adj)):
@@ -636,26 +699,28 @@ def greedy_seed(adj) -> list[int]:
     return mate
 
 
-def flat_gadget(adj) -> GadgetGraph:
+def flat_gadget(adj, seed=None) -> GadgetGraph:
     """A test fake: ``adj`` as a :class:`GadgetGraph` of one-part rows.
 
-    Its seed is :func:`greedy_seed`.  Rows must be symmetric, loop-free and
-    without repeats, so the seed is maximal and ``max_matching`` on it
-    matches the plain graph ``adj``.  Its ``host`` and ``state`` are empty:
-    ``max_matching`` never reads them.
+    Its seed is ``seed``, by default :func:`greedy_seed`.  Rows must be
+    symmetric, loop-free and without repeats, and the seed a maximal
+    matching, so ``max_matching`` on it matches the plain graph ``adj``.
+    Its ``host`` and ``state`` are empty: ``max_matching`` never reads them.
     """
-    return GadgetGraph(tuple((tuple(row),) for row in adj), tuple(greedy_seed(adj)), None, ())
+    seed = greedy_seed(adj) if seed is None else seed
+    return GadgetGraph(tuple((tuple(row),) for row in adj), tuple(seed), range(0), None, ())
 
 
-def reference_max_matching(adj) -> list[int]:
+def reference_max_matching(adj, seed=None) -> list[int]:
     """Blossom matching that rescans all n nodes at every contraction.
 
-    The reference for :func:`eulergraph.max_matching`: same seed, same root
-    order and same queue discipline, with a flat ``base`` array rebuilt by a
-    full scan, so both must return the same mate list.
+    The reference for :func:`eulergraph.max_matching`: same seed (``seed``,
+    by default :func:`greedy_seed`), same root order and same queue
+    discipline, with a flat ``base`` array rebuilt by a full scan, so both
+    must return the same mate list.
     """
     n = len(adj)
-    mate = greedy_seed(adj)
+    mate = greedy_seed(adj) if seed is None else list(seed)
 
     def lca(base, parent, a, b):
         marked = set()
@@ -726,12 +791,16 @@ def reference_gadget_adj(g, decided=None) -> tuple[tuple[int, ...], ...]:
     ``decided`` maps (vertex index, edge id) to True for a forced anchor and
     False for an excluded incidence, as :func:`reference_forced_anchors`
     returns it; None decides nothing.  The reference for the rows of
-    :func:`eulergraph.reduce_to_matching` given the same decisions.
+    :func:`eulergraph.reduce_to_matching` given the same decisions: one stub
+    per undecided incidence, in incidence order; then, edge by edge, one
+    core per stub beyond the anchors the edge still needs, linked to each of
+    its stubs; then, vertex by vertex, a dummy linked to each of its stubs
+    when its forced anchors are odd in number.  Each vertex's stubs are
+    linked pairwise.
     """
     decided = decided or {}
     live = [inc for inc in g.incidences if inc not in decided]
-    u_count = len(live)
-    adj: list[list[int]] = [[] for _ in range(2 * u_count)]
+    adj: list[list[int]] = [[] for _ in live]
 
     def new_node() -> int:
         adj.append([])
@@ -744,8 +813,7 @@ def reference_gadget_adj(g, decided=None) -> tuple[tuple[int, ...], ...]:
     e_stubs: dict[int, list[int]] = {}
     v_stubs: dict[int, list[int]] = {}
     for u, (v, e) in enumerate(live):
-        link(u, u_count + u)
-        e_stubs.setdefault(e, []).append(u_count + u)
+        e_stubs.setdefault(e, []).append(u)
         v_stubs.setdefault(v, []).append(u)
     forced = [inc for inc, anchor in decided.items() if anchor]
     for j in range(g.n_e):
@@ -759,7 +827,7 @@ def reference_gadget_adj(g, decided=None) -> tuple[tuple[int, ...], ...]:
         for i in range(len(stubs)):
             for jj in range(i + 1, len(stubs)):
                 link(stubs[i], stubs[jj])
-        if (len(stubs) - sum(w == v for w, _ in forced)) % 2 == 1:
+        if sum(w == v for w, _ in forced) % 2 == 1:
             dummy = new_node()
             for s in stubs:
                 link(dummy, s)

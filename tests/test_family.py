@@ -218,11 +218,10 @@ class TestForcedAnchors:
             need = Counter({e: 2 for e in range(g.n_e)})
             need.subtract(e for (_, e), s in zip(g.incidences, state) if s == 1)
             open_e = Counter(g.incidences[t][1] for t in undecided)
-            open_v = Counter(g.incidences[t][0] for t in undecided)
             forced_v = Counter(v for (v, _), s in zip(g.incidences, state) if s == 1)
             cores = sum(open_e[e] - need[e] for e in open_e)
-            dummies = sum((open_v[v] - forced_v[v]) % 2 for v in range(g.n_v))
-            assert len(gg.adj) == 2 * len(undecided) + cores + dummies
+            dummies = sum(forced_v[v] % 2 for v in range(g.n_v))
+            assert len(gg.adj) == len(undecided) + cores + dummies
             shrunk += len(undecided) < len(g.incidences)
         assert shrunk >= 50
 

@@ -418,13 +418,13 @@ class TestCli:
         # random covering instance whose matching-produced family starts with
         # two components, so a zero budget bites immediately
         hg = tmp_path / "needs_merge.hg"
-        assert main(["gen", "random", "5", "3", "17", "--out", str(hg)]) == 0
+        assert main(["gen", "random", "5", "3", "21", "--out", str(hg)]) == 0
         assert main(["tour", str(hg)]) == 0
         assert main(["tour", str(hg), "--budget", "0"]) == 3
 
     def test_negative_budget_exit_two(self, tmp_path, capsys):
         hg = tmp_path / "needs_merge.hg"
-        assert main(["gen", "random", "5", "3", "17", "--out", str(hg)]) == 0
+        assert main(["gen", "random", "5", "3", "21", "--out", str(hg)]) == 0
         assert main(["tour", str(hg), "--budget", "-5"]) == 2
         assert "budget" in capsys.readouterr().err
 

@@ -1,5 +1,8 @@
 """Data model, covering validation, and certificate verification."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from helpers import (
     random_closed_trail,
     random_noncovering,
     reference_canonical_closed_trail,
+    reference_validate_covering,
     reference_verify_euler_object,
     rotations_and_reflections,
     swap_one_anchor,
@@ -176,6 +180,36 @@ class TestValidateCovering:
             for keep in range(len(h.edges) + 1):
                 sub = Hypergraph(h.vertices, h.edges[:keep])
                 assert validate_covering(sub, k) is all_pairs_covered(sub, k)[0]
+
+    def test_same_verdicts_as_subset_tuples(self):
+        # Seeded uniform inputs around the covering threshold, each edge list
+        # cut short, thinned or given a repeated edge, against the check that
+        # builds one tuple per subset; both outcomes, through the count
+        # shortcut and past it.
+        rng = Lcg(83)
+        seen = Counter()
+        for _ in range(300):
+            k = 3 + rng.below(3)
+            n = k + 1 + rng.below(4)
+            h = gen_random_covering(n, k, 1 + rng.below(1000))
+            edges = list(h.edges)
+            variants = [edges, edges[:-1], edges + edges[:1]]
+            variants.append([e for e in edges if rng.below(5)] + edges[:2])
+            for es in variants:
+                sub = Hypergraph(h.vertices, tuple(es))
+                verdict = validate_covering(sub, k)
+                assert verdict is reference_validate_covering(sub, k)
+                seen[verdict, len(es) * k < comb(n, k - 1)] += 1
+        assert seen[True, False] and seen[False, False] and seen[False, True], seen
+
+    def test_two_wide_edges(self):
+        # two copies of one 2,000-vertex edge: covering at k = 2,000, one int
+        # per subset where the reference builds 4,000 tuples of 1,999
+        labels = [f"v{i}" for i in range(1, 2001)]
+        h = Hypergraph.from_labels(labels, [labels, labels])
+        assert validate_covering(h, 2000) is reference_validate_covering(h, 2000) is True
+        h1 = Hypergraph.from_labels(labels + ["w"], [labels, labels])
+        assert validate_covering(h1, 2000) is reference_validate_covering(h1, 2000) is False
 
 
 class TestVerifyEulerObject:

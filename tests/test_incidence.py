@@ -61,7 +61,7 @@ def seeded_certificates():
     rng = Lcg(29)
     for seed in range(1, 8):
         yield find_family_subgraph(build_incidence(gen_random_covering(7, 3, seed)))
-    for _ in range(80):
+    for _ in range(90):
         fsub = find_family_subgraph(build_incidence(random_noncovering(rng)))
         if fsub is None:
             continue

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import functools
 import hashlib
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from eulergraph import (
     MergeStats,
     Walk,
     apply_interchange,
+    brute_tour,
     build_incidence,
     canonical_closed_trail,
     find_diminishing_cycle,
@@ -30,7 +33,7 @@ from eulergraph import (
 from eulergraph import interchange
 from eulergraph.genio import Lcg, emit_hg, gen_complete, gen_random_covering, gen_sts, parse_hg
 from eulergraph.family import _union_find
-from eulergraph.interchange import MAX_EXPANSIONS, _candidates, _toggle
+from eulergraph.interchange import MAX_EDGE_NODES, MAX_EXPANSIONS, _candidates, _toggle, _trails
 
 from helpers import (
     TOUR_DEPENDS_ON_FAMILY,
@@ -43,6 +46,7 @@ from helpers import (
     incidences,
     random_noncovering,
     reference_candidates,
+    reference_closed_trails,
     reference_components,
     reference_toggle,
     roadmap_item3,
@@ -179,6 +183,29 @@ def isolated_vertex_instance():
     return h, g, fsub
 
 
+# Starting families of the merge tests below, pinned as anchor tuples, so
+# that these tests exercise the merge whatever family the matching finds.
+PINNED_FAMILIES = {
+    "roadmap-item3": ((2, 3), (1, 4), (2, 3), (1, 4)),
+    "sts9": ((3, 6), (4, 7), (5, 8), (1, 5), (2, 4), (2, 3), (4, 8), (5, 7), (4, 5), (6, 7),
+             (1, 8), (7, 8)),
+    "complete43x2": ((1, 2), (0, 1), (0, 3), (2, 3), (5, 6), (4, 5), (4, 7), (6, 7)),
+    "draw20": ((2, 5), (2, 5), (0, 1), (3, 6), (4, 9), (0, 5), (4, 9), (3, 6), (1, 5)),
+    "draw43": ((4, 8), (7, 9), (2, 3), (2, 7), (4, 8), (3, 7), (7, 9)),
+    "covering531+complete43": ((1, 2), (2, 4), (1, 2), (0, 2), (0, 3), (3, 4), (6, 7), (5, 6),
+                               (5, 8), (7, 8)),
+    "complete43x3": ((1, 2), (0, 1), (0, 3), (2, 3), (5, 6), (4, 5), (4, 7), (6, 7), (9, 10),
+                     (8, 9), (8, 11), (10, 11)),
+    "sts7+complete43": ((0, 1), (3, 6), (2, 4), (5, 6), (0, 3), (1, 4), (2, 5), (8, 9), (7, 8),
+                        (7, 10), (9, 10)),
+}
+
+
+def pinned_family(h, name):
+    """The certificate of ``h`` with the pinned anchors ``PINNED_FAMILIES[name]``."""
+    return FamilySubgraph(build_incidence(h), PINNED_FAMILIES[name])
+
+
 class TestFindDiminishingCycle:
     def test_two_components_four_cycle(self):
         _, g, fsub = grouped_family([("a", "b"), ("c", "d")])
@@ -206,9 +233,7 @@ class TestFindDiminishingCycle:
     def test_four_cycle_with_both_edge_nodes_in_one_component(self):
         # the diminishing 4-cycle has both edge-nodes in one component and
         # its second vertex-node in the other
-        h = roadmap_item3()
-        g = build_incidence(h)
-        fsub = find_family_subgraph(g)
+        fsub = pinned_family(roadmap_item3(), "roadmap-item3")
         assert fsub.nontrivial_count == 2
         cycle = find_diminishing_cycle(fsub, {fsub.anchors})
         assert cycle is not None and len(cycle) == 4
@@ -226,9 +251,7 @@ class TestFindDiminishingCycle:
         # no two triples of a Steiner system share a pair, so the incidence
         # graph has no 4-cycle; scrambled families still diminish
         rng = Lcg(59)
-        h = gen_sts(9)
-        g = build_incidence(h)
-        fsub = find_family_subgraph(g)
+        fsub = pinned_family(gen_sts(9), "sts9")
         diminished = 0
         for _ in range(40):
             cycles = sample_interchanging_cycles(fsub, rng, want=4)
@@ -269,8 +292,6 @@ class TestMergeToTour:
         # a single closed trail, so merging is a no-op there
         h = fano()
         g = build_incidence(h)
-        from itertools import combinations, product
-
         options = [list(combinations(sorted(e), 2)) for e in h.edges]
         comp_counts = set()
         families = 0
@@ -294,8 +315,6 @@ class TestMergeToTour:
         # by exhaustive anchor-pair assignment, merges to a verified tour
         h = gen_sts(9)
         g = build_incidence(h)
-        from itertools import combinations, product
-
         options = [list(combinations(sorted(e), 2)) for e in h.edges]
         target = None
         for assign in product(*options):
@@ -316,18 +335,62 @@ class TestMergeToTour:
         assert verify_euler_object(h, EulerFamily((tour,))) == ()
         assert len(tour.edges) == 12 and stats.steps >= 1
 
-    @pytest.mark.xfail(strict=True, raises=MergeExhaustedError,
-                       reason="the merge stops with no-move after one escape")
     def test_two_trail_family_of_a_tour_merges(self):
-        # random#372 has a tour, but from this two-trail family of it the
-        # ladder finds no move; a merge that reaches every tour passes here
+        # random#372 has a tour, but from this two-trail family of it no
+        # interchanging cycle diminishes: after one escape the merge takes
+        # an interchanging closed trail that visits e8 twice
         h, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
         pairs = [("v4", "v7"), ("v2", "v9"), ("v10", "v2"), ("v4", "v7"),
                  ("v10", "v8"), ("v6", "v9"), ("v3", "v6"), ("v3", "v8")]
         fsub = FamilySubgraph(build_incidence(h), anchor_pairs(h, pairs))
         assert fsub.nontrivial_count == 2
-        tour = merge_to_tour(fsub)
+        stats = MergeStats()
+        tour = merge_to_tour(fsub, stats=stats)
         assert verify_euler_object(h, EulerFamily((tour,))) == ()
+        assert (stats.steps, stats.diminishing, stats.escapes) == (2, 1, 1)
+
+    def test_every_family_of_a_tour_input_merges(self, monkeypatch):
+        # A seeded search for more inputs like random#372: drop one of its
+        # edges half the time and add up to two edges of 2 or 3 vertices.
+        # From every family of every draw with a tour, the merge reaches a
+        # tour; from many of them only through a closed-trail move.
+        real = interchange._diminishing_trail
+        trail_moves = []
+
+        def counted(fsub):
+            move = real(fsub)
+            trail_moves.append(move is not None)
+            return move
+
+        monkeypatch.setattr(interchange, "_diminishing_trail", counted)
+        base, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
+        labels = base.vertices
+        rng = Lcg(3)
+        witnesses = tours = families = 0
+        for _ in range(100):
+            edges = [base.edge_labels(j) for j in range(len(base.edges))]
+            if rng.below(2):
+                edges.pop(rng.below(len(edges)))
+            for _ in range(rng.below(3)):
+                size = 2 + rng.below(2)
+                e = set()
+                while len(e) < size:
+                    e.add(labels[rng.below(len(labels))])
+                edges.append(tuple(sorted(e)))
+            h = Hypergraph.from_labels(labels, edges)
+            if brute_tour(h) is None:
+                continue
+            tours += 1
+            g = build_incidence(h)
+            for assign in product(*(combinations(sorted(e), 2) for e in h.edges)):
+                if any(c % 2 for c in Counter(v for pair in assign for v in pair).values()):
+                    continue
+                families += 1
+                del trail_moves[:]
+                tour = merge_to_tour(FamilySubgraph(g, assign))
+                assert verify_euler_object(h, EulerFamily((tour,))) == ()
+                witnesses += any(trail_moves)
+        assert (tours, families, witnesses) == (60, 488, 43)
 
     def test_complete_five_from_scrambled_family(self):
         rng = Lcg(61)
@@ -404,31 +467,32 @@ _TRAJECTORY_IDS = ["complete43x2", "complete43x2-budget40", "draw20", "draw43",
 class TestLadderTrajectories:
     """Move counts and final certificates of merges without a tour, pinned.
 
-    Counts are ``(steps, diminishing, pivot_reduce, pivot_neutral,
+    Each merge starts from the family ``PINNED_FAMILIES`` holds for its
+    input.  Counts are ``(steps, diminishing, pivot_reduce, pivot_neutral,
     escapes)``; every step is a diminishing move or an escape, so the two
     pivot counters read 0.  The digest is the SHA-256 of the sorted
     (vertex, edge) incidences of ``MergeExhaustedError.anchors``.
     """
 
-    @pytest.mark.parametrize("make, budget, counts, reason, digest", [
-        (_two_complete_four_three, None, (83, 35, 0, 0, 48), "no-move",
+    @pytest.mark.parametrize("make, family, budget, counts, reason, digest", [
+        (_two_complete_four_three, "complete43x2", None, (83, 35, 0, 0, 48), "no-move",
          "745e441803e2f23210813e19597dbe751b7fd48849514e6b4ac5c5cfa5eb5908"),
-        (_two_complete_four_three, 40, (40, 18, 0, 0, 22), "budget",
+        (_two_complete_four_three, "complete43x2", 40, (40, 18, 0, 0, 22), "budget",
          "a87855383254676155e33291712f37c5207efc36bd6255ccb2384f24b4265029"),
-        (lambda: _stream_draw(20), None, (27, 0, 0, 0, 27), "no-move",
+        (lambda: _stream_draw(20), "draw20", None, (27, 0, 0, 0, 27), "no-move",
          "221b7d853a218de7d6f9317c1880b74fdcc5b00a81192bfb14598aaafa1c68b5"),
-        (lambda: _stream_draw(43), None, (3, 1, 0, 0, 2), "no-move",
+        (lambda: _stream_draw(43), "draw43", None, (3, 1, 0, 0, 2), "no-move",
          "4a153a187db63bb2b49b0b0aa093e0466c51b8fbc7f5f205e143e59c0edf7b22"),
-        (_covering_plus_complete_four_three, None, (240, 40, 0, 0, 200), "no-move",
-         "c8fdde9c87d1e8352c06e67932436999f01a0373316e0a6df1da3efcd8994109"),
+        (_covering_plus_complete_four_three, "covering531+complete43", None, (240, 40, 0, 0, 200),
+         "no-move", "c8fdde9c87d1e8352c06e67932436999f01a0373316e0a6df1da3efcd8994109"),
         # the two longest merges of the best-effort bench workload
-        (_three_complete_four_three, None, (535, 244, 0, 0, 291), "no-move",
+        (_three_complete_four_three, "complete43x3", None, (535, 244, 0, 0, 291), "no-move",
          "6f4959d41fe266f9465d38c7d4c7b569db4126aad3e9845c308cd9d614c59e2e"),
-        (_sts7_plus_complete_four_three, None, (259, 72, 0, 0, 187), "no-move",
+        (_sts7_plus_complete_four_three, "sts7+complete43", None, (259, 72, 0, 0, 187), "no-move",
          "be25433fa83898c4345622ccd88102d2379b238e66c227c57d60d98e22729363"),
     ], ids=_TRAJECTORY_IDS + ["complete43x3", "sts7+complete43"])
-    def test_pinned_trajectory(self, make, budget, counts, reason, digest):
-        fsub = find_family_subgraph(build_incidence(make()))
+    def test_pinned_trajectory(self, make, family, budget, counts, reason, digest):
+        fsub = pinned_family(make(), family)
         stats = MergeStats()
         with pytest.raises(MergeExhaustedError) as exc:
             merge_to_tour(fsub, budget=budget, stats=stats)
@@ -485,7 +549,7 @@ class TestEscapeMove:
         assert diminishing is not None
         assert find_diminishing_cycle(fsub, {fsub.anchors}) == diminishing
         # every candidate confined to one component: none diminishes
-        fsub = find_family_subgraph(build_incidence(_two_complete_four_three()))
+        fsub = pinned_family(_two_complete_four_three(), "complete43x2")
         assert fsub.nontrivial_count == 2
         g = fsub.host
         seen = {fsub.anchors}
@@ -594,6 +658,68 @@ class TestScanMatchesReference:
         assert [next(abandoned), next(abandoned)] == want[0][:2]
         assert list(_candidates(a.host, a.anchors)) == want[0]
         assert list(abandoned) == want[0][2:]
+
+
+class TestClosedTrails:
+    """The merge's last resort: interchanging closed trails, scanned when no cycle move is left."""
+
+    @pytest.mark.parametrize("limit", [MAX_EXPANSIONS, 5, 400])
+    def test_same_trails_and_expansions_as_reference(self, limit, monkeypatch):
+        cut = 0
+        for fsub in _scanned_states()[::4]:
+            trails, spent = TestScanMatchesReference._scan(_trails, fsub, limit, monkeypatch)
+            want, want_spent = TestScanMatchesReference._scan(
+                reference_closed_trails, fsub, limit, monkeypatch)
+            assert trails == want
+            assert spent == min(want_spent, limit)
+            cut += want_spent >= limit
+        assert (cut > 0) == (limit != MAX_EXPANSIONS)
+
+    def test_every_trail_toggles_to_a_certificate(self):
+        # Distinct vertex-nodes, each edge-node at most twice and never next
+        # to itself around the trail; the trails without a repeated edge-node
+        # are the cycle scan's candidates, in the same order.
+        repeated = 0
+        for fsub in _scanned_states()[::4]:
+            g = fsub.host
+            trails = list(_trails(g, fsub.anchors))
+            simple = [nodes for nodes in trails if len(set(nodes[1::2])) == len(nodes) // 2]
+            assert [nodes for nodes in simple if len(nodes) <= 2 * MAX_EDGE_NODES] == list(
+                _candidates(g, fsub.anchors))
+            for nodes in trails:
+                assert len(set(nodes[::2])) == len(nodes) // 2
+                edge_nodes = nodes[1::2]
+                assert all(edge_nodes.count(en) <= 2 for en in edge_nodes)
+                assert all(a != b for a, b in zip(edge_nodes, edge_nodes[1:] + edge_nodes[:1]))
+                apply_interchange(fsub, nodes)
+            repeated += len(simple) < len(trails)
+        assert repeated >= 30
+
+    def test_piece_gate_against_components(self):
+        # The trail scan runs only where a connected piece of the host holds
+        # two non-trivial components; the reference counts them per piece.
+        seen = Counter()
+        for fsub in _scanned_states():
+            g = fsub.host
+            piece_of = {}
+            for c in reference_components(g.adj):
+                piece_of.update(dict.fromkeys(c.nodes, min(c.nodes)))
+            per_piece = Counter(piece_of[min(c.nodes)]
+                                for c in reference_components(subgraph_adj(fsub)) if not c.trivial)
+            shares = max(per_piece.values()) >= 2
+            assert interchange._shares_a_piece(fsub) == shares
+            seen[shares] += 1
+        assert seen[True] and seen[False]
+
+    def test_no_trail_scan_across_pieces(self, monkeypatch):
+        # two pieces, one trail each: the merge stops with no trail scanned
+        h = Hypergraph.from_labels("abcd", ["ab", "ab", "cd", "cd"])
+        fsub = find_family_subgraph(build_incidence(h))
+        assert fsub.nontrivial_count == 2
+        monkeypatch.setattr(interchange, "_trails", None)
+        with pytest.raises(MergeExhaustedError) as exc:
+            merge_to_tour(fsub)
+        assert (exc.value.reason, exc.value.steps) == ("no-move", 0)
 
 
 class TestDirectOrderThree:

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from eulergraph import (
+    FamilySubgraph,
     Hypergraph,
     brute_family_exists,
     build_incidence,
@@ -23,7 +24,6 @@ from helpers import (
     MATCHING_ONLY_NEITHER,
     brute_max_matching,
     complete_graph,
-    e_node,
     fano,
     flat_gadget,
     greedy_seed,
@@ -86,8 +86,7 @@ class TestMaxMatching:
         graphs = [random_graph(rng, n, density_pct)
                   for n in range(20, 121, 20) for density_pct in (4, 10, 25, 60)]
         # Small dense draws: the root often lies in a triangle with its first
-        # neighbour and that neighbour's mate, and blossoms close in the rows
-        # scanned before the length-3 path is found.
+        # neighbour and that neighbour's mate, so blossoms close early.
         rng = Lcg(97)
         graphs += [random_graph(rng, 2 + rng.below(30), 30 + rng.below(71)) for _ in range(400)]
         # The same kinds of draw with each row shuffled: the contract allows
@@ -154,11 +153,19 @@ class TestMaxMatching:
             adj = gg.adj
             mate = max_matching(gg)
             matching_size(adj, mate)
-            assert mate == max_matching(flat_gadget(adj)) == reference_max_matching(adj)
-            assert list(gg.seed) == greedy_seed(adj)
+            assert mate == max_matching(flat_gadget(adj, gg.seed)) == reference_max_matching(
+                adj, gg.seed)
+            # The seed is a maximal matching; with no edge that seeds its cores
+            # first, the greedy one in node order.
+            matching_size(adj, gg.seed)
+            assert not any(gg.seed[v] == -1 and any(gg.seed[x] == -1 for x in row)
+                           for v, row in enumerate(adj))
+            cores_first = seeds_cores_first(gg)
+            assert cores_first or list(gg.seed) == greedy_seed(adj)
+            seen["cores-first" if cores_first else "greedy"] += 1
             seen["perfect" if -1 not in mate else "exposed"] += 1
         kinds = ("refuted", "decided", "open", "perfect", "exposed", "single-stub",
-                 "stubless-dummy", "needs-0", "needs-1", "needs-2")
+                 "stubless-dummy", "needs-0", "needs-1", "needs-2", "cores-first", "greedy")
         assert all(seen[k] for k in kinds), seen
 
     @staticmethod
@@ -172,43 +179,32 @@ class TestMaxMatching:
         monkeypatch.setattr(matching, "_augment_from", counted)
         return calls
 
-    @pytest.mark.parametrize("adj, mate, searches", [
-        # Edge 0-1: two exposed neighbours.  The seed pairs them, so no root
-        # ever has an exposed neighbour and there is no path of length 1.
-        (((1,), (0,)), [1, 0], 0),
-        # Path 2-0=1-3 (0-1 matched): the root's first neighbour is 0, its
-        # mate 1 has the exposed 3, and the path is flipped with no search.
-        (((1, 2), (0, 3), (0,), (1,)), [2, 3, 0, 1], 0),
-        # Triangle 2-0=1-2 with 3 hanging off 1: the root 2 is in 1's row
-        # but is not the end of a path; 3 is.
-        (((1, 2), (0, 2, 3), (0, 1), (1,)), [2, 3, 0, 1], 0),
-        # Root 4's first neighbour 0 has a mate (1) with no exposed
-        # neighbour, so the search runs and takes 4-2=3-5, through the
-        # root's second neighbour.
-        (((1, 4), (0,), (3, 4), (2, 5), (0, 2), (3,)), [1, 0, 4, 5, 2, 3], 1),
-        # Exposed roots with empty rows: nothing to search.
-        (((), (2,), (1,), ()), [-1, 2, 1, -1], 0),
-    ], ids=["exposed-neighbour", "path-through-mate", "triangle", "miss", "empty-row"])
-    def test_short_path_before_the_search(self, adj, mate, searches, monkeypatch):
-        calls = self._count_searches(monkeypatch)
-        assert max_matching(flat_gadget(adj)) == mate == reference_max_matching(adj)
-        assert calls[0] == searches
-
     @pytest.mark.parametrize("h, searches", [
-        (gen_sts(45), 128),
-        (gen_complete(13, 3), 12),
+        (gen_sts(45), 165),
+        (gen_complete(13, 3), 143),
     ], ids=["sts45", "complete13"])
     def test_searches_left_on_open_gadgets(self, h, searches, monkeypatch):
-        # The seed leaves 330 and 286 exposed roots; most close by a path of
-        # length 3 and never grow a search tree.
+        # The seed leaves 330 and 286 exposed nodes, each edge's core or the
+        # odd stub that found it taken; every search augments and matches two.
         gg = open_gadget(build_incidence(h))
         calls = self._count_searches(monkeypatch)
         mate = max_matching(gg)
-        assert calls[0] == searches
+        assert calls[0] == searches == gg.seed.count(-1) // 2
         assert -1 not in mate
         # The flat rows, seeded by scanning them, take the same searches.
         assert max_matching(flat_gadget(gg.adj)) == mate == reference_max_matching(gg.adj)
         assert calls[0] == 2 * searches
+
+    def test_wide_edges_start_perfect(self, monkeypatch):
+        # An edge with more cores than anchors to find seeds its cores first:
+        # two copies of a 2,000-vertex edge start from a perfect seed, where
+        # pairing each vertex's two stubs would leave all 3,996 cores exposed
+        # and a search from each, in time cubic in the edge size.
+        gg = open_gadget(build_incidence(two_wide_edges(2000)))
+        calls = self._count_searches(monkeypatch)
+        assert -1 not in gg.seed
+        assert max_matching(gg) == list(gg.seed)
+        assert calls[0] == 0
 
     def test_search_leaves_its_state_reset(self):
         cases = (
@@ -245,6 +241,16 @@ class TestMaxMatching:
                 assert scratch == reset
 
 
+def seeds_cores_first(gg):
+    """Whether some edge of the gadget has more cores than anchors to find."""
+    g, state = gg.host, gg.state
+    for j in range(g.n_e):
+        decided = state[g.first[j]:g.first[j + 1]]
+        if decided.count(-1) > 2 * (2 - decided.count(1)):
+            return True
+    return False
+
+
 def drawn_state(rng, g):
     """A seeded state that ``reduce_to_matching`` accepts: each edge gets 0 to 2
     forced anchors and excludes up to all but 2 of its incidences, so it keeps
@@ -271,60 +277,105 @@ def stored_entries(gg):
     return sum(map(len, parts.values()))
 
 
-def _layout(g, gg):
-    """Node ranges of a gadget: stubs [0, 2T), then cores [2T, 2T+C), then dummies."""
-    t_count = len(g.incidences)
-    edge_degree = Counter(e for _, e in g.incidences)
-    cores = range(2 * t_count, 2 * t_count + sum(d - 2 for d in edge_degree.values()))
-    return range(t_count), range(t_count, 2 * t_count), cores, range(cores.stop, len(gg.adj))
+def counts(g, state):
+    """``(U, cores, dummies, entries)`` of the gadget over ``state``: the stubs,
+    the u-k cores of each edge, one dummy per vertex of odd forced parity,
+    and the row entries stored: each vertex's stubs, each edge's cores, the
+    stubs of each edge with a core, and each dummy once."""
+    stubs, forced, forced_v = Counter(), Counter(), Counter()
+    for (v, e), s in zip(g.incidences, state):
+        if s < 0:
+            stubs[e] += 1
+        elif s:
+            forced[e] += 1
+            forced_v[v] += 1
+    u_count = sum(stubs.values())
+    cores = sum(u - 2 + forced[e] for e, u in stubs.items())
+    dummies = sum(c % 2 for c in forced_v.values())
+    cored = sum(u for e, u in stubs.items() if u > 2 - forced[e])
+    return u_count, cores, dummies, u_count + cores + cored + dummies
+
+
+def decisions(g, state):
+    """``state`` as the map :func:`helpers.reference_gadget_adj` reads."""
+    return {inc: bool(s) for inc, s in zip(g.incidences, state) if s >= 0}
+
+
+def gadget_states(h):
+    """The gadgets of ``h`` over the open state and over the forced one, with the
+    states; a forced state that propagation refutes yields ``None`` for the gadget."""
+    g = build_incidence(h)
+    open_state = [-1] * len(g.incidences)
+    try:
+        yield g, open_state, reduce_to_matching(g, open_state)
+    except ValueError:
+        pass
+    state = _forced_anchors(g)
+    yield g, state, state and reduce_to_matching(g, state)
 
 
 class TestGadget:
     def test_edge_node_degree_three_has_one_core(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")])
-        g = build_incidence(h)
-        gg = open_gadget(g)
-        _, e_stubs, cores, _ = _layout(g, gg)
-        assert len(cores) == 1
-        core = cores[0]
-        assert len(gg.adj[core]) == 3
-        assert all(s in e_stubs for s in gg.adj[core])
+        gg = open_gadget(build_incidence(h))
+        assert gg.cores == range(3, 4)
+        assert gg.adj[3] == (0, 1, 2)
+        assert all(gg.adj[s] == (3,) for s in range(3))
 
     def test_even_vertex_degree_no_dummy(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         g = build_incidence(h)
         gg = open_gadget(g)
-        assert len(_layout(g, gg)[3]) == 0
+        assert len(gg.adj) == gg.cores.stop
         # each v-node of degree 2 contributes two mutually adjacent stubs
         a_stubs = [t for t, (v, e) in enumerate(g.incidences) if v == 0]
         assert len(a_stubs) == 2
         assert a_stubs[1] in gg.adj[a_stubs[0]]
 
-    def test_odd_vertex_degree_gets_dummy(self):
+    def test_odd_forced_parity_gets_dummy(self):
+        # three copies of a triple: every vertex has odd degree, but with
+        # nothing forced no vertex gets a dummy
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 3)
         g = build_incidence(h)
-        gg = open_gadget(g)
-        dummies = _layout(g, gg)[3]
-        assert len(dummies) == 3
-        assert len(gg.adj[dummies[0]]) == 3
+        assert len(open_gadget(g).adj) == 9 + 3
+        # a forced in e1: its two stubs left meet a dummy, so an odd number
+        # of them anchor
+        state = [1, -1, -1] + [-1] * 6
+        gg = reduce_to_matching(g, state)
+        a_stubs = [t - 1 for t, (v, _) in enumerate(g.incidences) if v == 0 and t]
+        assert gg.cores == range(8, 8 + 1 + 1 + 1)
+        dummy = len(gg.adj) - 1
+        assert dummy == gg.cores.stop
+        assert gg.adj[dummy] == tuple(a_stubs)
+        assert all(dummy in gg.adj[t] for t in a_stubs)
+        assert gg.adj == reference_gadget_adj(g, decisions(g, state))
 
     def test_node_count_formula(self):
-        for h in (
-            Hypergraph.from_labels("abc", [("a", "b", "c")] * 2),
-            fano(),
-            Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d"), ("c", "d")]),
-        ):
-            g = build_incidence(h)
-            gg = open_gadget(g)
-            d_e = [len(g.adj[e_node(g, j)]) for j in range(g.n_e)]
-            d_v = [len(g.adj[v]) for v in range(g.n_v)]
-            expected = sum(2 * d - 2 for d in d_e) + sum(d_v) + sum(1 for d in d_v if d % 2)
-            assert len(gg.adj) == expected
+        # U stubs, u-k cores per edge, one dummy per vertex of odd forced
+        # parity, on both streams of the matchability test and on drawn states
+        rng = Lcg(67)
+        hs = [Hypergraph.from_labels("abc", [("a", "b", "c")] * 2), fano(),
+              Hypergraph.from_labels("abcd", [("a", "b", "c"), ("a", "b", "d"), ("c", "d")])]
+        hs += [random_mixed(rng) for _ in range(200)]
+        hs += [random_noncovering(rng) for _ in range(200)]
+        seen = Counter()
+        for h in hs:
+            for g, state, gg in gadget_states(h):
+                if gg is None:
+                    continue
+                u_count, cores, dummies, _ = counts(g, state)
+                assert len(gg.adj) == u_count + cores + dummies
+                assert gg.cores == range(u_count, u_count + cores)
+                seen["dummies"] += dummies
+            state = drawn_state(rng, g)
+            u_count, cores, dummies, _ = counts(g, state)
+            assert len(reduce_to_matching(g, state).adj) == u_count + cores + dummies
+        assert seen["dummies"] > 0
 
-    def test_two_copies_gadget_is_14_nodes(self):
+    def test_two_copies_gadget_is_8_nodes(self):
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = open_gadget(build_incidence(h))
-        assert len(gg.adj) == 14
+        assert len(gg.adj) == 8
 
     def test_rows_equal_reference_builder(self):
         rng = Lcg(47)
@@ -347,46 +398,53 @@ class TestGadget:
             gg = open_gadget(g)
             assert gg.adj == reference_gadget_adj(g)
             assert all(a < b for row in gg.adj for a, b in zip(row, row[1:]))
-            kinds["dummies"] += len(_layout(g, gg)[3])
+            # Drawn states give dummies, and edges that need 0, 1 or 2.
+            state = drawn_state(rng, g)
+            gg = reduce_to_matching(g, state)
+            assert gg.adj == reference_gadget_adj(g, decisions(g, state))
+            assert all(a < b for row in gg.adj for a, b in zip(row, row[1:]))
+            kinds["dummies"] += counts(g, state)[2]
             g1 = build_incidence(Hypergraph.from_labels(labels[:n], edges + [("a",)]))
             with pytest.raises(ValueError, match="vertices left for 2 anchors"):
                 open_gadget(g1)
         assert all(kinds[k] for k in (2, 3, 4, 5, "repeat", "dummies"))
 
     def test_storage_is_linear(self):
-        # Each vertex's clique is stored once, not once per stub, and each
-        # edge's cores once, not once per e-stub: at most 6U entries, U in
-        # the cliques, 2U in the tails, U in the e-stubs' v-stub parts, U in
-        # the core tuples and U in the stub tuples.
+        # Each vertex's stubs are stored once, not once per stub, and each
+        # edge's cores and stubs once: U entries in the vertex tuples, U - K
+        # in the core tuples for K the anchors the edges still need, at most
+        # U in the edge stub tuples and one per dummy; at most 3U with
+        # nothing forced.
         hs = [gen_complete(20, 3), _reduce_to_order3(gen_complete(10, 5), 5)[0], two_wide_edges(200)]
         rng = Lcg(89)
         hs += [random_noncovering(rng) for _ in range(100)]
         decided = 0
         for h in hs:
-            g = build_incidence(h)
-            state = _forced_anchors(g)
-            if state is None:
-                continue
-            gg = reduce_to_matching(g, state)
-            u_count = state.count(-1)
-            assert stored_entries(gg) <= 6 * u_count
-            decided += max(state) >= 0
-            for t in range(u_count):
-                clique, tail = gg.rows[t]
-                assert t in clique and tail[0] == u_count + t
-                assert all(gg.rows[s][0] is clique for s in clique)
-                assert gg.rows[u_count + t][0] == (t,)
-            # One cores tuple per edge, shared by the edge's e-stubs.
-            edge_of = [e for (_, e), s in zip(g.incidences, state) if s < 0]
-            shared = {(edge_of[t], id(gg.rows[u_count + t][1])) for t in range(u_count)}
-            assert len(shared) == len(set(edge_of))
+            for g, state, gg in gadget_states(h):
+                if gg is None:
+                    continue
+                u_count, _, _, entries = counts(g, state)
+                assert stored_entries(gg) == entries
+                if max(state) < 0:
+                    assert stored_entries(gg) <= 3 * u_count
+                decided += max(state) >= 0
+                for t in range(u_count):
+                    clique = gg.rows[t][0]
+                    assert t in clique
+                    assert all(gg.rows[s][0] is clique for s in clique)
+                # One cores tuple per edge, shared by the edge's stubs, and one
+                # stubs tuple per edge, shared by its cores.
+                edge_of = [e for (_, e), s in zip(g.incidences, state) if s < 0]
+                shared = {(edge_of[t], id(gg.rows[t][1])) for t in range(u_count)}
+                assert len(shared) == len(set(edge_of))
+                assert len({id(gg.rows[c][0]) for c in gg.cores}) <= len(set(edge_of))
         assert decided >= 20
-        # complete(20, 3): 18,240 stored entries for flat rows of 601,920.
+        # complete(20, 3): 7,980 stored entries for flat rows of 588,240.
         gg = open_gadget(build_incidence(gen_complete(20, 3)))
-        assert (stored_entries(gg), sum(map(len, gg.adj))) == (18_240, 601_920)
-        # Two edges of 200 vertices: the e-stubs' flat rows alone hold 79,600.
+        assert (stored_entries(gg), sum(map(len, gg.adj))) == (7_980, 588_240)
+        # Two edges of 200 vertices: the cores' flat rows alone hold 79,200.
         gg = open_gadget(build_incidence(two_wide_edges(200)))
-        assert (stored_entries(gg), sum(map(len, gg.adj))) == (1_996, 159_600)
+        assert (stored_entries(gg), sum(map(len, gg.adj))) == (1_196, 158_800)
 
     def test_state_of_the_wrong_length_raises(self):
         g = build_incidence(gen_complete(5, 3))
@@ -405,23 +463,22 @@ class TestGadget:
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         g = build_incidence(h)
         gg = open_gadget(g)
-        v_stubs, e_stubs, cores, _ = _layout(g, gg)
-        # incidence t is realized by the gadget edge from v-stub t to e-stub T+t,
-        # the only edge between the two stub ranges at either end
-        for t in v_stubs:
-            assert [s for s in gg.adj[t] if s in e_stubs] == [e_stubs[t]]
-            assert [s for s in gg.adj[e_stubs[t]] if s in v_stubs] == [t]
-        assert not any(s in v_stubs for s in gg.adj[cores[0]])
-        # a perfect matching selects exactly the incidences of its (t, T+t) pairs
+        # a stub's neighbours outside its vertex's stubs are its edge's cores
+        for t, (v, e) in enumerate(g.incidences):
+            own = {s for s, (w, _) in enumerate(g.incidences) if w == v and s != t}
+            assert set(gg.adj[t]) - own == {gg.cores[e]}
+        # a perfect matching anchors exactly the incidences whose stub is not
+        # matched to a core
         mate = max_matching(flat_gadget(gg.adj))
         assert 2 * matching_size(gg.adj, mate) == len(gg.adj)
         fsub = find_family_subgraph(g)
-        assert incidences(fsub.anchors) == {g.incidences[t] for t in v_stubs if mate[t] == e_stubs[t]}
+        assert incidences(fsub.anchors) == {
+            g.incidences[t] for t in range(len(g.incidences)) if mate[t] not in gg.cores}
         assert gg.anchors(mate) == fsub.anchors
 
     def test_perfect_matching_by_exhaustion(self):
-        # two copies of a triple: the 14-node gadget has a perfect matching;
-        # a single triple: its gadget has none
+        # two copies of a triple: the 8-node gadget has a perfect matching;
+        # a single triple: its 4-node gadget has none
         h = Hypergraph.from_labels("abc", [("a", "b", "c")] * 2)
         gg = open_gadget(build_incidence(h))
         assert 2 * brute_max_matching(gg.adj) == len(gg.adj)
@@ -429,6 +486,30 @@ class TestGadget:
         single = Hypergraph.from_labels("abc", [("a", "b", "c")])
         gg1 = open_gadget(build_incidence(single))
         assert 2 * brute_max_matching(gg1.adj) < len(gg1.adj)
+
+    def test_matchable_iff_a_family_exists(self):
+        # 3,000 draws of the mixed-arity stream of Lcg(11) and of the
+        # non-covering stream of Lcg(7), each over the open state and over the
+        # forced one: a perfect matching exactly when a family exists, and
+        # every read-back a certificate
+        seen = Counter()
+        for stream, rng in ((random_mixed, Lcg(11)), (random_noncovering, Lcg(7))):
+            for _ in range(3000):
+                h = stream(rng)
+                exists = brute_family_exists(h)
+                for g, state, gg in gadget_states(h):
+                    if gg is None:
+                        assert not exists
+                        seen["refuted"] += 1
+                        continue
+                    mate = max_matching(gg)
+                    perfect = -1 not in mate
+                    assert perfect == exists
+                    if perfect:
+                        assert FamilySubgraph(g, gg.anchors(mate)).host is g
+                    seen["perfect" if perfect else "exposed", max(state) >= 0] += 1
+        assert all(seen[k] for k in (("perfect", True), ("perfect", False), ("exposed", True),
+                                     ("exposed", False), "refuted")), seen
 
 
 class TestRoundTrip:

@@ -209,7 +209,7 @@ class TestSolve:
     def test_budget_propagates(self):
         # covering instance whose matching-produced family starts with two
         # components, so the merge loop must take at least one step
-        h = gen_random_covering(5, 3, 17)
+        h = gen_random_covering(5, 3, 21)
         stats = MergeStats()
         assert solve(h, 3, stats=stats).verdict == "eulerian"
         assert stats.steps >= 1
@@ -221,22 +221,22 @@ class TestSolve:
         # from what stats.steps held on entry; a fresh MergeStats per call
         # counts that call's steps alone
         union = disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))
-        covering = gen_random_covering(5, 3, 17)
-        for h, verdict, steps in ((union, "not-covering-best-effort", 240),
+        covering = gen_random_covering(5, 3, 21)
+        for h, verdict, steps in ((union, "not-covering-best-effort", 277),
                                   (covering, "eulerian", 1)):
             own = MergeStats()
             assert solve(h, 3, stats=own).verdict == verdict
             assert own.steps == steps
         stats = MergeStats()
-        for total in (240, 480):
+        for total in (277, 554):
             assert solve(union, 3, stats=stats).verdict == "not-covering-best-effort"
             assert stats.steps == total
         assert solve(covering, 3, stats=stats).verdict == "eulerian"
-        assert stats.steps == 481
+        assert stats.steps == 555
         fsub = find_family_subgraph(build_incidence(union))
         with pytest.raises(MergeExhaustedError) as exc:
             merge_to_tour(fsub, budget=40, stats=stats)
-        assert (exc.value.reason, exc.value.steps, stats.steps) == ("budget", 40, 521)
+        assert (exc.value.reason, exc.value.steps, stats.steps) == ("budget", 40, 595)
 
     def test_shared_stats_budget_on_one_piece(self):
         # The same rules on an input whose edges form one piece and which has
@@ -325,7 +325,7 @@ class TestSolve:
         # a fresh MergeStats per call records that call's steps, the same
         # count on every call, each step diminishing or an escape
         grouped, _, _ = grouped_family([("a", "b"), ("c", "d"), ("e", "f")])
-        for h, steps in ((grouped, 0), (gen_random_covering(5, 3, 17), 1)):
+        for h, steps in ((grouped, 0), (gen_random_covering(5, 3, 21), 1)):
             for _ in range(2):
                 stats = MergeStats()
                 assert solve(h, 3, stats=stats).verdict == "eulerian"
@@ -377,7 +377,7 @@ class TestBoundaryVerify:
         with pytest.raises(CertificateViolation):
             solve(h, 3)
 
-    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 17)],
+    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 21)],
                              ids=["tour-at-once", "merged"])
     def test_corrupt_merge_output_on_covering_input_raises(self, monkeypatch, make):
         h = make()
@@ -385,7 +385,7 @@ class TestBoundaryVerify:
         with pytest.raises(CertificateViolation):
             solve(h, 3)
 
-    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 17)],
+    @pytest.mark.parametrize("make", [fano, lambda: gen_random_covering(5, 3, 21)],
                              ids=["tour-at-once", "merged"])
     def test_covering_solve_verifies_once(self, monkeypatch, make):
         h = make()
@@ -411,7 +411,7 @@ class TestBoundaryVerify:
     def test_covering_decided_once(self, monkeypatch):
         # solve tells the merge that the input is covering; the merge does not
         # check again
-        h = gen_random_covering(5, 3, 17)
+        h = gen_random_covering(5, 3, 21)
         calls = []
         real = validate_covering
 
@@ -433,22 +433,22 @@ class TestGoldenCertificates:
 
     @pytest.mark.parametrize("make, k, digest", [
         (lambda: gen_sts(19), 3,
-         "878e86e6efc32fb34e3dddacbcdaf0ef460dd029ed59b50ec365ba26a5fcec7c"),
+         "93f2cec7943e7204aa685c739368c686a21f9143d0560bf1dd0a8d4c8b5a7088"),
         (lambda: gen_sts(45), 3,
-         "80d5e366917bf3b9113aeb11bf99ca839d634f8a4723b4b0f7aaa0ec894fa0eb"),
+         "1acd44cb07c7ee96c858642f285f86bf1d51d674f3c79c3602f19b5f43e9dcd9"),
         (lambda: gen_complete(13, 3), 3,
-         "3dbf2f0aeacf96c6b4207692b810074bf4fe1aba93cce602e5f0e2ff7d7a22ac"),
+         "66583d51fdf8e6d11b86b2359ba31de2f3ac863c7a3ee88cc1471ca82b8c85c5"),
         (lambda: gen_complete(10, 5), 5,
-         "28412a2331f345dd77ffb56d8f433ce5a04f4f6210391704825003ed1f76116d"),
+         "409f3f21d360d55b1aee0dfa385537978ba7f44f028c98c1c5dc69c72b05d7d9"),
         (lambda: gen_random_covering(22, 3, 1), 3,
-         "24eed3d7f364515436d798afdf9afb89e787744d6b924cda40d5663d3e75904f"),
+         "97da5b3e085fe707377d0fd9ce4bca4a7c262188a61c7d13d9a12f893f757c58"),
         (roadmap_item3, 3,
          "7f57701c7c87780416e566506039af868183c2d2d53141d04f6b213931bf01c0"),
         # Vertex cliques of 406 and 75 stubs, beyond the bench's largest (126).
         (lambda: gen_complete(30, 3), 3,
-         "86cca2f2d8ec64140f86037c86096ef2dd4c0d8dd3d45a24cfc4354857e84b65"),
+         "c782498df94e5a8fb80bb9b7350a41f7ac037e89c69ab7b104b60324224e63ae"),
         (lambda: gen_sts(151), 3,
-         "09687249f0e815c4a2e9113014cd908d5e586780ff204af5f0a67d17637eb057"),
+         "e4dfe6f703ae352e1afcd6aa844669298118e76cb7e6a5dee173bc8df9f2f6cd"),
     ], ids=["sts19", "sts45", "complete13-3", "complete10-5", "random22-3-1", "roadmap-item3",
             "complete30-3", "sts151"])
     def test_tour_digest(self, make, k, digest):
@@ -483,13 +483,13 @@ class TestGoldenFamilies:
 
     @pytest.mark.parametrize("make, digest", [
         (lambda: [disjoint_union(gen_complete(4, 3), gen_complete(4, 3))],
-         "4fd5937e39ff4a0c34f00963a845e5071897aec157499bb086f4831b4a6817d4"),
+         "aafc30a36ab728c756b3d2da71c9311d804fae766e89650229388e298cc0afa3"),
         (lambda: [disjoint_union(gen_sts(7), gen_complete(4, 3))],
-         "039a027b9fdab218f10d1f065250a700fd1a82db73f3e812f14954c640703f40"),
+         "d3924bd28f211ec5705eff823caf3f6b01a88d6de05a76a6a817524498f34300"),
         (lambda: [_grouped()[0]],
-         "a02b65632ddd99b1baf2133405632472e466698e41fe84dabc6992fe59e000cd"),
+         "22a438be194ddec545df75eadff0eab9f9c5f2368c89cdeca30ee196b4bc13d4"),
         (lambda: _random_with_family(40),
-         "5c129178bfb5381661254f69f4addc981436d1f4996c433ae63ee9c45136cfe8"),
+         "3903473d8ddcc1c5873cb88076bb3c9571a2f057e41f8bbe9c8ce51d34352515"),
     ], ids=["complete4-3-twice", "sts7-and-complete4-3", "grouped-3x3", "random-noncovering"])
     def test_family_digest(self, make, digest):
         text = ""

@@ -47,16 +47,23 @@ resort when that scan finds none:
   connected piece of the host holds two non-trivial components: a move's
   vertex-nodes lie in one piece, so elsewhere nothing can diminish.
 
-**Scan tables.**  The exits that keep a cycle interchanging are fixed by the
-certificate, so the cycle scan tabulates them once: an edge-node entered from
-one of its anchors leaves through a member that is not an anchor,
-``others[e]`` in row order, and one entered from a non-anchor leaves
-through an anchor, its sorted pair.  For each length and each start vertex
-in turn, one depth-first search reads these tables and one list of visited
-flags, set on the edge-nodes and the later vertex-nodes of its path, and
-yields the cycles whose smallest vertex-node is the start, so each cycle
-comes from one start.  It charges one expansion for each edge-node it
-looks at, against ``MAX_EXPANSIONS`` for the whole scan.
+**Scan.**  Both scans run one depth-first walker, which visits an edge-node
+at most once for a cycle and at most twice for a closed trail.  The exits
+that keep a first visit interchanging are fixed by the certificate, so the
+walker tabulates them once per scan, in one pass over the edge rows: for
+each vertex-node, its edge-nodes in row order, each with its exits.  An
+edge-node entered from one of its anchors leaves through a member that is
+not an anchor, in row order, and one entered from a non-anchor leaves
+through an anchor, its sorted pair.  A second visit reads its pair off the
+path, as the anchors XOR the first visit's two neighbours, and may not sit
+next to the first visit around the trail: two such visits toggle what one
+visit without the vertex-node between them does, on a shorter trail.  For
+each length and each start vertex in turn, one depth-first search reads the
+table and one list of visit marks, set on the edge-nodes and the later
+vertex-nodes of its path, and yields the trails whose smallest vertex-node
+is the start, so each trail comes from one start.  It charges one expansion
+for each edge-node it looks at, against ``MAX_EXPANSIONS`` for the whole
+scan.
 
 **Toggle.**  A move is the node tuple the search yields.  Toggling it sets
 each edge-node's anchor pair to that pair XOR its two cycle neighbours.
@@ -103,111 +110,62 @@ def apply_interchange(fsub: FamilySubgraph, nodes: tuple[int, ...]) -> FamilySub
     return FamilySubgraph(fsub.host, _toggle(fsub, nodes))
 
 
-def _candidates(g, anchors):
-    """Interchanging cycles of the certificate, shortest first, in one expansion budget.
+def _scan(g, anchors, most):
+    """Interchanging closed trails of the certificate, shortest first, in one expansion budget.
 
-    The scan of the module docstring.  The budget ``left`` starts at
-    ``MAX_EXPANSIONS``, read when the scan starts; at 0 the scan stops for
-    good and charges nothing more.
+    The scan of the module docstring, visiting each edge-node at most
+    ``most`` times: 1 for the cycle scan, 2 for the closed-trail scan.  The
+    budget ``left`` starts at ``MAX_EXPANSIONS``, read when the scan starts;
+    at 0 the scan stops for good and charges nothing more.
     """
     adj = g.adj
     n_v = g.n_v
-    others = [tuple(v for v in adj[n_v + e] if v not in pair) for e, pair in enumerate(anchors)]
-    visited = [False] * (n_v + g.n_e)
+    table = [[] for _ in range(n_v)]
+    for en, row in enumerate(adj[n_v:], n_v):
+        pair = anchors[en - n_v]
+        # Both anchors share one list of the members that are not anchors.
+        to_pair, to_others = (en, pair), (en, [])
+        for v in row:
+            table[v].append(to_others if v in pair else to_pair)
+            if v not in pair:
+                to_others[1].append(v)
+    visits = [0] * len(adj)
     path = [0]
     left = MAX_EXPANSIONS
 
     def walk(u, depth):
         nonlocal left
         closing = depth + 1 == t
-        for en in adj[u]:
+        for en, exits in table[u]:
             left -= 1
             if left <= 0:
                 return
-            if visited[en]:
-                continue
-            e = en - n_v
-            pair = anchors[e]
-            exits = others[e] if u in pair else pair
+            if visits[en]:
+                if visits[en] == most or en == path[-2] or closing and en == path[1]:
+                    continue
+                mark = 2
+                i = path.index(en)
+                pair = tuple(sorted({*anchors[en - n_v]} ^ {path[i - 1], path[i + 1]}))
+                exits = tuple(w for w in adj[en] if w not in pair) if u in pair else pair
+            else:
+                mark = 1
             if closing:
                 if start in exits:
                     yield (*path, en)
                 continue
             for w in exits:
-                if w <= start or visited[w]:
+                if w <= start or visits[w]:
                     continue
-                visited[en] = visited[w] = True
+                visits[en] = visits[w] = mark
                 path.append(en)
                 path.append(w)
                 yield from walk(w, depth + 1)
                 del path[-2:]
-                visited[en] = visited[w] = False
+                visits[en], visits[w] = mark - 1, 0
                 if left <= 0:
                     return
 
-    for t in range(2, MAX_EDGE_NODES + 1):
-        for start in range(n_v):
-            if left <= 0:
-                return
-            path[0] = start
-            yield from walk(start, 0)
-
-
-def _trails(g, anchors):
-    """Interchanging closed trails of the certificate, shortest first, in one expansion budget.
-
-    The last-resort scan of the module docstring: like :func:`_candidates`,
-    from each start vertex through later vertex-nodes only, through 2 to
-    ``MAX_EDGE_NODES + 1`` edge-node visits, charging one expansion for each
-    edge-node it looks at, against its own ``MAX_EXPANSIONS``.  An edge-node
-    may be visited a second time, but not next to its first visit around the
-    trail: two such visits toggle what one visit without the vertex-node
-    between them does, on a shorter trail.  Each visit is read against the
-    edge's pair as the earlier visits on the path left it, so the exits are
-    found as the walk goes, not tabulated.
-    """
-    adj = g.adj
-    n_v = g.n_v
-    pairs = list(anchors)
-    visits = [0] * (n_v + g.n_e)
-    on_path = [False] * n_v
-    path = [0]
-    left = MAX_EXPANSIONS
-
-    def walk(u, depth):
-        nonlocal left
-        closing = depth + 1 == t
-        last = path[-2] if depth else -1
-        for en in adj[u]:
-            left -= 1
-            if left <= 0:
-                return
-            if en == last or visits[en] == 2:
-                continue
-            e = en - n_v
-            pair = pairs[e]
-            exits = [w for w in adj[en] if w not in pair] if u in pair else pair
-            if closing:
-                if start in exits and en != path[1]:
-                    yield (*path, en)
-                continue
-            for w in exits:
-                if w <= start or on_path[w]:
-                    continue
-                on_path[w] = True
-                visits[en] += 1
-                pairs[e] = tuple(sorted({*pair} ^ {u, w}))
-                path.append(en)
-                path.append(w)
-                yield from walk(w, depth + 1)
-                del path[-2:]
-                pairs[e] = pair
-                visits[en] -= 1
-                on_path[w] = False
-                if left <= 0:
-                    return
-
-    for t in range(2, MAX_EDGE_NODES + 2):
+    for t in range(2, MAX_EDGE_NODES + most):
         for start in range(n_v):
             if left <= 0:
                 return
@@ -216,11 +174,11 @@ def _trails(g, anchors):
 
 
 def _diminishing_trail(fsub: FamilySubgraph) -> tuple[int, ...] | None:
-    """The first trail of :func:`_trails` whose toggled pairs have fewer non-trivial components."""
+    """The first closed trail the scan yields whose toggled pairs have fewer non-trivial components."""
     g = fsub.host
     comp_of = fsub.component_of
     base = fsub.nontrivial_count
-    for nodes in _trails(g, fsub.anchors):
+    for nodes in _scan(g, fsub.anchors, 2):
         # The crossing filter of find_diminishing_cycle: a trail's edge-nodes
         # too lie in the component of an anchor met on it.
         if (len({comp_of[x] for x in nodes[::2]}) > 1
@@ -260,7 +218,7 @@ def find_diminishing_cycle(fsub: FamilySubgraph, seen) -> tuple[int, ...] | None
     g = fsub.host
     comp_of = fsub.component_of
     escape = None
-    for nodes in _candidates(g, fsub.anchors):
+    for nodes in _scan(g, fsub.anchors, 1):
         # A cycle confined to one component can never diminish.  Each
         # edge-node lies in the component of the anchor it meets on the
         # cycle, so the vertex-nodes decide.

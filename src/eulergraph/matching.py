@@ -294,7 +294,7 @@ class GadgetGraph:
         return tuple(flat)
 
     def anchors(self, mate: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Each edge's anchors under the perfect matching ``mate`` of ``adj``.
+        """Each edge's anchors under the perfect matching ``mate`` of the gadget.
 
         An edge's anchors are its forced incidences together with its
         undecided ones whose stub is not matched to a core.  Incidences are

@@ -40,6 +40,18 @@ TOUR_DEPENDS_ON_FAMILY = (
     + "e v4 v7\ne v2 v6 v9\ne v10 v2\ne v10 v4 v7\n"
     + "e v10 v8\ne v2 v6 v9\ne v3 v6 v8\ne v10 v3 v4 v8\n")
 
+# A non-covering input (best-effort bench corpus, seed 2, "random#357") with a
+# tour that the merge reaches only after 99 escapes and one diminishing step,
+# the longest escape run on record.  From the family the matching returns, no
+# interchanging cycle and no closed trail with distinct vertex-nodes
+# diminishes.  Two cycles through v6, the escape v6 e5 v8 e6 and then the
+# 4-cycle v6 e4 v9 e7, would merge it in 2 steps; no current move takes them.
+LONG_ESCAPE_RUN = (
+    "hg 0 11 10\n"
+    + "".join(f"v v{i}\n" for i in (1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9))
+    + "e v1 v9\ne v1 v3 v7 v9\ne v7 v9\ne v10 v6 v7 v9\ne v11 v6 v8\n"
+    + "e v11 v6 v8\ne v3 v6 v7 v9\ne v1 v10 v3 v9\ne v1 v3 v7 v9\ne v1 v3 v7 v9\n")
+
 # Inputs where the three propagation rules leave incidences undecided and
 # only the gadget's missing perfect matching proves that no family exists.
 # "minimal" is the smallest (at most 6 vertices, 5 edges of size 2 to 3):
@@ -323,6 +335,29 @@ class ExpansionBudget(int):
 
     def __sub__(self, other):
         return ExpansionBudget(int(self) - other, self.left)
+
+
+def record_scan_expansions(monkeypatch):
+    """Patch the merge's scan so that each call records the expansions it spent.
+
+    Returns a dict from ``most`` (1 for a cycle scan, 2 for a closed-trail
+    scan) to the expansions of each such scan, in call order.
+    """
+    limit = interchange.MAX_EXPANSIONS
+    left = [None]
+    monkeypatch.setattr(interchange, "MAX_EXPANSIONS", ExpansionBudget(limit, left))
+    scan = interchange._scan
+    spent = {1: [], 2: []}
+
+    def recorded_scan(g, anchors, most):
+        left[0] = limit
+        try:
+            yield from scan(g, anchors, most)
+        finally:
+            spent[most].append(limit - left[0])
+
+    monkeypatch.setattr(interchange, "_scan", recorded_scan)
+    return spent
 
 
 def reference_candidates(g, anchors):

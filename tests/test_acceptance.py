@@ -38,12 +38,10 @@ from eulergraph.genio import (
     gen_random_covering,
     gen_sts,
 )
-from eulergraph import interchange
 from eulergraph.interchange import MAX_EXPANSIONS
 from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
-    ExpansionBudget,
     brute_max_matching,
     complete_graph,
     flat_gadget,
@@ -51,6 +49,7 @@ from helpers import (
     matching_size,
     petersen,
     random_graph,
+    record_scan_expansions,
     reduction_layers,
     sample_interchanging_cycles,
     src_env,
@@ -275,19 +274,7 @@ def test_c06_linking_strategy_reaches_one_component(monkeypatch):
     # the search alone merges every grouped certificate, one diminishing
     # step per component joined, without an escape, and no scan of these
     # merges reaches the expansion budget
-    left = [None]
-    monkeypatch.setattr(interchange, "MAX_EXPANSIONS", ExpansionBudget(MAX_EXPANSIONS, left))
-    scan = interchange._candidates
-    spent = []
-
-    def recorded_scan(g, anchors):
-        left[0] = MAX_EXPANSIONS
-        try:
-            yield from scan(g, anchors)
-        finally:
-            spent.append(MAX_EXPANSIONS - left[0])
-
-    monkeypatch.setattr(interchange, "_candidates", recorded_scan)
+    scans = record_scan_expansions(monkeypatch)
     failures = 0
     corpus = _group_corpus() + _large_grouped_certificates()
     for h, g, fsub in corpus:
@@ -300,6 +287,7 @@ def test_c06_linking_strategy_reaches_one_component(monkeypatch):
         if (verify_euler_object(h, EulerFamily((tour,)))
                 or stats.escapes != 0 or stats.diminishing != c - 1):
             failures += 1
+    spent = scans[1] + scans[2]
     passed = failures == 0 and max(spent) < MAX_EXPANSIONS
     _report("C06 search merges grouped certificates", passed,
             f"{len(corpus)} certificates, {failures} failures, {len(spent)} scans, "

@@ -33,7 +33,7 @@ from eulergraph import (
 from eulergraph import interchange
 from eulergraph.genio import Lcg, emit_hg, gen_complete, gen_random_covering, gen_sts, parse_hg
 from eulergraph.family import _union_find
-from eulergraph.interchange import MAX_EDGE_NODES, MAX_EXPANSIONS, _candidates, _toggle, _trails
+from eulergraph.interchange import MAX_EDGE_NODES, MAX_EXPANSIONS, _scan, _toggle
 
 from helpers import (
     TOUR_DEPENDS_ON_FAMILY,
@@ -45,6 +45,7 @@ from helpers import (
     grouped_family,
     incidences,
     random_noncovering,
+    record_scan_expansions,
     reference_candidates,
     reference_closed_trails,
     reference_components,
@@ -353,7 +354,8 @@ class TestMergeToTour:
         # A seeded search for more inputs like random#372: drop one of its
         # edges half the time and add up to two edges of 2 or 3 vertices.
         # From every family of every draw with a tour, the merge reaches a
-        # tour; from many of them only through a closed-trail move.
+        # tour; from many of them only through a closed-trail move, and no
+        # closed-trail scan reaches the expansion budget.
         real = interchange._diminishing_trail
         trail_moves = []
 
@@ -363,6 +365,7 @@ class TestMergeToTour:
             return move
 
         monkeypatch.setattr(interchange, "_diminishing_trail", counted)
+        trail_spent = record_scan_expansions(monkeypatch)[2]
         base, _ = parse_hg(TOUR_DEPENDS_ON_FAMILY)
         labels = base.vertices
         rng = Lcg(3)
@@ -390,7 +393,8 @@ class TestMergeToTour:
                 tour = merge_to_tour(FamilySubgraph(g, assign))
                 assert verify_euler_object(h, EulerFamily((tour,))) == ()
                 witnesses += any(trail_moves)
-        assert (tours, families, witnesses) == (60, 488, 43)
+        assert (tours, families, witnesses, len(trail_spent)) == (60, 488, 43, 43)
+        assert max(trail_spent) < MAX_EXPANSIONS
 
     def test_complete_five_from_scrambled_family(self):
         rng = Lcg(61)
@@ -563,7 +567,7 @@ class TestEscapeMove:
         assert move2 is not None and move2 != move
         assert apply_interchange(fsub, move2).anchors not in seen
         seen |= {apply_interchange(fsub, nodes).anchors
-                 for nodes in _candidates(g, fsub.anchors)}
+                 for nodes in _scan(g, fsub.anchors, 1)}
         assert find_diminishing_cycle(fsub, seen) is None
 
     @pytest.mark.parametrize("make, budget", _TRAJECTORY_INPUTS, ids=_TRAJECTORY_IDS)
@@ -615,7 +619,7 @@ class TestScanMatchesReference:
     """The merge scan yields the reference enumerator's cycles and spends the same budget."""
 
     @staticmethod
-    def _scan(scan, fsub, limit, monkeypatch):
+    def _run(scan, fsub, limit, monkeypatch):
         left = [None]
         monkeypatch.setattr(interchange, "MAX_EXPANSIONS", ExpansionBudget(limit, left))
         return list(scan(fsub.host, fsub.anchors)), limit - left[0]
@@ -626,24 +630,27 @@ class TestScanMatchesReference:
         assert len(states) > 500
         cut = 0
         for fsub in states:
-            cycles, spent = self._scan(_candidates, fsub, limit, monkeypatch)
-            want, want_spent = self._scan(reference_candidates, fsub, limit, monkeypatch)
+            cycles, spent = self._run(functools.partial(_scan, most=1), fsub, limit, monkeypatch)
+            want, want_spent = self._run(reference_candidates, fsub, limit, monkeypatch)
             assert cycles == want
             assert spent == min(want_spent, limit)
             cut += want_spent >= limit
         # The small limits cut some scans, the default one none.
         assert (cut > 0) == (limit != MAX_EXPANSIONS)
 
-    def test_scans_are_independent(self):
+    @pytest.mark.parametrize("most, reference", [(1, reference_candidates),
+                                                 (2, reference_closed_trails)],
+                             ids=["cycles", "trails"])
+    def test_scans_are_independent(self, most, reference):
         # Every piece of scan state belongs to one call: two scans consumed
         # in turn, and a fresh scan next to an abandoned one, each yield the
         # reference's list.
         states = (fsub for fsub in _scanned_states()
-                  if len(list(reference_candidates(fsub.host, fsub.anchors))) > 3)
+                  if len(list(reference(fsub.host, fsub.anchors))) > 3)
         a, b = next(states), next(states)
         assert a.anchors != b.anchors
-        want = [list(reference_candidates(f.host, f.anchors)) for f in (a, b)]
-        scans = [_candidates(f.host, f.anchors) for f in (a, b)]
+        want = [list(reference(f.host, f.anchors)) for f in (a, b)]
+        scans = [_scan(f.host, f.anchors, most) for f in (a, b)]
         got = ([], [])
         live = [0, 1]
         while live:
@@ -654,9 +661,9 @@ class TestScanMatchesReference:
                 else:
                     got[i].append(nodes)
         assert list(got) == want
-        abandoned = _candidates(a.host, a.anchors)
+        abandoned = _scan(a.host, a.anchors, most)
         assert [next(abandoned), next(abandoned)] == want[0][:2]
-        assert list(_candidates(a.host, a.anchors)) == want[0]
+        assert list(_scan(a.host, a.anchors, most)) == want[0]
         assert list(abandoned) == want[0][2:]
 
 
@@ -667,8 +674,9 @@ class TestClosedTrails:
     def test_same_trails_and_expansions_as_reference(self, limit, monkeypatch):
         cut = 0
         for fsub in _scanned_states()[::4]:
-            trails, spent = TestScanMatchesReference._scan(_trails, fsub, limit, monkeypatch)
-            want, want_spent = TestScanMatchesReference._scan(
+            trails, spent = TestScanMatchesReference._run(
+                functools.partial(_scan, most=2), fsub, limit, monkeypatch)
+            want, want_spent = TestScanMatchesReference._run(
                 reference_closed_trails, fsub, limit, monkeypatch)
             assert trails == want
             assert spent == min(want_spent, limit)
@@ -682,10 +690,10 @@ class TestClosedTrails:
         repeated = 0
         for fsub in _scanned_states()[::4]:
             g = fsub.host
-            trails = list(_trails(g, fsub.anchors))
+            trails = list(_scan(g, fsub.anchors, 2))
             simple = [nodes for nodes in trails if len(set(nodes[1::2])) == len(nodes) // 2]
             assert [nodes for nodes in simple if len(nodes) <= 2 * MAX_EDGE_NODES] == list(
-                _candidates(g, fsub.anchors))
+                _scan(g, fsub.anchors, 1))
             for nodes in trails:
                 assert len(set(nodes[::2])) == len(nodes) // 2
                 edge_nodes = nodes[1::2]
@@ -716,7 +724,13 @@ class TestClosedTrails:
         h = Hypergraph.from_labels("abcd", ["ab", "ab", "cd", "cd"])
         fsub = find_family_subgraph(build_incidence(h))
         assert fsub.nontrivial_count == 2
-        monkeypatch.setattr(interchange, "_trails", None)
+        scan = interchange._scan
+
+        def cycles_only(g, anchors, most):
+            assert most == 1, "a closed-trail scan ran"
+            return scan(g, anchors, most)
+
+        monkeypatch.setattr(interchange, "_scan", cycles_only)
         with pytest.raises(MergeExhaustedError) as exc:
             merge_to_tour(fsub)
         assert (exc.value.reason, exc.value.steps) == ("no-move", 0)

@@ -33,6 +33,7 @@ from eulergraph.oracle import brute_tour
 from eulergraph.solver import _reduce_to_order3
 
 from helpers import (
+    LONG_ESCAPE_RUN,
     TOUR_DEPENDS_ON_FAMILY,
     disjoint_union,
     fano,
@@ -291,6 +292,15 @@ class TestSolve:
         res = solve(h, 3)
         assert res.verdict == "eulerian" and res.family == EulerFamily((res.tour,))
         assert verify_euler_object(h, res.family) == ()
+
+    def test_long_escape_run_reaches_the_tour(self):
+        h, _ = parse_hg(LONG_ESCAPE_RUN)
+        stats = MergeStats()
+        res = solve(h, 3, stats=stats)
+        assert res.verdict == "eulerian"
+        assert (stats.steps, stats.diminishing, stats.escapes) == (100, 1, 99)
+        assert format_walk_line(res.tour) == (
+            "v1 e1 v9 e7 v6 e5 v8 e6 v6 e4 v10 e8 v9 e3 v7 e10 v1 e2 v3 e9 v1")
 
     def test_tour_found_iff_brute_force_finds_one(self):
         rng = Lcg(3)

@@ -52,15 +52,21 @@ which keeps every root.
 **Layout seed.**  The gadget is built with a maximal matching to start
 from.  An edge with more cores than anchors to find (u-k > k: five or more
 vertices with nothing forced) gives its cores to its first u-k stubs, so
-that most of its stubs start where most must end.  The other stubs of each
-vertex pair up in order, and an odd one out takes its edge's first free
-core, or else its dummy; the cores and dummies left over see only matched
-nodes.  Without the first rule two copies of one wide edge would start with
-every core exposed and take a search from each, each as long as the edge,
-where they now start perfect.  With no such edge, as on every 3-uniform
-input, the seed is the greedy maximal matching that scans the flat rows in
-node order, since a stub's flat row lists its vertex's other stubs first,
-then its edge's cores, then its dummy.
+that most of its stubs start where most must end, and so does an edge with
+the vertex set of an earlier edge.  The other stubs of each vertex pair up
+in order, and an odd one out takes its edge's first free core, or else its
+dummy; the cores and dummies left over see only matched nodes.  Without the
+first rule two copies of one wide edge would start with every core exposed
+and take a search from each, each as long as the edge.  Without the second,
+copies of any edge would pair with each other at every vertex, stub by
+stub, and leave the cores of both exposed, a search for every two; two
+copies of a triple or of a 4-set now start perfect.  Copies are common
+after the arity reduction: dropping each edge's two smallest labels leaves
+the 252 edges of ``complete(10, 5)`` on 56 triples.  With neither kind of
+edge, as on a 3-uniform input without a repeated edge, the seed is the
+greedy maximal matching that scans the flat rows in node order, since a
+stub's flat row lists its vertex's other stubs first, then its edge's
+cores, then its dummy; with them, it is that scan started from their pairs.
 
 **Kernel.**  The classical blossom-contraction search (Edmonds, "Paths,
 trees, and flowers", 1965) runs from each exposed root in increasing order.
@@ -332,12 +338,14 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
         raise ValueError(f"state has {len(state)} entries for {len(incidences)} incidences")
     u_count = state.count(-1)
     # Edge pass: u-k cores per edge; an edge with more cores than anchors to
-    # find seeds its first u-k stubs with them.
+    # find, or with the vertex set of an earlier edge, seeds its first u-k
+    # stubs with them.
     mate = [-1] * u_count
     edge_cores: list[tuple[int, ...]] = []
     core_rows: list[tuple[tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
     stub, core = 0, u_count
-    for j in range(g.n_e):
+    for j, verts in enumerate(g.adj[g.n_v:]):
         decided = state[first[j]:first[j + 1]]
         d = decided.count(-1)
         k = 2 - decided.count(1)
@@ -347,11 +355,12 @@ def reduce_to_matching(g: IncidenceGraph, state: Sequence[int]) -> GadgetGraph:
         cores = tuple(range(core, core + d - k))
         edge_cores += repeat(cores, d)
         core_rows += repeat((stubs,), d - k)
-        if d - k > k:
+        if d - k > k or verts in seen:
             mate[stub:stub + d - k] = cores
             mate += stubs[:d - k]
         else:
             mate += repeat(-1, d - k)
+        seen.add(verts)
         stub += d
         core += d - k
 

@@ -41,16 +41,22 @@ TOUR_DEPENDS_ON_FAMILY = (
     + "e v10 v8\ne v2 v6 v9\ne v3 v6 v8\ne v10 v3 v4 v8\n")
 
 # A non-covering input (best-effort bench corpus, seed 2, "random#357") with a
-# tour that the merge reaches only after 99 escapes and one diminishing step,
-# the longest escape run on record.  From the family the matching returns, no
+# tour that the merge reaches from LONG_ESCAPE_FAMILY only after 99 escapes and
+# one diminishing step, the longest escape run on record.  From that family no
 # interchanging cycle and no closed trail with distinct vertex-nodes
 # diminishes.  Two cycles through v6, the escape v6 e5 v8 e6 and then the
 # 4-cycle v6 e4 v9 e7, would merge it in 2 steps; no current move takes them.
+# The family is pinned because solve no longer starts from it: with a repeated
+# edge seeding its cores first, the matching finds one that merges in one
+# diminishing step.
 LONG_ESCAPE_RUN = (
     "hg 0 11 10\n"
     + "".join(f"v v{i}\n" for i in (1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9))
     + "e v1 v9\ne v1 v3 v7 v9\ne v7 v9\ne v10 v6 v7 v9\ne v11 v6 v8\n"
     + "e v11 v6 v8\ne v3 v6 v7 v9\ne v1 v10 v3 v9\ne v1 v3 v7 v9\ne v1 v3 v7 v9\n")
+# Each edge's anchor pair, as vertex indices of LONG_ESCAPE_RUN.
+LONG_ESCAPE_FAMILY = ((0, 10), (8, 10), (8, 10), (8, 10), (2, 9), (2, 9), (8, 10),
+                      (4, 10), (4, 10), (0, 10))
 
 # Inputs where the three propagation rules leave incidences undecided and
 # only the gadget's missing perfect matching proves that no family exists.
@@ -715,14 +721,15 @@ def matching_size(adj, mate) -> int:
     return sum(u != -1 for u in mate) // 2
 
 
-def greedy_seed(adj) -> list[int]:
+def greedy_seed(adj, start=None) -> list[int]:
     """The greedy maximal matching of ``adj`` in node order, as a mate list.
 
-    Each exposed node in turn takes its first exposed neighbour.  On the flat
-    rows of a gadget with no edge that seeds its cores first, this is the
-    seed its layout fixes (``GadgetGraph.seed``).
+    It starts from the matching ``start`` (by default the empty one), and
+    each exposed node in turn takes its first exposed neighbour.  On the flat
+    rows of a gadget, started from the pairs of the edges that seed their
+    cores first, this is the seed its layout fixes (``GadgetGraph.seed``).
     """
-    mate = [-1] * len(adj)
+    mate = [-1] * len(adj) if start is None else list(start)
     for v in range(len(adj)):
         if mate[v] != -1:
             continue

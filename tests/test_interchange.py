@@ -735,6 +735,30 @@ class TestClosedTrails:
             merge_to_tour(fsub)
         assert (exc.value.reason, exc.value.steps) == ("no-move", 0)
 
+    def test_no_cycle_diminishes_across_pieces(self, monkeypatch):
+        # In every state the merge reaches where no piece of the host holds
+        # two non-trivial components, no cycle of the scan diminishes: a
+        # toggle joins components of one piece only.
+        states = []
+        find = interchange.find_diminishing_cycle
+
+        def recording(fsub, seen):
+            states.append(fsub)
+            return find(fsub, seen)
+
+        monkeypatch.setattr(interchange, "find_diminishing_cycle", recording)
+        for h in (disjoint_union(gen_complete(4, 3), gen_complete(4, 3)),
+                  disjoint_union(gen_sts(7), gen_complete(4, 3)),
+                  disjoint_union(gen_random_covering(5, 3, 1), gen_complete(4, 3))):
+            with pytest.raises(MergeExhaustedError):
+                merge_to_tour(find_family_subgraph(build_incidence(h)))
+        apart = [fsub for fsub in states if not interchange._shares_a_piece(fsub)]
+        assert len(apart) == 469
+        for fsub in apart:
+            g, base = fsub.host, fsub.nontrivial_count
+            for nodes in _scan(g, fsub.anchors, 1):
+                assert _union_find(g.n_v, _toggle(fsub, nodes))[1] >= base
+
 
 class TestDirectOrderThree:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])

@@ -16,7 +16,7 @@ from eulergraph import (
     reduce_to_matching,
 )
 from eulergraph.family import _forced_anchors
-from eulergraph.genio import Lcg, gen_complete, gen_random_covering, gen_sts, parse_hg
+from eulergraph.genio import Lcg, emit_hg, gen_complete, gen_random_covering, gen_sts, parse_hg
 from eulergraph.matching import _augment_from
 from eulergraph.solver import _reduce_to_order3
 
@@ -155,17 +155,20 @@ class TestMaxMatching:
             matching_size(adj, mate)
             assert mate == max_matching(flat_gadget(adj, gg.seed)) == reference_max_matching(
                 adj, gg.seed)
-            # The seed is a maximal matching; with no edge that seeds its cores
-            # first, the greedy one in node order.
+            # The seed is a maximal matching: the greedy one in node order,
+            # started from the edges that seed their cores first.
             matching_size(adj, gg.seed)
             assert not any(gg.seed[v] == -1 and any(gg.seed[x] == -1 for x in row)
                            for v, row in enumerate(adj))
-            cores_first = seeds_cores_first(gg)
-            assert cores_first or list(gg.seed) == greedy_seed(adj)
-            seen["cores-first" if cores_first else "greedy"] += 1
+            start = cores_first_start(gg)
+            assert list(gg.seed) == greedy_seed(adj, start)
+            seen["greedy" if start.count(-1) == len(start) else "cores-first"] += 1
+            edges = gg.host.host.edges
+            seen["repeated-edge"] += len(set(edges)) < len(edges)
             seen["perfect" if -1 not in mate else "exposed"] += 1
         kinds = ("refuted", "decided", "open", "perfect", "exposed", "single-stub",
-                 "stubless-dummy", "needs-0", "needs-1", "needs-2", "cores-first", "greedy")
+                 "stubless-dummy", "needs-0", "needs-1", "needs-2", "cores-first", "greedy",
+                 "repeated-edge")
         assert all(seen[k] for k in kinds), seen
 
     @staticmethod
@@ -195,12 +198,44 @@ class TestMaxMatching:
         assert max_matching(flat_gadget(gg.adj)) == mate == reference_max_matching(gg.adj)
         assert calls[0] == 2 * searches
 
+    @pytest.mark.parametrize("h, searches, paired", [
+        (gen_complete(10, 5), 28, 124),
+        (gen_complete(10, 4), 42, 104),
+        (gen_random_covering(11, 5, 3), 27, 63),
+    ], ids=["complete10-5", "complete10-4", "random11-5-3"])
+    def test_searches_left_on_reduced_gadgets(self, h, searches, paired, monkeypatch):
+        # Arity 4 to 6 reduced through .hg, as tour-k45 runs it: complete(10, 5)
+        # becomes 252 edges over 56 distinct triples.  A repeated triple seeds
+        # its core first.  The greedy seed of the flat rows instead pairs each
+        # copy stub by stub with an earlier one at every vertex, which leaves
+        # both cores exposed, and takes the `paired` searches.
+        gg = open_gadget(build_incidence(_reduce_to_order3(*parse_hg(emit_hg(h)))[0]))
+        calls = self._count_searches(monkeypatch)
+        mate = max_matching(gg)
+        assert calls[0] == searches == gg.seed.count(-1) // 2
+        assert -1 not in mate
+        assert mate == reference_max_matching(gg.adj, gg.seed)
+        calls[0] = 0
+        assert -1 not in max_matching(flat_gadget(gg.adj))
+        assert calls[0] == paired
+
     def test_wide_edges_start_perfect(self, monkeypatch):
         # An edge with more cores than anchors to find seeds its cores first:
         # two copies of a 2,000-vertex edge start from a perfect seed, where
         # pairing each vertex's two stubs would leave all 3,996 cores exposed
         # and a search from each, in time cubic in the edge size.
         gg = open_gadget(build_incidence(two_wide_edges(2000)))
+        calls = self._count_searches(monkeypatch)
+        assert -1 not in gg.seed
+        assert max_matching(gg) == list(gg.seed)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("edge", ["abc", "abcd"])
+    def test_copies_of_an_edge_start_perfect(self, edge, monkeypatch):
+        # The second copy seeds its cores first, so the odd stub left at each
+        # vertex takes a core of the first: paired stub by stub, the two copies
+        # would leave all their cores exposed and take a search per two.
+        gg = open_gadget(build_incidence(Hypergraph.from_labels(edge, [edge, edge])))
         calls = self._count_searches(monkeypatch)
         assert -1 not in gg.seed
         assert max_matching(gg) == list(gg.seed)
@@ -241,14 +276,27 @@ class TestMaxMatching:
                 assert scratch == reset
 
 
-def seeds_cores_first(gg):
-    """Whether some edge of the gadget has more cores than anchors to find."""
+def cores_first_start(gg):
+    """The pairs the seed of ``gg`` fixes before its greedy scan, as a mate list.
+
+    An edge with u undecided incidences that needs k anchors seeds its cores
+    first when u-k > k or when an earlier edge has its vertex set: its first
+    u-k stubs, in incidence order, take its u-k cores in order.
+    """
     g, state = gg.host, gg.state
-    for j in range(g.n_e):
+    mate = [-1] * len(gg.rows)
+    stub, core = 0, gg.cores.start
+    seen = set()
+    for j, verts in enumerate(g.host.edges):
         decided = state[g.first[j]:g.first[j + 1]]
-        if decided.count(-1) > 2 * (2 - decided.count(1)):
-            return True
-    return False
+        u, k = decided.count(-1), 2 - decided.count(1)
+        if u - k > k or verts in seen:
+            for i in range(u - k):
+                mate[stub + i], mate[core + i] = core + i, stub + i
+        seen.add(verts)
+        stub += u
+        core += u - k
+    return mate
 
 
 def drawn_state(rng, g):
